@@ -7,17 +7,14 @@ from .centralized import (RachConfig, TypeLearner, UplinkRequest, Variant,
                           rach_collision_probability, rach_phase, schedule)
 from .channel import (ChannelModel, Outcome, RbAssignment, epsilon_for_outage,
                       outage_probability, resolve_slot)
-from .devices import (AoiClock, Device, DeviceType, TypeId, activate,
-                      activation_step, current_aoi, deliver_success,
-                      future_aoi, make_devices, type1, type2)
+from .devices import (Device, DeviceType, TypeId, activate, current_aoi,
+                      deliver_success, future_aoi, make_devices, type1, type2)
 from .distributed import (FullInfoGame, GameParams, NashResult,
-                          NeighborhoodView, delegate_target, is_nash_equilibrium,
-                          kappa, kth_largest, predetermined_actions,
-                          random_selection, sca_step, service_rate_closed_form,
-                          service_rate_large_n, silent_payoff, transmit_decision)
+                          delegate_target, kappa, kth_largest,
+                          predetermined_actions, random_selection, sca_step,
+                          service_rate_closed_form)
 from .engine import (ConfigError, Mode, RunResult, RunSummary, ScenarioConfig,
-                     SlotRecord, SweepPoint, replicate_seed, run, sweep,
-                     sweep_iter)
+                     SlotRecord, replicate_seed, run, sweep_iter)
 from .planner import TransmissionPlan, compositions, plan_message
 from .presets import expand_preset, preset_description, preset_names
 
@@ -31,16 +28,13 @@ __all__ = [
     "rach_collision_probability", "rach_phase", "schedule",
     "ChannelModel", "Outcome", "RbAssignment", "epsilon_for_outage",
     "outage_probability", "resolve_slot",
-    "AoiClock", "Device", "DeviceType", "TypeId", "activate",
-    "activation_step", "current_aoi", "deliver_success", "future_aoi",
-    "make_devices", "type1", "type2",
-    "FullInfoGame", "GameParams", "NashResult", "NeighborhoodView",
-    "delegate_target", "is_nash_equilibrium", "kappa", "kth_largest",
-    "predetermined_actions", "random_selection", "sca_step",
-    "service_rate_closed_form", "service_rate_large_n", "silent_payoff",
-    "transmit_decision",
+    "Device", "DeviceType", "TypeId", "activate", "current_aoi",
+    "deliver_success", "future_aoi", "make_devices", "type1", "type2",
+    "FullInfoGame", "GameParams", "NashResult", "delegate_target", "kappa",
+    "kth_largest", "predetermined_actions", "random_selection", "sca_step",
+    "service_rate_closed_form",
     "ConfigError", "Mode", "RunResult", "RunSummary", "ScenarioConfig",
-    "SlotRecord", "SweepPoint", "replicate_seed", "run", "sweep", "sweep_iter",
+    "SlotRecord", "replicate_seed", "run", "sweep_iter",
     "TransmissionPlan", "compositions", "plan_message",
     "expand_preset", "preset_description", "preset_names",
 ]

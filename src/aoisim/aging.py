@@ -19,6 +19,11 @@ class AgingKind(Enum):
     EXPONENTIAL = "exponential"
 
 
+# per-request paths compare against bindings: on Python 3.11 every Enum
+# member lookup is a descriptor call
+_LINEAR = AgingKind.LINEAR
+
+
 def aoi_value(kind: AgingKind, t: int, delta: int):
     """Age of a message generated at slot ``delta``, evaluated at slot ``t``.
 
@@ -28,7 +33,7 @@ def aoi_value(kind: AgingKind, t: int, delta: int):
     if t < delta:
         raise ValueError(f"evaluation slot {t} precedes generation slot {delta}")
     k = t - delta
-    if kind is AgingKind.LINEAR:
+    if kind is _LINEAR:
         return k
     if k == 0:
         return 0.5
@@ -44,7 +49,7 @@ def age_forward(kind: AgingKind, value, steps: int):
     """
     if steps < 0:
         raise ValueError("cannot age backwards")
-    if kind is AgingKind.LINEAR:
+    if kind is _LINEAR:
         return value + steps
     return value * (1 << steps)
 
@@ -58,14 +63,6 @@ def is_power_of_two(value) -> bool:
     return value >= 1 and (value & (value - 1)) == 0
 
 
-def attainable_by_exponential(value) -> bool:
-    return is_power_of_two(value)
-
-
-def attainable_by_linear(value) -> bool:
-    return isinstance(value, int) and value >= 1
-
-
 def linear_only(value) -> bool:
     """True when an observed age is attainable only by the linear kind.
 
@@ -73,4 +70,4 @@ def linear_only(value) -> bool:
     the difference {3, 5, 6, 7, 9, ...} identifies the linear kind from a
     single observation.
     """
-    return attainable_by_linear(value) and not is_power_of_two(value)
+    return isinstance(value, int) and value >= 1 and not is_power_of_two(value)

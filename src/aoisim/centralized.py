@@ -34,6 +34,12 @@ class Variant(Enum):
     FULL_INFO = "full_info"
 
 
+# bound once for the per-request paths, as in aging.py
+_LINEAR, _TYPE1, _TYPE2 = AgingKind.LINEAR, TypeId.TYPE1, TypeId.TYPE2
+_NO_LEARNING, _LEARNING, _FULL_INFO = (Variant.NO_LEARNING, Variant.LEARNING,
+                                       Variant.FULL_INFO)
+
+
 @dataclass(frozen=True)
 class RachConfig:
     preambles: int = 64
@@ -71,14 +77,14 @@ def rach_phase(active_ids: list[int], config: RachConfig, u) -> list[int]:
     return [device_id for device_id in active_ids if u[device_id] < survive_p]
 
 
-@dataclass
+@dataclass(slots=True)
 class UplinkRequest:
     device_id: int
     current_aoi: object          # int, exact (exponential ages are big ints)
     rbs_needed: int
     true_kind: AgingKind | None = None      # consulted by the full-info variant only
     known_kind: AgingKind | None = None     # identification result, if any
-    est_type: TypeId | None = None          # scheduler's working type estimate
+    est_type: TypeId | None = None          # learned ML type, or the true one
 
 
 def identify_aging(current_aoi, history: tuple[int, object] | None,
@@ -117,7 +123,7 @@ class TypeLearner:
 
     def observe(self, device_id: int, kind: AgingKind) -> None:
         k = self.counts.setdefault(device_id, [0, 0])
-        k[0 if kind is AgingKind.LINEAR else 1] += 1
+        k[0 if kind is _LINEAR else 1] += 1
 
     def observation_count(self, device_id: int) -> int:
         k = self.counts.get(device_id)
@@ -142,7 +148,7 @@ def learn_type(learner: TypeLearner, device_id: int) -> TypeId | None:
 def expected_future_aoi(current_aoi, est: TypeId, m1: float, m2: float,
                         beta: int = 1) -> float:
     """Expected future age of an unresolved message under a type hypothesis."""
-    p_lin = m1 if est is TypeId.TYPE1 else 1.0 - m2
+    p_lin = m1 if est is _TYPE1 else 1.0 - m2
     return (p_lin * (current_aoi + beta)
             + (1.0 - p_lin) * (current_aoi * (1 << beta)))
 
@@ -150,24 +156,21 @@ def expected_future_aoi(current_aoi, est: TypeId, m1: float, m2: float,
 def marginal_expected_future_aoi(current_aoi, m1: float, m2: float,
                                  p_type1: float, beta: int = 1) -> float:
     """Expected future age with only the population type mix known."""
-    return (p_type1 * expected_future_aoi(current_aoi, TypeId.TYPE1, m1, m2, beta)
-            + (1.0 - p_type1) * expected_future_aoi(current_aoi, TypeId.TYPE2, m1, m2, beta))
+    return (p_type1 * expected_future_aoi(current_aoi, _TYPE1, m1, m2, beta)
+            + (1.0 - p_type1) * expected_future_aoi(current_aoi, _TYPE2, m1, m2, beta))
 
 
 def priority_key(request: UplinkRequest, learner: TypeLearner, variant: Variant,
                  beta: int = 1):
     """Future-age priority of one request under the given variant."""
-    if variant is Variant.FULL_INFO:
+    if variant is _FULL_INFO:
         return age_forward(request.true_kind, request.current_aoi, beta)
-    if variant is Variant.LEARNING:
+    if variant is _LEARNING:
         if request.known_kind is not None:
             return age_forward(request.known_kind, request.current_aoi, beta)
-        est = learn_type(learner, request.device_id)
-        if est is None:
-            return marginal_expected_future_aoi(request.current_aoi, learner.m1,
-                                                learner.m2, learner.p_type1, beta)
-        return expected_future_aoi(request.current_aoi, est, learner.m1,
-                                   learner.m2, beta)
+        if request.est_type is not None:
+            return expected_future_aoi(request.current_aoi, request.est_type,
+                                       learner.m1, learner.m2, beta)
     return marginal_expected_future_aoi(request.current_aoi, learner.m1,
                                         learner.m2, learner.p_type1, beta)
 
@@ -182,17 +185,10 @@ def schedule(requests: list[UplinkRequest], learner: TypeLearner, R: int,
     indices are handed out consecutively so no RB is ever assigned twice.
     """
     def tie_class(req: UplinkRequest) -> int:
-        if variant is Variant.FULL_INFO:
-            est = req.est_type
-        elif variant is Variant.LEARNING:
-            est = req.est_type
-            if est is None:
-                est = learn_type(learner, req.device_id)
-            if est is None:
-                est = TypeId.TYPE1 if learner.p_type1 >= 0.5 else TypeId.TYPE2
-        else:
-            est = None
-        return 0 if est is TypeId.TYPE2 else 1
+        est = None if variant is _NO_LEARNING else req.est_type
+        if est is None and variant is _LEARNING:
+            est = _TYPE1 if learner.p_type1 >= 0.5 else _TYPE2
+        return 0 if est is _TYPE2 else 1
 
     scored = sorted(
         requests,

@@ -6,7 +6,6 @@ here prints or exits, so the CLI and pytest can both consume the results.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

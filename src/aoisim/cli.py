@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import fields, replace
+from enum import Enum
 from pathlib import Path
 
 from .checks import run_all
@@ -33,6 +34,8 @@ SUMMARY_COLUMNS = ("slots", "warmup_slots", "deliveries",
                    "mean_delivery_aoi_postwarmup", "mean_service_rate",
                    "mean_service_rate_postwarmup", "rach_failures",
                    "duplicate_failures", "outage_failures")
+
+SWEEP_COLUMNS = ("parameter", "value", "replicate", "seed") + SUMMARY_COLUMNS
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
@@ -121,10 +124,9 @@ def _config_from_args(args) -> ScenarioConfig:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _config_pairs(config: ScenarioConfig):
-    for f in fields(ScenarioConfig):
-        value = getattr(config, f.name)
-        yield f.name, value.value if isinstance(value, Mode) else value
+def _plain(value):
+    """Enum members (the mode) are written as their value, which reads back."""
+    return value.value if isinstance(value, Enum) else value
 
 
 def _cell(value) -> str:
@@ -135,58 +137,42 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_run_csv(fh, result: RunResult) -> None:
-    for key, value in _config_pairs(result.config):
-        fh.write(f"# {key}={_cell(value)}\n")
-    fh.write(",".join(RECORD_COLUMNS) + "\n")
-    for rec in result.records:
-        fh.write(",".join(_cell(getattr(rec, col)) for col in RECORD_COLUMNS)
-                 + "\n")
+def write_output(out: str | None, fmt: str, config: ScenarioConfig,
+                 columns, rows) -> None:
+    """Config echo, then one line per row dict, as CSV or JSON lines.
 
-
-def write_run_jsonl(fh, result: RunResult) -> None:
-    config = {key: value for key, value in _config_pairs(result.config)}
-    fh.write(json.dumps({"config": config}, sort_keys=True) + "\n")
-    for rec in result.records:
-        row = {col: getattr(rec, col) for col in RECORD_COLUMNS}
-        fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def _write_run(result: RunResult, out: str | None, fmt: str) -> None:
-    if out is None:
-        writer = write_run_csv if fmt == "csv" else write_run_jsonl
-        writer(sys.stdout, result)
-        return
-    with open(out, "w", newline="") as fh:
-        (write_run_csv if fmt == "csv" else write_run_jsonl)(fh, result)
-
-
-def _sweep_row(parameter, value, rep, result: RunResult) -> dict:
-    row = {"parameter": parameter, "value": value, "replicate": rep,
-           "seed": result.config.seed}
-    for col in SUMMARY_COLUMNS:
-        row[col] = getattr(result.summary, col)
-    return row
-
-
-def _write_sweep(rows, base: ScenarioConfig, out: str | None, fmt: str) -> None:
-    columns = ("parameter", "value", "replicate", "seed") + SUMMARY_COLUMNS
+    Writes to the path out, or to stdout when out is None.
+    """
     fh = open(out, "w", newline="") if out else sys.stdout
     try:
+        echo = {f.name: _plain(getattr(config, f.name))
+                for f in fields(ScenarioConfig)}
         if fmt == "csv":
-            for key, value in _config_pairs(base):
+            for key, value in echo.items():
                 fh.write(f"# {key}={_cell(value)}\n")
             fh.write(",".join(columns) + "\n")
             for row in rows:
                 fh.write(",".join(_cell(row[col]) for col in columns) + "\n")
         else:
-            config = {key: value for key, value in _config_pairs(base)}
-            fh.write(json.dumps({"config": config}, sort_keys=True) + "\n")
+            fh.write(json.dumps({"config": echo}, sort_keys=True) + "\n")
             for row in rows:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
     finally:
         if out:
             fh.close()
+
+
+# run/preset output and sweep output reach write_output through these two
+# names, at which perfbench/tracer.py times the output layer
+def write_run_csv(result: RunResult, out: str | None, fmt: str = "csv") -> None:
+    """Per-slot records of one run, CSV unless fmt is "jsonl"."""
+    rows = ({col: getattr(rec, col) for col in RECORD_COLUMNS}
+            for rec in result.records)
+    write_output(out, fmt, result.config, RECORD_COLUMNS, rows)
+
+
+def _write_sweep(rows, base: ScenarioConfig, out: str | None, fmt: str) -> None:
+    write_output(out, fmt, base, SWEEP_COLUMNS, rows)
 
 
 def _say(args, message: str) -> None:
@@ -201,7 +187,7 @@ def _say(args, message: str) -> None:
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
     result = run(config)
-    _write_run(result, args.out, args.format)
+    write_run_csv(result, args.out, args.format)
     s = result.summary
     aoi = "n/a" if s.mean_delivery_aoi is None else f"{s.mean_delivery_aoi:.4g}"
     _say(args, f"{config.mode.value}: {s.deliveries} deliveries, "
@@ -226,13 +212,16 @@ def _cmd_sweep(args) -> int:
     rows = []
     for value, rep, result in sweep_iter(base, args.parameter, values,
                                          args.replicates):
-        rows.append(_sweep_row(args.parameter, value, rep, result))
-        _say(args, f"{args.parameter}={value} replicate {rep}: "
+        row = {"parameter": args.parameter, "value": _plain(value),
+               "replicate": rep, "seed": result.config.seed}
+        rows.append(row | {col: getattr(result.summary, col)
+                           for col in SUMMARY_COLUMNS})
+        _say(args, f"{args.parameter}={row['value']} replicate {rep}: "
                    f"mean service rate "
                    f"{result.summary.mean_service_rate:.4f}")
     _write_sweep(rows, base, args.out, args.format)
     if not args.quiet and args.replicates > 1:
-        for value in values:
+        for value in map(_plain, values):
             group = [r["mean_delivery_aoi"] for r in rows
                      if r["value"] == value and r["mean_delivery_aoi"] is not None]
             if group:
@@ -246,30 +235,30 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    try:
-        jobs = expand_preset(args.name)
-    except KeyError:
-        print(f"unknown preset: {args.name}", file=sys.stderr)
+    names = args.names or preset_names()
+    unknown = [name for name in names if name not in preset_names()]
+    if unknown:
+        print(f"unknown preset: {' '.join(unknown)}", file=sys.stderr)
         print("available: " + " ".join(preset_names()), file=sys.stderr)
         return 1
     out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = "csv" if args.format == "csv" else "jsonl"
-    _say(args, f"{args.name}: {preset_description(args.name)} "
-               f"({len(jobs)} runs)")
-    for label, config in jobs:
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        if args.slots is not None:
-            config = replace(config, slots=args.slots)
-        result = run(config)
-        path = out_dir / f"{args.name}__{label}.{ext}"
-        with open(path, "w", newline="") as fh:
-            (write_run_csv if args.format == "csv" else write_run_jsonl)(fh, result)
-        s = result.summary
-        aoi = "n/a" if s.mean_delivery_aoi is None else f"{s.mean_delivery_aoi:.4g}"
-        _say(args, f"  {path} mean delivery age {aoi} "
-                   f"service rate {s.mean_service_rate:.4f}")
+    for name in names:
+        jobs = expand_preset(name)
+        _say(args, f"{name}: {preset_description(name)} ({len(jobs)} runs)")
+        for label, config in jobs:
+            if args.seed is not None:
+                config = replace(config, seed=args.seed)
+            if args.slots is not None:
+                config = replace(config, slots=args.slots)
+            result = run(config)
+            path = out_dir / f"{name}__{label}.{ext}"
+            write_run_csv(result, str(path), args.format)
+            s = result.summary
+            aoi = "n/a" if s.mean_delivery_aoi is None else f"{s.mean_delivery_aoi:.4g}"
+            _say(args, f"  {path} mean delivery age {aoi} "
+                       f"service rate {s.mean_service_rate:.4f}")
     return 0
 
 
@@ -323,8 +312,10 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--replicates", type=int, default=1)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_preset = sub.add_parser("preset", help="run a canned scenario bundle")
-    p_preset.add_argument("name", help="one of: " + " ".join(preset_names()))
+    p_preset = sub.add_parser("preset", help="run canned scenario bundles")
+    p_preset.add_argument("names", nargs="*", metavar="NAME",
+                          help="presets to run (default: all): "
+                               + " ".join(preset_names()))
     _add_common(p_preset, with_config=False)
     p_preset.set_defaults(func=_cmd_preset)
 
@@ -345,10 +336,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"aoisim: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"aoisim: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,7 @@ slot after its generation: delivery ages are always >= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -48,18 +48,6 @@ def type2(m2: float = 0.75) -> DeviceType:
     return DeviceType(TypeId.TYPE2, 1.0 - m2)
 
 
-@dataclass(frozen=True)
-class AoiClock:
-    """Current slot plus the lookahead used for future-age priorities."""
-
-    current_slot: int
-    beta: int = 1
-
-    def __post_init__(self):
-        if self.beta < 1:
-            raise ValueError("beta must be >= 1")
-
-
 @dataclass
 class Device:
     id: int
@@ -84,31 +72,11 @@ def current_aoi(device: Device, t: int):
     return aoi_value(device.aging, t, device.gen_slot)
 
 
-def future_aoi(device: Device, clock: AoiClock):
-    """Pending-message age evaluated beta slots ahead (the priority key F_i)."""
+def future_aoi(device: Device, t: int, beta: int = 1):
+    """Pending-message age evaluated beta slots after slot t (the priority key F_i)."""
     if not device.active:
         raise ValueError(f"device {device.id} has no pending message")
-    return aoi_value(device.aging, clock.current_slot + clock.beta, device.gen_slot)
-
-
-def activation_step(device: Device, v_a: float, t: int, act_u: float,
-                    kind_u: float, n_rbs_max: int = 1,
-                    size_u: float = 0.0, n_rbs_min: int = 1) -> Device:
-    """End-of-slot activation draw for one device.
-
-    An idle device becomes active when act_u < v_a, drawing the aging kind
-    of the new message from its type via kind_u and a resource-block demand
-    uniform on {n_rbs_min..n_rbs_max} via size_u. An active device is
-    unchanged: it keeps retransmitting its pending message, no new draw
-    occurs.
-    """
-    if not 0.0 <= v_a <= 1.0:
-        raise ValueError("v_a must be a probability")
-    if device.active:
-        return device
-    if act_u < v_a:
-        activate(device, t, kind_u, n_rbs_max, size_u, n_rbs_min)
-    return device
+    return aoi_value(device.aging, t + beta, device.gen_slot)
 
 
 def activate(device: Device, t: int, kind_u: float, n_rbs_max: int = 1,

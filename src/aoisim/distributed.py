@@ -9,8 +9,8 @@ uniformly at random or by a full-information rank-to-RB mapping.
 
 Devices within communication range broadcast their future ages, observed
 per-RB transmitter counts and payoffs. No decision rule here consumes a
-neighbor's payoff, so views carry ages and counts only; a device's own last
-payoff enters as the success/failure signal of its last transmission.
+neighbor's payoff, so a device decides from ages and counts only; its own
+last payoff enters as the success/failure signal of its last transmission.
 """
 
 from __future__ import annotations
@@ -39,86 +39,61 @@ class GameParams:
             raise ValueError("zeta must be positive and r_c nonnegative")
 
 
-@dataclass(frozen=True)
-class NeighborhoodView:
-    """What one device knows at decision time.
+def kth_largest(values, k):
+    """k-th largest element (1-based); k beyond the list returns the minimum.
 
-    a_values: future ages of active devices in range (self included), any order.
-    x_counts: RB index -> transmitter count observed last slot (in range, self
-    included). unused_last: RB indices no one used last slot (channel sensing
-    is global). full_info: the device's range covers every active device.
+    A sequence is sorted as given, so exact integer ages stay exact. A 2-D
+    array with one k per row gives the k-th largest of every row from a
+    single sort (the per-device float thresholds).
     """
-
-    a_values: tuple
-    x_counts: dict
-    unused_last: frozenset
-    full_info: bool = False
-
-
-def kth_largest(values, k: int):
-    """k-th largest element (1-based); k beyond the list returns the minimum."""
-    ordered = sorted(values, reverse=True)
-    if k >= len(ordered):
-        return ordered[-1]
-    return ordered[k - 1]
+    if isinstance(values, np.ndarray) and values.ndim == 2:
+        n = values.shape[1]
+        k = np.minimum(k, n)
+        return np.sort(values, axis=1)[np.arange(len(values)), n - k]
+    return sorted(values, reverse=True)[min(k, len(values)) - 1]
 
 
-def kappa(view: NeighborhoodView, R: int, N: int, v_a: float,
-          params: GameParams) -> int:
-    """How many of the known future ages are allowed to transmit.
+def kappa(n_known: int, n_active: int, R: int, N: int, v_a: float,
+          zeta: float) -> int:
+    """How many of the n_known future ages a device knows may transmit.
 
-    Full information admits R transmitters. Otherwise the device scales R by
-    its share of the estimated active population N*v_a*zeta, rounding up,
-    clamped to [1, |A_i|].
+    A device that knows every one of the n_active active devices (full
+    information) admits R transmitters. Otherwise it scales R by its share of
+    the estimated active population N*v_a*zeta, rounding up. The result is
+    clamped to [1, n_known]; a device transmits when its own future age
+    reaches the kappa-th largest known one, so ties transmit.
     """
-    n_known = len(view.a_values)
     if n_known < 1:
-        raise ValueError("view must include the deciding device itself")
-    if view.full_info:
-        return R
-    estimate = N * v_a * params.zeta
-    k = math.ceil(R * n_known / estimate)
+        raise ValueError("the known ages must include the deciding device itself")
+    if n_known == n_active:
+        k = R
+    else:
+        k = math.ceil(R * n_known / (N * v_a * zeta))
     return max(1, min(n_known, k))
 
 
-def transmit_decision(f_i, view: NeighborhoodView, kappa_value: int) -> bool:
-    """Transmit iff the own future age reaches the kappa-th largest known one."""
-    return f_i >= kth_largest(view.a_values, kappa_value)
-
-
-def silent_payoff(f_i, view: NeighborhoodView, kappa_value: int, active: bool,
-                  params: GameParams) -> float:
-    """Payoff of not transmitting: justified silence earns rho+eta."""
-    if not active:
-        return params.rho + params.eta
-    if f_i < kth_largest(view.a_values, kappa_value):
-        return params.rho + params.eta
-    return -(params.gamma + params.eta)
-
-
-def sca_step(prev_action: int, prev_failed: bool, view: NeighborhoodView,
-             keep_u: float, pick_u: float, R: int) -> int:
+def sca_step(prev_action: int, prev_failed: bool, crowd_seen: int,
+             unused_sorted, keep_u: float, pick_u: float, R: int) -> int:
     """Crowd-avoidance RB choice for a device that transmits this slot.
 
     Repeats an RB that just worked. After a failure the device stays with
-    probability one over the crowd size it saw on that RB; a failure implies
-    at least one other claimant (or an outage it cannot distinguish), so the
-    crowd size is taken as at least 2 even when nobody else was visible.
-    Otherwise, and for devices that did not transmit last slot, the choice is
-    uniform over the RBs sensed unused, falling back to uniform over all R
-    when every RB was busy. keep_u decides the stay coin and pick_u the
-    fresh pick; both are uniforms in [0,1) supplied by the caller.
+    probability one over the crowd it saw on that RB last slot (crowd_seen,
+    itself included); a failure implies at least one other claimant (or an
+    outage it cannot distinguish), so the crowd is taken as at least 2 even
+    when nobody else was visible. Otherwise, and for devices that did not
+    transmit last slot, the choice is uniform over unused_sorted, the RBs it
+    sensed unused last slot in ascending order, falling back to uniform over
+    all R when every RB was busy. keep_u decides the stay coin and pick_u
+    the fresh pick; both are uniforms in [0,1) supplied by the caller.
     """
     if prev_action >= 1:
         if not prev_failed:
             return prev_action
-        seen = max(2, view.x_counts.get(prev_action, 1))
-        if keep_u < 1.0 / seen:
+        if keep_u < 1.0 / max(2, crowd_seen):
             return prev_action
-    if view.unused_last:
-        pool = sorted(view.unused_last)
-        return pool[int(pick_u * len(pool))]
-    return 1 + int(pick_u * R)
+    if unused_sorted:
+        return unused_sorted[int(pick_u * len(unused_sorted))]
+    return random_selection(R, pick_u)
 
 
 def delegate_target(active_neighbor_ids, neighbor_f_values,
@@ -175,13 +150,6 @@ def service_rate_closed_form(T: int, R: int) -> float:
     if T == 0:
         return 0.0
     return (T / R) * ((R - 1) / R) ** (T - 1)
-
-
-def service_rate_large_n(T: int, R: int) -> float:
-    """Large-population companion form of the random-selection service rate."""
-    if R < 2:
-        raise ValueError("large-N form needs R >= 2")
-    return (T / (R - 1)) * math.exp(-T / R)
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +256,3 @@ class FullInfoGame:
                 found.append(joint)
         return found
 
-
-def is_nash_equilibrium(actions, f_values, active, R: int, params: GameParams,
-                        full_info: bool = True) -> NashResult:
-    """Module-level wrapper; partial information is outside the theorem's scope."""
-    if not full_info:
-        raise ValueError("equilibrium checking is defined for full information only")
-    return FullInfoGame(f_values, active, R, params).is_nash_equilibrium(actions)

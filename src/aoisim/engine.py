@@ -20,7 +20,7 @@ allocation decisions actually differ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -30,10 +30,10 @@ from .centralized import (RachConfig, TypeLearner, UplinkRequest, Variant,
                           identify_aging, learn_type, rach_phase, schedule)
 from .channel import (ChannelModel, Outcome, RbAssignment, resolve_slot,
                       sample_heterogeneous_snr, snr_db_to_linear)
-from .devices import (AoiClock, Device, activate, current_aoi, deliver_success,
+from .devices import (Device, activate, current_aoi, deliver_success,
                       future_aoi, make_devices)
-from .distributed import (GameParams, NeighborhoodView, delegate_target,
-                          kth_largest, predetermined_actions, sca_step)
+from .distributed import (delegate_target, kappa, kth_largest,
+                          predetermined_actions, random_selection, sca_step)
 from .planner import plan_message
 
 
@@ -77,8 +77,7 @@ class Mode(Enum):
 
     @property
     def centralized(self) -> bool:
-        return self in (Mode.CENTRALIZED_NO_LEARNING, Mode.CENTRALIZED_LEARNING,
-                        Mode.CENTRALIZED_FULL_INFO)
+        return self.value.startswith("centralized_")
 
 
 class ConfigError(ValueError):
@@ -146,10 +145,6 @@ class ScenarioConfig:
                 raise ConfigError(message)
         if not self.mode.centralized and self.n_rbs_max != 1:
             raise ConfigError("multi-RB messages are a centralized-only feature")
-
-    def game_params(self) -> GameParams:
-        return GameParams(rho=self.rho, gamma=self.gamma, eta=self.eta,
-                          zeta=self.zeta, r_c=self.r_c)
 
 
 @dataclass(frozen=True)
@@ -277,107 +272,141 @@ class _MetricAccumulator:
 
 
 def run(config: ScenarioConfig) -> RunResult:
-    """Simulate one scenario; deterministic in (config, seed)."""
+    """Simulate one scenario; deterministic in (config, seed).
+
+    One slot loop serves both stacks. The stack picks who transmits on which
+    RBs (allocate), the channel resolves the slot, the loop delivers and
+    counts, and the stack learns the outcome (feedback) before idle devices
+    draw fresh activations.
+    """
     config.validate()
     rng = np.random.default_rng(config.seed)
     devices = make_devices(config.n_devices, config.type1_fraction, config.m1,
                            config.m2, config.width, config.length, rng)
     channel = _build_channel(config, rng)
     draws = SlotDraws(config.seed, config.n_devices)
-    if config.mode.centralized:
-        return _run_centralized(config, devices, channel, draws)
-    return _run_distributed(config, devices, channel, draws)
+    stack = (_CentralizedStack(config, devices, channel) if config.mode.centralized
+             else _DistributedStack(config, devices))
+    metrics = _MetricAccumulator(config.slots, config.warmup_fraction)
+    records: list[SlotRecord] = []
+
+    success, duplicate = Outcome.SUCCESS, Outcome.DUPLICATE_FAILURE  # see aging.py
+    _activation_sweep(devices, 0, config, draws)
+    for t in range(1, config.slots + 1):
+        active_ids = [d.id for d in devices if d.active]
+        entries, rach_failures = stack.allocate(t, active_ids, draws)
+        outcomes = resolve_slot(RbAssignment(t, entries), channel,
+                                draws.vec(t, _PH_OUTAGE))
+
+        claimants: dict[int, list[int]] = {}
+        delivered = []
+        duplicate_failures = 0
+        outage_failures = 0
+        for device_id, rbs in entries:
+            for rb in rbs:
+                claimants.setdefault(rb, []).append(device_id)
+            outcome = outcomes[device_id]
+            if outcome is success:
+                device = devices[device_id]
+                device.n_remaining -= len(rbs)
+                if device.n_remaining <= 0:
+                    delivered.append(deliver_success(device, t))
+            elif outcome is duplicate:
+                duplicate_failures += 1
+            else:
+                outage_failures += 1
+        stack.feedback(claimants, outcomes)
+
+        service_rate = (sum(1 for ids in claimants.values() if len(ids) == 1)
+                        / config.n_rbs)
+        slot_mean, cum_mean = metrics.slot(t, delivered, service_rate,
+                                           rach_failures, duplicate_failures,
+                                           outage_failures)
+        records.append(SlotRecord(
+            slot=t, avg_inst_aoi_slot=slot_mean, avg_inst_aoi_cum=cum_mean,
+            service_rate=service_rate, n_active=len(active_ids),
+            n_transmitting=len(entries), rach_failures=rach_failures,
+            duplicate_failures=duplicate_failures,
+            outage_failures=outage_failures))
+        _activation_sweep(devices, t, config, draws)
+
+    return RunResult(config=config, records=records,
+                     summary=metrics.summary(config.slots),
+                     trace=stack.trace() if config.trace else None)
 
 
 # ---------------------------------------------------------------------------
 # Centralized stack
 # ---------------------------------------------------------------------------
 
-_VARIANTS = {
-    Mode.CENTRALIZED_NO_LEARNING: Variant.NO_LEARNING,
-    Mode.CENTRALIZED_LEARNING: Variant.LEARNING,
-    Mode.CENTRALIZED_FULL_INFO: Variant.FULL_INFO,
-}
+class _CentralizedStack:
+    """Request phase, per-request split plan and type learning, priority schedule."""
 
+    def __init__(self, config: ScenarioConfig, devices: list[Device],
+                 channel: ChannelModel):
+        self.config = config
+        self.devices = devices
+        self.channel = channel
+        self.variant = Variant(config.mode.value.removeprefix("centralized_"))
+        self.rach = RachConfig(config.preambles, config.rach_exact)
+        self.learner = TypeLearner(m1=config.m1, m2=config.m2,
+                                   p_type1=config.type1_fraction)
+        # scheduler-side memory for the learning variant, reset on delivery
+        self.last_report: dict[int, tuple[int, object]] = {}
+        self.known_kind: dict[int, AgingKind | None] = {}
+        # per-device caches: the ML type, which moves only on observe, and the
+        # plan's first split per RBs left (nothing else it reads varies)
+        self.est_type: dict[int, object] = {}
+        self.first_split: dict[tuple[int, int], int] = {}
 
-def _run_centralized(config: ScenarioConfig, devices: list[Device],
-                     channel: ChannelModel, draws: SlotDraws) -> RunResult:
-    variant = _VARIANTS[config.mode]
-    rach_config = RachConfig(config.preambles, config.rach_exact)
-    learner = TypeLearner(m1=config.m1, m2=config.m2, p_type1=config.type1_fraction)
-    # scheduler-side memory for the learning variant, reset on delivery
-    last_report: dict[int, tuple[int, object]] = {}
-    known_kind: dict[int, AgingKind | None] = {}
-    metrics = _MetricAccumulator(config.slots, config.warmup_fraction)
-    records: list[SlotRecord] = []
-
-    _activation_sweep(devices, 0, config, draws)
-    for t in range(1, config.slots + 1):
-        active = [d for d in devices if d.active]
-        n_active = len(active)
-        survivor_ids = rach_phase([d.id for d in active], rach_config,
-                                  draws.vec(t, _PH_RACH))
-        rach_failures = n_active - len(survivor_ids)
-
+    def allocate(self, t: int, active_ids: list[int], draws: SlotDraws):
+        config, variant = self.config, self.variant
+        full_info, learning = variant is Variant.FULL_INFO, variant is Variant.LEARNING
+        survivor_ids = rach_phase(active_ids, self.rach, draws.vec(t, _PH_RACH))
         requests = []
         for device_id in survivor_ids:
-            device = devices[device_id]
+            device = self.devices[device_id]
             aoi = current_aoi(device, t)
-            plan = plan_message(device.n_remaining, device.aging, channel,
-                                device.id, config.n_rbs, t, device.gen_slot)
+            split_key = (device_id, device.n_remaining)
+            rbs_needed = self.first_split.get(split_key)
+            if rbs_needed is None:
+                plan = plan_message(device.n_remaining, device.aging, self.channel,
+                                    device.id, config.n_rbs, t, device.gen_slot)
+                rbs_needed = self.first_split[split_key] = plan.splits[0]
             request = UplinkRequest(device_id=device_id, current_aoi=aoi,
-                                    rbs_needed=plan.splits[0])
-            if variant is Variant.FULL_INFO:
+                                    rbs_needed=rbs_needed)
+            if full_info:
                 request.true_kind = device.aging
                 request.est_type = device.dtype.type_id
-            elif variant is Variant.LEARNING:
-                kind = known_kind.get(device_id)
+            elif learning:
+                kind = self.known_kind.get(device_id)
                 if kind is None:
-                    kind = identify_aging(aoi, last_report.get(device_id), t)
+                    kind = identify_aging(aoi, self.last_report.get(device_id), t)
                     if kind is not None:
-                        known_kind[device_id] = kind
-                        learner.observe(device_id, kind)
-                last_report[device_id] = (t, aoi)
+                        self.known_kind[device_id] = kind
+                        self.learner.observe(device_id, kind)
+                        self.est_type[device_id] = learn_type(self.learner,
+                                                              device_id)
+                self.last_report[device_id] = (t, aoi)
                 request.known_kind = kind
-                request.est_type = learn_type(learner, device_id)
+                request.est_type = self.est_type.get(device_id)
             requests.append(request)
 
-        allocation = schedule(requests, learner, config.n_rbs, variant, config.beta)
-        assignment = RbAssignment(t, tuple((device_id, frozenset(rbs))
-                                           for device_id, rbs in allocation))
-        outcomes = resolve_slot(assignment, channel, draws.vec(t, _PH_OUTAGE))
+        allocation = schedule(requests, self.learner, config.n_rbs, variant,
+                              config.beta)
+        entries = tuple((device_id, frozenset(rbs)) for device_id, rbs in allocation)
+        return entries, len(active_ids) - len(survivor_ids)
 
-        delivered = []
-        outage_failures = 0
-        rbs_used = 0
-        for device_id, rbs in allocation:
-            rbs_used += len(rbs)
-            device = devices[device_id]
-            if outcomes[device_id] is Outcome.SUCCESS:
-                device.n_remaining -= len(rbs)
-                if device.n_remaining <= 0:
-                    delivered.append(deliver_success(device, t))
-                    last_report.pop(device_id, None)
-                    known_kind.pop(device_id, None)
-            else:
-                outage_failures += 1
+    def feedback(self, claimants, outcomes) -> None:
+        for device_id in outcomes:
+            if not self.devices[device_id].active:      # delivered this slot
+                self.last_report.pop(device_id, None)
+                self.known_kind.pop(device_id, None)
 
-        service_rate = rbs_used / config.n_rbs
-        slot_mean, cum_mean = metrics.slot(t, delivered, service_rate,
-                                           rach_failures, 0, outage_failures)
-        records.append(SlotRecord(
-            slot=t, avg_inst_aoi_slot=slot_mean, avg_inst_aoi_cum=cum_mean,
-            service_rate=service_rate, n_active=n_active,
-            n_transmitting=len(allocation), rach_failures=rach_failures,
-            duplicate_failures=0, outage_failures=outage_failures))
-        _activation_sweep(devices, t, config, draws)
-
-    trace = None
-    if config.trace:
-        trace = {"learner_counts": {k: tuple(v) for k, v in learner.counts.items()},
-                 "latent_types": {d.id: d.dtype.type_id for d in devices}}
-    return RunResult(config=config, records=records,
-                     summary=metrics.summary(config.slots), trace=trace)
+    def trace(self) -> dict:
+        return {"learner_counts": {k: tuple(v)
+                                   for k, v in self.learner.counts.items()},
+                "latent_types": {d.id: d.dtype.type_id for d in self.devices}}
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +416,6 @@ def _run_centralized(config: ScenarioConfig, devices: list[Device],
 def _neighbor_matrix(devices: list[Device], r_c: float) -> np.ndarray | None:
     """Boolean adjacency (self included) or None when the range covers the cell."""
     xy = np.array([d.position for d in devices])
-    if len(devices) == 1:
-        return np.ones((1, 1), dtype=bool)
     span = xy.max(axis=0) - xy.min(axis=0)
     if r_c >= math.hypot(span[0], span[1]):
         return None
@@ -404,103 +431,147 @@ def _clipped_float(value) -> float:
         return math.inf
 
 
-def _run_distributed(config: ScenarioConfig, devices: list[Device],
-                     channel: ChannelModel, draws: SlotDraws) -> RunResult:
-    mode = config.mode
-    params = config.game_params()
-    R = config.n_rbs
-    n = config.n_devices
-    # the rank-to-RB baseline is defined only under full information
-    neighbors = None if mode is Mode.DISTRIBUTED_PREDETERMINED \
-        else _neighbor_matrix(devices, config.r_c)
-    all_rbs = frozenset(range(1, R + 1))
+class _DistributedStack:
+    """Minority-game transmit rule with SCA or random RB picks, or the rank map."""
 
-    last_action = [0] * n          # 0 = did not transmit
-    last_failed = [False] * n
-    prev_rb_claimants: dict[int, list[int]] = {}
-    prev_unused: frozenset = all_rbs
+    def __init__(self, config: ScenarioConfig, devices: list[Device]):
+        self.config = config
+        self.devices = devices
+        # the rank-to-RB baseline is defined only under full information
+        self.neighbors = None if config.mode is Mode.DISTRIBUTED_PREDETERMINED \
+            else _neighbor_matrix(devices, config.r_c)
+        self.visible = None     # neighbors that are active this slot
+        n = config.n_devices
+        self.last_action = [0] * n          # 0 = did not transmit
+        self.last_failed = [False] * n
+        self.actions: dict[int, int] = {}
+        self.f_value: dict[int, object] = {}
+        self.is_active: list[bool] = []
+        self.trace_unused: list[int] = []
 
-    metrics = _MetricAccumulator(config.slots, config.warmup_fraction)
-    records: list[SlotRecord] = []
-    trace_unused: list[int] = []
-    final_state = None
-
-    _activation_sweep(devices, 0, config, draws)
-    for t in range(1, config.slots + 1):
-        clock = AoiClock(t, config.beta)
-        active_ids = [d.id for d in devices if d.active]
-        n_active = len(active_ids)
-        is_active = [d.active for d in devices]
-        f_value: dict[int, object] = {i: future_aoi(devices[i], clock)
-                                      for i in active_ids}
-
+    def allocate(self, t: int, active_ids: list[int], draws: SlotDraws):
+        config = self.config
+        self.is_active = [d.active for d in self.devices]
+        if self.neighbors is not None:
+            self.visible = self.neighbors & np.array(self.is_active)
+        self.f_value = {i: future_aoi(self.devices[i], t, config.beta)
+                        for i in active_ids}
         actions: dict[int, int] = {}
-        if n_active:
-            if mode is Mode.DISTRIBUTED_PREDETERMINED:
-                f_list = [f_value.get(i, 0) for i in range(n)]
-                ranked = predetermined_actions(f_list, is_active, R, full_info=True)
+        if active_ids:
+            if config.mode is Mode.DISTRIBUTED_PREDETERMINED:
+                f_list = [self.f_value.get(i, 0) for i in range(config.n_devices)]
+                ranked = predetermined_actions(f_list, self.is_active,
+                                               config.n_rbs, full_info=True)
                 actions = {i: ranked[i] for i in active_ids if ranked[i] >= 1}
             else:
-                actions = _game_actions(
-                    config, devices, params, draws, t, neighbors, active_ids,
-                    is_active, f_value, last_action, last_failed,
-                    prev_rb_claimants, prev_unused, all_rbs)
+                actions = _game_actions(self, t, draws, active_ids)
+        self.actions = actions
+        return tuple((i, frozenset((actions[i],))) for i in sorted(actions)), 0
 
-        claimants: dict[int, list[int]] = {}
-        for device_id in sorted(actions):
-            claimants.setdefault(actions[device_id], []).append(device_id)
-        assignment = RbAssignment(t, tuple(
-            (device_id, frozenset((rb,)))
-            for rb, ids in claimants.items() for device_id in ids))
-        outcomes = resolve_slot(assignment, channel, draws.vec(t, _PH_OUTAGE))
+    def feedback(self, claimants, outcomes) -> None:
+        ids, success = range(self.config.n_devices), Outcome.SUCCESS
+        self.last_action = [self.actions.get(i, 0) for i in ids]
+        self.last_failed = [outcomes.get(i, success) is not success for i in ids]
+        if self.config.trace:
+            self.trace_unused.append(self.config.n_rbs - len(claimants))
 
-        delivered = []
-        duplicate_failures = 0
-        outage_failures = 0
-        for device_id in sorted(actions):
-            outcome = outcomes[device_id]
-            if outcome is Outcome.SUCCESS:
-                delivered.append(deliver_success(devices[device_id], t))
-                last_failed[device_id] = False
-            elif outcome is Outcome.DUPLICATE_FAILURE:
-                duplicate_failures += 1
-                last_failed[device_id] = True
-            else:
-                outage_failures += 1
-                last_failed[device_id] = True
+    def trace(self) -> dict:
+        n = self.config.n_devices
+        return {"unused_rbs": self.trace_unused,
+                "final": {"actions": [self.actions.get(i, 0) for i in range(n)],
+                          "future_aoi": [self.f_value.get(i, 0) for i in range(n)],
+                          "active": list(self.is_active)}}
 
-        for i in range(n):
-            last_action[i] = actions.get(i, 0)
-            if i not in actions:
-                last_failed[i] = False
 
-        service_rate = sum(1 for ids in claimants.values() if len(ids) == 1) / R
-        slot_mean, cum_mean = metrics.slot(t, delivered, service_rate,
-                                           0, duplicate_failures, outage_failures)
-        records.append(SlotRecord(
-            slot=t, avg_inst_aoi_slot=slot_mean, avg_inst_aoi_cum=cum_mean,
-            service_rate=service_rate, n_active=n_active,
-            n_transmitting=len(actions), rach_failures=0,
-            duplicate_failures=duplicate_failures,
-            outage_failures=outage_failures))
+def _transmitters(stack: _DistributedStack, active_ids: list[int]) -> set[int]:
+    """Active devices whose future age reaches their transmit threshold.
 
-        prev_rb_claimants = claimants
-        prev_unused = frozenset(all_rbs - claimants.keys())
-        if config.trace:
-            trace_unused.append(len(prev_unused))
-            if t == config.slots:
-                final_state = {
-                    "actions": [actions.get(i, 0) for i in range(n)],
-                    "future_aoi": [f_value.get(i, 0) for i in range(n)],
-                    "active": list(is_active),
-                }
-        _activation_sweep(devices, t, config, draws)
+    Full range compares exact ages against one shared threshold. Partial
+    range gives each device the threshold of the in-range active ages, as
+    floats: exact ages beyond float range saturate to inf, which keeps the
+    ties-transmit rule intact.
+    """
+    config = stack.config
+    f_value, visible = stack.f_value, stack.visible
+    R, N, n_active = config.n_rbs, config.n_devices, len(active_ids)
+    if visible is None:
+        ages = [f_value[i] for i in active_ids]
+        threshold = kth_largest(ages, kappa(n_active, n_active, R, N, config.v_a,
+                                            config.zeta))
+        return {i for i in active_ids if f_value[i] >= threshold}
+    f_arr = np.full(N, -math.inf)
+    for i in active_ids:
+        f_arr[i] = _clipped_float(f_value[i])
+    # row r holds the ages device active_ids[r] knows; the rest sort below
+    rows = visible[active_ids]
+    known = np.where(rows, f_arr, -math.inf)
+    ks = [kappa(n_known, n_active, R, N, config.v_a, config.zeta)
+          for n_known in rows.sum(axis=1).tolist()]
+    reach = f_arr[active_ids] >= kth_largest(known, ks)
+    return {i for i, ok in zip(active_ids, reach.tolist()) if ok}
 
-    trace = None
-    if config.trace:
-        trace = {"unused_rbs": trace_unused, "final": final_state}
-    return RunResult(config=config, records=records,
-                     summary=metrics.summary(config.slots), trace=trace)
+
+def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
+                  active_ids: list[int]) -> dict[int, int]:
+    """Minority-game transmit decisions plus SCA/random RB choices for one slot."""
+    config = stack.config
+    mode, R, N = config.mode, config.n_rbs, config.n_devices
+    neighbors, is_active, f_value = stack.neighbors, stack.is_active, stack.f_value
+    last_action, last_failed = stack.last_action, stack.last_failed
+    passing = _transmitters(stack, active_ids)
+
+    if mode is Mode.DISTRIBUTED_RANDOM:
+        if not passing:
+            return {}
+        u_dec = draws.vec(t, _PH_DECIDE)
+        return {i: random_selection(R, u_dec[i]) for i in active_ids if i in passing}
+
+    # freed-RB delegation: a device that delivered last slot and went idle hands
+    # its RB to an active neighbor, weighted by future age; lowest delegator id
+    # wins when two target the same neighbor
+    delegated: dict[int, int] = {}
+    u_del = None
+    for i in range(N):
+        if last_action[i] >= 1 and not last_failed[i] and not is_active[i]:
+            # i itself is idle, so it is never its own candidate
+            candidate_ids = (active_ids if neighbors is None
+                             else stack.visible[i].nonzero()[0].tolist())
+            if u_del is None:
+                u_del = draws.vec(t, _PH_DELEGATE)
+            target = delegate_target(candidate_ids,
+                                     [f_value[j] for j in candidate_ids], u_del[i])
+            if target is not None and target not in delegated:
+                delegated[target] = last_action[i]
+
+    actions: dict[int, int] = {}
+    last_rb = sensed = unused = None
+    u_keep = None
+    u_fresh = None
+    for i in active_ids:
+        if i in delegated:
+            actions[i] = delegated[i]
+            continue
+        if i not in passing:
+            continue
+        prev = last_action[i]
+        if prev >= 1 and not last_failed[i]:
+            actions[i] = prev
+            continue
+        # a device only knows an RB was taken if it sensed a transmission on
+        # it last slot; at full range it senses every device
+        if last_rb is None:
+            last_rb = np.array(last_action)
+        if sensed is None or neighbors is not None:
+            seen = last_rb if neighbors is None else last_rb[neighbors[i]]
+            sensed = np.bincount(seen, minlength=R + 1)
+            unused = ((sensed[1:] == 0).nonzero()[0] + 1).tolist()
+        crowd_seen = int(sensed[prev]) if prev else 0
+        if u_keep is None:
+            u_keep = draws.vec(t, _PH_DECIDE)
+            u_fresh = draws.vec(t, _PH_FRESH)
+        actions[i] = sca_step(prev, last_failed[i], crowd_seen, unused,
+                              u_keep[i], u_fresh[i], R)
+    return actions
 
 
 # ---------------------------------------------------------------------------
@@ -508,15 +579,6 @@ def _run_distributed(config: ScenarioConfig, devices: list[Device],
 # ---------------------------------------------------------------------------
 
 _FIELD_NAMES = {f.name for f in fields(ScenarioConfig)}
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    parameter: str
-    value: object
-    replicate: int
-    seed: int
-    summary: RunSummary
 
 
 def replicate_seed(base_seed: int, replicate: int) -> int:
@@ -542,120 +604,3 @@ def sweep_iter(base: ScenarioConfig, parameter: str, values, replicates: int = 1
             config = replace(base, **{parameter: value},
                              seed=replicate_seed(base.seed, rep))
             yield value, rep, run(config)
-
-
-def sweep(base: ScenarioConfig, parameter: str, values,
-          replicates: int = 1) -> list[SweepPoint]:
-    """Materialized sweep keeping summaries only (records are dropped)."""
-    return [SweepPoint(parameter=parameter, value=value, replicate=rep,
-                       seed=result.config.seed, summary=result.summary)
-            for value, rep, result in sweep_iter(base, parameter, values, replicates)]
-
-
-def _game_actions(config, devices, params, draws, t, neighbors, active_ids,
-                  is_active, f_value, last_action, last_failed,
-                  prev_rb_claimants, prev_unused, all_rbs) -> dict[int, int]:
-    """Minority-game transmit decisions plus SCA/random RB choices for one slot."""
-    mode = config.mode
-    R, N = config.n_rbs, config.n_devices
-    n_active = len(active_ids)
-
-    shared_view = None
-    thresholds: dict[int, object] = {}
-    if neighbors is None:
-        a_global = tuple(f_value[i] for i in active_ids)
-        shared_view = NeighborhoodView(
-            a_values=a_global,
-            x_counts={rb: len(ids) for rb, ids in prev_rb_claimants.items()},
-            unused_last=prev_unused, full_info=True)
-        shared_threshold = kth_largest(a_global, R)
-    else:
-        # per-device k-th order statistics over the in-range active ages,
-        # done with numpy selection; exact huge ages saturate to inf, which
-        # keeps the (ties transmit) rule intact
-        active_mask = np.array(is_active)
-        f_arr = np.full(N, -math.inf)
-        for i in active_ids:
-            f_arr[i] = _clipped_float(f_value[i])
-        estimate = N * config.v_a * params.zeta
-        for i in active_ids:
-            vals = f_arr[neighbors[i] & active_mask]
-            n_known = vals.size
-            if n_known == n_active:
-                k = R
-            else:
-                k = math.ceil(R * n_known / estimate)
-            k = max(1, min(n_known, k))
-            thresholds[i] = vals[np.argpartition(vals, n_known - k)[n_known - k]] \
-                if n_known > 1 else vals[0]
-
-    # freed-RB delegation: a device that delivered last slot and went idle hands
-    # its RB to an active neighbor, weighted by future age; lowest delegator id
-    # wins when two target the same neighbor
-    delegated: dict[int, int] = {}
-    if mode is Mode.DISTRIBUTED_SCA:
-        u_del = None
-        for i in range(N):
-            if (last_action[i] >= 1 and not last_failed[i]
-                    and not is_active[i]):
-                if neighbors is None:
-                    candidate_ids = [j for j in active_ids if j != i]
-                else:
-                    candidate_ids = [int(j) for j in np.flatnonzero(neighbors[i])
-                                     if j != i and is_active[j]]
-                if u_del is None:
-                    u_del = draws.vec(t, _PH_DELEGATE)
-                target = delegate_target(candidate_ids,
-                                         [f_value[j] for j in candidate_ids],
-                                         u_del[i])
-                if target is not None and target not in delegated:
-                    delegated[target] = last_action[i]
-
-    actions: dict[int, int] = {}
-    if mode is Mode.DISTRIBUTED_RANDOM:
-        if shared_view is not None:
-            deciders = [i for i in active_ids if f_value[i] >= shared_threshold]
-        else:
-            deciders = [i for i in active_ids if f_arr[i] >= thresholds[i]]
-        if deciders:
-            u_dec = draws.vec(t, _PH_DECIDE)
-            actions = {i: 1 + int(u_dec[i] * R) for i in deciders}
-        return actions
-
-    u_keep = None
-    u_fresh = None
-    for i in active_ids:
-        if i in delegated:
-            actions[i] = delegated[i]
-            continue
-        if shared_view is not None:
-            if f_value[i] < shared_threshold:
-                continue
-            view = shared_view
-        else:
-            if f_arr[i] < thresholds[i]:
-                continue
-            view = None
-        prev = last_action[i]
-        if prev >= 1 and not last_failed[i]:
-            actions[i] = prev
-            continue
-        if view is None:
-            row = neighbors[i]
-            x_counts = {}
-            if prev >= 1:
-                seen = sum(1 for j in prev_rb_claimants.get(prev, ())
-                           if row[j])
-                x_counts = {prev: max(1, seen)}
-            # a device only knows an RB was taken if it sensed an in-range
-            # transmission on it; everything else looks free to it
-            seen_used = {rb for rb, ids in prev_rb_claimants.items()
-                         if any(row[j] for j in ids)}
-            view = NeighborhoodView(a_values=(f_value[i],), x_counts=x_counts,
-                                    unused_last=frozenset(all_rbs - seen_used),
-                                    full_info=False)
-        if u_keep is None:
-            u_keep = draws.vec(t, _PH_DECIDE)
-            u_fresh = draws.vec(t, _PH_FRESH)
-        actions[i] = sca_step(prev, last_failed[i], view, u_keep[i], u_fresh[i], R)
-    return actions

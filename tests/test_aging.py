@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from aoisim.aging import (AgingKind, age_forward, aoi_value,
-                          attainable_by_exponential, attainable_by_linear,
-                          is_power_of_two, linear_only)
+from aoisim.aging import (AgingKind, age_forward, aoi_value, is_power_of_two,
+                          linear_only)
 
 
 def test_linear_values_are_plain_ages():
@@ -60,8 +59,8 @@ def test_power_of_two_handles_floats():
 
 @given(st.integers(min_value=1, max_value=10**9))
 def test_attainability_split(v):
-    assert attainable_by_linear(v)
-    assert attainable_by_exponential(v) == (v & (v - 1) == 0)
+    # every v >= 1 is a linear age; exponential ages are the powers of two
+    assert is_power_of_two(v) == (v & (v - 1) == 0)
     assert linear_only(v) == (not is_power_of_two(v))
 
 

@@ -129,6 +129,15 @@ def test_learning_priority_prefers_identified_kind():
         pytest.approx(marginal_expected_future_aoi(4, 0.75, 0.75, 0.6))
 
 
+def test_learning_priority_uses_the_estimated_type():
+    # an unresolved message is priced under the request's learned type
+    learner = TypeLearner()
+    for est in (TypeId.TYPE1, TypeId.TYPE2):
+        r = req(0, 4, est_type=est)
+        assert priority_key(r, learner, Variant.LEARNING, beta=2) == \
+            pytest.approx(expected_future_aoi(4, est, 0.75, 0.75, 2))
+
+
 def test_schedule_orders_by_descending_future_age():
     learner = TypeLearner()
     requests = [req(0, 2, true_kind=AgingKind.LINEAR, est_type=TypeId.TYPE1),

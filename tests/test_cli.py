@@ -5,6 +5,7 @@ import pytest
 from aoisim.cli import (RECORD_COLUMNS, SUMMARY_COLUMNS, build_config, main,
                         parse_config_file)
 from aoisim.engine import ConfigError, Mode
+from aoisim.presets import preset_names
 
 
 def run_argv(*extra):
@@ -107,6 +108,23 @@ def test_sweep_csv_shape_and_matched_seeds(tmp_path):
     assert rows[1][3] == rows[3][3]
 
 
+def test_sweep_over_modes_writes_readable_values(tmp_path):
+    out = tmp_path / "modes.jsonl"
+    code = main(["sweep", "--set", "n_devices=6", "--set", "n_rbs=6",
+                 "--set", "slots=20", "--parameter", "mode",
+                 "--values", "distributed_sca,distributed_random",
+                 "--format", "jsonl", "--out", str(out), "--quiet"])
+    assert code == 0
+    rows = [json.loads(l) for l in out.read_text().splitlines()[1:]]
+    assert [Mode(r["value"]) for r in rows] == [Mode.DISTRIBUTED_SCA,
+                                                Mode.DISTRIBUTED_RANDOM]
+    csv_out = tmp_path / "modes.csv"
+    assert main(["sweep", "--set", "slots=5", "--parameter", "mode",
+                 "--values", "distributed_random", "--out", str(csv_out),
+                 "--quiet"]) == 0
+    assert csv_out.read_text().splitlines()[-1].startswith("mode,distributed_random,")
+
+
 def test_sweep_rejects_unknown_parameter():
     assert main(["sweep", "--parameter", "nope", "--values", "1",
                  "--quiet"]) == 1
@@ -114,8 +132,25 @@ def test_sweep_rejects_unknown_parameter():
 
 # --- preset subcommand ---------------------------------------------------------------
 
-def test_preset_unknown_name_fails():
+def test_preset_unknown_name_fails(tmp_path):
     assert main(["preset", "nosuch", "--quiet"]) == 1
+    # a bad name anywhere in the list stops the command before any run
+    assert main(["preset", "two_device_game", "nosuch", "--out", str(tmp_path),
+                 "--slots", "20", "--quiet"]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_preset_runs_several_names(tmp_path):
+    assert main(["preset", "two_device_game", "convergence", "--out",
+                 str(tmp_path), "--slots", "20", "--quiet"]) == 0
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert files == ["convergence__sca.csv", "two_device_game__sca.csv"]
+
+
+def test_preset_without_names_runs_every_preset(tmp_path):
+    assert main(["preset", "--out", str(tmp_path), "--slots", "2", "--quiet"]) == 0
+    ran = {p.name.split("__")[0] for p in tmp_path.iterdir()}
+    assert ran == set(preset_names())
 
 
 def test_preset_writes_labeled_files(tmp_path):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from aoisim.aging import AgingKind
-from aoisim.devices import (AoiClock, Device, TypeId, activate, activation_step,
-                            current_aoi, deliver_success, future_aoi,
-                            make_devices, type1, type2)
+from aoisim.devices import (Device, TypeId, activate, current_aoi,
+                            deliver_success, future_aoi, make_devices, type1,
+                            type2)
+from aoisim.engine import _PH_ACTIVATE, ScenarioConfig, _activation_sweep
 
 
 def fresh_device(dev_id=0, dtype=None):
@@ -75,23 +76,34 @@ def test_idle_device_has_no_age():
 def test_future_aoi_uses_lookahead():
     d = fresh_device()
     activate(d, 0, kind_u=0.0)
-    assert future_aoi(d, AoiClock(4, beta=1)) == 5
-    assert future_aoi(d, AoiClock(4, beta=3)) == 7
+    assert future_aoi(d, 4) == 5
+    assert future_aoi(d, 4, beta=3) == 7
+
+
+class FixedDraws:
+    """Slot draws of one device: act_u for the activation coin, 0 elsewhere."""
+
+    def __init__(self, act_u):
+        self.act_u = act_u
+
+    def vec(self, slot, phase):
+        return np.array([self.act_u if phase == _PH_ACTIVATE else 0.0])
 
 
 def test_activation_step_leaves_active_device_alone():
     d = fresh_device()
     activate(d, 0, kind_u=0.0)
     gen = d.gen_slot
-    activation_step(d, 1.0, 9, act_u=0.0, kind_u=0.0)
+    _activation_sweep([d], 9, ScenarioConfig(n_devices=1, v_a=1.0), FixedDraws(0.0))
     assert d.gen_slot == gen
 
 
 def test_activation_step_threshold():
     d = fresh_device()
-    activation_step(d, 0.3, 5, act_u=0.31, kind_u=0.0)
+    config = ScenarioConfig(n_devices=1, v_a=0.3)
+    _activation_sweep([d], 5, config, FixedDraws(0.31))
     assert not d.active
-    activation_step(d, 0.3, 5, act_u=0.29, kind_u=0.0)
+    _activation_sweep([d], 5, config, FixedDraws(0.29))
     assert d.active and d.gen_slot == 5
 
 

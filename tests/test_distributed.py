@@ -1,95 +1,94 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aoisim.distributed import (FullInfoGame, GameParams, NeighborhoodView,
-                                delegate_target, is_nash_equilibrium, kappa,
-                                kth_largest, predetermined_actions,
+from aoisim.distributed import (FullInfoGame, GameParams, delegate_target,
+                                kappa, kth_largest, predetermined_actions,
                                 random_selection, sca_step,
-                                service_rate_closed_form, service_rate_large_n,
-                                silent_payoff, transmit_decision)
-
-
-def view(ages, x_counts=None, unused=(), full_info=False):
-    return NeighborhoodView(a_values=tuple(ages), x_counts=x_counts or {},
-                            unused_last=frozenset(unused), full_info=full_info)
+                                service_rate_closed_form)
 
 
 # --- transmit rule -----------------------------------------------------------
+# the engine's threshold is kth_largest(known ages, kappa(...)); ties transmit
 
 def test_kth_largest_basics():
     assert kth_largest([5, 1, 9, 3], 1) == 9
     assert kth_largest([5, 1, 9, 3], 3) == 3
     assert kth_largest([5, 1, 9, 3], 99) == 1
     assert kth_largest([7], 1) == 7
+    assert kth_largest([1 << 1200, 1 << 1100, 3], 2) == 1 << 1100
+    # the partial-range input: one row of known ages per deciding device
+    rows = np.array([[5.0, 1.0, 9.0, 3.0], [2.0, 8.0, -np.inf, 8.0]])
+    assert kth_largest(rows, [3, 2]).tolist() == [3.0, 8.0]
+    assert kth_largest(rows, [99, 1]).tolist() == [1.0, 8.0]
 
 
 def test_kappa_full_information_admits_R():
-    v = view([10, 9, 8], full_info=True)
-    assert kappa(v, 5, 50, 1.0, GameParams()) == 5
+    # a device that knows every active device admits R, clamped to what it knows
+    assert kappa(10, 10, 5, 50, 1.0, 1.2) == 5
+    assert kappa(3, 3, 5, 50, 1.0, 1.2) == 3
 
 
 def test_kappa_scales_with_known_share():
     # R=50, N=200, v_a=0.35, zeta=1.2: estimated active count is 84
-    params = GameParams()
-    v = view(list(range(10)))
-    assert kappa(v, 50, 200, 0.35, params) == math.ceil(50 * 10 / (200 * 0.35 * 1.2))
-    lonely = view([3])
-    assert kappa(lonely, 50, 200, 0.35, params) == 1
-    crowded = view(list(range(2000)))
-    assert kappa(crowded, 50, 200, 0.35, params) == math.ceil(50 * 2000 / (200 * 0.35 * 1.2))
+    assert kappa(10, 84, 50, 200, 0.35, 1.2) == math.ceil(50 * 10 / (200 * 0.35 * 1.2))
+    assert kappa(1, 84, 50, 200, 0.35, 1.2) == 1
+    assert kappa(2000, 2001, 50, 200, 0.35, 1.2) == \
+        math.ceil(50 * 2000 / (200 * 0.35 * 1.2))
 
 
 def test_kappa_requires_own_entry():
     with pytest.raises(ValueError):
-        kappa(view([]), 5, 50, 1.0, GameParams())
+        kappa(0, 5, 5, 50, 1.0, 1.2)
 
 
 def test_transmit_on_threshold_ties():
-    v = view([4, 4, 2], full_info=True)
-    assert transmit_decision(4, v, 2)
-    assert not transmit_decision(2, v, 2)
+    ages = [4, 4, 2]
+    threshold = kth_largest(ages, kappa(len(ages), 3, 2, 50, 1.0, 1.2))
+    assert 4 >= threshold
+    assert not 2 >= threshold
 
 
 def test_silent_payoff_sides():
+    # device 0 sits at the R=1 threshold, device 1 below it, device 2 is idle
     params = GameParams()
-    v = view([9, 5], full_info=True)
-    assert silent_payoff(5, v, 1, True, params) == params.rho + params.eta
-    assert silent_payoff(9, v, 1, True, params) == -(params.gamma + params.eta)
-    assert silent_payoff(0, v, 1, False, params) == params.rho + params.eta
+    game = FullInfoGame((9, 5, 0), (True, True, False), 1, params)
+    silent = [0, 0, 0]
+    assert game.payoff(silent, 1) == params.rho + params.eta
+    assert game.payoff(silent, 0) == -(params.gamma + params.eta)
+    assert game.payoff(silent, 2) == params.rho + params.eta
 
 
 # --- crowd avoidance ---------------------------------------------------------
 
 def test_sca_repeats_a_winning_rb():
-    assert sca_step(7, False, view([3]), keep_u=0.99, pick_u=0.99, R=50) == 7
+    assert sca_step(7, False, 1, [], keep_u=0.99, pick_u=0.99, R=50) == 7
 
 
 def test_sca_failure_keep_coin():
-    v = view([3], x_counts={7: 3})
-    assert sca_step(7, True, v, keep_u=0.33, pick_u=0.0, R=50) == 7
+    assert sca_step(7, True, 3, [], keep_u=0.33, pick_u=0.0, R=50) == 7
     # keep probability is 1/3: a uniform at it or above abandons the RB
-    assert sca_step(7, True, v, keep_u=0.34, pick_u=0.0, R=50) == 1
+    assert sca_step(7, True, 3, [], keep_u=0.34, pick_u=0.0, R=50) == 1
 
 
 def test_sca_failure_implies_crowd_of_two():
-    # nobody visible on the RB still counts as one unseen contender
-    v = view([3], x_counts={})
-    assert sca_step(7, True, v, keep_u=0.49, pick_u=0.0, R=50) == 7
-    assert sca_step(7, True, v, keep_u=0.51, pick_u=0.0, R=50) != 7
+    # nobody else visible on the RB still counts as one unseen contender
+    for crowd_seen in (0, 1):
+        assert sca_step(7, True, crowd_seen, [], keep_u=0.49, pick_u=0.0, R=50) == 7
+        assert sca_step(7, True, crowd_seen, [], keep_u=0.51, pick_u=0.0, R=50) != 7
 
 
 def test_sca_fresh_pick_prefers_sensed_unused():
-    v = view([3], unused={4, 9, 2})
-    assert sca_step(0, False, v, keep_u=0.0, pick_u=0.0, R=50) == 2
-    assert sca_step(0, False, v, keep_u=0.0, pick_u=0.99, R=50) == 9
+    unused = [2, 4, 9]
+    assert sca_step(0, False, 0, unused, keep_u=0.0, pick_u=0.0, R=50) == 2
+    assert sca_step(0, False, 0, unused, keep_u=0.0, pick_u=0.99, R=50) == 9
 
 
 def test_sca_fresh_pick_falls_back_to_all_rbs():
-    v = view([3])
-    assert sca_step(0, False, v, keep_u=0.0, pick_u=0.0, R=50) == 1
-    assert sca_step(0, False, v, keep_u=0.0, pick_u=0.999, R=50) == 50
+    assert sca_step(0, False, 0, [], keep_u=0.0, pick_u=0.0, R=50) == 1
+    assert sca_step(0, False, 0, [], keep_u=0.0, pick_u=0.999, R=50) == 50
 
 
 def test_delegation_weights_by_future_age():
@@ -131,13 +130,6 @@ def test_service_rate_closed_form_values():
         service_rate_closed_form(-1, 10)
 
 
-def test_large_population_form_tracks_exact_form():
-    for t in (10, 50, 120):
-        exact = service_rate_closed_form(t, 50)
-        approx = service_rate_large_n(t, 50)
-        assert approx == pytest.approx(exact, rel=0.05)
-
-
 # --- full-information game ---------------------------------------------------
 
 def test_two_device_equilibria():
@@ -172,11 +164,6 @@ def test_inactive_devices_cannot_transmit():
     game = FullInfoGame((5, 5), (True, False), 2, GameParams())
     with pytest.raises(ValueError):
         game.is_nash_equilibrium([1, 2])
-
-
-def test_module_level_wrapper_requires_full_info():
-    with pytest.raises(ValueError):
-        is_nash_equilibrium([1], (3,), (True,), 1, GameParams(), full_info=False)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,9 +1,13 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
+from aoisim.devices import activate, make_devices
+from aoisim.distributed import kappa, kth_largest
 from aoisim.engine import (ConfigError, Mode, ScenarioConfig, SlotDraws,
-                           replicate_seed, run, sweep, sweep_iter)
+                           _clipped_float, _DistributedStack, _transmitters,
+                           replicate_seed, run, sweep_iter)
 
 
 def small(**kw):
@@ -120,6 +124,32 @@ def test_distributed_outcome_conservation():
     assert all(0.0 <= r.service_rate <= 1.0 for r in result.records)
 
 
+def test_partial_range_thresholds_match_the_per_device_rule():
+    # reference: each active device ranks the in-range active ages itself;
+    # the ages mix ties, linear values and exponential ones past float range
+    config = small(n_devices=40, n_rbs=6, r_c=3.0, v_a=0.5)
+    rng = np.random.default_rng(11)
+    devices = make_devices(40, 0.6, 0.75, 0.75, 10.0, 10.0, rng)
+    t = 1200
+    for d in devices[::3] + devices[1::3]:
+        gen = 1 if rng.random() < 0.2 else int(rng.integers(1150, 1200))
+        activate(d, gen, rng.random())
+    active_ids = [d.id for d in devices if d.active]
+    stack = _DistributedStack(config, devices)
+    stack.allocate(t, active_ids, SlotDraws(config.seed, config.n_devices))
+    expected = set()
+    for i in active_ids:
+        known = [_clipped_float(stack.f_value[j]) for j in active_ids
+                 if stack.neighbors[i, j]]
+        k = kappa(len(known), len(active_ids), config.n_rbs, config.n_devices,
+                  config.v_a, config.zeta)
+        if _clipped_float(stack.f_value[i]) >= kth_largest(known, k):
+            expected.add(i)
+    got = _transmitters(stack, active_ids)
+    assert got == expected
+    assert 0 < len(got) < len(active_ids)
+
+
 def test_centralized_outcome_conservation_single_rb():
     result = run(small(n_devices=20, n_rbs=5, v_a=0.8, slots=150,
                        mode=Mode.CENTRALIZED_LEARNING, preambles=16, seed=3))
@@ -151,18 +181,21 @@ def test_replicate_seed_identity_and_spread():
 
 def test_single_point_sweep_equals_plain_run():
     cfg = small()
-    points = sweep(cfg, "v_a", [cfg.v_a], replicates=1)
+    points = list(sweep_iter(cfg, "v_a", [cfg.v_a], replicates=1))
     assert len(points) == 1
-    assert points[0].summary == run(cfg).summary
-    assert points[0].seed == cfg.seed
+    value, rep, result = points[0]
+    assert (value, rep) == (cfg.v_a, 0)
+    assert result.summary == run(cfg).summary
+    assert result.config.seed == cfg.seed
 
 
 def test_sweep_matches_seeds_across_values():
-    points = sweep(small(slots=30), "v_a", [0.2, 0.6], replicates=2)
-    assert [p.value for p in points] == [0.2, 0.2, 0.6, 0.6]
-    assert points[0].seed == points[2].seed
-    assert points[1].seed == points[3].seed
-    assert points[0].seed != points[1].seed
+    points = list(sweep_iter(small(slots=30), "v_a", [0.2, 0.6], replicates=2))
+    assert [value for value, _, _ in points] == [0.2, 0.2, 0.6, 0.6]
+    seeds = [result.config.seed for _, _, result in points]
+    assert seeds[0] == seeds[2]
+    assert seeds[1] == seeds[3]
+    assert seeds[0] != seeds[1]
 
 
 def test_sweep_rejects_unknown_parameter_and_bad_replicates():
@@ -174,6 +207,6 @@ def test_sweep_rejects_unknown_parameter_and_bad_replicates():
 
 def test_sweep_leaves_base_config_untouched():
     cfg = small(slots=20)
-    sweep(cfg, "n_rbs", [4, 6], replicates=1)
+    list(sweep_iter(cfg, "n_rbs", [4, 6], replicates=1))
     assert cfg == small(slots=20)
     assert dataclasses.asdict(cfg)["n_rbs"] == 10
