@@ -1,10 +1,11 @@
 """Slotted simulator of age-aware uplink resource-block allocation."""
 
-from .aging import AgingKind, age_forward, aoi_value, linear_only
-from .centralized import (RachConfig, TypeLearner, UplinkRequest, Variant,
+from .aging import AgingKind, age_forward, aoi_array, aoi_value, linear_only
+from .centralized import (RachConfig, TypeLearner, Variant,
                           expected_future_aoi, identify_aging, learn_type,
                           marginal_expected_future_aoi, priority_key,
-                          rach_collision_probability, rach_phase, schedule)
+                          rach_collision_probability, rach_phase, schedule,
+                          tie_class)
 from .channel import (ChannelModel, Outcome, RbAssignment, epsilon_for_outage,
                       outage_probability, resolve_slot)
 from .devices import (Device, DeviceType, TypeId, activate, current_aoi,
@@ -15,17 +16,17 @@ from .distributed import (FullInfoGame, GameParams, NashResult,
                           service_rate_closed_form)
 from .engine import (ConfigError, Mode, RunResult, RunSummary, ScenarioConfig,
                      SlotRecord, replicate_seed, run, sweep_iter)
-from .planner import TransmissionPlan, compositions, plan_message
+from .planner import TransmissionPlan, plan_message
 from .presets import expand_preset, preset_description, preset_names
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgingKind", "age_forward", "aoi_value", "linear_only",
-    "RachConfig", "TypeLearner", "UplinkRequest", "Variant",
+    "AgingKind", "age_forward", "aoi_array", "aoi_value", "linear_only",
+    "RachConfig", "TypeLearner", "Variant",
     "expected_future_aoi", "identify_aging", "learn_type",
     "marginal_expected_future_aoi", "priority_key",
-    "rach_collision_probability", "rach_phase", "schedule",
+    "rach_collision_probability", "rach_phase", "schedule", "tie_class",
     "ChannelModel", "Outcome", "RbAssignment", "epsilon_for_outage",
     "outage_probability", "resolve_slot",
     "Device", "DeviceType", "TypeId", "activate", "current_aoi",
@@ -35,6 +36,6 @@ __all__ = [
     "service_rate_closed_form",
     "ConfigError", "Mode", "RunResult", "RunSummary", "ScenarioConfig",
     "SlotRecord", "replicate_seed", "run", "sweep_iter",
-    "TransmissionPlan", "compositions", "plan_message",
+    "TransmissionPlan", "plan_message",
     "expand_preset", "preset_description", "preset_names",
 ]

@@ -14,6 +14,9 @@ age. Three variants differ only in how the future age is obtained:
 * no learning: every request gets the population-marginal expected future
   age, which is monotone in C_i, so this variant reduces to priority by
   current age.
+
+The request-phase, priority and scheduling rules take and return arrays with
+one entry per request, so a slot's requests are ranked by one sort.
 """
 
 from __future__ import annotations
@@ -39,6 +42,12 @@ _LINEAR, _TYPE1, _TYPE2 = AgingKind.LINEAR, TypeId.TYPE1, TypeId.TYPE2
 _NO_LEARNING, _LEARNING, _FULL_INFO = (Variant.NO_LEARNING, Variant.LEARNING,
                                        Variant.FULL_INFO)
 
+# array codes of what the scheduler knows: a message's aging kind (the code
+# indexes KINDS) and a device's type (the TypeId value, or NO_TYPE)
+KIND_UNKNOWN, KIND_LINEAR, KIND_EXPONENTIAL = -1, 0, 1
+KINDS = (AgingKind.LINEAR, AgingKind.EXPONENTIAL)
+NO_TYPE = 0
+
 
 @dataclass(frozen=True)
 class RachConfig:
@@ -57,69 +66,74 @@ def rach_collision_probability(n_active: int, preambles: int) -> float:
     return 1.0 - ((preambles - 1) / preambles) ** (n_active - 1)
 
 
-def rach_phase(active_ids: list[int], config: RachConfig, u) -> list[int]:
+def rach_phase(active_ids, config: RachConfig, u) -> np.ndarray:
     """Ids whose scheduling request reaches the base station this slot.
 
-    u maps device id to a uniform in [0,1) (an array indexed by id works).
-    Default is independent Bernoulli thinning at the per-device collision
-    probability; the exact mode derives a preamble pick from each uniform
-    and keeps the devices whose preamble is unique.
+    active_ids is an id array (a list works), and u maps device id to a
+    uniform in [0,1) (an array indexed by id). Default is independent
+    Bernoulli thinning at the per-device collision probability; the exact
+    mode derives a preamble pick from each uniform and keeps the devices
+    whose preamble is unique. Survivors keep the order of active_ids.
     """
+    active_ids = np.asarray(active_ids, dtype=np.intp)
     n = len(active_ids)
     if n == 0:
-        return []
+        return active_ids
+    u_active = np.asarray(u)[active_ids]
     if config.exact_draws:
-        picks = [int(u[device_id] * config.preambles) for device_id in active_ids]
+        picks = (u_active * config.preambles).astype(np.intp)
         counts = np.bincount(picks, minlength=config.preambles)
-        return [device_id for device_id, pick in zip(active_ids, picks)
-                if counts[pick] == 1]
+        return active_ids[counts[picks] == 1]
     survive_p = 1.0 - rach_collision_probability(n, config.preambles)
-    return [device_id for device_id in active_ids if u[device_id] < survive_p]
+    return active_ids[u_active < survive_p]
 
 
-@dataclass(slots=True)
-class UplinkRequest:
-    device_id: int
-    current_aoi: object          # int, exact (exponential ages are big ints)
-    rbs_needed: int
-    true_kind: AgingKind | None = None      # consulted by the full-info variant only
-    known_kind: AgingKind | None = None     # identification result, if any
-    est_type: TypeId | None = None          # learned ML type, or the true one
+def identify_aging(ages, prev_slots, prev_ages, slot: int) -> np.ndarray:
+    """Infer the aging kinds of pending messages from their reported ages.
 
+    One entry per message: its reported age at ``slot`` and the slot and age
+    of its previous surviving request, or slot -1 with no earlier report.
+    Ages are float64 as ``aging.aoi_array`` gives them. Returns KIND_* codes,
+    KIND_UNKNOWN where the evidence is consistent with both kinds.
 
-def identify_aging(current_aoi, history: tuple[int, object] | None,
-                   slot: int) -> AgingKind | None:
-    """Infer the aging kind of the pending message from its reported ages.
-
-    history is the (slot, age) of the previous surviving request for the
-    same message, or None. Returns None when the evidence is consistent with
-    both kinds.
+    A non-power-of-two age is attainable only by linear aging; otherwise two
+    reports tell additive from doubling growth. Finite ages are exact
+    integers, so every comparison is exact. Only exponential ages reach
+    2**1024, where they read inf: such an age can never be linear, and it
+    fits doubling from any earlier age of the same message, as the exact
+    values do.
     """
-    if linear_only(current_aoi):
-        return AgingKind.LINEAR
-    if history is None:
-        return None
-    prev_slot, prev_aoi = history
-    gap = slot - prev_slot
-    if gap <= 0:
-        return None
-    linear_fits = current_aoi == prev_aoi + gap
-    exponential_fits = current_aoi == prev_aoi * (1 << gap)
-    if linear_fits and not exponential_fits:
-        return AgingKind.LINEAR
-    if exponential_fits and not linear_fits:
-        return AgingKind.EXPONENTIAL
-    return None
+    ages = np.asarray(ages, dtype=np.float64)
+    prev_ages = np.asarray(prev_ages, dtype=np.float64)
+    prev_slots = np.asarray(prev_slots)
+    gap = slot - prev_slots
+    seen = (prev_slots >= 0) & (gap > 0)
+    with np.errstate(over="ignore"):
+        exponential_fits = ages == np.ldexp(prev_ages, gap)
+    linear_fits = (ages == prev_ages + gap) & (ages < np.inf)
+    # exactly one kind fits: its code is exponential_fits (KIND_LINEAR is 0)
+    kinds = np.where(seen & (linear_fits != exponential_fits), exponential_fits,
+                     KIND_UNKNOWN)
+    kinds[linear_only(ages)] = KIND_LINEAR
+    return kinds
 
 
 @dataclass
 class TypeLearner:
-    """Per-device counts of identified message kinds plus the population priors."""
+    """Per-device counts of identified message kinds plus the population priors.
+
+    The priors are fixed at construction: log_lik caches their logarithms.
+    """
 
     m1: float = 0.75
     m2: float = 0.75
     p_type1: float = 0.6
     counts: dict[int, list[int]] = field(default_factory=dict)   # id -> [k_lin, k_exp]
+
+    def __post_init__(self):
+        # log-likelihood of one (linear, exponential) observation per type
+        self.log_lik = ((math.log(self.m1), math.log(1.0 - self.m1)),
+                        (math.log(1.0 - self.m2), math.log(self.m2)))
 
     def observe(self, device_id: int, kind: AgingKind) -> None:
         k = self.counts.setdefault(device_id, [0, 0])
@@ -140,67 +154,117 @@ def learn_type(learner: TypeLearner, device_id: int) -> TypeId | None:
     if k is None or k[0] + k[1] == 0:
         return None
     k_lin, k_exp = k
-    ll1 = k_lin * math.log(learner.m1) + k_exp * math.log(1.0 - learner.m1)
-    ll2 = k_lin * math.log(1.0 - learner.m2) + k_exp * math.log(learner.m2)
-    return TypeId.TYPE1 if ll1 > ll2 else TypeId.TYPE2
+    (lin1, exp1), (lin2, exp2) = learner.log_lik
+    ll1 = k_lin * lin1 + k_exp * exp1
+    ll2 = k_lin * lin2 + k_exp * exp2
+    return _TYPE1 if ll1 > ll2 else _TYPE2
 
 
-def expected_future_aoi(current_aoi, est: TypeId, m1: float, m2: float,
-                        beta: int = 1) -> float:
-    """Expected future age of an unresolved message under a type hypothesis."""
-    p_lin = m1 if est is _TYPE1 else 1.0 - m2
+def expected_future_aoi(current_aoi, est, m1: float, m2: float, beta: int = 1):
+    """Expected future age of an unresolved message under a type hypothesis.
+
+    current_aoi is one age and est a TypeId, or current_aoi is a float64
+    array and est an array of TypeId values, one per age.
+    """
+    if isinstance(est, TypeId):
+        p_lin = m1 if est is _TYPE1 else 1.0 - m2
+    else:
+        p_lin = np.where(est == _TYPE1.value, m1, 1.0 - m2)
     return (p_lin * (current_aoi + beta)
             + (1.0 - p_lin) * (current_aoi * (1 << beta)))
 
 
 def marginal_expected_future_aoi(current_aoi, m1: float, m2: float,
-                                 p_type1: float, beta: int = 1) -> float:
-    """Expected future age with only the population type mix known."""
+                                 p_type1: float, beta: int = 1):
+    """Expected future age with only the population type mix known.
+
+    A type with zero share is left out instead of weighted by 0.0, which
+    would turn an age saturated to inf into NaN; for finite ages the value
+    is the same either way.
+    """
+    if p_type1 == 0.0:
+        return expected_future_aoi(current_aoi, _TYPE2, m1, m2, beta)
+    if p_type1 == 1.0:
+        return expected_future_aoi(current_aoi, _TYPE1, m1, m2, beta)
     return (p_type1 * expected_future_aoi(current_aoi, _TYPE1, m1, m2, beta)
             + (1.0 - p_type1) * expected_future_aoi(current_aoi, _TYPE2, m1, m2, beta))
 
 
-def priority_key(request: UplinkRequest, learner: TypeLearner, variant: Variant,
-                 beta: int = 1):
-    """Future-age priority of one request under the given variant."""
-    if variant is _FULL_INFO:
-        return age_forward(request.true_kind, request.current_aoi, beta)
-    if variant is _LEARNING:
-        if request.known_kind is not None:
-            return age_forward(request.known_kind, request.current_aoi, beta)
-        if request.est_type is not None:
-            return expected_future_aoi(request.current_aoi, request.est_type,
-                                       learner.m1, learner.m2, beta)
-    return marginal_expected_future_aoi(request.current_aoi, learner.m1,
-                                        learner.m2, learner.p_type1, beta)
+def priority_key(ages, kinds, types, learner: TypeLearner, variant: Variant,
+                 beta: int = 1) -> np.ndarray:
+    """Future-age priority keys of many requests under the given variant.
+
+    ages are the reported current ages as float64 (``aging.aoi_array``).
+    kinds holds each message's aging kind as the scheduler knows it (a
+    KIND_* code; the true kind under full information) and types each
+    device's type (a TypeId value or NO_TYPE; the true type under full
+    information). A known kind prices a request at its exact future age.
+    Under learning an unresolved request is priced at its expected future
+    age under the learned type, or under the population mix while no type
+    is learned; without learning every request gets the population-mix
+    price.
+
+    Finite keys equal the exact scalar values: integer future ages below
+    2**1024 convert exactly, and the expected ages keep the scalar operation
+    order. Keys past float range saturate to inf, never NaN.
+    """
+    ages = np.asarray(ages, dtype=np.float64)
+    m1, m2, p_type1 = learner.m1, learner.m2, learner.p_type1
+    with np.errstate(over="ignore"):
+        if variant is _NO_LEARNING:
+            return marginal_expected_future_aoi(ages, m1, m2, p_type1, beta)
+        kinds = np.asarray(kinds)
+        keys = np.where(kinds == KIND_EXPONENTIAL,
+                        age_forward(AgingKind.EXPONENTIAL, ages, beta),
+                        age_forward(_LINEAR, ages, beta))
+        if variant is _LEARNING:
+            types = np.asarray(types)
+            unresolved = kinds == KIND_UNKNOWN
+            keys = np.where(unresolved, expected_future_aoi(ages, types, m1, m2, beta),
+                            keys)
+            no_type = unresolved & (types == NO_TYPE)
+            if no_type.any():
+                keys[no_type] = marginal_expected_future_aoi(ages[no_type], m1, m2,
+                                                             p_type1, beta)
+    return keys
 
 
-def schedule(requests: list[UplinkRequest], learner: TypeLearner, R: int,
-             variant: Variant, beta: int = 1) -> list[tuple[int, tuple[int, ...]]]:
+def tie_class(types, learner: TypeLearner, variant: Variant) -> np.ndarray:
+    """Tie class per request: on equal keys class 0 is served before class 1.
+
+    The faster-aging type goes first: the learned type under learning (the
+    more common type while none is learned), the true type under full
+    information. Without learning every request shares one class.
+    """
+    types = np.asarray(types)
+    if variant is _NO_LEARNING:
+        return np.ones(len(types), dtype=bool)
+    classes = types != _TYPE2.value
+    if variant is _LEARNING and learner.p_type1 < 0.5:
+        classes &= types != NO_TYPE           # no type yet: presumed TYPE2
+    return classes
+
+
+def schedule(ids, keys, exponents, tie_classes, rbs_needed, R: int):
     """Allocate RB indices to requests in descending future-age order.
 
-    Equal keys are served faster-aging-type-first (the estimated type for the
-    learning variant, the true type under full information), then by device
-    id for determinism. Each request gets min(remaining, rbs_needed) RBs;
-    indices are handed out consecutively so no RB is ever assigned twice.
-    """
-    def tie_class(req: UplinkRequest) -> int:
-        est = None if variant is _NO_LEARNING else req.est_type
-        if est is None and variant is _LEARNING:
-            est = _TYPE1 if learner.p_type1 >= 0.5 else _TYPE2
-        return 0 if est is _TYPE2 else 1
+    One array entry per request: device id, priority key, log2 of its future
+    age, tie class and RB demand. The exponent is consulted only between
+    keys that saturated to inf, where it keeps the exact order of ages past
+    2**1024. Equal keys are served by tie class, then by device id for
+    determinism. Each request gets min(remaining, rbs_needed) RBs, handed
+    out consecutively so no RB is ever assigned twice.
 
-    scored = sorted(
-        requests,
-        key=lambda req: (-priority_key(req, learner, variant, beta),
-                         tie_class(req), req.device_id),
-    )
-    allocation: list[tuple[int, tuple[int, ...]]] = []
-    next_rb = 0
-    for req in scored:
-        if next_rb >= R:
-            break
-        take = min(R - next_rb, req.rbs_needed)
-        allocation.append((req.device_id, tuple(range(next_rb, next_rb + take))))
-        next_rb += take
-    return allocation
+    Returns the served ids in service order and, per served id, its RB
+    range [first, end).
+    """
+    ids = np.asarray(ids)
+    keys = np.asarray(keys, dtype=np.float64)
+    saturated = np.where(np.isinf(keys), exponents, 0)
+    order = np.lexsort((ids, tie_classes, -saturated, -keys))
+    needed = np.asarray(rbs_needed)[order]
+    end = np.cumsum(needed)
+    # requests up to the first whose demand reaches R get RBs
+    n_served = int(np.searchsorted(end, R)) + 1
+    end, needed = end[:n_served], needed[:n_served]
+    return ids[order[:n_served]], end - needed, np.minimum(end, R)

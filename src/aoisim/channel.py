@@ -22,6 +22,11 @@ class Outcome(Enum):
     OUTAGE_FAILURE = "outage"
 
 
+# bound once for the per-transmission path, as in aging.py
+_SUCCESS, _DUPLICATE, _OUTAGE = (Outcome.SUCCESS, Outcome.DUPLICATE_FAILURE,
+                                 Outcome.OUTAGE_FAILURE)
+
+
 @dataclass(frozen=True)
 class ChannelModel:
     """Mean-SNR outage model; per-device overrides support unequal transmit power."""
@@ -93,12 +98,11 @@ def resolve_slot(assignment: RbAssignment, model: ChannelModel,
 
     outcomes: dict[int, Outcome] = {}
     for device_id, rbs in assignment.entries:
-        if any(claims[rb] > 1 for rb in rbs):
-            outcomes[device_id] = Outcome.DUPLICATE_FAILURE
+        if max(map(claims.__getitem__, rbs)) > 1:
+            outcomes[device_id] = _DUPLICATE
         else:
             p = outage_probability(model, device_id, len(rbs))
-            outcomes[device_id] = (Outcome.OUTAGE_FAILURE if u[device_id] < p
-                                   else Outcome.SUCCESS)
+            outcomes[device_id] = _OUTAGE if u[device_id] < p else _SUCCESS
     return outcomes
 
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aging import AgingKind, age_forward
-from .centralized import UplinkRequest, Variant, schedule
+from .centralized import (KIND_EXPONENTIAL, KIND_LINEAR, TypeLearner, Variant,
+                          priority_key, schedule, tie_class)
 from .devices import TypeId
 from .distributed import (FullInfoGame, GameParams, random_selection,
                           service_rate_closed_form)
@@ -184,13 +185,21 @@ def check_sca_convergence(runs: int = 100, slots: int = 200,
 
 
 def _winner_by_lookahead(exp_age: int, lin_age: int, beta: int) -> str:
-    """Which of two single-RB requests the scheduler serves first."""
-    exp_req = UplinkRequest(device_id=0, current_aoi=exp_age, rbs_needed=1,
-                            true_kind=AgingKind.EXPONENTIAL, est_type=TypeId.TYPE2)
-    lin_req = UplinkRequest(device_id=1, current_aoi=lin_age, rbs_needed=1,
-                            true_kind=AgingKind.LINEAR, est_type=TypeId.TYPE1)
-    allocation = schedule([exp_req, lin_req], None, 1, Variant.FULL_INFO, beta)
-    return "exp" if allocation[0][0] == 0 else "lin"
+    """Which of two single-RB requests the scheduler serves first.
+
+    Device 0 holds the exponential message (a type-2 device), device 1 the
+    linear one (type 1); the ages stay far below 2**1024, so no key
+    saturates and the exponents are never consulted.
+    """
+    learner, full = TypeLearner(), Variant.FULL_INFO
+    types = np.array([TypeId.TYPE2.value, TypeId.TYPE1.value])
+    keys = priority_key(np.array([exp_age, lin_age], dtype=np.float64),
+                        np.array([KIND_EXPONENTIAL, KIND_LINEAR]), types,
+                        learner, full, beta)
+    served, _, _ = schedule(np.array([0, 1]), keys, np.zeros(2, dtype=np.int64),
+                            tie_class(types, learner, full),
+                            np.ones(2, dtype=np.int64), 1)
+    return "exp" if served[0] == 0 else "lin"
 
 
 def check_pairwise_priority() -> CheckResult:

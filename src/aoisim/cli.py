@@ -180,6 +180,13 @@ def _say(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _warn_if_nothing_delivered(result: RunResult, label: str) -> None:
+    """A run with no delivery is degenerate; say so even under --quiet."""
+    if result.summary.deliveries == 0:
+        print(f"aoisim: warning: {label}: no deliveries in "
+              f"{result.summary.slots} slots", file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -188,6 +195,7 @@ def _cmd_run(args) -> int:
     config = _config_from_args(args)
     result = run(config)
     write_run_csv(result, args.out, args.format)
+    _warn_if_nothing_delivered(result, config.mode.value)
     s = result.summary
     aoi = "n/a" if s.mean_delivery_aoi is None else f"{s.mean_delivery_aoi:.4g}"
     _say(args, f"{config.mode.value}: {s.deliveries} deliveries, "
@@ -216,6 +224,8 @@ def _cmd_sweep(args) -> int:
                "replicate": rep, "seed": result.config.seed}
         rows.append(row | {col: getattr(result.summary, col)
                            for col in SUMMARY_COLUMNS})
+        _warn_if_nothing_delivered(
+            result, f"{args.parameter}={row['value']} replicate {rep}")
         _say(args, f"{args.parameter}={row['value']} replicate {rep}: "
                    f"mean service rate "
                    f"{result.summary.mean_service_rate:.4f}")
@@ -255,6 +265,7 @@ def _cmd_preset(args) -> int:
             result = run(config)
             path = out_dir / f"{name}__{label}.{ext}"
             write_run_csv(result, str(path), args.format)
+            _warn_if_nothing_delivered(result, f"{name}__{label}")
             s = result.summary
             aoi = "n/a" if s.mean_delivery_aoi is None else f"{s.mean_delivery_aoi:.4g}"
             _say(args, f"  {path} mean delivery age {aoi} "

@@ -17,6 +17,10 @@ import numpy as np
 from .aging import AgingKind, aoi_value
 
 
+# bound once for the per-activation path, as in aging.py
+_LINEAR, _EXPONENTIAL = AgingKind.LINEAR, AgingKind.EXPONENTIAL
+
+
 class TypeId(Enum):
     TYPE1 = 1
     TYPE2 = 2
@@ -91,8 +95,7 @@ def activate(device: Device, t: int, kind_u: float, n_rbs_max: int = 1,
     if not 1 <= n_rbs_min <= n_rbs_max:
         raise ValueError("demand window needs 1 <= n_rbs_min <= n_rbs_max")
     device.active = True
-    device.aging = (AgingKind.LINEAR if kind_u < device.dtype.p_linear
-                    else AgingKind.EXPONENTIAL)
+    device.aging = _LINEAR if kind_u < device.dtype.p_linear else _EXPONENTIAL
     span = n_rbs_max - n_rbs_min + 1
     device.n_rbs = n_rbs_min if span == 1 else n_rbs_min + int(size_u * span)
     device.n_remaining = device.n_rbs

@@ -24,14 +24,19 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-from .aging import AgingKind
-from .centralized import (RachConfig, TypeLearner, UplinkRequest, Variant,
-                          identify_aging, learn_type, rach_phase, schedule)
+from . import centralized
+from .aging import AgingKind, aoi_array
+from .centralized import (KIND_UNKNOWN, KINDS, NO_TYPE, RachConfig,
+                          TypeLearner, Variant, identify_aging, learn_type,
+                          rach_phase, schedule, tie_class)
 from .channel import (ChannelModel, Outcome, RbAssignment, resolve_slot,
                       sample_heterogeneous_snr, snr_db_to_linear)
-from .devices import (Device, activate, current_aoi, deliver_success,
-                      future_aoi, make_devices)
+# current_aoi is not called here; it stays bound for perfbench/tracer.py,
+# which hooks it among the device-layer names of this module
+from .devices import (Device, TypeId, activate, current_aoi,  # noqa: F401
+                      deliver_success, future_aoi, make_devices)
 from .distributed import (delegate_target, kappa, kth_largest,
                           predetermined_actions, random_selection, sca_step)
 from .planner import plan_message
@@ -47,24 +52,136 @@ _PH_DECIDE = 5
 _PH_FRESH = 6
 _PH_DELEGATE = 7
 
+# bound once, as in aging.py (Enum.value is a descriptor call too)
+_LINEAR, _TYPE1 = AgingKind.LINEAR, TypeId.TYPE1
+_TYPE1_CODE, _TYPE2_CODE = TypeId.TYPE1.value, TypeId.TYPE2.value
+
+
+# numpy's SeedSequence constants (pool of four uint32 words, 32-bit hashes)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_POOL_SIZE = 4
+_N_PHASES = 8
+_STATE_BLOCK = 256
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian uint32 words of a non-negative int, as SeedSequence splits it."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def seed_states(entropy: np.ndarray) -> np.ndarray:
+    """PCG64 seed words of many seed sequences in one pass.
+
+    Row r of the (m, w) uint32 matrix entropy holds the words of one
+    SeedSequence entropy; row r of the (m, 4) uint64 result equals that
+    sequence's ``generate_state(4, np.uint64)``. This is numpy's pool mixing
+    and state generation, run on columns: the hash constants advance the
+    same way for every row, so they stay Python ints.
+    """
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    m, width = entropy.shape
+    shift = np.uint32(16)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> shift)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> shift)
+
+    zero = np.zeros(m, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < width else zero)
+            for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, width):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[:, i_src]))
+
+    state = np.empty((m, 8), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i_dst in range(8):
+        value = pool[i_dst % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i_dst] = value ^ (value >> shift)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+_Generator, _PCG64 = np.random.Generator, np.random.PCG64
+
+
+class _SeedWords(ISeedSequence):
+    """Seed sequence whose PCG64 state words were computed ahead."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("precomputed seed words serve PCG64 only")
+        return self._words
+
 
 class SlotDraws:
     """Per-slot uniform vectors, one entry per device.
 
     vec(slot, phase) is a pure function of (seed, slot, phase), so a device
     keeps its draw across modes run with the same seed even when the modes
-    consume different phases or diverge in state.
+    consume different phases or diverge in state. It is the stream of
+    ``default_rng(SeedSequence([seed, slot, phase]))``; the seed words of a
+    block of up to min(256, slots + 1) slots are computed at once
+    (``seed_states``) when a slot outside the current block is asked for.
     """
 
-    __slots__ = ("_seed", "_n")
+    __slots__ = ("_seed_words", "_n", "_block", "_first", "_end", "_states")
 
-    def __init__(self, seed: int, n_devices: int):
-        self._seed = seed
+    def __init__(self, seed: int, n_devices: int, slots: int = _STATE_BLOCK - 1):
+        self._seed_words = _uint32_words(seed)
         self._n = n_devices
+        self._block = min(_STATE_BLOCK, slots + 1)
+        self._first = self._end = 0
+        self._states = None
+
+    def state(self, slot: int, phase: int) -> np.ndarray:
+        """The four uint64 PCG64 seed words of (seed, slot, phase)."""
+        if not self._first <= slot < self._end:
+            self._fill(slot)
+        return self._states[(slot - self._first) * _N_PHASES + phase]
+
+    def _fill(self, first: int) -> None:
+        # a block never mixes slots of different word counts
+        n_words = len(_uint32_words(first))
+        end = min(first + self._block, 1 << (32 * n_words))
+        slots = np.arange(first, end, dtype=np.uint64)
+        rows = len(slots) * _N_PHASES
+        columns = [np.full(rows, word, dtype=np.uint32) for word in self._seed_words]
+        columns += [np.repeat((slots >> np.uint64(32 * j)) & np.uint64(_MASK32),
+                              _N_PHASES).astype(np.uint32) for j in range(n_words)]
+        columns.append(np.tile(np.arange(_N_PHASES, dtype=np.uint32), len(slots)))
+        self._states = seed_states(np.column_stack(columns))
+        self._first, self._end = first, end
 
     def vec(self, slot: int, phase: int) -> np.ndarray:
-        ss = np.random.SeedSequence([self._seed, slot, phase])
-        return np.random.default_rng(ss).random(self._n)
+        words = _SeedWords(self.state(slot, phase))
+        return _Generator(_PCG64(words)).random(self._n)
 
 
 class Mode(Enum):
@@ -204,14 +321,15 @@ def _build_channel(config: ScenarioConfig, rng: np.random.Generator) -> ChannelM
 
 
 def _activation_sweep(devices: list[Device], t: int, config: ScenarioConfig,
-                      draws: SlotDraws) -> None:
+                      draws: SlotDraws) -> list[Device]:
+    """Activate idle devices whose draw falls below v_a; returns them."""
     idle = [d for d in devices if not d.active]
     if not idle or config.v_a == 0.0:
-        return
-    u_act = draws.vec(t, _PH_ACTIVATE)
+        return []
+    u_act = draws.vec(t, _PH_ACTIVATE).tolist()    # list indexing is cheaper
     hits = [d for d in idle if u_act[d.id] < config.v_a]
     if not hits:
-        return
+        return hits
     u_kind = draws.vec(t, _PH_KIND)
     sized = config.n_rbs_max > config.n_rbs_min
     u_size = draws.vec(t, _PH_SIZE) if sized else None
@@ -219,6 +337,7 @@ def _activation_sweep(devices: list[Device], t: int, config: ScenarioConfig,
         size_u = 0.0 if u_size is None else u_size[device.id]
         activate(device, t, u_kind[device.id], config.n_rbs_max, size_u,
                  config.n_rbs_min)
+    return hits
 
 
 class _MetricAccumulator:
@@ -274,26 +393,27 @@ class _MetricAccumulator:
 def run(config: ScenarioConfig) -> RunResult:
     """Simulate one scenario; deterministic in (config, seed).
 
-    One slot loop serves both stacks. The stack picks who transmits on which
-    RBs (allocate), the channel resolves the slot, the loop delivers and
-    counts, and the stack learns the outcome (feedback) before idle devices
-    draw fresh activations.
+    One slot loop serves both stacks. The stack names the devices with a
+    pending message (active_ids) and picks who transmits on which RBs
+    (allocate), the channel resolves the slot, the loop delivers and counts,
+    and the stack learns the outcome (feedback) before idle devices draw
+    fresh activations (which the stack also learns: activated).
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
     devices = make_devices(config.n_devices, config.type1_fraction, config.m1,
                            config.m2, config.width, config.length, rng)
     channel = _build_channel(config, rng)
-    draws = SlotDraws(config.seed, config.n_devices)
+    draws = SlotDraws(config.seed, config.n_devices, config.slots)
     stack = (_CentralizedStack(config, devices, channel) if config.mode.centralized
              else _DistributedStack(config, devices))
     metrics = _MetricAccumulator(config.slots, config.warmup_fraction)
     records: list[SlotRecord] = []
 
     success, duplicate = Outcome.SUCCESS, Outcome.DUPLICATE_FAILURE  # see aging.py
-    _activation_sweep(devices, 0, config, draws)
+    stack.activated(_activation_sweep(devices, 0, config, draws))
     for t in range(1, config.slots + 1):
-        active_ids = [d.id for d in devices if d.active]
+        active_ids = stack.active_ids()
         entries, rach_failures = stack.allocate(t, active_ids, draws)
         outcomes = resolve_slot(RbAssignment(t, entries), channel,
                                 draws.vec(t, _PH_OUTAGE))
@@ -317,8 +437,11 @@ def run(config: ScenarioConfig) -> RunResult:
                 outage_failures += 1
         stack.feedback(claimants, outcomes)
 
-        service_rate = (sum(1 for ids in claimants.values() if len(ids) == 1)
-                        / config.n_rbs)
+        # an RB with two claimants fails them all, so with no duplicate
+        # failure every claimed RB has exactly one claimant
+        single = (sum(1 for ids in claimants.values() if len(ids) == 1)
+                  if duplicate_failures else len(claimants))
+        service_rate = single / config.n_rbs
         slot_mean, cum_mean = metrics.slot(t, delivered, service_rate,
                                            rach_failures, duplicate_failures,
                                            outage_failures)
@@ -328,7 +451,7 @@ def run(config: ScenarioConfig) -> RunResult:
             n_transmitting=len(entries), rach_failures=rach_failures,
             duplicate_failures=duplicate_failures,
             outage_failures=outage_failures))
-        _activation_sweep(devices, t, config, draws)
+        stack.activated(_activation_sweep(devices, t, config, draws))
 
     return RunResult(config=config, records=records,
                      summary=metrics.summary(config.slots),
@@ -340,7 +463,13 @@ def run(config: ScenarioConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 class _CentralizedStack:
-    """Request phase, per-request split plan and type learning, priority schedule."""
+    """Request phase, per-request split plan and type learning, priority schedule.
+
+    The stack keeps what it reads per slot in per-device arrays and updates
+    them where they change: on activation (activated) and on the slot's
+    outcomes (feedback). A slot then ranks its RACH survivors with a few
+    array operations.
+    """
 
     def __init__(self, config: ScenarioConfig, devices: list[Device],
                  channel: ChannelModel):
@@ -351,57 +480,101 @@ class _CentralizedStack:
         self.rach = RachConfig(config.preambles, config.rach_exact)
         self.learner = TypeLearner(m1=config.m1, m2=config.m2,
                                    p_type1=config.type1_fraction)
-        # scheduler-side memory for the learning variant, reset on delivery
-        self.last_report: dict[int, tuple[int, object]] = {}
-        self.known_kind: dict[int, AgingKind | None] = {}
-        # per-device caches: the ML type, which moves only on observe, and the
-        # plan's first split per RBs left (nothing else it reads varies)
-        self.est_type: dict[int, object] = {}
-        self.first_split: dict[tuple[int, int], int] = {}
+        n = config.n_devices
+        # the pending message of each device (rbs_left 0 when idle)
+        self.gen_slot = np.zeros(n, dtype=np.int64)
+        self.exponential = np.zeros(n, dtype=bool)
+        self.rbs_left = np.zeros(n, dtype=np.int64)
+        self.true_type = np.array([d.dtype.type_id.value for d in devices],
+                                  dtype=np.int8)
+        # scheduler-side knowledge: the identified kind of the pending message
+        # (learning; reset on delivery) and the device type, which is the ML
+        # estimate under learning (it moves only on observe) and the true type
+        # under full information
+        self.known_kind = np.full(n, KIND_UNKNOWN, dtype=np.int8)
+        self.est_type = (self.true_type.copy() if self.variant is Variant.FULL_INFO
+                         else np.full(n, NO_TYPE, dtype=np.int8))
+        # slot (-1: none) and age of the last report of each unresolved message
+        self.last_slot = np.full(n, -1, dtype=np.int64)
+        self.last_age = np.zeros(n)
+        # first split of the plan per (device, RBs left), 0 until planned:
+        # nothing else the plan reads varies
+        self.first_split = np.zeros((n, config.n_rbs_max + 1), dtype=np.int64)
+        # this slot's grants: served ids in service order and their RB counts
+        self.served = self.taken = np.zeros(0, dtype=np.int64)
 
-    def allocate(self, t: int, active_ids: list[int], draws: SlotDraws):
+    def activated(self, hits: list[Device]) -> None:
+        ids = [d.id for d in hits]
+        self.gen_slot[ids] = [d.gen_slot for d in hits]
+        self.exponential[ids] = [d.aging is not _LINEAR for d in hits]
+        self.rbs_left[ids] = [d.n_remaining for d in hits]
+
+    def active_ids(self) -> np.ndarray:
+        """Ids of the devices with a pending message, ascending."""
+        return np.flatnonzero(self.rbs_left)
+
+    def allocate(self, t: int, active_ids: np.ndarray, draws: SlotDraws):
         config, variant = self.config, self.variant
-        full_info, learning = variant is Variant.FULL_INFO, variant is Variant.LEARNING
-        survivor_ids = rach_phase(active_ids, self.rach, draws.vec(t, _PH_RACH))
-        requests = []
-        for device_id in survivor_ids:
-            device = self.devices[device_id]
-            aoi = current_aoi(device, t)
-            split_key = (device_id, device.n_remaining)
-            rbs_needed = self.first_split.get(split_key)
-            if rbs_needed is None:
-                plan = plan_message(device.n_remaining, device.aging, self.channel,
-                                    device.id, config.n_rbs, t, device.gen_slot)
-                rbs_needed = self.first_split[split_key] = plan.splits[0]
-            request = UplinkRequest(device_id=device_id, current_aoi=aoi,
-                                    rbs_needed=rbs_needed)
-            if full_info:
-                request.true_kind = device.aging
-                request.est_type = device.dtype.type_id
-            elif learning:
-                kind = self.known_kind.get(device_id)
-                if kind is None:
-                    kind = identify_aging(aoi, self.last_report.get(device_id), t)
-                    if kind is not None:
-                        self.known_kind[device_id] = kind
-                        self.learner.observe(device_id, kind)
-                        self.est_type[device_id] = learn_type(self.learner,
-                                                              device_id)
-                self.last_report[device_id] = (t, aoi)
-                request.known_kind = kind
-                request.est_type = self.est_type.get(device_id)
-            requests.append(request)
+        survivors = rach_phase(active_ids, self.rach, draws.vec(t, _PH_RACH))
+        gen, exponential = self.gen_slot[survivors], self.exponential[survivors]
+        ages = aoi_array(exponential, t, gen)           # the reported ages
+        if variant is Variant.LEARNING:
+            kinds = self._identify(t, survivors, ages)
+        else:
+            kinds = exponential.astype(np.int8)     # true kinds (KINDS codes)
+        types = self.est_type[survivors]
+        # called through the module, where perfbench/tracer.py times it
+        keys = centralized.priority_key(ages, kinds, types, self.learner, variant,
+                                        config.beta)
+        served, first, end = schedule(survivors, keys, t + config.beta - 1 - gen,
+                                      tie_class(types, self.learner, variant),
+                                      self._rbs_needed(t, survivors), config.n_rbs)
+        self.served, self.taken = served, end - first
+        entries = tuple((i, frozenset(range(a, b))) for i, a, b
+                        in zip(served.tolist(), first.tolist(), end.tolist()))
+        return entries, len(active_ids) - len(survivors)
 
-        allocation = schedule(requests, self.learner, config.n_rbs, variant,
-                              config.beta)
-        entries = tuple((device_id, frozenset(rbs)) for device_id, rbs in allocation)
-        return entries, len(active_ids) - len(survivor_ids)
+    def _identify(self, t: int, survivors: np.ndarray, ages: np.ndarray) -> np.ndarray:
+        """Identify unresolved messages from their reports; the survivors' kinds."""
+        kinds = self.known_kind[survivors]
+        unresolved = kinds == KIND_UNKNOWN
+        if not unresolved.any():
+            return kinds
+        ids, reported = survivors[unresolved], ages[unresolved]
+        found = identify_aging(reported, self.last_slot[ids], self.last_age[ids], t)
+        kinds[unresolved] = found
+        self.last_slot[ids], self.last_age[ids] = t, reported
+        self.known_kind[ids] = found
+        new = found != KIND_UNKNOWN
+        found_ids = ids[new].tolist()
+        for i, code in zip(found_ids, found[new].tolist()):
+            self.learner.observe(i, KINDS[code])
+        self.est_type[found_ids] = [_TYPE1_CODE if learn_type(self.learner, i) is _TYPE1
+                                    else _TYPE2_CODE for i in found_ids]
+        return kinds
+
+    def _rbs_needed(self, t: int, survivors: np.ndarray) -> np.ndarray:
+        left = self.rbs_left[survivors]
+        needed = self.first_split[survivors, left]
+        if needed.all():
+            return needed
+        for j in np.flatnonzero(needed == 0).tolist():
+            i, n = int(survivors[j]), int(left[j])
+            plan = plan_message(n, KINDS[int(self.exponential[i])], self.channel, i,
+                                self.config.n_rbs, t, int(self.gen_slot[i]))
+            needed[j] = self.first_split[i, n] = plan.splits[0]
+        return needed
 
     def feedback(self, claimants, outcomes) -> None:
-        for device_id in outcomes:
-            if not self.devices[device_id].active:      # delivered this slot
-                self.last_report.pop(device_id, None)
-                self.known_kind.pop(device_id, None)
+        success = Outcome.SUCCESS
+        ok = np.array([outcomes[i] is success for i in self.served.tolist()],
+                      dtype=bool)
+        ids = self.served[ok]
+        left = self.rbs_left[ids] - self.taken[ok]
+        self.rbs_left[ids] = np.maximum(left, 0)
+        delivered = ids[left <= 0]
+        self.known_kind[delivered] = KIND_UNKNOWN
+        self.last_slot[delivered] = -1
 
     def trace(self) -> dict:
         return {"learner_counts": {k: tuple(v)
@@ -448,6 +621,12 @@ class _DistributedStack:
         self.f_value: dict[int, object] = {}
         self.is_active: list[bool] = []
         self.trace_unused: list[int] = []
+
+    def activated(self, hits: list[Device]) -> None:
+        pass                    # the game step reads the Device objects
+
+    def active_ids(self) -> list[int]:
+        return [d.id for d in self.devices if d.active]
 
     def allocate(self, t: int, active_ids: list[int], draws: SlotDraws):
         config = self.config

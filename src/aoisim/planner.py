@@ -25,43 +25,47 @@ class TransmissionPlan:
     expected_aoi: float
 
 
-def compositions(n: int, max_part: int):
-    """All ordered sequences of parts in 1..max_part summing to n."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in compositions(n - first, max_part):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=4096)
 def _best_split(n: int, snr: float, epsilon: float, max_part: int) -> tuple[tuple[int, ...], float]:
+    """Best composition of n into parts of at most max_part, and its cost.
+
+    The cost is the expected slot count, summed part by part from the first;
+    ties go to fewer slots, then to the lexicographically largest split (the
+    larger first part). Expected slots add up over parts, so this is rod
+    cutting: the best split of m ends in some part r after a best split of
+    m - r, and each m is settled once, in O(n * max_part).
+    """
     model = ChannelModel(mean_snr=snr, epsilon=epsilon)
-    best = None
-    best_key = None
-    for splits in compositions(n, max_part):
-        expected = 0.0
-        for r in splits:
-            p = outage_probability(model, -1, r)
-            if p >= 1.0:
-                expected = float("inf")
-                break
-            expected += 1.0 / (1.0 - p)
-        # ties: fewer slots first, then lexicographically largest first split
-        key = (expected, len(splits), tuple(-r for r in splits))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (splits, expected)
-    return best
+    part_cost = [0.0]
+    for r in range(1, min(n, max_part) + 1):
+        p = outage_probability(model, -1, r)
+        part_cost.append(float("inf") if p >= 1.0 else 1.0 / (1.0 - p))
+    cost, slots, last = [0.0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+
+    def unwind(m: int, tail: int) -> tuple[int, ...]:
+        parts = [tail]
+        while m:
+            parts.append(last[m])
+            m -= last[m]
+        return tuple(reversed(parts))
+
+    for m in range(1, n + 1):
+        for r in range(1, min(m, max_part) + 1):
+            candidate = (cost[m - r] + part_cost[r], slots[m - r] + 1)
+            if last[m]:
+                best = (cost[m], slots[m])
+                if candidate > best or (candidate == best and unwind(m - r, r)
+                                        < unwind(m - last[m], last[m])):
+                    continue
+            (cost[m], slots[m]), last[m] = candidate, r
+    return unwind(n - last[n], last[n]), cost[n]
 
 
 def plan_message(n_i: int, aging: AgingKind, model: ChannelModel, device_id: int,
                  R: int, tau: int, delta: int) -> TransmissionPlan:
     """Pick the composition of n_i minimizing the message age at expected completion.
 
-    Enumerates every composition of n_i into parts of at most R (the split
-    space is small for the n_i <= R regimes simulated here). Zero-RB slots
+    Searches every composition of n_i into parts of at most R. Zero-RB slots
     only postpone completion under a strictly increasing aging function, so
     they are never candidates.
     """

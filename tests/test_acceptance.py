@@ -1,9 +1,9 @@
 """End-to-end acceptance gate: one test per study claim, at full stated scale.
 
 Run with `pytest tests/test_acceptance.py -v` to get one pass/fail line per
-claim. The whole module takes roughly 20 minutes on one core; nearly all of
-it is the 150-run centralized ordering ensemble. Measured values are printed
-so a failing bar shows the numbers, not just the assertion.
+claim. The whole module takes about 6 minutes on a shared 2-core host; most
+of it is the 150-run centralized ordering ensemble. Measured values are
+printed so a failing bar shows the numbers, not just the assertion.
 """
 
 from __future__ import annotations

@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aoisim.aging import AgingKind
-from aoisim.centralized import (RachConfig, TypeLearner, UplinkRequest, Variant,
+from aoisim.aging import AgingKind, age_forward, aoi_array, aoi_value
+from aoisim.centralized import (KIND_EXPONENTIAL, KIND_LINEAR, KIND_UNKNOWN,
+                                NO_TYPE, RachConfig, TypeLearner, Variant,
                                 expected_future_aoi, identify_aging, learn_type,
                                 marginal_expected_future_aoi, priority_key,
-                                rach_collision_probability, rach_phase, schedule)
+                                rach_collision_probability, rach_phase, schedule,
+                                tie_class)
 from aoisim.devices import TypeId
+
+LIN, EXP, UNKNOWN = KIND_LINEAR, KIND_EXPONENTIAL, KIND_UNKNOWN
+T1, T2 = TypeId.TYPE1.value, TypeId.TYPE2.value
 
 
 # --- request channel ---------------------------------------------------------
@@ -25,15 +30,16 @@ def test_rach_thinning_is_per_device():
     survive_p = 1.0 - rach_collision_probability(3, 64)
     u = np.zeros(6)
     u[2] = survive_p + 1e-9   # only device 2 is unlucky
-    assert rach_phase(ids, config, u) == [0, 5]
-    assert rach_phase([], config, u) == []
+    assert rach_phase(ids, config, u).tolist() == [0, 5]
+    assert rach_phase(np.array(ids), config, u).tolist() == [0, 5]
+    assert rach_phase([], config, u).tolist() == []
 
 
 def test_rach_exact_mode_keeps_unique_preambles():
     config = RachConfig(preambles=4, exact_draws=True)
     # picks are floor(u * 4): devices 0 and 1 collide on preamble 2
     u = np.array([0.55, 0.6, 0.1])
-    assert rach_phase([0, 1, 2], config, u) == [2]
+    assert rach_phase([0, 1, 2], config, u).tolist() == [2]
 
 
 def test_rach_config_validation():
@@ -43,29 +49,76 @@ def test_rach_config_validation():
 
 # --- aging identification ----------------------------------------------------
 
+def ident(age, history, slot):
+    """identify_aging on one report; history is (slot, age) or None."""
+    prev_slot, prev_age = history if history is not None else (-1, 0)
+    code = identify_aging(np.array([age], dtype=np.float64), np.array([prev_slot]),
+                          np.array([prev_age], dtype=np.float64), slot)[0]
+    return None if code == UNKNOWN else (AgingKind.LINEAR, AgingKind.EXPONENTIAL)[code]
+
+
 def test_non_power_of_two_age_identifies_linear_instantly():
-    assert identify_aging(3, None, 10) is AgingKind.LINEAR
-    assert identify_aging(6, None, 10) is AgingKind.LINEAR
+    assert ident(3, None, 10) is AgingKind.LINEAR
+    assert ident(6, None, 10) is AgingKind.LINEAR
 
 
 def test_power_of_two_age_without_history_is_unknown():
     for age in (1, 2, 4, 8, 1 << 40):
-        assert identify_aging(age, None, 10) is None
+        assert ident(age, None, 10) is None
 
 
 def test_history_separates_additive_from_doubling():
     # age 2 then 4 one slot later fits doubling only
-    assert identify_aging(4, (9, 2), 10) is AgingKind.EXPONENTIAL
+    assert ident(4, (9, 2), 10) is AgingKind.EXPONENTIAL
     # age 2 then 4 two slots later fits addition only
-    assert identify_aging(4, (8, 2), 10) is AgingKind.LINEAR
+    assert ident(4, (8, 2), 10) is AgingKind.LINEAR
 
 
 def test_age_one_then_two_is_still_ambiguous():
-    assert identify_aging(2, (9, 1), 10) is None
+    assert ident(2, (9, 1), 10) is None
 
 
 def test_stale_history_is_ignored():
-    assert identify_aging(4, (10, 4), 10) is None
+    assert ident(4, (10, 4), 10) is None
+
+
+def _exact_identify(current_aoi, history, slot):
+    """The identification rule on exact integer ages (reference)."""
+    if current_aoi >= 1 and current_aoi & (current_aoi - 1):
+        return AgingKind.LINEAR
+    if history is None:
+        return None
+    prev_slot, prev_aoi = history
+    gap = slot - prev_slot
+    if gap <= 0:
+        return None
+    linear_fits = current_aoi == prev_aoi + gap
+    exponential_fits = current_aoi == prev_aoi * (1 << gap)
+    if linear_fits != exponential_fits:
+        return AgingKind.LINEAR if linear_fits else AgingKind.EXPONENTIAL
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(AgingKind)),
+                          st.integers(1, 1200), st.integers(0, 1100)),
+                min_size=1, max_size=25))
+def test_identification_matches_the_exact_integer_rule(reports):
+    # each message reports at slot t, k slots after generation, and earlier
+    # after k - gap slots (gap 0: no earlier report); ages reach past
+    # 2**1024, where the float64 reports read inf
+    t = 3000
+    exponential = np.array([kind is AgingKind.EXPONENTIAL for kind, _, _ in reports])
+    gen = np.array([t - k for _, k, _ in reports])
+    gaps = np.array([min(gap, k - 1) for _, k, gap in reports])
+    prev_slots = np.where(gaps > 0, t - gaps, -1)
+    prev_ages = np.where(gaps > 0, aoi_array(exponential, t - gaps, gen), 0.0)
+    kinds = identify_aging(aoi_array(exponential, t, gen), prev_slots, prev_ages, t)
+    for i, (kind, k, _) in enumerate(reports):
+        gap = int(gaps[i])
+        history = (t - gap, aoi_value(kind, t - gap, t - k)) if gap else None
+        want = _exact_identify(aoi_value(kind, t, t - k), history, t)
+        assert kinds[i] == (UNKNOWN if want is None else (LIN, EXP)[want is AgingKind.EXPONENTIAL])
 
 
 # --- type learning -----------------------------------------------------------
@@ -108,68 +161,132 @@ def test_marginal_priority_is_monotone_in_current_age(age, beta):
 
 # --- priority scheduling -----------------------------------------------------
 
-def req(device_id, aoi, rbs=1, **kw):
-    return UplinkRequest(device_id=device_id, current_aoi=aoi, rbs_needed=rbs, **kw)
+def key(age, kind=UNKNOWN, est=NO_TYPE, variant=Variant.LEARNING, beta=1,
+        learner=None):
+    keys = priority_key(np.array([age], dtype=np.float64), np.array([kind]),
+                        np.array([est]), learner or TypeLearner(), variant, beta)
+    return keys[0]
+
+
+def serve(rows, R, variant=Variant.FULL_INFO, beta=1, learner=None):
+    """Schedule rows of (device id, current age, RB demand, kind, type)."""
+    learner = learner or TypeLearner()
+    ids, ages, rbs, kinds, types = (np.array(col) for col in zip(*rows))
+    keys = priority_key(ages.astype(np.float64), kinds, types, learner,
+                        variant, beta)
+    return grants(schedule(ids, keys, np.zeros(len(ids), dtype=np.int64),
+                           tie_class(types, learner, variant), rbs, R))
+
+
+def grants(scheduled):
+    """schedule's arrays as (device id, RB indices) pairs in service order."""
+    served, first, end = scheduled
+    return [(i, tuple(range(a, b)))
+            for i, a, b in zip(served.tolist(), first.tolist(), end.tolist())]
 
 
 def test_full_info_priority_is_exact_future_age():
-    learner = TypeLearner()
-    r = req(0, 6, true_kind=AgingKind.EXPONENTIAL)
-    assert priority_key(r, learner, Variant.FULL_INFO) == 12
-    r = req(0, 6, true_kind=AgingKind.LINEAR)
-    assert priority_key(r, learner, Variant.FULL_INFO, beta=2) == 8
+    assert key(6, EXP, T2, Variant.FULL_INFO) == 12
+    assert key(6, LIN, T1, Variant.FULL_INFO, beta=2) == 8
 
 
 def test_learning_priority_prefers_identified_kind():
-    learner = TypeLearner()
-    r = req(0, 4, known_kind=AgingKind.EXPONENTIAL)
-    assert priority_key(r, learner, Variant.LEARNING) == 8
-    r = req(0, 4)                       # nothing identified, no observations
-    assert priority_key(r, learner, Variant.LEARNING) == \
-        pytest.approx(marginal_expected_future_aoi(4, 0.75, 0.75, 0.6))
+    assert key(4, EXP) == 8
+    # nothing identified, no observations
+    assert key(4) == pytest.approx(marginal_expected_future_aoi(4, 0.75, 0.75, 0.6))
 
 
 def test_learning_priority_uses_the_estimated_type():
-    # an unresolved message is priced under the request's learned type
-    learner = TypeLearner()
+    # an unresolved message is priced under the device's learned type
     for est in (TypeId.TYPE1, TypeId.TYPE2):
-        r = req(0, 4, est_type=est)
-        assert priority_key(r, learner, Variant.LEARNING, beta=2) == \
+        assert key(4, UNKNOWN, est.value, beta=2) == \
             pytest.approx(expected_future_aoi(4, est, 0.75, 0.75, 2))
 
 
+def _scalar_key(age, kind, est, learner, variant, beta):
+    """The priority rule on one exact (big) integer age, in Python arithmetic."""
+    m1, m2, p1 = learner.m1, learner.m2, learner.p_type1
+    if variant is Variant.NO_LEARNING:
+        return marginal_expected_future_aoi(age, m1, m2, p1, beta)
+    if kind != UNKNOWN:
+        kinds = (AgingKind.LINEAR, AgingKind.EXPONENTIAL)
+        return age_forward(kinds[kind], age, beta)
+    if est == NO_TYPE:
+        return marginal_expected_future_aoi(age, m1, m2, p1, beta)
+    return expected_future_aoi(age, TypeId(est), m1, m2, beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 1015), st.booleans(),
+                          st.sampled_from([UNKNOWN, LIN, EXP]),
+                          st.sampled_from([NO_TYPE, T1, T2])),
+                min_size=1, max_size=20),
+       st.sampled_from(list(Variant)), st.integers(1, 4),
+       st.sampled_from([0.0, 0.3, 0.6, 1.0]))
+def test_array_keys_equal_exact_scalar_keys(rows, variant, beta, p_type1):
+    # ages up to 2**1014 and future ages below 2**1024: every float64 key
+    # is bit for bit the Python value of the same rule on exact integers
+    learner = TypeLearner(m1=0.8, m2=0.7, p_type1=p_type1)
+    t = 2000
+    gen = np.array([t - k for k, _, _, _ in rows])
+    exponential = np.array([exp for _, exp, _, _ in rows])
+    kinds = np.array([LIN + exp if variant is Variant.FULL_INFO else kind
+                      for _, exp, kind, _ in rows])
+    types = np.array([est for _, _, _, est in rows])
+    if variant is Variant.FULL_INFO:
+        types = np.where(types == NO_TYPE, T1, types)
+    keys = priority_key(aoi_array(exponential, t, gen), kinds, types, learner,
+                        variant, beta)
+    for i, (k, exp, _, _) in enumerate(rows):
+        age = aoi_value(AgingKind.EXPONENTIAL if exp else AgingKind.LINEAR, t, t - k)
+        want = _scalar_key(age, kinds[i], types[i], learner, variant, beta)
+        assert keys[i] == want and float(keys[i]) == float(want)
+
+
+@pytest.mark.parametrize("p_type1", [0.0, 1.0])
+def test_keys_are_never_nan_at_a_pure_type_mix(p_type1):
+    # a saturated age under a zero-share type once gave 0.0 * inf
+    learner = TypeLearner(m1=0.75, m2=0.9, p_type1=p_type1)
+    ages = np.array([np.inf, 1e300, 3.0, np.inf, np.inf, 2.0 ** 1023])
+    kinds = np.array([UNKNOWN, UNKNOWN, UNKNOWN, EXP, LIN, UNKNOWN])
+    types = np.array([NO_TYPE, T1, T2, T2, T1, T2])
+    for variant in Variant:
+        keys = priority_key(ages, kinds, types, learner, variant, beta=2)
+        assert not np.isnan(keys).any(), variant
+        assert keys[0] == np.inf and keys[2] > 3.0
+
+
+def test_saturated_keys_rank_by_exponent():
+    # two keys past 2**1024 both read inf; the exponent keeps their order,
+    # and a finite key never borrows it
+    allocation = grants(schedule(np.array([0, 1, 2, 3]),
+                                 np.array([np.inf, np.inf, 5.0, 5.0]),
+                                 np.array([1100, 1300, 99, 1]),
+                                 np.array([0, 1, 1, 0]), np.ones(4, dtype=np.int64), 4))
+    assert [d for d, _ in allocation] == [1, 0, 3, 2]
+
+
 def test_schedule_orders_by_descending_future_age():
-    learner = TypeLearner()
-    requests = [req(0, 2, true_kind=AgingKind.LINEAR, est_type=TypeId.TYPE1),
-                req(1, 2, true_kind=AgingKind.EXPONENTIAL, est_type=TypeId.TYPE2),
-                req(2, 9, true_kind=AgingKind.LINEAR, est_type=TypeId.TYPE1)]
-    allocation = schedule(requests, learner, 2, Variant.FULL_INFO)
+    allocation = serve([(0, 2, 1, LIN, T1), (1, 2, 1, EXP, T2),
+                        (2, 9, 1, LIN, T1)], 2)
     assert [d for d, _ in allocation] == [2, 1]
     assert allocation[0][1] == (0,) and allocation[1][1] == (1,)
 
 
 def test_schedule_tie_breaks_faster_type_then_id():
-    learner = TypeLearner()
     # linear age 3 and exponential age 2 share future age 4
-    requests = [req(0, 3, true_kind=AgingKind.LINEAR, est_type=TypeId.TYPE1),
-                req(7, 2, true_kind=AgingKind.EXPONENTIAL, est_type=TypeId.TYPE2),
-                req(4, 3, true_kind=AgingKind.LINEAR, est_type=TypeId.TYPE1)]
-    allocation = schedule(requests, learner, 3, Variant.FULL_INFO)
+    allocation = serve([(0, 3, 1, LIN, T1), (7, 2, 1, EXP, T2),
+                        (4, 3, 1, LIN, T1)], 3)
     assert [d for d, _ in allocation] == [7, 0, 4]
 
 
 def test_schedule_grants_partial_demand_at_the_boundary():
-    learner = TypeLearner()
-    requests = [req(0, 9, rbs=3, true_kind=AgingKind.LINEAR),
-                req(1, 5, rbs=3, true_kind=AgingKind.LINEAR)]
-    allocation = schedule(requests, learner, 4, Variant.FULL_INFO)
+    allocation = serve([(0, 9, 3, LIN, T1), (1, 5, 3, LIN, T1)], 4)
     assert allocation == [(0, (0, 1, 2)), (1, (3,))]
 
 
 def test_schedule_stops_when_rbs_run_out():
-    learner = TypeLearner()
-    requests = [req(i, 10 - i, rbs=2, true_kind=AgingKind.LINEAR) for i in range(5)]
-    allocation = schedule(requests, learner, 4, Variant.FULL_INFO)
+    allocation = serve([(i, 10 - i, 2, LIN, T1) for i in range(5)], 4)
     assert [d for d, _ in allocation] == [0, 1]
 
 
@@ -179,15 +296,10 @@ def test_schedule_stops_when_rbs_run_out():
                 min_size=1, max_size=12),
        st.sampled_from(list(Variant)), st.integers(1, 3))
 def test_schedule_never_double_books_an_rb(entries, variant, beta):
-    learner = TypeLearner()
-    requests = []
-    for i, (aoi, rbs, exp_kind, t2) in enumerate(entries):
-        kind = AgingKind.EXPONENTIAL if exp_kind else AgingKind.LINEAR
-        requests.append(req(i, aoi, rbs=rbs, true_kind=kind,
-                            known_kind=kind if variant is Variant.LEARNING else None,
-                            est_type=TypeId.TYPE2 if t2 else TypeId.TYPE1))
+    rows = [(i, aoi, rbs, EXP if exp_kind else LIN, T2 if t2 else T1)
+            for i, (aoi, rbs, exp_kind, t2) in enumerate(entries)]
     R = 6
-    allocation = schedule(requests, learner, R, variant, beta)
+    allocation = serve(rows, R, variant, beta)
     used = [rb for _, rbs in allocation for rb in rbs]
     assert len(used) == len(set(used))
     assert len(used) <= R

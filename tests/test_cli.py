@@ -3,8 +3,8 @@ import json
 import pytest
 
 from aoisim.cli import (RECORD_COLUMNS, SUMMARY_COLUMNS, build_config, main,
-                        parse_config_file)
-from aoisim.engine import ConfigError, Mode
+                        parse_config_file, write_run_csv)
+from aoisim.engine import ConfigError, Mode, run
 from aoisim.presets import preset_names
 
 
@@ -78,6 +78,40 @@ def test_run_exit_codes():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--format", "xml"])
     assert exc.value.code == 1
+
+
+STARVATION = ["--set", "mode=distributed_sca", "--set", "n_devices=12",
+              "--set", "n_rbs=1", "--set", "slots=1500", "--set", "seed=11",
+              "--set", "v_a=1.0", "--set", "r_c=15.0"]
+
+
+def test_run_warns_when_nothing_is_delivered(tmp_path, capsys):
+    # the starvation_full golden config livelocks: every slot collides
+    out = tmp_path / "starved.csv"
+    assert main(["run", *STARVATION, "--quiet", "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["aoisim: warning: distributed_sca: no deliveries in 1500 slots"]
+    # the warning goes to stderr only: the file is what the writer alone gives
+    again = tmp_path / "again.csv"
+    write_run_csv(run(build_config(dict(a.split("=") for a in STARVATION[1::2]))),
+                  str(again))
+    assert out.read_bytes() == again.read_bytes()
+
+
+def test_normal_run_prints_no_warning(tmp_path, capsys):
+    assert main(run_argv("--out", str(tmp_path / "run.csv"))) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_warns_once_per_silent_config(tmp_path, capsys):
+    code = main(["sweep", "--set", "n_devices=8", "--set", "n_rbs=4",
+                 "--set", "slots=30", "--parameter", "v_a",
+                 "--values", "0.0,0.6", "--replicates", "2",
+                 "--out", str(tmp_path / "sweep.csv"), "--quiet"])
+    assert code == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "aoisim: warning: v_a=0.0 replicate 0: no deliveries in 30 slots",
+        "aoisim: warning: v_a=0.0 replicate 1: no deliveries in 30 slots"]
 
 
 def test_seed_and_slots_flags_override(tmp_path):

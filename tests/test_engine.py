@@ -3,11 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from aoisim import engine
+from aoisim.aging import AgingKind
+from aoisim.centralized import KIND_UNKNOWN
 from aoisim.devices import activate, make_devices
 from aoisim.distributed import kappa, kth_largest
 from aoisim.engine import (ConfigError, Mode, ScenarioConfig, SlotDraws,
                            _clipped_float, _DistributedStack, _transmitters,
                            replicate_seed, run, sweep_iter)
+from test_goldens import CASES, case_config
 
 
 def small(**kw):
@@ -61,6 +65,81 @@ def test_slot_draws_are_pure():
     assert (d.vec(10, 1) == d.vec(10, 1)).all()
     assert (d.vec(10, 1) != d.vec(10, 2)).any()
     assert (d.vec(10, 1) != d.vec(11, 1)).any()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+def test_bulk_seed_words_equal_the_seed_sequence(seed):
+    # blocks of 10 slots here: slots 9/10 and 19/20 straddle a boundary, and
+    # slot 3 after 21 refills an earlier block; 2**32 - 1 and 2**32 differ
+    # in word count, so they never share a block
+    draws = SlotDraws(seed, 7, slots=9)
+    for slot in (0, 1, 9, 10, 11, 19, 20, 21, 3, 2**32 - 1, 2**32):
+        for phase in range(8):
+            ss = np.random.SeedSequence([seed, slot, phase])
+            assert (draws.state(slot, phase)
+                    == ss.generate_state(4, np.uint64)).all(), (slot, phase)
+            assert (draws.vec(slot, phase)
+                    == np.random.default_rng(ss).random(7)).all(), (slot, phase)
+
+
+def test_seed_words_come_in_bounded_blocks():
+    assert SlotDraws(5, 3, slots=1)._block == 2
+    assert SlotDraws(5, 3, slots=10_000)._block == 256
+    draws = SlotDraws(5, 3, slots=10_000)
+    draws.vec(700, 0)
+    assert draws._states.shape == (256 * 8, 4)
+
+
+def _check_stack_arrays(stack):
+    """The centralized stack's arrays agree with the Device objects."""
+    devices = stack.devices
+    pending = [d for d in devices if d.active]
+    active = np.array([d.active for d in devices])
+    assert stack.rbs_left.tolist() == [d.n_remaining for d in devices]
+    assert stack.true_type.tolist() == [d.dtype.type_id.value for d in devices]
+    assert stack.gen_slot[active].tolist() == [d.gen_slot for d in pending]
+    assert stack.exponential[active].tolist() == [
+        d.aging is AgingKind.EXPONENTIAL for d in pending]
+    # what the scheduler learned about a message goes with its delivery
+    assert (stack.known_kind[~active] == KIND_UNKNOWN).all()
+    assert (stack.last_slot[~active] == -1).all()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("central")))
+def test_centralized_arrays_match_the_devices_every_slot(name, monkeypatch):
+    stack_cls = engine._CentralizedStack
+    allocate, feedback = stack_cls.allocate, stack_cls.feedback
+    slots = []
+
+    def checked_allocate(self, t, active_ids, draws):
+        _check_stack_arrays(self)            # after the activation sweep
+        assert active_ids.tolist() == [d.id for d in self.devices if d.active]
+        slots.append(t)
+        return allocate(self, t, active_ids, draws)
+
+    def checked_feedback(self, claimants, outcomes):
+        feedback(self, claimants, outcomes)
+        _check_stack_arrays(self)            # after the slot's outcomes
+
+    monkeypatch.setattr(stack_cls, "allocate", checked_allocate)
+    monkeypatch.setattr(stack_cls, "feedback", checked_feedback)
+    config = case_config(name)
+    run(config)
+    assert slots == list(range(1, config.slots + 1))
+
+
+@pytest.mark.parametrize("mode", [Mode.CENTRALIZED_LEARNING,
+                                  Mode.CENTRALIZED_NO_LEARNING])
+def test_centralized_runs_past_float_range(mode):
+    # 400 devices on one RB and 64 preambles: requests rarely survive, so
+    # in-flight ages pass 2**1024 (this once raised OverflowError)
+    config = ScenarioConfig(mode=mode, n_devices=400, n_rbs=1, v_a=1.0,
+                            preambles=64, type1_fraction=0.0, m2=0.9,
+                            slots=1500, seed=11)
+    result = run(config)
+    assert len(result.records) == 1500
+    assert result.summary.deliveries > 0
+    assert all(0.0 <= r.service_rate <= 1.0 for r in result.records)
 
 
 def test_modes_coincide_when_the_scheduler_never_binds():

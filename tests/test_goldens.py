@@ -11,6 +11,11 @@ and the exponential ones tie forever; the staggered runs (v_a=0.5) hold
 messages of different generation slots beyond float range at once, which
 pins that the full-range threshold compares exact integers (they differ)
 while the partial-range threshold compares floats saturated to inf (they tie).
+
+central_full_info_beyond_float does the same for the centralized scheduler:
+400 devices share one RB and 64 preambles, so requests rarely survive and
+in-flight keys reach 2**1492. Its messages start in different slots, so it
+pins that keys past float range still rank by their exact age.
 """
 
 from __future__ import annotations
@@ -32,10 +37,16 @@ CASES = {
     "central_hetero_window": dict(mode=Mode.CENTRALIZED_LEARNING,
                                   heterogeneous_power=True, n_rbs_min=2,
                                   n_rbs_max=4, v_a=0.6),
+    "central_full_info_beyond_float":
+        "02f59a925a9eeb78b6e0686ea2010303c6e458c24e9bcc0c158d5ddfbbaaf924",
     "central_full_info_window": dict(mode=Mode.CENTRALIZED_FULL_INFO,
                                      n_rbs_min=2, n_rbs_max=4, epsilon=2.0),
     "central_beta2": dict(mode=Mode.CENTRALIZED_LEARNING, beta=2, v_a=0.7),
     "central_trace": dict(mode=Mode.CENTRALIZED_LEARNING, trace=True, v_a=0.7),
+    "central_full_info_beyond_float": dict(mode=Mode.CENTRALIZED_FULL_INFO,
+                                           n_devices=400, n_rbs=1, v_a=0.5,
+                                           preambles=64, type1_fraction=0.0,
+                                           m2=0.9, slots=1500),
     "sca_full": dict(mode=Mode.DISTRIBUTED_SCA, r_c=15.0),
     "sca_partial": dict(mode=Mode.DISTRIBUTED_SCA, r_c=4.0, v_a=0.7),
     "sca_partial_beta2": dict(mode=Mode.DISTRIBUTED_SCA, r_c=4.0, beta=2),
@@ -60,6 +71,8 @@ GOLDEN = {
         "16dc3e2f847e739d914e3fded76fb60faa5e843d17f0da37b4bd5140eb0ff18a",
     "central_full_info":
         "7a7062958f77bb29504faf6abc2cecd38d2e8beb729c4efd54cd048cff03fc49",
+    "central_full_info_beyond_float":
+        "02f59a925a9eeb78b6e0686ea2010303c6e458c24e9bcc0c158d5ddfbbaaf924",
     "central_full_info_window":
         "7a58d91158c3f839f1e8539230ad155f7c3c0b150dad4210b8befda83e99ae51",
     "central_hetero_window":

@@ -1,11 +1,43 @@
+import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aoisim.aging import AgingKind
 from aoisim.channel import ChannelModel, outage_probability
-from aoisim.planner import TransmissionPlan, compositions, plan_message
+from aoisim.engine import Mode, ScenarioConfig, run
+from aoisim.planner import TransmissionPlan, _best_split, plan_message
+
+
+def compositions(n: int, max_part: int):
+    """All ordered sequences of parts in 1..max_part summing to n."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in compositions(n - first, max_part):
+            yield (first,) + rest
+
+
+def brute_force_split(n, snr, epsilon, max_part):
+    """Every composition, costed part by part; ties to fewer slots, then the
+    lexicographically largest split."""
+    model = ChannelModel(mean_snr=snr, epsilon=epsilon)
+    best = best_key = None
+    for splits in compositions(n, max_part):
+        expected = 0.0
+        for r in splits:
+            p = outage_probability(model, -1, r)
+            if p >= 1.0:
+                expected = math.inf
+                break
+            expected += 1.0 / (1.0 - p)
+        key = (expected, len(splits), tuple(-r for r in splits))
+        if best_key is None or key < best_key:
+            best_key, best = key, (splits, expected)
+    return best
 
 
 def expected_slots_of(splits, model):
@@ -76,3 +108,28 @@ def test_plan_beats_every_other_composition(n, epsilon, snr):
     assert sum(plan.splits) == n
     best = min(expected_slots_of(s, model) for s in compositions(n, 50))
     assert plan.expected_slots == pytest.approx(best, rel=1e-12)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0])
+def test_split_equals_the_brute_force_optimum(epsilon):
+    # same split and same float cost, ties included, for n <= 12
+    for snr, n in itertools.product((2.0, 10.0, 100.0, 1000.0), range(1, 13)):
+        for max_part in sorted({n, 3}):
+            assert _best_split.__wrapped__(n, snr, epsilon, max_part) == \
+                brute_force_split(n, snr, epsilon, max_part), (snr, n, max_part)
+
+
+def test_unusable_parts_fall_back_to_the_fewest_slots():
+    # every part is certain to fail: the cost is inf whatever the split
+    assert _best_split.__wrapped__(5, 1.0, 1e6, 3) == brute_force_split(5, 1.0, 1e6, 3)
+
+
+def test_wide_messages_plan_in_bounded_time():
+    # 50-RB messages have 2**49 compositions; the planner must not enumerate them
+    config = ScenarioConfig(mode=Mode.CENTRALIZED_LEARNING, n_devices=20,
+                            n_rbs=50, n_rbs_min=50, n_rbs_max=50, slots=3,
+                            v_a=1.0, epsilon=5.0, seed=4)
+    start = time.perf_counter()
+    result = run(config)
+    assert time.perf_counter() - start < 2.0
+    assert len(result.records) == 3
