@@ -274,7 +274,10 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_all(slots=args.slots or 10_000, runs=args.runs, seed=args.seed
+    slots = 10_000 if args.slots is None else args.slots
+    if args.runs < 1 or slots < 1:
+        raise ConfigError("verify needs --runs >= 1 and --slots >= 1")
+    results = run_all(slots=slots, runs=args.runs, seed=args.seed
                       if args.seed is not None else 2026)
     failed = False
     for res in results:

@@ -15,7 +15,6 @@ last payoff enters as the success/failure signal of its last transmission.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -39,91 +38,131 @@ class GameParams:
             raise ValueError("zeta must be positive and r_c nonnegative")
 
 
-def kth_largest(values, k):
+def kth_largest(values, k, known=None):
     """k-th largest element (1-based); k beyond the list returns the minimum.
 
-    A sequence is sorted as given, so exact integer ages stay exact. A 2-D
-    array with one k per row gives the k-th largest of every row from a
-    single sort (the per-device float thresholds).
+    A sequence is sorted as given, so exact integer ages stay exact. With a
+    bool matrix known, one row per deciding device and one column per value,
+    gives every row the k-th largest of the values it marks, one k per row
+    (the per-device float thresholds); each row marks at least one value.
     """
-    if isinstance(values, np.ndarray) and values.ndim == 2:
-        n = values.shape[1]
-        k = np.minimum(k, n)
-        return np.sort(values, axis=1)[np.arange(len(values)), n - k]
-    return sorted(values, reverse=True)[min(k, len(values)) - 1]
+    if known is None:
+        return sorted(values, reverse=True)[min(k, len(values)) - 1]
+    values = np.asarray(values)
+    order = np.argsort(values)[::-1]
+    # how many marked values each row has seen, walking down from the largest
+    seen = np.cumsum(known[:, order], axis=1)
+    k = np.minimum(k, seen[:, -1])
+    return values[order][np.argmax(seen >= k[:, None], axis=1)]
 
 
-def kappa(n_known: int, n_active: int, R: int, N: int, v_a: float,
-          zeta: float) -> int:
+def kappa(n_known, n_active: int, R: int, N: int, v_a: float, zeta: float):
     """How many of the n_known future ages a device knows may transmit.
 
     A device that knows every one of the n_active active devices (full
     information) admits R transmitters. Otherwise it scales R by its share of
     the estimated active population N*v_a*zeta, rounding up. The result is
     clamped to [1, n_known]; a device transmits when its own future age
-    reaches the kappa-th largest known one, so ties transmit.
+    reaches the kappa-th largest known one, so ties transmit. Elementwise
+    over arrays of counts, one per deciding device.
     """
-    if n_known < 1:
+    n_known = np.asarray(n_known)
+    if (n_known < 1).any():
         raise ValueError("the known ages must include the deciding device itself")
-    if n_known == n_active:
-        k = R
+    # v_a = 0 expects nobody active, so a device admits everyone it knows
+    with np.errstate(divide="ignore"):
+        k = np.where(n_known == n_active, R, np.ceil(R * n_known / (N * v_a * zeta)))
+    return np.minimum(np.maximum(k, 1), n_known).astype(np.int64)
+
+
+def sca_step(prev_action, prev_failed, crowd_seen, unused, keep_u, pick_u,
+             R: int) -> np.ndarray:
+    """Crowd-avoidance RB choices of the devices that transmit this slot.
+
+    One array entry per device: its last RB (0 when silent), whether that
+    transmission failed and the crowd it saw on that RB last slot. Row r of
+    the bool matrix unused marks the RBs device r sensed unused last slot
+    (column c is RB c+1); a single row serves every device. A device
+    repeats an RB that just worked. After a failure it stays with
+    probability one over the crowd it saw (crowd_seen, itself included); a
+    failure implies at least one other claimant (or an outage it cannot
+    distinguish), so the crowd is taken as at least 2 even when nobody else
+    was visible. Otherwise, and for devices that did not transmit last slot,
+    the choice is uniform over the RBs it sensed unused, falling back to
+    uniform over all R when every RB was busy. keep_u decides the stay coin
+    and pick_u the fresh pick; both are uniforms in [0,1) supplied by the
+    caller.
+    """
+    prev_action = np.asarray(prev_action)
+    stay = (prev_action >= 1) & ~(np.asarray(prev_failed, dtype=bool)
+                                  & (keep_u >= 1.0 / np.maximum(2, crowd_seen)))
+    # the fresh pick is the floor(pick_u * n_unused)-th unused RB
+    ranks = np.cumsum(unused, axis=1)
+    n_unused = ranks[:, -1]
+    nth = (pick_u * n_unused).astype(np.int64)
+    fresh = np.argmax(ranks > nth[:, None], axis=1) + 1
+    busy = n_unused == 0
+    if busy.any():
+        fresh = np.where(busy, random_selection(R, pick_u), fresh)
+    return np.where(stay, prev_action, fresh)
+
+
+def delegate_target(candidates, ages, exponents, u) -> np.ndarray:
+    """Pick, per freed RB, the neighbor inheriting it, weighted by future age.
+
+    Row r of the bool matrix candidates marks the active neighbors of the
+    r-th delegator; the columns are devices in ascending id order, with
+    their future ages as float64 (``aging.aoi_array``: inf past 2**1024) and
+    the log2 of each age, which is consulted only where the age saturated.
+    u holds one uniform in [0,1) per delegator (inverse-CDF sampling).
+    Returns the chosen column of every row, -1 for a row without candidates.
+
+    A candidate weighs f/top, top the row's largest age, so that exact
+    big-integer ages cannot overflow the sum; past float range the top is a
+    power of two and the weights come from exponent arithmetic, equal to the
+    exact quotients. Candidates whose ages are all zero weigh the same. The
+    weights accumulate in column order.
+    """
+    candidates = np.asarray(candidates, dtype=bool)
+    if not candidates.shape[1]:
+        return np.full(len(candidates), -1)
+    ages = np.asarray(ages, dtype=np.float64)
+    known = np.where(candidates, ages, 0.0)
+    top = known.max(axis=1)
+    regular = (top > 0) & (top < np.inf)
+    if regular.all():
+        weights = known / top[:, None]
     else:
-        k = math.ceil(R * n_known / (N * v_a * zeta))
-    return max(1, min(n_known, k))
+        weights = known / np.where(regular, top, 1.0)[:, None]
+        saturated = top == np.inf
+        if saturated.any():
+            big = np.isinf(ages)
+            exponents = np.where(big, exponents, 0)
+            rows = candidates[saturated]
+            top_exponent = np.where(rows & big, exponents, 0).max(axis=1)
+            # only non-candidates can sit above a row's top exponent; the
+            # clamp keeps their (discarded) ldexp finite
+            shift = np.minimum(exponents - top_exponent[:, None], 0)
+            weights[saturated] = np.where(rows, np.ldexp(np.where(big, 1.0, ages), shift),
+                                          0.0)
+        flat = top <= 0
+        weights[flat] = candidates[flat]
+    cumulative = np.cumsum(weights, axis=1)
+    # u < 1 keeps u * total below the total (a float product rounds no
+    # higher), so some candidate's running sum passes the threshold; a row
+    # without candidates has a total of 0
+    total = cumulative[:, -1]
+    picks = np.argmax(cumulative > (u * total)[:, None], axis=1)
+    return np.where(total > 0, picks, -1)
 
 
-def sca_step(prev_action: int, prev_failed: bool, crowd_seen: int,
-             unused_sorted, keep_u: float, pick_u: float, R: int) -> int:
-    """Crowd-avoidance RB choice for a device that transmits this slot.
-
-    Repeats an RB that just worked. After a failure the device stays with
-    probability one over the crowd it saw on that RB last slot (crowd_seen,
-    itself included); a failure implies at least one other claimant (or an
-    outage it cannot distinguish), so the crowd is taken as at least 2 even
-    when nobody else was visible. Otherwise, and for devices that did not
-    transmit last slot, the choice is uniform over unused_sorted, the RBs it
-    sensed unused last slot in ascending order, falling back to uniform over
-    all R when every RB was busy. keep_u decides the stay coin and pick_u
-    the fresh pick; both are uniforms in [0,1) supplied by the caller.
-    """
-    if prev_action >= 1:
-        if not prev_failed:
-            return prev_action
-        if keep_u < 1.0 / max(2, crowd_seen):
-            return prev_action
-    if unused_sorted:
-        return unused_sorted[int(pick_u * len(unused_sorted))]
-    return random_selection(R, pick_u)
-
-
-def delegate_target(active_neighbor_ids, neighbor_f_values,
-                    u: float) -> int | None:
-    """Pick the neighbor inheriting a freed RB, weighted by future age.
-
-    u is a uniform in [0,1) supplied by the caller (inverse-CDF sampling).
-    """
-    if not active_neighbor_ids:
-        return None
-    # scale by the max so exact big-integer ages cannot overflow a float sum
-    top = max(neighbor_f_values)
-    if top <= 0:
-        return active_neighbor_ids[int(u * len(active_neighbor_ids))]
-    weights = [f / top for f in neighbor_f_values]
-    threshold = u * sum(weights)
-    acc = 0.0
-    for device_id, w in zip(active_neighbor_ids, weights):
-        acc += w
-        if threshold < acc:
-            return device_id
-    return active_neighbor_ids[-1]
-
-
-def random_selection(R: int, u: float) -> int:
+def random_selection(R: int, u):
     """Uniform RB pick for a device that decided to transmit.
 
-    u is a uniform in [0,1); the pick is its quantile in {1..R}.
+    u is a uniform in [0,1); the pick is its quantile in {1..R}. Elementwise
+    over an array of uniforms.
     """
-    return 1 + int(u * R)
+    return 1 + np.multiply(u, R).astype(np.int64)
 
 
 def predetermined_actions(f_values, active, R: int, full_info: bool = True) -> list[int]:

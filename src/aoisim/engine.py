@@ -27,14 +27,15 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import centralized
-from .aging import AgingKind, aoi_array
+from .aging import AgingKind, aoi_array, aoi_value
 from .centralized import (KIND_UNKNOWN, KINDS, NO_TYPE, RachConfig,
                           TypeLearner, Variant, identify_aging, learn_type,
                           rach_phase, schedule, tie_class)
 from .channel import (ChannelModel, Outcome, RbAssignment, resolve_slot,
                       sample_heterogeneous_snr, snr_db_to_linear)
-# current_aoi is not called here; it stays bound for perfbench/tracer.py,
-# which hooks it among the device-layer names of this module
+# current_aoi and future_aoi are not called here; they stay bound for
+# perfbench/tracer.py, which hooks them among the device-layer names of this
+# module
 from .devices import (Device, TypeId, activate, current_aoi,  # noqa: F401
                       deliver_success, future_aoi, make_devices)
 from .distributed import (delegate_target, kappa, kth_largest,
@@ -596,16 +597,15 @@ def _neighbor_matrix(devices: list[Device], r_c: float) -> np.ndarray | None:
     return d2 <= r_c * r_c
 
 
-def _clipped_float(value) -> float:
-    """Exact ages beyond float range saturate to inf; ordering is preserved."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
-
-
 class _DistributedStack:
-    """Minority-game transmit rule with SCA or random RB picks, or the rank map."""
+    """Minority-game transmit rule with SCA or random RB picks, or the rank map.
+
+    Each slot reads the active devices' pending messages from the Device
+    objects; their future ages become float64 arrays when a decision needs
+    them, and each device's last RB and whether it failed are arrays that
+    feedback writes. A slot's decisions are then a few array operations
+    over the active devices.
+    """
 
     def __init__(self, config: ScenarioConfig, devices: list[Device]):
         self.config = config
@@ -613,143 +613,183 @@ class _DistributedStack:
         # the rank-to-RB baseline is defined only under full information
         self.neighbors = None if config.mode is Mode.DISTRIBUTED_PREDETERMINED \
             else _neighbor_matrix(devices, config.r_c)
-        self.visible = None     # neighbors that are active this slot
         n = config.n_devices
-        self.last_action = [0] * n          # 0 = did not transmit
-        self.last_failed = [False] * n
-        self.actions: dict[int, int] = {}
-        self.f_value: dict[int, object] = {}
-        self.is_active: list[bool] = []
+        # full information: the threshold rank for every possible number of
+        # active devices, each of which knows them all
+        counts = np.arange(1, n + 1)
+        self.shared_kappa = (kappa(counts, counts, config.n_rbs, n, config.v_a,
+                                   config.zeta) if self.neighbors is None else None)
+        self.last_action = np.zeros(n, dtype=np.int64)     # 0 = did not transmit
+        self.last_failed = np.zeros(n, dtype=bool)
+        self.actions = np.zeros(n, dtype=np.int64)
+        # this slot's active ids and the generation slots and aging kinds of
+        # their messages; _float_ages keeps their future ages in ages_cache
+        self.t = 0
+        self.ids = np.zeros(0, dtype=np.int64)
+        self.gen: list[int] = []
+        self.kinds: list[AgingKind] = []
+        self.ages_cache = None
         self.trace_unused: list[int] = []
 
     def activated(self, hits: list[Device]) -> None:
-        pass                    # the game step reads the Device objects
+        pass                    # allocate reads the Device objects
 
-    def active_ids(self) -> list[int]:
-        return [d.id for d in self.devices if d.active]
+    def active_ids(self) -> np.ndarray:
+        """Ids of the devices with a pending message, ascending."""
+        return np.array([d.id for d in self.devices if d.active], dtype=np.int64)
 
-    def allocate(self, t: int, active_ids: list[int], draws: SlotDraws):
-        config = self.config
-        self.is_active = [d.active for d in self.devices]
-        if self.neighbors is not None:
-            self.visible = self.neighbors & np.array(self.is_active)
-        self.f_value = {i: future_aoi(self.devices[i], t, config.beta)
-                        for i in active_ids}
-        actions: dict[int, int] = {}
-        if active_ids:
-            if config.mode is Mode.DISTRIBUTED_PREDETERMINED:
-                f_list = [self.f_value.get(i, 0) for i in range(config.n_devices)]
-                ranked = predetermined_actions(f_list, self.is_active,
-                                               config.n_rbs, full_info=True)
-                actions = {i: ranked[i] for i in active_ids if ranked[i] >= 1}
-            else:
-                actions = _game_actions(self, t, draws, active_ids)
+    def allocate(self, t: int, active_ids: np.ndarray, draws: SlotDraws):
+        config, devices = self.config, self.devices
+        pending = [devices[i] for i in active_ids.tolist()]
+        self.t, self.ids = t, active_ids
+        self.gen = [d.gen_slot for d in pending]
+        self.kinds = [d.aging for d in pending]
+        self.ages_cache = None
+        if not pending:
+            actions = np.zeros(config.n_devices, dtype=np.int64)
+        elif config.mode is Mode.DISTRIBUTED_PREDETERMINED:
+            actions = np.array(predetermined_actions(self._future_ages(),
+                                                     [d.active for d in devices],
+                                                     config.n_rbs, full_info=True),
+                               dtype=np.int64)
+        else:
+            actions = _game_actions(self, t, draws, active_ids)
         self.actions = actions
-        return tuple((i, frozenset((actions[i],))) for i in sorted(actions)), 0
+        tx = np.flatnonzero(actions)
+        return tuple((i, frozenset((rb,))) for i, rb
+                     in zip(tx.tolist(), actions[tx].tolist())), 0
+
+    def _float_ages(self) -> tuple[np.ndarray, np.ndarray]:
+        """This slot's future ages as float64 (inf past 2**1024) and their log2.
+
+        The log2 is exact where the age saturated (a power of two there).
+        """
+        if self.ages_cache is None:
+            horizon = self.t + self.config.beta
+            gen = np.array(self.gen, dtype=np.int64)
+            exponential = np.array([k is not _LINEAR for k in self.kinds], dtype=bool)
+            self.ages_cache = aoi_array(exponential, horizon, gen), horizon - 1 - gen
+        return self.ages_cache
+
+    def _future_ages(self) -> list:
+        """Exact future ages of this slot's active devices, 0 for idle ones."""
+        future = [0] * self.config.n_devices
+        horizon = self.t + self.config.beta
+        for i, kind, gen in zip(self.ids.tolist(), self.kinds, self.gen):
+            future[i] = aoi_value(kind, horizon, gen)
+        return future
 
     def feedback(self, claimants, outcomes) -> None:
-        ids, success = range(self.config.n_devices), Outcome.SUCCESS
-        self.last_action = [self.actions.get(i, 0) for i in ids]
-        self.last_failed = [outcomes.get(i, success) is not success for i in ids]
+        success = Outcome.SUCCESS
+        self.last_action = self.actions
+        self.last_failed = np.zeros(self.config.n_devices, dtype=bool)
+        self.last_failed[[i for i, o in outcomes.items() if o is not success]] = True
         if self.config.trace:
             self.trace_unused.append(self.config.n_rbs - len(claimants))
 
     def trace(self) -> dict:
-        n = self.config.n_devices
+        active = np.zeros(self.config.n_devices, dtype=bool)
+        active[self.ids] = True
         return {"unused_rbs": self.trace_unused,
-                "final": {"actions": [self.actions.get(i, 0) for i in range(n)],
-                          "future_aoi": [self.f_value.get(i, 0) for i in range(n)],
-                          "active": list(self.is_active)}}
+                "final": {"actions": self.actions.tolist(),
+                          "future_aoi": self._future_ages(),
+                          "active": active.tolist()}}
 
 
-def _transmitters(stack: _DistributedStack, active_ids: list[int]) -> set[int]:
-    """Active devices whose future age reaches their transmit threshold.
+def _transmitters(stack: _DistributedStack) -> np.ndarray:
+    """Which of the slot's active devices reach their transmit threshold.
 
-    Full range compares exact ages against one shared threshold. Partial
-    range gives each device the threshold of the in-range active ages, as
-    floats: exact ages beyond float range saturate to inf, which keeps the
-    ties-transmit rule intact.
+    Full range compares exact ages against one shared threshold: past float
+    range the ages at or above it are powers of two, compared by exponent.
+    Partial range gives each device the threshold of the in-range active
+    ages, as floats: exact ages beyond float range saturate to inf, which
+    keeps the ties-transmit rule intact.
     """
     config = stack.config
-    f_value, visible = stack.f_value, stack.visible
-    R, N, n_active = config.n_rbs, config.n_devices, len(active_ids)
-    if visible is None:
-        ages = [f_value[i] for i in active_ids]
-        threshold = kth_largest(ages, kappa(n_active, n_active, R, N, config.v_a,
-                                            config.zeta))
-        return {i for i in active_ids if f_value[i] >= threshold}
-    f_arr = np.full(N, -math.inf)
-    for i in active_ids:
-        f_arr[i] = _clipped_float(f_value[i])
-    # row r holds the ages device active_ids[r] knows; the rest sort below
-    rows = visible[active_ids]
-    known = np.where(rows, f_arr, -math.inf)
-    ks = [kappa(n_known, n_active, R, N, config.v_a, config.zeta)
-          for n_known in rows.sum(axis=1).tolist()]
-    reach = f_arr[active_ids] >= kth_largest(known, ks)
-    return {i for i, ok in zip(active_ids, reach.tolist()) if ok}
+    ids = stack.ids
+    R, N, n_active = config.n_rbs, config.n_devices, len(ids)
+    if stack.neighbors is None:
+        k = stack.shared_kappa[n_active - 1]
+        if k >= n_active:           # the threshold is the smallest age
+            return np.ones(n_active, dtype=bool)
+        ages, exponents = stack._float_ages()
+        threshold = kth_largest(ages.tolist(), k)
+        if threshold < math.inf:
+            return ages >= threshold
+        exponents = np.where(np.isinf(ages), exponents, -1)
+        return exponents >= kth_largest(exponents.tolist(), k)
+    ages, _ = stack._float_ages()
+    # row r marks the ages device ids[r] knows
+    known = stack.neighbors[ids][:, ids]
+    ks = kappa(known.sum(axis=1), n_active, R, N, config.v_a, config.zeta)
+    return ages >= kth_largest(ages, ks, known)
 
 
 def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
-                  active_ids: list[int]) -> dict[int, int]:
-    """Minority-game transmit decisions plus SCA/random RB choices for one slot."""
-    config = stack.config
-    mode, R, N = config.mode, config.n_rbs, config.n_devices
-    neighbors, is_active, f_value = stack.neighbors, stack.is_active, stack.f_value
-    last_action, last_failed = stack.last_action, stack.last_failed
-    passing = _transmitters(stack, active_ids)
+                  active_ids: np.ndarray) -> np.ndarray:
+    """Minority-game transmit decisions plus SCA/random RB choices for one slot.
 
-    if mode is Mode.DISTRIBUTED_RANDOM:
-        if not passing:
-            return {}
-        u_dec = draws.vec(t, _PH_DECIDE)
-        return {i: random_selection(R, u_dec[i]) for i in active_ids if i in passing}
+    Returns every device's RB, 0 for the silent ones.
+    """
+    config = stack.config
+    R, neighbors = config.n_rbs, stack.neighbors
+    last_action, last_failed = stack.last_action, stack.last_failed
+    passing = _transmitters(stack)
+    actions = np.zeros(config.n_devices, dtype=np.int64)
+
+    if config.mode is Mode.DISTRIBUTED_RANDOM:
+        chosen = active_ids[passing]
+        if len(chosen):
+            actions[chosen] = random_selection(R, draws.vec(t, _PH_DECIDE)[chosen])
+        return actions
 
     # freed-RB delegation: a device that delivered last slot and went idle hands
     # its RB to an active neighbor, weighted by future age; lowest delegator id
     # wins when two target the same neighbor
-    delegated: dict[int, int] = {}
-    u_del = None
-    for i in range(N):
-        if last_action[i] >= 1 and not last_failed[i] and not is_active[i]:
-            # i itself is idle, so it is never its own candidate
-            candidate_ids = (active_ids if neighbors is None
-                             else stack.visible[i].nonzero()[0].tolist())
-            if u_del is None:
-                u_del = draws.vec(t, _PH_DELEGATE)
-            target = delegate_target(candidate_ids,
-                                     [f_value[j] for j in candidate_ids], u_del[i])
-            if target is not None and target not in delegated:
-                delegated[target] = last_action[i]
+    won = (last_action >= 1) & ~last_failed
+    sending = passing
+    if len(active_ids) < config.n_devices:
+        idle = won.copy()
+        idle[active_ids] = False
+        delegators = np.flatnonzero(idle)
+        if len(delegators):
+            # a delegator is idle, so it is never its own candidate
+            candidates = (np.ones((len(delegators), len(active_ids)), dtype=bool)
+                          if neighbors is None
+                          else neighbors[delegators][:, active_ids])
+            picks = delegate_target(candidates, *stack._float_ages(),
+                                    draws.vec(t, _PH_DELEGATE)[delegators])
+            hit = picks >= 0
+            targets, first = np.unique(picks[hit], return_index=True)
+            actions[active_ids[targets]] = last_action[delegators[hit][first]]
+            sending = passing.copy()
+            sending[targets] = False
 
-    actions: dict[int, int] = {}
-    last_rb = sensed = unused = None
-    u_keep = None
-    u_fresh = None
-    for i in active_ids:
-        if i in delegated:
-            actions[i] = delegated[i]
-            continue
-        if i not in passing:
-            continue
-        prev = last_action[i]
-        if prev >= 1 and not last_failed[i]:
-            actions[i] = prev
-            continue
+    # a passing device repeats an RB that just worked; the rest decide by SCA
+    keep = sending & won[active_ids]
+    kept = active_ids[keep]
+    actions[kept] = last_action[kept]
+    deciding = active_ids[sending & ~keep]
+    if len(deciding):
         # a device only knows an RB was taken if it sensed a transmission on
-        # it last slot; at full range it senses every device
-        if last_rb is None:
-            last_rb = np.array(last_action)
-        if sensed is None or neighbors is not None:
-            seen = last_rb if neighbors is None else last_rb[neighbors[i]]
-            sensed = np.bincount(seen, minlength=R + 1)
-            unused = ((sensed[1:] == 0).nonzero()[0] + 1).tolist()
-        crowd_seen = int(sensed[prev]) if prev else 0
-        if u_keep is None:
-            u_keep = draws.vec(t, _PH_DECIDE)
-            u_fresh = draws.vec(t, _PH_FRESH)
-        actions[i] = sca_step(prev, last_failed[i], crowd_seen, unused,
-                              u_keep[i], u_fresh[i], R)
+        # it last slot; at full range every device senses the same
+        prev = last_action[deciding]
+        if neighbors is None:
+            sensed = np.bincount(last_action, minlength=R + 1)
+            crowd, unused = sensed[prev], sensed[None, 1:] == 0
+        else:
+            # count every (deciding device, RB) pair of a transmission it heard
+            heard = np.flatnonzero(last_action)
+            cells = np.arange(len(deciding))[:, None] * (R + 1) + last_action[heard]
+            sensed = np.bincount(cells[neighbors[deciding][:, heard]],
+                                 minlength=len(deciding) * (R + 1))
+            sensed = sensed.reshape(len(deciding), R + 1)
+            crowd = sensed[np.arange(len(deciding)), prev]
+            unused = sensed[:, 1:] == 0
+        # the crowd seen on RB 0 (silence) is never consulted
+        actions[deciding] = sca_step(prev, last_failed[deciding], crowd, unused,
+                                     draws.vec(t, _PH_DECIDE)[deciding],
+                                     draws.vec(t, _PH_FRESH)[deciding], R)
     return actions
 
 

@@ -220,3 +220,12 @@ def test_verify_reports_one_line_per_check(capsys):
     assert code in (0, 2)
     assert len(lines) == 4
     assert all(l.startswith(("PASS ", "FAIL ")) for l in lines)
+
+
+@pytest.mark.parametrize("argv", [["--runs", "0"], ["--runs", "-1"],
+                                  ["--slots", "0"]])
+def test_verify_rejects_run_counts_it_cannot_use(argv, capsys):
+    assert main(["verify", *argv, "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verify needs --runs >= 1 and --slots >= 1" in captured.err

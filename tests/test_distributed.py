@@ -10,6 +10,80 @@ from aoisim.distributed import (FullInfoGame, GameParams, delegate_target,
                                 service_rate_closed_form)
 
 
+# --- scalar references ---------------------------------------------------------
+# the rules one device at a time, in Python arithmetic on exact integer ages;
+# the array forms the engine runs must agree with them entry by entry
+
+def kappa_ref(n_known, n_active, R, N, v_a, zeta):
+    if n_known < 1:
+        raise ValueError("the known ages must include the deciding device itself")
+    if n_known == n_active:
+        k = R
+    else:
+        k = math.ceil(R * n_known / (N * v_a * zeta))
+    return max(1, min(n_known, k))
+
+
+def sca_step_ref(prev_action, prev_failed, crowd_seen, unused_sorted, keep_u,
+                 pick_u, R):
+    if prev_action >= 1:
+        if not prev_failed:
+            return prev_action
+        if keep_u < 1.0 / max(2, crowd_seen):
+            return prev_action
+    if unused_sorted:
+        return unused_sorted[int(pick_u * len(unused_sorted))]
+    return 1 + int(pick_u * R)
+
+
+def delegate_target_ref(active_neighbor_ids, neighbor_f_values, u):
+    if not active_neighbor_ids:
+        return None
+    top = max(neighbor_f_values)
+    if top <= 0:
+        return active_neighbor_ids[int(u * len(active_neighbor_ids))]
+    weights = [f / top for f in neighbor_f_values]
+    total = 0.0
+    for w in weights:           # a sequential sum, as the accumulation below
+        total += w
+    threshold = u * total
+    acc = 0.0
+    for device_id, w in zip(active_neighbor_ids, weights):
+        acc += w
+        if threshold < acc:
+            return device_id
+    return active_neighbor_ids[-1]
+
+
+def float_ages(exact):
+    """Exact integer ages as the engine holds them: float64 (inf past 2**1024)
+    and the log2 of each, exact for the powers of two that saturate."""
+    ages = np.array([math.inf if f >= 2**1024 else float(f) for f in exact])
+    exponents = np.array([max(f, 1).bit_length() - 1 for f in exact], dtype=np.int64)
+    return ages, exponents
+
+
+def sca(prev, failed, crowd, unused_sorted, keep_u, pick_u, R):
+    """sca_step on one device, checked against the scalar reference."""
+    unused = np.zeros((1, R), dtype=bool)
+    unused[0, np.array(unused_sorted, dtype=int) - 1] = True
+    got = sca_step(np.array([prev]), np.array([failed]), np.array([crowd]), unused,
+                   np.array([keep_u]), np.array([pick_u]), R)
+    expected = sca_step_ref(prev, failed, crowd, unused_sorted, keep_u, pick_u, R)
+    assert got.tolist() == [expected]
+    return expected
+
+
+def delegate(ids, f_values, u):
+    """delegate_target on one delegator, checked against the scalar reference."""
+    ages, exponents = float_ages(f_values)
+    column = delegate_target(np.ones((1, len(ids)), dtype=bool), ages, exponents,
+                             np.array([u]))[0]
+    expected = delegate_target_ref(ids, f_values, u)
+    assert (None if column < 0 else ids[column]) == expected
+    return expected
+
+
 # --- transmit rule -----------------------------------------------------------
 # the engine's threshold is kth_largest(known ages, kappa(...)); ties transmit
 
@@ -19,34 +93,67 @@ def test_kth_largest_basics():
     assert kth_largest([5, 1, 9, 3], 99) == 1
     assert kth_largest([7], 1) == 7
     assert kth_largest([1 << 1200, 1 << 1100, 3], 2) == 1 << 1100
-    # the partial-range input: one row of known ages per deciding device
-    rows = np.array([[5.0, 1.0, 9.0, 3.0], [2.0, 8.0, -np.inf, 8.0]])
-    assert kth_largest(rows, [3, 2]).tolist() == [3.0, 8.0]
-    assert kth_largest(rows, [99, 1]).tolist() == [1.0, 8.0]
+    # the partial-range input: shared values, one row of known ones per
+    # deciding device
+    values = np.array([5.0, 1.0, 9.0, 3.0, 2.0, 8.0, np.inf, 8.0])
+    known = np.array([[1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 0, 1],
+                      [0, 1, 1, 0, 0, 1, 1, 1]], dtype=bool)
+    assert kth_largest(values, [3, 2, 2], known).tolist() == [3.0, 8.0, 9.0]
+    assert kth_largest(values, [99, 1, 3], known).tolist() == [1.0, 8.0, 8.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([1.0, 2.0, 3.0, 4.0, 2.0**60, np.inf]),
+                min_size=1, max_size=12), st.data())
+def test_kth_largest_of_known_values_equals_sorting_each_row(values, data):
+    n = len(values)
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n)
+                              .filter(any), min_size=1, max_size=5))
+    ks = data.draw(st.lists(st.integers(1, n + 2), min_size=len(rows),
+                            max_size=len(rows)))
+    got = kth_largest(np.array(values), np.array(ks), np.array(rows))
+    assert got.tolist() == [kth_largest([v for v, m in zip(values, row) if m], k)
+                            for row, k in zip(rows, ks)]
 
 
 def test_kappa_full_information_admits_R():
     # a device that knows every active device admits R, clamped to what it knows
-    assert kappa(10, 10, 5, 50, 1.0, 1.2) == 5
-    assert kappa(3, 3, 5, 50, 1.0, 1.2) == 3
+    assert kappa([10, 3], [10, 3], 5, 50, 1.0, 1.2).tolist() == [5, 3]
+    assert kappa_ref(10, 10, 5, 50, 1.0, 1.2) == 5
+    assert kappa_ref(3, 3, 5, 50, 1.0, 1.2) == 3
 
 
 def test_kappa_scales_with_known_share():
     # R=50, N=200, v_a=0.35, zeta=1.2: estimated active count is 84
-    assert kappa(10, 84, 50, 200, 0.35, 1.2) == math.ceil(50 * 10 / (200 * 0.35 * 1.2))
-    assert kappa(1, 84, 50, 200, 0.35, 1.2) == 1
-    assert kappa(2000, 2001, 50, 200, 0.35, 1.2) == \
-        math.ceil(50 * 2000 / (200 * 0.35 * 1.2))
+    ks = kappa([10, 1, 2000], 2001, 50, 200, 0.35, 1.2).tolist()
+    assert ks == [math.ceil(50 * 10 / (200 * 0.35 * 1.2)), 1,
+                  math.ceil(50 * 2000 / (200 * 0.35 * 1.2))]
+    assert ks == [kappa_ref(n, 2001, 50, 200, 0.35, 1.2) for n in (10, 1, 2000)]
 
 
 def test_kappa_requires_own_entry():
     with pytest.raises(ValueError):
-        kappa(0, 5, 5, 50, 1.0, 1.2)
+        kappa([0], 5, 5, 50, 1.0, 1.2)
+    with pytest.raises(ValueError):
+        kappa([3, 0, 4], 5, 5, 50, 1.0, 1.2)
+    with pytest.raises(ValueError):
+        kappa_ref(0, 5, 5, 50, 1.0, 1.2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 300), min_size=1, max_size=30),
+       st.integers(1, 300), st.integers(1, 80), st.integers(1, 300),
+       st.sampled_from([0.05, 0.35, 1.0]), st.sampled_from([0.5, 1.2, 3.0]))
+def test_kappa_array_equals_the_scalar_rule(n_known, n_active, R, N, v_a, zeta):
+    n_known = n_known + [n_active]          # one device that knows everyone
+    assert kappa(n_known, n_active, R, N, v_a, zeta).tolist() == [
+        kappa_ref(n, n_active, R, N, v_a, zeta) for n in n_known]
 
 
 def test_transmit_on_threshold_ties():
     ages = [4, 4, 2]
-    threshold = kth_largest(ages, kappa(len(ages), 3, 2, 50, 1.0, 1.2))
+    k, = kappa([len(ages)], 3, 2, 50, 1.0, 1.2)
+    threshold = kth_largest(ages, k)
     assert 4 >= threshold
     assert not 2 >= threshold
 
@@ -64,39 +171,109 @@ def test_silent_payoff_sides():
 # --- crowd avoidance ---------------------------------------------------------
 
 def test_sca_repeats_a_winning_rb():
-    assert sca_step(7, False, 1, [], keep_u=0.99, pick_u=0.99, R=50) == 7
+    assert sca(7, False, 1, [], keep_u=0.99, pick_u=0.99, R=50) == 7
 
 
 def test_sca_failure_keep_coin():
-    assert sca_step(7, True, 3, [], keep_u=0.33, pick_u=0.0, R=50) == 7
+    assert sca(7, True, 3, [], keep_u=0.33, pick_u=0.0, R=50) == 7
     # keep probability is 1/3: a uniform at it or above abandons the RB
-    assert sca_step(7, True, 3, [], keep_u=0.34, pick_u=0.0, R=50) == 1
+    assert sca(7, True, 3, [], keep_u=0.34, pick_u=0.0, R=50) == 1
 
 
 def test_sca_failure_implies_crowd_of_two():
     # nobody else visible on the RB still counts as one unseen contender
     for crowd_seen in (0, 1):
-        assert sca_step(7, True, crowd_seen, [], keep_u=0.49, pick_u=0.0, R=50) == 7
-        assert sca_step(7, True, crowd_seen, [], keep_u=0.51, pick_u=0.0, R=50) != 7
+        assert sca(7, True, crowd_seen, [], keep_u=0.49, pick_u=0.0, R=50) == 7
+        assert sca(7, True, crowd_seen, [], keep_u=0.51, pick_u=0.0, R=50) != 7
 
 
 def test_sca_fresh_pick_prefers_sensed_unused():
     unused = [2, 4, 9]
-    assert sca_step(0, False, 0, unused, keep_u=0.0, pick_u=0.0, R=50) == 2
-    assert sca_step(0, False, 0, unused, keep_u=0.0, pick_u=0.99, R=50) == 9
+    assert sca(0, False, 0, unused, keep_u=0.0, pick_u=0.0, R=50) == 2
+    assert sca(0, False, 0, unused, keep_u=0.0, pick_u=0.99, R=50) == 9
 
 
 def test_sca_fresh_pick_falls_back_to_all_rbs():
-    assert sca_step(0, False, 0, [], keep_u=0.0, pick_u=0.0, R=50) == 1
-    assert sca_step(0, False, 0, [], keep_u=0.0, pick_u=0.999, R=50) == 50
+    assert sca(0, False, 0, [], keep_u=0.0, pick_u=0.0, R=50) == 1
+    assert sca(0, False, 0, [], keep_u=0.0, pick_u=0.999, R=50) == 50
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_sca_array_equals_the_scalar_rule(shared):
+    # many devices at once: random histories, crowds and sensed sets (some
+    # rows sense every RB busy); one shared row serves every device at full
+    # range
+    rng = np.random.default_rng(3 + shared)
+    top = np.nextafter(1.0, 0.0)
+    for R in (1, 2, 7, 50):
+        n = 40
+        prev = rng.integers(0, R + 1, n)
+        failed = rng.random(n) < 0.6
+        crowd = rng.integers(0, 6, n)
+        unused = rng.random((1 if shared else n, R)) < rng.random((1 if shared else n, 1))
+        keep_u, pick_u = rng.random(n), rng.random(n)
+        keep_u[:3], pick_u[:3] = top, top
+        got = sca_step(prev, failed, crowd, unused, keep_u, pick_u, R)
+        rows = np.broadcast_to(unused, (n, R))
+        expected = [sca_step_ref(int(prev[i]), bool(failed[i]), int(crowd[i]),
+                                 (np.flatnonzero(rows[i]) + 1).tolist(),
+                                 keep_u[i], pick_u[i], R) for i in range(n)]
+        assert got.tolist() == expected
 
 
 def test_delegation_weights_by_future_age():
     ids = [3, 8]
-    assert delegate_target(ids, [1, 9], 0.05) == 3
-    assert delegate_target(ids, [1, 9], 0.2) == 8
-    assert delegate_target([], [], 0.5) is None
-    assert delegate_target(ids, [0, 0], 0.6) == 8
+    assert delegate(ids, [1, 9], 0.05) == 3
+    assert delegate(ids, [1, 9], 0.2) == 8
+    assert delegate([], [], 0.5) is None
+    assert delegate(ids, [0, 0], 0.6) == 8
+
+
+def test_delegation_weights_past_float_range():
+    # candidate ages 2**1100 and 2**1101 tie as floats (inf) but weigh 1:2,
+    # and a linear age far below them weighs a subnormal float, or nothing
+    ids = [1, 4, 6]
+    ages = [1200, 2**1100, 2**1101]
+    assert delegate(ids, ages, 0.30) == 4
+    assert delegate(ids, ages, 0.34) == 6
+    assert delegate([1, 4], [3, 2**1030], 0.0) == 1
+    assert delegate([1, 4], [3, 2**1100], 0.0) == 4
+
+
+def _exact_age(rng):
+    """A future age as the engine sees one: linear, a power of two, or a power
+    of two past float range (deep enough that quotients underflow)."""
+    draw = rng.random()
+    if draw < 0.3:
+        return int(rng.integers(1, 3000))
+    if draw < 0.55:
+        return 1 << int(rng.integers(0, 1023))
+    return 1 << int(rng.integers(1024, 2300))
+
+
+def test_delegation_array_equals_the_scalar_rule():
+    # rows of candidate sets over shared columns, with ages mixing linear
+    # values, powers of two and powers of two past 2**1024 (no golden run
+    # delegates to an age that large); some rows hold no candidate, and one
+    # uniform sits at the top of [0, 1)
+    rng = np.random.default_rng(17)
+    top = np.nextafter(1.0, 0.0)
+    for trial in range(300):
+        n_cols = int(rng.integers(1, 12))
+        exact = [_exact_age(rng) for _ in range(n_cols)]
+        if trial % 3 == 0:          # every candidate past float range
+            exact = [1 << int(rng.integers(1024, 1100)) for _ in range(n_cols)]
+        if trial % 7 == 0:          # exact ties past float range
+            exact = [1 << 1500] * n_cols
+        candidates = rng.random((6, n_cols)) < rng.random()
+        u = rng.random(6)
+        u[0] = top
+        ages, exponents = float_ages(exact)
+        got = delegate_target(candidates, ages, exponents, u)
+        for r in range(6):
+            cols = np.flatnonzero(candidates[r]).tolist()
+            expected = delegate_target_ref(cols, [exact[c] for c in cols], u[r])
+            assert got[r] == (-1 if expected is None else expected), (trial, r)
 
 
 def test_random_selection_quantiles():
@@ -104,6 +281,8 @@ def test_random_selection_quantiles():
     assert random_selection(50, 0.999) == 50
     assert random_selection(2, 0.49) == 1
     assert random_selection(2, 0.51) == 2
+    u = np.array([0.0, 0.49, 0.51, np.nextafter(1.0, 0.0)])
+    assert random_selection(2, u).tolist() == [1, 1, 2, 2]
 
 
 # --- baselines and closed forms ----------------------------------------------

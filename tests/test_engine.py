@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import pytest
 from aoisim import engine
 from aoisim.aging import AgingKind
 from aoisim.centralized import KIND_UNKNOWN
-from aoisim.devices import activate, make_devices
+from aoisim.devices import activate, future_aoi, make_devices
 from aoisim.distributed import kappa, kth_largest
 from aoisim.engine import (ConfigError, Mode, ScenarioConfig, SlotDraws,
-                           _clipped_float, _DistributedStack, _transmitters,
-                           replicate_seed, run, sweep_iter)
+                           _DistributedStack, _transmitters, replicate_seed, run,
+                           sweep_iter)
+from test_distributed import delegate_target_ref, kappa_ref, sca_step_ref
 from test_goldens import CASES, case_config
 
 
@@ -203,6 +205,18 @@ def test_distributed_outcome_conservation():
     assert all(0.0 <= r.service_rate <= 1.0 for r in result.records)
 
 
+def _saturated(age) -> float:
+    """An exact age as a float; past float range it saturates to inf."""
+    return math.inf if age >= 2**1024 else float(age)
+
+
+def _stack_at(config, devices, t):
+    """A distributed stack that has just allocated slot t for these devices."""
+    stack = _DistributedStack(config, devices)
+    stack.allocate(t, stack.active_ids(), SlotDraws(config.seed, config.n_devices))
+    return stack
+
+
 def test_partial_range_thresholds_match_the_per_device_rule():
     # reference: each active device ranks the in-range active ages itself;
     # the ages mix ties, linear values and exponential ones past float range
@@ -213,20 +227,133 @@ def test_partial_range_thresholds_match_the_per_device_rule():
     for d in devices[::3] + devices[1::3]:
         gen = 1 if rng.random() < 0.2 else int(rng.integers(1150, 1200))
         activate(d, gen, rng.random())
-    active_ids = [d.id for d in devices if d.active]
-    stack = _DistributedStack(config, devices)
-    stack.allocate(t, active_ids, SlotDraws(config.seed, config.n_devices))
+    stack = _stack_at(config, devices, t)
+    active_ids = stack.ids.tolist()
+    f_value = {i: future_aoi(devices[i], t, config.beta) for i in active_ids}
     expected = set()
     for i in active_ids:
-        known = [_clipped_float(stack.f_value[j]) for j in active_ids
-                 if stack.neighbors[i, j]]
+        known = [_saturated(f_value[j]) for j in active_ids if stack.neighbors[i, j]]
         k = kappa(len(known), len(active_ids), config.n_rbs, config.n_devices,
                   config.v_a, config.zeta)
-        if _clipped_float(stack.f_value[i]) >= kth_largest(known, k):
+        if _saturated(f_value[i]) >= kth_largest(known, k):
             expected.add(i)
-    got = _transmitters(stack, active_ids)
+    got = set(stack.ids[_transmitters(stack)].tolist())
     assert got == expected
     assert 0 < len(got) < len(active_ids)
+
+
+@pytest.mark.parametrize("n_rbs, transmitters", [(1, {0}), (2, {0, 1}),
+                                                 (3, {0, 1, 2, 3}), (5, {0, 1, 2, 3, 4})])
+def test_full_range_thresholds_compare_exact_ages_past_float_range(n_rbs, transmitters):
+    # every exponential age here is past 2**1024, so all of them are inf as
+    # floats; the threshold still splits them by their exact values and lets
+    # exact ties (devices 2 and 3) transmit together
+    config = small(n_devices=7, n_rbs=n_rbs, r_c=15.0, v_a=1.0)
+    devices = make_devices(7, 0.6, 0.75, 0.75, 10.0, 10.0, np.random.default_rng(2))
+    t = 1200
+    exponential = 0.9999                    # above every type's linear share
+    for d, gen in zip(devices, (1, 2, 3, 3, 60, 100)):
+        activate(d, gen, exponential)
+    activate(devices[6], 1, 0.0)            # linear: age 1200
+    stack = _stack_at(config, devices, t)
+    assert stack.neighbors is None
+    assert np.isinf(stack._float_ages()[0][:6]).all()
+    exact = [future_aoi(d, t, config.beta) for d in devices]
+    k = kappa(7, 7, n_rbs, 7, config.v_a, config.zeta)
+    threshold = kth_largest(exact, k)
+    assert {i for i in range(7) if exact[i] >= threshold} == transmitters
+    assert set(stack.ids[_transmitters(stack)].tolist()) == transmitters
+
+
+@pytest.mark.parametrize("r_c", [15.0, 3.0])
+def test_two_delegators_on_one_neighbor_the_lower_id_wins(r_c):
+    # devices 1 and 3 delivered on RBs 4 and 2 last slot and went idle; the
+    # only active device is the sole candidate of both (device 0 is out of
+    # range at r_c=3) and inherits the RB of the lower delegator id
+    config = small(n_devices=4, n_rbs=6, r_c=r_c, v_a=0.4)
+    devices = make_devices(4, 0.6, 0.75, 0.75, 10.0, 10.0, np.random.default_rng(5))
+    for d, xy in zip(devices, [(0.0, 0.0), (5.0, 5.0), (5.5, 5.5), (6.0, 5.0)]):
+        d.position = xy
+    activate(devices[2], 10, 0.0)
+    stack = _DistributedStack(config, devices)
+    assert (stack.neighbors is None) == (r_c == 15.0)
+    stack.last_action[[1, 3]] = [4, 2]
+    stack.allocate(11, stack.active_ids(), SlotDraws(config.seed, config.n_devices))
+    assert stack.actions.tolist() == [0, 0, 4, 0]
+
+
+def _reference_actions(stack, t, draws):
+    """One slot of the distributed game, one device at a time on exact ages."""
+    config, devices, nb = stack.config, stack.devices, stack.neighbors
+    N, R = config.n_devices, config.n_rbs
+    active_ids = [d.id for d in devices if d.active]
+    f = {i: future_aoi(devices[i], t, config.beta) for i in active_ids}
+    n = len(active_ids)
+    if nb is None:
+        threshold = kth_largest([f[i] for i in active_ids],
+                                kappa_ref(n, n, R, N, config.v_a, config.zeta))
+        passing = [i for i in active_ids if f[i] >= threshold]
+    else:
+        passing = []
+        for i in active_ids:
+            known = [_saturated(f[j]) for j in active_ids if nb[i, j]]
+            k = kappa_ref(len(known), n, R, N, config.v_a, config.zeta)
+            if _saturated(f[i]) >= kth_largest(known, k):
+                passing.append(i)
+    actions = [0] * N
+    if config.mode is Mode.DISTRIBUTED_RANDOM:
+        for i in passing:
+            actions[i] = 1 + int(draws.vec(t, 5)[i] * R)
+        return actions
+    last_action, last_failed = stack.last_action.tolist(), stack.last_failed.tolist()
+    delegated = {}
+    for i in range(N):
+        if last_action[i] >= 1 and not last_failed[i] and not devices[i].active:
+            candidates = [j for j in active_ids if nb is None or nb[i, j]]
+            target = delegate_target_ref(candidates, [f[j] for j in candidates],
+                                         draws.vec(t, 7)[i])
+            if target is not None and target not in delegated:
+                delegated[target] = last_action[i]
+    for i in active_ids:
+        prev = last_action[i]
+        if i in delegated:
+            actions[i] = delegated[i]
+        elif i not in passing:
+            continue
+        elif prev >= 1 and not last_failed[i]:
+            actions[i] = prev
+        else:
+            seen = [last_action[j] for j in range(N) if nb is None or nb[i, j]]
+            unused = [rb for rb in range(1, R + 1) if rb not in seen]
+            actions[i] = sca_step_ref(prev, last_failed[i],
+                                      seen.count(prev) if prev else 0, unused,
+                                      draws.vec(t, 5)[i], draws.vec(t, 6)[i], R)
+    return actions
+
+
+@pytest.mark.parametrize("mode", [Mode.DISTRIBUTED_SCA, Mode.DISTRIBUTED_RANDOM])
+@pytest.mark.parametrize("r_c", [2.5, 6.0, 15.0])
+def test_game_slot_equals_the_per_device_rules(mode, r_c):
+    # random slot states: active sets, last RBs and failures, and ages that
+    # tie, stay linear or pass 2**1024 (some apart by a factor of two only)
+    t = 1300
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n, R = int(rng.integers(2, 30)), int(rng.integers(1, 9))
+        config = small(n_devices=n, n_rbs=R, r_c=r_c, mode=mode, seed=seed,
+                       v_a=float(rng.uniform(0.2, 1.0)))
+        devices = make_devices(n, 0.6, 0.75, 0.75, 10.0, 10.0, rng)
+        for d in devices:
+            if rng.random() < 0.7:
+                gen = int(rng.choice([1, 2, 3, 200, 1290, rng.integers(1, t)]))
+                activate(d, gen, rng.random())
+        stack = _DistributedStack(config, devices)
+        stack.last_action[:] = rng.integers(0, R + 1, n)
+        stack.last_failed[:] = rng.random(n) < 0.4
+        draws = SlotDraws(seed, n)
+        expected = _reference_actions(stack, t, draws)
+        stack.allocate(t, stack.active_ids(), draws)
+        assert stack.actions.tolist() == expected, seed
 
 
 def test_centralized_outcome_conservation_single_rb():

@@ -37,8 +37,6 @@ CASES = {
     "central_hetero_window": dict(mode=Mode.CENTRALIZED_LEARNING,
                                   heterogeneous_power=True, n_rbs_min=2,
                                   n_rbs_max=4, v_a=0.6),
-    "central_full_info_beyond_float":
-        "02f59a925a9eeb78b6e0686ea2010303c6e458c24e9bcc0c158d5ddfbbaaf924",
     "central_full_info_window": dict(mode=Mode.CENTRALIZED_FULL_INFO,
                                      n_rbs_min=2, n_rbs_max=4, epsilon=2.0),
     "central_beta2": dict(mode=Mode.CENTRALIZED_LEARNING, beta=2, v_a=0.7),
