@@ -6,10 +6,10 @@ from .centralized import (RachConfig, TypeLearner, Variant,
                           marginal_expected_future_aoi, priority_key,
                           rach_collision_probability, rach_phase, schedule,
                           tie_class)
-from .channel import (ChannelModel, Outcome, RbAssignment, epsilon_for_outage,
-                      outage_probability, resolve_slot)
-from .devices import (Device, DeviceType, TypeId, activate, current_aoi,
-                      deliver_success, future_aoi, make_devices, type1, type2)
+from .channel import (ChannelModel, Outcome, epsilon_for_outage,
+                      outage_probability, outage_table, resolve_transmissions)
+from .devices import (Device, DeviceType, PendingMessages, TypeId, activate,
+                      deliver_success, make_devices, type1, type2)
 from .distributed import (FullInfoGame, GameParams, NashResult,
                           delegate_target, kappa, kth_largest,
                           predetermined_actions, random_selection, sca_step,
@@ -27,10 +27,10 @@ __all__ = [
     "expected_future_aoi", "identify_aging", "learn_type",
     "marginal_expected_future_aoi", "priority_key",
     "rach_collision_probability", "rach_phase", "schedule", "tie_class",
-    "ChannelModel", "Outcome", "RbAssignment", "epsilon_for_outage",
-    "outage_probability", "resolve_slot",
-    "Device", "DeviceType", "TypeId", "activate", "current_aoi",
-    "deliver_success", "future_aoi", "make_devices", "type1", "type2",
+    "ChannelModel", "Outcome", "epsilon_for_outage", "outage_probability",
+    "outage_table", "resolve_transmissions",
+    "Device", "DeviceType", "PendingMessages", "TypeId", "activate",
+    "deliver_success", "make_devices", "type1", "type2",
     "FullInfoGame", "GameParams", "NashResult", "delegate_target", "kappa",
     "kth_largest", "predetermined_actions", "random_selection", "sca_step",
     "service_rate_closed_form",

@@ -22,9 +22,9 @@ class Outcome(Enum):
     OUTAGE_FAILURE = "outage"
 
 
-# bound once for the per-transmission path, as in aging.py
-_SUCCESS, _DUPLICATE, _OUTAGE = (Outcome.SUCCESS, Outcome.DUPLICATE_FAILURE,
-                                 Outcome.OUTAGE_FAILURE)
+# outcome codes, as resolve_transmissions returns them; they index OUTCOMES
+SUCCESS, DUPLICATE, OUTAGE = 0, 1, 2
+OUTCOMES = (Outcome.SUCCESS, Outcome.DUPLICATE_FAILURE, Outcome.OUTAGE_FAILURE)
 
 
 @dataclass(frozen=True)
@@ -65,45 +65,57 @@ def epsilon_for_outage(p: float, mean_snr_db: float, r_simultaneous: int = 1) ->
     return -snr_db_to_linear(mean_snr_db) * math.log1p(-p) / r_simultaneous
 
 
-@dataclass(frozen=True)
-class RbAssignment:
-    """Per-slot map of transmitting devices to the RB indices they use."""
+def outage_table(model: ChannelModel, n_devices: int, max_rbs: int) -> np.ndarray:
+    """p[i, r] = outage_probability(model, i, r) for r in 1..max_rbs.
 
-    slot: int
-    entries: tuple[tuple[int, frozenset[int]], ...]
-
-    def __post_init__(self):
-        ids = [device_id for device_id, _ in self.entries]
-        if len(ids) != len(set(ids)):
-            raise ValueError("a device appears more than once in the assignment")
-        for device_id, rbs in self.entries:
-            if not rbs:
-                raise ValueError(f"device {device_id} listed with an empty RB set")
-
-
-def resolve_slot(assignment: RbAssignment, model: ChannelModel,
-                 u) -> dict[int, Outcome]:
-    """Resolve one slot of transmissions into per-device outcomes.
-
-    Any RB claimed by two or more devices fails all its claimants. Each
-    surviving device compares its own uniform u[device_id] against the
-    outage probability for its simultaneous-RB count; a multi-RB
-    transmission succeeds or fails whole. Duplicated devices consume no
-    uniform, so a device's channel luck is a function of (slot, id) alone.
+    The probability of a transmission depends on its device and RB count
+    alone, so a run computes it once per pair. Column 0 is nan.
     """
-    claims: dict[int, int] = {}
-    for device_id, rbs in assignment.entries:
-        for rb in rbs:
-            claims[rb] = claims.get(rb, 0) + 1
+    table = np.full((n_devices, max_rbs + 1), np.nan)
+    for i in range(n_devices):
+        for r in range(1, max_rbs + 1):
+            table[i, r] = outage_probability(model, i, r)
+    return table
 
-    outcomes: dict[int, Outcome] = {}
-    for device_id, rbs in assignment.entries:
-        if max(map(claims.__getitem__, rbs)) > 1:
-            outcomes[device_id] = _DUPLICATE
-        else:
-            p = outage_probability(model, device_id, len(rbs))
-            outcomes[device_id] = _OUTAGE if u[device_id] < p else _SUCCESS
-    return outcomes
+
+def resolve_transmissions(ids, first, n_rbs, p_outage: np.ndarray, u):
+    """Resolve one slot of transmissions into per-transmitter outcome codes.
+
+    Transmitter j is device ids[j] on the RB range [first[j], first[j] +
+    n_rbs[j]). Any RB claimed by two or more transmitters fails all its
+    claimants. Each surviving transmitter compares its own uniform u[id]
+    against its outage probability p_outage[id, n_rbs] (``outage_table``);
+    a multi-RB transmission succeeds or fails whole. A device's channel luck
+    is thus a function of (slot, id) alone.
+
+    Returns the SUCCESS/DUPLICATE/OUTAGE code of every transmitter and the
+    number of claimants of every RB index up to the highest one claimed.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    first = np.asarray(first, dtype=np.int64)
+    n_rbs = np.asarray(n_rbs, dtype=np.int64)
+    if len(ids) == 0:
+        return np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64)
+    if n_rbs.min() < 1:
+        raise ValueError(f"device {ids[np.argmin(n_rbs)]} listed with an empty RB set")
+    if np.bincount(ids).max() > 1:
+        raise ValueError("a device appears more than once in the assignment")
+    if n_rbs.max() == 1:
+        claims = np.bincount(first)
+        duplicate = claims[first] > 1
+    else:
+        end = first + n_rbs
+        size = int(end.max()) + 1
+        # claimants per RB from the range starts and ends
+        claims = np.cumsum(np.bincount(first, minlength=size)
+                           - np.bincount(end, minlength=size))[:-1]
+        # crowded[b]: RBs below b with two or more claimants
+        crowded = np.zeros(size, dtype=np.int64)
+        np.cumsum(claims > 1, out=crowded[1:])
+        duplicate = crowded[end] > crowded[first]
+    outcomes = duplicate.astype(np.int8)        # SUCCESS is 0, DUPLICATE 1
+    outcomes[~duplicate & (u[ids] < p_outage[ids, n_rbs])] = OUTAGE
+    return outcomes, claims
 
 
 def sample_heterogeneous_snr(device_ids, low_db: float, high_db: float,

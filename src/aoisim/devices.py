@@ -1,10 +1,14 @@
-"""Device state, message lifecycle, and AoI bookkeeping.
+"""Devices, their pending messages, and delivery bookkeeping.
 
 A device is idle or carries exactly one pending message. Failed transmissions
 retry every slot until the message is fully delivered, so the pending
 generation slot is well defined. Activation draws happen at the end of a
 slot, which means a fresh message is first transmitted (and first aged) the
 slot after its generation: delivery ages are always >= 1.
+
+A ``Device`` holds what never changes; the messages of all devices live in
+one ``PendingMessages`` set of arrays, and ``activate`` and
+``deliver_success`` update many devices in one call.
 """
 
 from __future__ import annotations
@@ -13,12 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .aging import AgingKind, aoi_value
-
-
-# bound once for the per-activation path, as in aging.py
-_LINEAR, _EXPONENTIAL = AgingKind.LINEAR, AgingKind.EXPONENTIAL
 
 
 class TypeId(Enum):
@@ -54,70 +52,71 @@ def type2(m2: float = 0.75) -> DeviceType:
 
 @dataclass
 class Device:
+    """A device's static part: id, position and latent type."""
+
     id: int
     position: tuple[float, float]
     dtype: DeviceType
-    active: bool = False
-    aging: AgingKind | None = None
-    n_rbs: int = 1
-    n_remaining: int = 0
-    delta: int = 0
-    gen_slot: int = 0
-
-    def __post_init__(self):
-        if self.n_rbs < 1:
-            raise ValueError("n_rbs must be >= 1")
 
 
-def current_aoi(device: Device, t: int):
-    """Age of the pending message at slot t, through its aging kind."""
-    if not device.active:
-        raise ValueError(f"device {device.id} has no pending message")
-    return aoi_value(device.aging, t, device.gen_slot)
+class PendingMessages:
+    """The pending message of every device, one array entry per device.
+
+    gen_slot is the generation slot, exponential flags the aging kind and
+    rbs_left counts the RBs still to deliver; 0 there marks an idle device.
+    Entries of idle devices keep their last message's values.
+    """
+
+    __slots__ = ("gen_slot", "exponential", "rbs_left")
+
+    def __init__(self, n_devices: int):
+        self.gen_slot = np.zeros(n_devices, dtype=np.int64)
+        self.exponential = np.zeros(n_devices, dtype=bool)
+        self.rbs_left = np.zeros(n_devices, dtype=np.int64)
 
 
-def future_aoi(device: Device, t: int, beta: int = 1):
-    """Pending-message age evaluated beta slots after slot t (the priority key F_i)."""
-    if not device.active:
-        raise ValueError(f"device {device.id} has no pending message")
-    return aoi_value(device.aging, t + beta, device.gen_slot)
+def activate(messages: PendingMessages, ids, t: int, kind_u, p_linear,
+             n_rbs_max: int = 1, size_u=0.0, n_rbs_min: int = 1) -> None:
+    """Give the idle devices ids fresh messages generated at slot t.
 
-
-def activate(device: Device, t: int, kind_u: float, n_rbs_max: int = 1,
-             size_u: float = 0.0, n_rbs_min: int = 1) -> Device:
-    """Give an idle device a fresh message generated at slot t.
-
-    kind_u and size_u are uniforms in [0,1) supplied by the caller: the
-    aging kind is linear when kind_u falls below the device type's linear
-    probability, and the RB demand is the size_u quantile of the integer
-    window {n_rbs_min..n_rbs_max}.
+    kind_u and size_u are uniforms in [0,1) supplied by the caller, one per
+    id (or one for all): a message ages exponentially when kind_u reaches
+    its device's linear probability p_linear, and its RB demand is the
+    size_u quantile of the integer window {n_rbs_min..n_rbs_max}.
     """
     if not 1 <= n_rbs_min <= n_rbs_max:
         raise ValueError("demand window needs 1 <= n_rbs_min <= n_rbs_max")
-    device.active = True
-    device.aging = _LINEAR if kind_u < device.dtype.p_linear else _EXPONENTIAL
     span = n_rbs_max - n_rbs_min + 1
-    device.n_rbs = n_rbs_min if span == 1 else n_rbs_min + int(size_u * span)
-    device.n_remaining = device.n_rbs
-    device.gen_slot = t
-    return device
+    messages.gen_slot[ids] = t
+    messages.exponential[ids] = kind_u >= p_linear
+    messages.rbs_left[ids] = (n_rbs_min if span == 1
+                              else n_rbs_min + np.floor(size_u * span))
 
 
-def deliver_success(device: Device, t: int):
-    """Mark the pending message fully received at slot t.
+def deliver_success(messages: PendingMessages, ids, n_rbs, t: int):
+    """Credit the successful transmissions of slot t.
 
-    Returns the recorded delivery age C_i (the pending message's age at the
-    success slot through its aging kind). The device becomes idle and its
-    delivered-history marker delta advances to the message's generation slot.
+    Device ids[j] got n_rbs[j] of its pending RBs through. Messages with no
+    RB left are delivered: their devices go idle. Returns the delivered ids
+    and the exact sum (a Python int) of their recorded delivery ages C_i,
+    each the message's age at slot t through its aging kind.
     """
-    if not device.active:
-        raise ValueError(f"device {device.id} is not active")
-    recorded = aoi_value(device.aging, t, device.gen_slot)
-    device.delta = device.gen_slot
-    device.active = False
-    device.aging = None
-    device.n_remaining = 0
-    return recorded
+    ids = np.asarray(ids)
+    left = messages.rbs_left[ids]
+    if len(left) and left.min() < 1:
+        raise ValueError(f"devices {ids[left < 1].tolist()} have no pending message")
+    left -= n_rbs
+    np.maximum(left, 0, out=left)
+    messages.rbs_left[ids] = left
+    delivered = ids[left == 0]
+    k = t - messages.gen_slot[delivered]
+    exponential = messages.exponential[delivered]
+    # linear ages sum exactly in int64; exponential ones are 2**(k-1), exact
+    # as Python ints past 2**1024
+    total = int(k.sum(where=~exponential))
+    if exponential.any():
+        total += sum(1 << e for e in (k[exponential] - 1).tolist())
+    return delivered, total
 
 
 def sample_positions(n: int, w: float, l: float, rng: np.random.Generator) -> np.ndarray:

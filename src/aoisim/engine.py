@@ -27,17 +27,15 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import centralized
-from .aging import AgingKind, aoi_array, aoi_value
+from .aging import aoi_array, aoi_value
 from .centralized import (KIND_UNKNOWN, KINDS, NO_TYPE, RachConfig,
                           TypeLearner, Variant, identify_aging, learn_type,
                           rach_phase, schedule, tie_class)
-from .channel import (ChannelModel, Outcome, RbAssignment, resolve_slot,
-                      sample_heterogeneous_snr, snr_db_to_linear)
-# current_aoi and future_aoi are not called here; they stay bound for
-# perfbench/tracer.py, which hooks them among the device-layer names of this
-# module
-from .devices import (Device, TypeId, activate, current_aoi,  # noqa: F401
-                      deliver_success, future_aoi, make_devices)
+from .channel import (DUPLICATE, SUCCESS, ChannelModel, outage_table,
+                      resolve_transmissions, sample_heterogeneous_snr,
+                      snr_db_to_linear)
+from .devices import (Device, PendingMessages, TypeId, activate,
+                      deliver_success, make_devices)
 from .distributed import (delegate_target, kappa, kth_largest,
                           predetermined_actions, random_selection, sca_step)
 from .planner import plan_message
@@ -54,7 +52,7 @@ _PH_FRESH = 6
 _PH_DELEGATE = 7
 
 # bound once, as in aging.py (Enum.value is a descriptor call too)
-_LINEAR, _TYPE1 = AgingKind.LINEAR, TypeId.TYPE1
+_TYPE1 = TypeId.TYPE1
 _TYPE1_CODE, _TYPE2_CODE = TypeId.TYPE1.value, TypeId.TYPE2.value
 
 
@@ -321,23 +319,24 @@ def _build_channel(config: ScenarioConfig, rng: np.random.Generator) -> ChannelM
                         epsilon=config.epsilon, per_device_mean_snr=per_device)
 
 
-def _activation_sweep(devices: list[Device], t: int, config: ScenarioConfig,
-                      draws: SlotDraws) -> list[Device]:
-    """Activate idle devices whose draw falls below v_a; returns them."""
-    idle = [d for d in devices if not d.active]
-    if not idle or config.v_a == 0.0:
-        return []
-    u_act = draws.vec(t, _PH_ACTIVATE).tolist()    # list indexing is cheaper
-    hits = [d for d in idle if u_act[d.id] < config.v_a]
-    if not hits:
-        return hits
-    u_kind = draws.vec(t, _PH_KIND)
-    sized = config.n_rbs_max > config.n_rbs_min
-    u_size = draws.vec(t, _PH_SIZE) if sized else None
-    for device in hits:
-        size_u = 0.0 if u_size is None else u_size[device.id]
-        activate(device, t, u_kind[device.id], config.n_rbs_max, size_u,
-                 config.n_rbs_min)
+_NO_IDS = np.zeros(0, dtype=np.int64)
+
+
+def _activation_sweep(messages: PendingMessages, p_linear: np.ndarray, t: int,
+                      config: ScenarioConfig, draws: SlotDraws) -> np.ndarray:
+    """Activate idle devices whose draw falls below v_a; returns their ids.
+
+    Each phase is drawn only when the slot needs it.
+    """
+    idle = messages.rbs_left == 0
+    if config.v_a == 0.0 or not idle.any():
+        return _NO_IDS
+    hits = (idle & (draws.vec(t, _PH_ACTIVATE) < config.v_a)).nonzero()[0]
+    if len(hits):
+        size_u = (draws.vec(t, _PH_SIZE)[hits]
+                  if config.n_rbs_max > config.n_rbs_min else 0.0)
+        activate(messages, hits, t, draws.vec(t, _PH_KIND)[hits], p_linear[hits],
+                 config.n_rbs_max, size_u, config.n_rbs_min)
     return hits
 
 
@@ -356,11 +355,10 @@ class _MetricAccumulator:
         self.dup = 0
         self.outage = 0
 
-    def slot(self, t: int, delivered, service_rate: float,
+    def slot(self, t: int, slot_total: int, n_delivered: int, service_rate: float,
              rach: int, dup: int, outage: int):
-        slot_total = sum(delivered) if delivered else 0
         self.cum_aoi_total += slot_total
-        self.cum_deliveries += len(delivered)
+        self.cum_deliveries += n_delivered
         self.sr_total += service_rate
         self.sr_slots += 1
         self.rach += rach
@@ -368,10 +366,10 @@ class _MetricAccumulator:
         self.outage += outage
         if t > self.warmup_slots:
             self.post_aoi_total += slot_total
-            self.post_deliveries += len(delivered)
+            self.post_deliveries += n_delivered
             self.sr_post += service_rate
             self.sr_post_slots += 1
-        return (_safe_mean(slot_total, len(delivered)),
+        return (_safe_mean(slot_total, n_delivered),
                 _safe_mean(self.cum_aoi_total, self.cum_deliveries))
 
     def summary(self, slots: int) -> RunSummary:
@@ -394,11 +392,12 @@ class _MetricAccumulator:
 def run(config: ScenarioConfig) -> RunResult:
     """Simulate one scenario; deterministic in (config, seed).
 
-    One slot loop serves both stacks. The stack names the devices with a
-    pending message (active_ids) and picks who transmits on which RBs
-    (allocate), the channel resolves the slot, the loop delivers and counts,
-    and the stack learns the outcome (feedback) before idle devices draw
-    fresh activations (which the stack also learns: activated).
+    One slot loop serves both stacks. The engine keeps every device's
+    pending message in one ``PendingMessages`` set of arrays, which both
+    stacks read. The stack picks who transmits on which RB range (allocate),
+    the channel resolves the slot, the loop delivers and counts, and the
+    stack learns the outcome (feedback) before idle devices draw fresh
+    activations. Each of these is a few array operations per slot.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
@@ -406,53 +405,40 @@ def run(config: ScenarioConfig) -> RunResult:
                            config.m2, config.width, config.length, rng)
     channel = _build_channel(config, rng)
     draws = SlotDraws(config.seed, config.n_devices, config.slots)
-    stack = (_CentralizedStack(config, devices, channel) if config.mode.centralized
-             else _DistributedStack(config, devices))
+    messages = PendingMessages(config.n_devices)
+    p_linear = np.array([d.dtype.p_linear for d in devices])
+    p_outage = outage_table(channel, config.n_devices, config.n_rbs_max)
+    stack = (_CentralizedStack(config, devices, messages, channel)
+             if config.mode.centralized
+             else _DistributedStack(config, devices, messages))
     metrics = _MetricAccumulator(config.slots, config.warmup_fraction)
     records: list[SlotRecord] = []
 
-    success, duplicate = Outcome.SUCCESS, Outcome.DUPLICATE_FAILURE  # see aging.py
-    stack.activated(_activation_sweep(devices, 0, config, draws))
+    _activation_sweep(messages, p_linear, 0, config, draws)
     for t in range(1, config.slots + 1):
-        active_ids = stack.active_ids()
-        entries, rach_failures = stack.allocate(t, active_ids, draws)
-        outcomes = resolve_slot(RbAssignment(t, entries), channel,
-                                draws.vec(t, _PH_OUTAGE))
+        active_ids = messages.rbs_left.nonzero()[0]
+        ids, first, n_rbs, rach_failures = stack.allocate(t, active_ids, draws)
+        outcomes, claims = resolve_transmissions(ids, first, n_rbs, p_outage,
+                                                 draws.vec(t, _PH_OUTAGE))
+        ok = outcomes == SUCCESS
+        delivered, slot_total = deliver_success(messages, ids[ok], n_rbs[ok], t)
+        stack.feedback(ids, outcomes, delivered, claims)
 
-        claimants: dict[int, list[int]] = {}
-        delivered = []
-        duplicate_failures = 0
-        outage_failures = 0
-        for device_id, rbs in entries:
-            for rb in rbs:
-                claimants.setdefault(rb, []).append(device_id)
-            outcome = outcomes[device_id]
-            if outcome is success:
-                device = devices[device_id]
-                device.n_remaining -= len(rbs)
-                if device.n_remaining <= 0:
-                    delivered.append(deliver_success(device, t))
-            elif outcome is duplicate:
-                duplicate_failures += 1
-            else:
-                outage_failures += 1
-        stack.feedback(claimants, outcomes)
-
-        # an RB with two claimants fails them all, so with no duplicate
-        # failure every claimed RB has exactly one claimant
-        single = (sum(1 for ids in claimants.values() if len(ids) == 1)
-                  if duplicate_failures else len(claimants))
-        service_rate = single / config.n_rbs
-        slot_mean, cum_mean = metrics.slot(t, delivered, service_rate,
-                                           rach_failures, duplicate_failures,
-                                           outage_failures)
+        n_success = int(np.count_nonzero(ok))
+        duplicate_failures = int(np.count_nonzero(outcomes == DUPLICATE))
+        outage_failures = len(ids) - n_success - duplicate_failures
+        # RBs with exactly one claimant
+        service_rate = int(np.count_nonzero(claims == 1)) / config.n_rbs
+        slot_mean, cum_mean = metrics.slot(t, slot_total, len(delivered),
+                                           service_rate, rach_failures,
+                                           duplicate_failures, outage_failures)
         records.append(SlotRecord(
             slot=t, avg_inst_aoi_slot=slot_mean, avg_inst_aoi_cum=cum_mean,
             service_rate=service_rate, n_active=len(active_ids),
-            n_transmitting=len(entries), rach_failures=rach_failures,
+            n_transmitting=len(ids), rach_failures=rach_failures,
             duplicate_failures=duplicate_failures,
             outage_failures=outage_failures))
-        stack.activated(_activation_sweep(devices, t, config, draws))
+        _activation_sweep(messages, p_linear, t, config, draws)
 
     return RunResult(config=config, records=records,
                      summary=metrics.summary(config.slots),
@@ -466,26 +452,23 @@ def run(config: ScenarioConfig) -> RunResult:
 class _CentralizedStack:
     """Request phase, per-request split plan and type learning, priority schedule.
 
-    The stack keeps what it reads per slot in per-device arrays and updates
-    them where they change: on activation (activated) and on the slot's
-    outcomes (feedback). A slot then ranks its RACH survivors with a few
-    array operations.
+    The stack reads the pending messages from the engine's arrays and keeps
+    what the scheduler knows about them in per-device arrays of its own,
+    which feedback resets on delivery. A slot then ranks its RACH survivors
+    with a few array operations.
     """
 
     def __init__(self, config: ScenarioConfig, devices: list[Device],
-                 channel: ChannelModel):
+                 messages: PendingMessages, channel: ChannelModel):
         self.config = config
         self.devices = devices
+        self.messages = messages
         self.channel = channel
         self.variant = Variant(config.mode.value.removeprefix("centralized_"))
         self.rach = RachConfig(config.preambles, config.rach_exact)
         self.learner = TypeLearner(m1=config.m1, m2=config.m2,
                                    p_type1=config.type1_fraction)
         n = config.n_devices
-        # the pending message of each device (rbs_left 0 when idle)
-        self.gen_slot = np.zeros(n, dtype=np.int64)
-        self.exponential = np.zeros(n, dtype=bool)
-        self.rbs_left = np.zeros(n, dtype=np.int64)
         self.true_type = np.array([d.dtype.type_id.value for d in devices],
                                   dtype=np.int8)
         # scheduler-side knowledge: the identified kind of the pending message
@@ -501,23 +484,13 @@ class _CentralizedStack:
         # first split of the plan per (device, RBs left), 0 until planned:
         # nothing else the plan reads varies
         self.first_split = np.zeros((n, config.n_rbs_max + 1), dtype=np.int64)
-        # this slot's grants: served ids in service order and their RB counts
-        self.served = self.taken = np.zeros(0, dtype=np.int64)
-
-    def activated(self, hits: list[Device]) -> None:
-        ids = [d.id for d in hits]
-        self.gen_slot[ids] = [d.gen_slot for d in hits]
-        self.exponential[ids] = [d.aging is not _LINEAR for d in hits]
-        self.rbs_left[ids] = [d.n_remaining for d in hits]
-
-    def active_ids(self) -> np.ndarray:
-        """Ids of the devices with a pending message, ascending."""
-        return np.flatnonzero(self.rbs_left)
 
     def allocate(self, t: int, active_ids: np.ndarray, draws: SlotDraws):
-        config, variant = self.config, self.variant
+        """The slot's transmitters, their RB ranges and the RACH losses."""
+        config, variant, messages = self.config, self.variant, self.messages
         survivors = rach_phase(active_ids, self.rach, draws.vec(t, _PH_RACH))
-        gen, exponential = self.gen_slot[survivors], self.exponential[survivors]
+        gen = messages.gen_slot[survivors]
+        exponential = messages.exponential[survivors]
         ages = aoi_array(exponential, t, gen)           # the reported ages
         if variant is Variant.LEARNING:
             kinds = self._identify(t, survivors, ages)
@@ -530,10 +503,7 @@ class _CentralizedStack:
         served, first, end = schedule(survivors, keys, t + config.beta - 1 - gen,
                                       tie_class(types, self.learner, variant),
                                       self._rbs_needed(t, survivors), config.n_rbs)
-        self.served, self.taken = served, end - first
-        entries = tuple((i, frozenset(range(a, b))) for i, a, b
-                        in zip(served.tolist(), first.tolist(), end.tolist()))
-        return entries, len(active_ids) - len(survivors)
+        return served, first, end - first, len(active_ids) - len(survivors)
 
     def _identify(self, t: int, survivors: np.ndarray, ages: np.ndarray) -> np.ndarray:
         """Identify unresolved messages from their reports; the survivors' kinds."""
@@ -555,25 +525,20 @@ class _CentralizedStack:
         return kinds
 
     def _rbs_needed(self, t: int, survivors: np.ndarray) -> np.ndarray:
-        left = self.rbs_left[survivors]
+        messages = self.messages
+        left = messages.rbs_left[survivors]
         needed = self.first_split[survivors, left]
         if needed.all():
             return needed
         for j in np.flatnonzero(needed == 0).tolist():
             i, n = int(survivors[j]), int(left[j])
-            plan = plan_message(n, KINDS[int(self.exponential[i])], self.channel, i,
-                                self.config.n_rbs, t, int(self.gen_slot[i]))
+            plan = plan_message(n, KINDS[int(messages.exponential[i])], self.channel,
+                                i, self.config.n_rbs, t, int(messages.gen_slot[i]))
             needed[j] = self.first_split[i, n] = plan.splits[0]
         return needed
 
-    def feedback(self, claimants, outcomes) -> None:
-        success = Outcome.SUCCESS
-        ok = np.array([outcomes[i] is success for i in self.served.tolist()],
-                      dtype=bool)
-        ids = self.served[ok]
-        left = self.rbs_left[ids] - self.taken[ok]
-        self.rbs_left[ids] = np.maximum(left, 0)
-        delivered = ids[left <= 0]
+    def feedback(self, ids, outcomes, delivered, claims) -> None:
+        # what the scheduler learned about a message goes with its delivery
         self.known_kind[delivered] = KIND_UNKNOWN
         self.last_slot[delivered] = -1
 
@@ -600,16 +565,17 @@ def _neighbor_matrix(devices: list[Device], r_c: float) -> np.ndarray | None:
 class _DistributedStack:
     """Minority-game transmit rule with SCA or random RB picks, or the rank map.
 
-    Each slot reads the active devices' pending messages from the Device
-    objects; their future ages become float64 arrays when a decision needs
+    Each slot reads the active devices' pending messages from the engine's
+    arrays; their future ages become float64 arrays when a decision needs
     them, and each device's last RB and whether it failed are arrays that
     feedback writes. A slot's decisions are then a few array operations
     over the active devices.
     """
 
-    def __init__(self, config: ScenarioConfig, devices: list[Device]):
+    def __init__(self, config: ScenarioConfig, devices: list[Device],
+                 messages: PendingMessages):
         self.config = config
-        self.devices = devices
+        self.messages = messages
         # the rank-to-RB baseline is defined only under full information
         self.neighbors = None if config.mode is Mode.DISTRIBUTED_PREDETERMINED \
             else _neighbor_matrix(devices, config.r_c)
@@ -625,39 +591,33 @@ class _DistributedStack:
         # this slot's active ids and the generation slots and aging kinds of
         # their messages; _float_ages keeps their future ages in ages_cache
         self.t = 0
-        self.ids = np.zeros(0, dtype=np.int64)
-        self.gen: list[int] = []
-        self.kinds: list[AgingKind] = []
+        self.ids = _NO_IDS
+        self.gen = _NO_IDS
+        self.exponential = np.zeros(0, dtype=bool)
         self.ages_cache = None
         self.trace_unused: list[int] = []
 
-    def activated(self, hits: list[Device]) -> None:
-        pass                    # allocate reads the Device objects
-
-    def active_ids(self) -> np.ndarray:
-        """Ids of the devices with a pending message, ascending."""
-        return np.array([d.id for d in self.devices if d.active], dtype=np.int64)
-
     def allocate(self, t: int, active_ids: np.ndarray, draws: SlotDraws):
-        config, devices = self.config, self.devices
-        pending = [devices[i] for i in active_ids.tolist()]
+        """The slot's transmitters, their RBs (ranges of one) and no RACH loss."""
+        config, messages = self.config, self.messages
         self.t, self.ids = t, active_ids
-        self.gen = [d.gen_slot for d in pending]
-        self.kinds = [d.aging for d in pending]
+        self.gen = messages.gen_slot[active_ids]
+        self.exponential = messages.exponential[active_ids]
         self.ages_cache = None
-        if not pending:
+        if not len(active_ids):
             actions = np.zeros(config.n_devices, dtype=np.int64)
         elif config.mode is Mode.DISTRIBUTED_PREDETERMINED:
+            active = np.zeros(config.n_devices, dtype=bool)
+            active[active_ids] = True
             actions = np.array(predetermined_actions(self._future_ages(),
-                                                     [d.active for d in devices],
-                                                     config.n_rbs, full_info=True),
+                                                     active.tolist(), config.n_rbs,
+                                                     full_info=True),
                                dtype=np.int64)
         else:
             actions = _game_actions(self, t, draws, active_ids)
         self.actions = actions
-        tx = np.flatnonzero(actions)
-        return tuple((i, frozenset((rb,))) for i, rb
-                     in zip(tx.tolist(), actions[tx].tolist())), 0
+        tx = actions.nonzero()[0]
+        return tx, actions[tx], np.ones_like(tx), 0
 
     def _float_ages(self) -> tuple[np.ndarray, np.ndarray]:
         """This slot's future ages as float64 (inf past 2**1024) and their log2.
@@ -666,26 +626,26 @@ class _DistributedStack:
         """
         if self.ages_cache is None:
             horizon = self.t + self.config.beta
-            gen = np.array(self.gen, dtype=np.int64)
-            exponential = np.array([k is not _LINEAR for k in self.kinds], dtype=bool)
-            self.ages_cache = aoi_array(exponential, horizon, gen), horizon - 1 - gen
+            self.ages_cache = (aoi_array(self.exponential, horizon, self.gen),
+                               horizon - 1 - self.gen)
         return self.ages_cache
 
     def _future_ages(self) -> list:
         """Exact future ages of this slot's active devices, 0 for idle ones."""
         future = [0] * self.config.n_devices
         horizon = self.t + self.config.beta
-        for i, kind, gen in zip(self.ids.tolist(), self.kinds, self.gen):
-            future[i] = aoi_value(kind, horizon, gen)
+        for i, exponential, gen in zip(self.ids.tolist(), self.exponential.tolist(),
+                                       self.gen.tolist()):
+            future[i] = aoi_value(KINDS[exponential], horizon, gen)
         return future
 
-    def feedback(self, claimants, outcomes) -> None:
-        success = Outcome.SUCCESS
+    def feedback(self, ids, outcomes, delivered, claims) -> None:
         self.last_action = self.actions
         self.last_failed = np.zeros(self.config.n_devices, dtype=bool)
-        self.last_failed[[i for i, o in outcomes.items() if o is not success]] = True
+        self.last_failed[ids[outcomes != SUCCESS]] = True
         if self.config.trace:
-            self.trace_unused.append(self.config.n_rbs - len(claimants))
+            self.trace_unused.append(self.config.n_rbs
+                                     - int(np.count_nonzero(claims)))
 
     def trace(self) -> dict:
         active = np.zeros(self.config.n_devices, dtype=bool)

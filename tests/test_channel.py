@@ -1,12 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aoisim.channel import (ChannelModel, Outcome, RbAssignment,
-                            epsilon_for_outage, outage_probability, resolve_slot,
-                            sample_heterogeneous_snr, snr_db_to_linear)
+from aoisim.channel import (OUTCOMES, ChannelModel, Outcome, epsilon_for_outage,
+                            outage_probability, outage_table,
+                            resolve_transmissions, sample_heterogeneous_snr,
+                            snr_db_to_linear)
 
 
 def test_snr_conversion():
@@ -44,22 +43,27 @@ def test_per_device_snr_override():
     assert outage_probability(model, 3, 1) > outage_probability(model, 4, 1)
 
 
+def _resolve(model, transmissions, u):
+    """Outcomes by device id of (id, first RB, RB count) transmissions."""
+    ids, first, n_rbs = (np.array(column, dtype=np.int64)
+                         for column in zip(*transmissions))
+    table = outage_table(model, int(ids.max()) + 1, int(n_rbs.max()))
+    outcomes, _ = resolve_transmissions(ids, first, n_rbs, table, np.asarray(u))
+    return {i: OUTCOMES[code] for i, code in zip(ids.tolist(), outcomes.tolist())}
+
+
 def test_duplicate_rb_fails_every_claimant():
     model = ChannelModel(mean_snr=100.0, epsilon=0.0)
-    assignment = RbAssignment(1, ((0, frozenset({5})), (1, frozenset({5})),
-                                  (2, frozenset({6}))))
-    u = np.full(3, 0.99)
-    outcomes = resolve_slot(assignment, model, u)
+    outcomes = _resolve(model, [(0, 5, 1), (1, 5, 1), (2, 6, 1)], np.full(3, 0.99))
     assert outcomes[0] is Outcome.DUPLICATE_FAILURE
     assert outcomes[1] is Outcome.DUPLICATE_FAILURE
     assert outcomes[2] is Outcome.SUCCESS
 
 
 def test_partial_overlap_fails_the_whole_transmission():
-    # multi-RB transmissions succeed or fail as a unit
+    # multi-RB transmissions succeed or fail as a unit: RBs {1, 2} and {2, 3}
     model = ChannelModel(mean_snr=100.0, epsilon=0.0)
-    assignment = RbAssignment(1, ((0, frozenset({1, 2})), (1, frozenset({2, 3}))))
-    outcomes = resolve_slot(assignment, model, np.ones(2) * 0.5)
+    outcomes = _resolve(model, [(0, 1, 2), (1, 2, 2)], np.ones(2) * 0.5)
     assert outcomes[0] is Outcome.DUPLICATE_FAILURE
     assert outcomes[1] is Outcome.DUPLICATE_FAILURE
 
@@ -67,18 +71,28 @@ def test_partial_overlap_fails_the_whole_transmission():
 def test_outage_uses_own_uniform():
     model = ChannelModel(mean_snr=100.0, epsilon=1.0)
     p = outage_probability(model, 0, 1)
-    assignment = RbAssignment(1, ((0, frozenset({1})), (1, frozenset({2}))))
     u = np.array([p * 0.5, p * 2.0])
-    outcomes = resolve_slot(assignment, model, u)
+    outcomes = _resolve(model, [(0, 1, 1), (1, 2, 1)], u)
     assert outcomes[0] is Outcome.OUTAGE_FAILURE
     assert outcomes[1] is Outcome.SUCCESS
 
 
 def test_assignment_validation():
-    with pytest.raises(ValueError):
-        RbAssignment(1, ((0, frozenset({1})), (0, frozenset({2}))))
-    with pytest.raises(ValueError):
-        RbAssignment(1, ((0, frozenset()),))
+    table = outage_table(ChannelModel(), 3, 2)
+    u = np.zeros(3)
+    with pytest.raises(ValueError, match="more than once"):
+        resolve_transmissions([0, 0], [1, 2], [1, 1], table, u)
+    with pytest.raises(ValueError, match="device 2 listed with an empty RB set"):
+        resolve_transmissions([1, 2], [1, 3], [1, 0], table, u)
+
+
+def test_outage_table_holds_the_outage_probabilities():
+    model = ChannelModel(mean_snr=100.0, epsilon=1.0, per_device_mean_snr={1: 50.0})
+    table = outage_table(model, 3, 4)
+    assert table.shape == (3, 5) and np.isnan(table[:, 0]).all()
+    for i in range(3):
+        for r in range(1, 5):
+            assert table[i, r] == outage_probability(model, i, r)
 
 
 def test_heterogeneous_snr_range():
@@ -89,28 +103,54 @@ def test_heterogeneous_snr_range():
     assert len(snrs) == 1000
 
 
-@given(st.lists(st.tuples(st.integers(0, 19), st.sets(st.integers(1, 10),
-                                                      min_size=1, max_size=3)),
+def _scalar_outcomes(model, transmissions, u):
+    """The per-transmitter rule: a shared RB fails every claimant, else u < p."""
+    claims = {}
+    for _, first, n in transmissions:
+        for rb in range(first, first + n):
+            claims[rb] = claims.get(rb, 0) + 1
+    outcomes = {}
+    for i, first, n in transmissions:
+        if any(claims[rb] > 1 for rb in range(first, first + n)):
+            outcomes[i] = Outcome.DUPLICATE_FAILURE
+        elif u[i] < outage_probability(model, i, n):
+            outcomes[i] = Outcome.OUTAGE_FAILURE
+        else:
+            outcomes[i] = Outcome.SUCCESS
+    return outcomes
+
+
+@given(st.lists(st.tuples(st.integers(0, 19), st.integers(0, 10), st.integers(1, 3)),
                 min_size=1, max_size=12, unique_by=lambda e: e[0]),
        st.integers(0, 2**32 - 1))
-def test_every_transmitter_gets_exactly_one_outcome(entries, seed):
+def test_every_transmitter_gets_exactly_one_outcome(transmissions, seed):
     model = ChannelModel(mean_snr=100.0, epsilon=1.0)
-    assignment = RbAssignment(1, tuple((i, frozenset(rbs)) for i, rbs in entries))
     u = np.random.default_rng(seed).random(20)
-    outcomes = resolve_slot(assignment, model, u)
-    assert set(outcomes) == {i for i, _ in entries}
-    claimed = {}
-    for i, rbs in entries:
-        for rb in rbs:
-            claimed.setdefault(rb, []).append(i)
-    for i, rbs in entries:
-        shared = any(len(claimed[rb]) > 1 for rb in rbs)
-        if shared:
-            assert outcomes[i] is Outcome.DUPLICATE_FAILURE
-        else:
-            assert outcomes[i] in (Outcome.SUCCESS, Outcome.OUTAGE_FAILURE)
-            expected_fail = u[i] < outage_probability(model, i, len(rbs))
-            assert (outcomes[i] is Outcome.OUTAGE_FAILURE) == expected_fail
+    outcomes = _resolve(model, transmissions, u)
+    assert set(outcomes) == {i for i, _, _ in transmissions}
+    assert outcomes == _scalar_outcomes(model, transmissions, u)
+
+
+@given(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 12), st.integers(1, 4),
+                          st.sampled_from(["below", "equal", "above", "random"])),
+                min_size=1, max_size=15, unique_by=lambda e: e[0]),
+       st.dictionaries(st.integers(0, 29), st.floats(0.5, 400.0), max_size=10),
+       st.floats(0.0, 60.0), st.integers(0, 2**32 - 1))
+def test_array_resolver_equals_the_scalar_rule(entries, snrs, epsilon, seed):
+    # overlapping multi-RB ranges, per-device SNR, and uniforms right at,
+    # just below and just above the outage probability
+    model = ChannelModel(mean_snr=100.0, epsilon=epsilon, per_device_mean_snr=snrs)
+    u = np.random.default_rng(seed).random(30)
+    for i, _, n, where in entries:
+        p = outage_probability(model, i, n)
+        if where == "equal":
+            u[i] = p
+        elif where == "below":
+            u[i] = np.nextafter(p, 0.0)
+        elif where == "above":
+            u[i] = np.nextafter(p, 1.0)
+    transmissions = [(i, first, n) for i, first, n, _ in entries]
+    assert _resolve(model, transmissions, u) == _scalar_outcomes(model, transmissions, u)
 
 
 def test_model_rejects_bad_parameters():

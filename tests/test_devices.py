@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from aoisim.aging import AgingKind
-from aoisim.devices import (Device, TypeId, activate, current_aoi,
-                            deliver_success, future_aoi, make_devices, type1,
-                            type2)
+from aoisim.aging import AgingKind, aoi_array, aoi_value
+from aoisim.devices import (PendingMessages, TypeId, activate, deliver_success,
+                            make_devices, type1, type2)
 from aoisim.engine import _PH_ACTIVATE, ScenarioConfig, _activation_sweep
 
 
-def fresh_device(dev_id=0, dtype=None):
-    return Device(id=dev_id, position=(1.0, 2.0), dtype=dtype or type1())
+def pending(n=1):
+    return PendingMessages(n)
 
 
 def test_type_classes_complement():
@@ -19,65 +18,85 @@ def test_type_classes_complement():
 
 
 def test_activate_kind_follows_uniform_quantile():
-    d = fresh_device(dtype=type1(0.75))
-    activate(d, 3, kind_u=0.74)
-    assert d.aging is AgingKind.LINEAR and d.gen_slot == 3
-    d.active = False
-    activate(d, 4, kind_u=0.76)
-    assert d.aging is AgingKind.EXPONENTIAL
+    m = pending()
+    activate(m, [0], 3, kind_u=0.74, p_linear=0.75)
+    assert not m.exponential[0] and m.gen_slot[0] == 3
+    activate(m, [0], 4, kind_u=0.76, p_linear=0.75)
+    assert m.exponential[0]
+    # one call activates many devices, each against its own type
+    m = pending(3)
+    activate(m, [0, 2], 5, kind_u=np.array([0.5, 0.5]), p_linear=np.array([0.75, 0.25]))
+    assert m.exponential.tolist() == [False, False, True]
+    assert m.gen_slot.tolist() == [5, 0, 5] and m.rbs_left.tolist() == [1, 0, 1]
 
 
 def test_activate_rb_demand_quantile():
-    d = fresh_device()
-    activate(d, 1, kind_u=0.0, n_rbs_max=4, size_u=0.999)
-    assert d.n_rbs == 4 and d.n_remaining == 4
-    d.active = False
-    activate(d, 2, kind_u=0.0, n_rbs_max=4, size_u=0.0)
-    assert d.n_rbs == 1
+    m = pending()
+    activate(m, [0], 1, kind_u=0.0, p_linear=0.75, n_rbs_max=4, size_u=0.999)
+    assert m.rbs_left[0] == 4
+    activate(m, [0], 2, kind_u=0.0, p_linear=0.75, n_rbs_max=4, size_u=0.0)
+    assert m.rbs_left[0] == 1
 
 
 def test_activate_rb_demand_window():
-    d = fresh_device()
-    activate(d, 1, kind_u=0.0, n_rbs_max=4, size_u=0.5, n_rbs_min=2)
-    assert d.n_rbs == 3                      # quantile of {2,3,4}
-    d.active = False
-    activate(d, 2, kind_u=0.0, n_rbs_max=3, size_u=0.999, n_rbs_min=3)
-    assert d.n_rbs == 3                      # degenerate window ignores size_u
-    d.active = False
+    m = pending(2)
+    activate(m, [0, 1], 1, kind_u=0.0, p_linear=0.75, n_rbs_max=4,
+             size_u=np.array([0.5, 0.34]), n_rbs_min=2)
+    assert m.rbs_left.tolist() == [3, 3]     # quantiles of {2,3,4}
+    activate(m, [0], 2, kind_u=0.0, p_linear=0.75, n_rbs_max=3, size_u=0.999,
+             n_rbs_min=3)
+    assert m.rbs_left[0] == 3                # degenerate window ignores size_u
     with pytest.raises(ValueError):
-        activate(d, 3, kind_u=0.0, n_rbs_max=2, size_u=0.0, n_rbs_min=3)
+        activate(m, [0], 3, kind_u=0.0, p_linear=0.75, n_rbs_max=2, size_u=0.0,
+                 n_rbs_min=3)
 
 
 def test_message_lifecycle_ages_and_delivery():
-    d = fresh_device()
-    activate(d, 10, kind_u=0.0)          # linear message generated at slot 10
-    assert current_aoi(d, 11) == 1
-    assert current_aoi(d, 15) == 5
-    recorded = deliver_success(d, 15)
-    assert recorded == 5
-    assert not d.active and d.delta == 10
+    m = pending()
+    activate(m, [0], 10, kind_u=0.0, p_linear=0.75)   # linear, generated at 10
+    assert aoi_array(m.exponential, 11, m.gen_slot).tolist() == [1.0]
+    assert aoi_array(m.exponential, 15, m.gen_slot).tolist() == [5.0]
+    delivered, total = deliver_success(m, np.array([0]), np.array([1]), 15)
+    assert delivered.tolist() == [0] and total == 5
+    assert m.rbs_left[0] == 0
 
 
 def test_exponential_delivery_age():
-    d = fresh_device(dtype=type2(0.99))
-    activate(d, 0, kind_u=0.5)           # p_linear = 0.01, so exponential
-    assert d.aging is AgingKind.EXPONENTIAL
-    assert deliver_success(d, 4) == 8
+    m = pending()
+    activate(m, [0], 0, kind_u=0.5, p_linear=type2(0.99).p_linear)
+    assert m.exponential[0]
+    delivered, total = deliver_success(m, np.array([0]), np.array([1]), 4)
+    assert total == 8 and type(total) is int
 
 
 def test_idle_device_has_no_age():
-    d = fresh_device()
-    with pytest.raises(ValueError):
-        current_aoi(d, 1)
-    with pytest.raises(ValueError):
-        deliver_success(d, 1)
+    m = pending(2)
+    assert m.rbs_left.tolist() == [0, 0]
+    activate(m, [0], 1, kind_u=0.0, p_linear=0.75)
+    with pytest.raises(ValueError, match=r"devices \[1\] have no pending message"):
+        deliver_success(m, np.array([0, 1]), np.array([1, 1]), 3)
 
 
 def test_future_aoi_uses_lookahead():
-    d = fresh_device()
-    activate(d, 0, kind_u=0.0)
-    assert future_aoi(d, 4) == 5
-    assert future_aoi(d, 4, beta=3) == 7
+    # the stacks rank messages by their age beta slots ahead
+    m = pending()
+    activate(m, [0], 0, kind_u=0.0, p_linear=0.75)
+    for beta, age in ((1, 5), (3, 7)):
+        assert aoi_array(m.exponential, 4 + beta, m.gen_slot).tolist() == [age]
+        assert aoi_value(AgingKind.LINEAR, 4 + beta, int(m.gen_slot[0])) == age
+
+
+def test_partial_credit_keeps_the_message_pending():
+    m = pending(3)
+    activate(m, [0, 1, 2], 2, kind_u=np.array([0.0, 0.9, 0.9]), p_linear=0.75,
+             n_rbs_max=4, size_u=np.array([0.99, 0.3, 0.99]))
+    assert m.rbs_left.tolist() == [4, 2, 4]
+    # a grant beyond the RBs left completes the message too
+    delivered, total = deliver_success(m, np.array([0, 1, 2]), np.array([3, 3, 4]), 6)
+    assert delivered.tolist() == [1, 2] and total == 8 + 8
+    assert m.rbs_left.tolist() == [1, 0, 0]
+    delivered, total = deliver_success(m, np.array([0]), np.array([1]), 7)
+    assert delivered.tolist() == [0] and total == 5
 
 
 class FixedDraws:
@@ -91,20 +110,20 @@ class FixedDraws:
 
 
 def test_activation_step_leaves_active_device_alone():
-    d = fresh_device()
-    activate(d, 0, kind_u=0.0)
-    gen = d.gen_slot
-    _activation_sweep([d], 9, ScenarioConfig(n_devices=1, v_a=1.0), FixedDraws(0.0))
-    assert d.gen_slot == gen
+    m = pending()
+    activate(m, [0], 0, kind_u=0.0, p_linear=0.75)
+    hits = _activation_sweep(m, np.array([0.75]), 9, ScenarioConfig(n_devices=1, v_a=1.0),
+                             FixedDraws(0.0))
+    assert hits.tolist() == [] and m.gen_slot[0] == 0
 
 
 def test_activation_step_threshold():
-    d = fresh_device()
+    m = pending()
     config = ScenarioConfig(n_devices=1, v_a=0.3)
-    _activation_sweep([d], 5, config, FixedDraws(0.31))
-    assert not d.active
-    _activation_sweep([d], 5, config, FixedDraws(0.29))
-    assert d.active and d.gen_slot == 5
+    _activation_sweep(m, np.array([0.75]), 5, config, FixedDraws(0.31))
+    assert m.rbs_left[0] == 0
+    hits = _activation_sweep(m, np.array([0.75]), 5, config, FixedDraws(0.29))
+    assert hits.tolist() == [0] and m.rbs_left[0] == 1 and m.gen_slot[0] == 5
 
 
 def test_make_devices_layout_and_types():

@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from aoisim import engine
-from aoisim.aging import AgingKind
-from aoisim.centralized import KIND_UNKNOWN
-from aoisim.devices import activate, future_aoi, make_devices
+from aoisim.aging import AgingKind, aoi_value
+from aoisim.centralized import KIND_UNKNOWN, KINDS
+from aoisim.devices import PendingMessages, activate, deliver_success, make_devices
 from aoisim.distributed import kappa, kth_largest
-from aoisim.engine import (ConfigError, Mode, ScenarioConfig, SlotDraws,
-                           _DistributedStack, _transmitters, replicate_seed, run,
+from aoisim.engine import (_PH_ACTIVATE, _PH_KIND, _PH_SIZE, ConfigError, Mode,
+                           ScenarioConfig, SlotDraws, _DistributedStack,
+                           _MetricAccumulator, _transmitters, replicate_seed, run,
                            sweep_iter)
 from test_distributed import delegate_target_ref, kappa_ref, sca_step_ref
 from test_goldens import CASES, case_config
@@ -92,42 +94,193 @@ def test_seed_words_come_in_bounded_blocks():
     assert draws._states.shape == (256 * 8, 4)
 
 
-def _check_stack_arrays(stack):
-    """The centralized stack's arrays agree with the Device objects."""
-    devices = stack.devices
-    pending = [d for d in devices if d.active]
-    active = np.array([d.active for d in devices])
-    assert stack.rbs_left.tolist() == [d.n_remaining for d in devices]
-    assert stack.true_type.tolist() == [d.dtype.type_id.value for d in devices]
-    assert stack.gen_slot[active].tolist() == [d.gen_slot for d in pending]
-    assert stack.exponential[active].tolist() == [
-        d.aging is AgingKind.EXPONENTIAL for d in pending]
-    # what the scheduler learned about a message goes with its delivery
-    assert (stack.known_kind[~active] == KIND_UNKNOWN).all()
-    assert (stack.last_slot[~active] == -1).all()
+class _DeviceReplay:
+    """A run's pending messages stepped one device at a time.
+
+    Activation follows the per-device rule on the run's own draws; delivery
+    credits the RBs the engine reports as received and records the age of
+    each completed message through aoi_value.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.devices = make_devices(config.n_devices, config.type1_fraction,
+                                    config.m1, config.m2, config.width,
+                                    config.length,
+                                    np.random.default_rng(config.seed))
+        self.draws = SlotDraws(config.seed, config.n_devices)
+        n = config.n_devices
+        self.kind = [None] * n          # None: idle
+        self.gen = [0] * n
+        self.left = [0] * n
+
+    def activate(self, t):
+        config = self.config
+        u_act, u_kind, u_size = (self.draws.vec(t, phase)
+                                 for phase in (_PH_ACTIVATE, _PH_KIND, _PH_SIZE))
+        span = config.n_rbs_max - config.n_rbs_min + 1
+        for d in self.devices:
+            i = d.id
+            if self.kind[i] is None and u_act[i] < config.v_a:
+                self.kind[i] = (AgingKind.LINEAR if u_kind[i] < d.dtype.p_linear
+                                else AgingKind.EXPONENTIAL)
+                self.gen[i] = t
+                self.left[i] = (config.n_rbs_min if span == 1
+                                else config.n_rbs_min + int(u_size[i] * span))
+
+    def deliver(self, ids, n_rbs, t):
+        delivered, total = [], 0
+        for i, n in zip(ids, n_rbs):
+            assert self.kind[i] is not None, i
+            self.left[i] -= n
+            if self.left[i] <= 0:
+                delivered.append(i)
+                total += aoi_value(self.kind[i], t, self.gen[i])
+                self.kind[i], self.left[i] = None, 0
+        return delivered, total
+
+    def active_ids(self):
+        return [i for i, kind in enumerate(self.kind) if kind is not None]
+
+    def check(self, messages):
+        active = self.active_ids()
+        assert messages.rbs_left.tolist() == self.left
+        assert messages.gen_slot[active].tolist() == [self.gen[i] for i in active]
+        assert messages.exponential[active].tolist() == [
+            self.kind[i] is AgingKind.EXPONENTIAL for i in active]
 
 
 @pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("central")))
 def test_centralized_arrays_match_the_devices_every_slot(name, monkeypatch):
+    # the shared message arrays equal a per-device replay of every activation
+    # and delivery, checked before each slot and after each delivery
+    config = case_config(name)
+    replay = _DeviceReplay(config)
     stack_cls = engine._CentralizedStack
     allocate, feedback = stack_cls.allocate, stack_cls.feedback
+    deliver = engine.deliver_success
     slots = []
 
     def checked_allocate(self, t, active_ids, draws):
-        _check_stack_arrays(self)            # after the activation sweep
-        assert active_ids.tolist() == [d.id for d in self.devices if d.active]
+        replay.activate(t - 1)               # the sweep at the end of slot t - 1
+        replay.check(self.messages)
+        assert active_ids.tolist() == replay.active_ids()
+        assert self.true_type.tolist() == [d.dtype.type_id.value
+                                           for d in replay.devices]
         slots.append(t)
         return allocate(self, t, active_ids, draws)
 
-    def checked_feedback(self, claimants, outcomes):
-        feedback(self, claimants, outcomes)
-        _check_stack_arrays(self)            # after the slot's outcomes
+    def checked_deliver(messages, ids, n_rbs, t):
+        expected = replay.deliver(ids.tolist(), n_rbs.tolist(), t)
+        delivered, total = deliver(messages, ids, n_rbs, t)
+        assert (delivered.tolist(), total) == expected
+        assert type(total) is int
+        replay.check(messages)
+        return delivered, total
+
+    def checked_feedback(self, ids, outcomes, delivered, claims):
+        feedback(self, ids, outcomes, delivered, claims)
+        # what the scheduler learned about a message goes with its delivery
+        idle = self.messages.rbs_left == 0
+        assert (self.known_kind[idle] == KIND_UNKNOWN).all()
+        assert (self.last_slot[idle] == -1).all()
 
     monkeypatch.setattr(stack_cls, "allocate", checked_allocate)
     monkeypatch.setattr(stack_cls, "feedback", checked_feedback)
-    config = case_config(name)
+    monkeypatch.setattr(engine, "deliver_success", checked_deliver)
     run(config)
     assert slots == list(range(1, config.slots + 1))
+
+
+def test_delivery_accounting_is_exact_past_float_range():
+    # one slot delivers linear ages and exponential ones below and past
+    # 2**1024; the total is the exact integer sum
+    t = 1500
+    m = PendingMessages(6)
+    for i, (gen, exponential) in enumerate([(1000, False), (1497, False), (1490, True),
+                                            (3, True), (200, True), (1, True)]):
+        activate(m, [i], gen, kind_u=float(exponential), p_linear=0.5)
+    ids = np.arange(6)
+    expected = sum(aoi_value(KINDS[int(m.exponential[i])], t, int(m.gen_slot[i]))
+                   for i in ids)
+    delivered, total = deliver_success(m, ids, np.ones(6, dtype=np.int64), t)
+    assert delivered.tolist() == ids.tolist()
+    assert total == expected and type(total) is int
+    assert total > 2**1496
+    metrics = _MetricAccumulator(t, 0.1)
+    slot_mean, cum_mean = metrics.slot(t, total, len(delivered), 0.5, 0, 0, 0)
+    assert slot_mean == cum_mean == math.inf
+    assert metrics.cum_aoi_total == expected
+    # below float range the mean is the exact total over the count
+    m = PendingMessages(3)
+    for i, (gen, exponential) in enumerate([(10, False), (8, True), (2, True)]):
+        activate(m, [i], gen, kind_u=float(exponential), p_linear=0.5)
+    _, total = deliver_success(m, np.arange(3), np.ones(3, dtype=np.int64), 70)
+    assert total == 60 + 2**61 + 2**67
+    assert _MetricAccumulator(70, 0.1).slot(70, total, 3, 0.5, 0, 0, 0)[0] == total / 3
+
+
+def _plain(value) -> bool:
+    return value is None or type(value) in (int, float)
+
+
+@pytest.mark.parametrize("name", ["central_full_info_beyond_float", "central_hetero_window",
+                                  "sca_trace", "predetermined",
+                                  "starvation_staggered_full"])
+def test_records_hold_plain_python_numbers(name):
+    result = run(case_config(name))
+    for record in result.records:
+        assert all(_plain(getattr(record, f.name))
+                   for f in dataclasses.fields(record)), record
+    assert all(_plain(getattr(result.summary, f.name))
+               for f in dataclasses.fields(result.summary))
+
+
+_CONFIGS = st.fixed_dictionaries({
+    "mode": st.sampled_from(list(Mode)),
+    "n_devices": st.integers(1, 30),
+    "n_rbs": st.integers(1, 12),
+    "slots": st.integers(1, 40),
+    "seed": st.integers(0, 2**40),
+    "v_a": st.sampled_from([0.0, 0.05, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    "beta": st.integers(1, 3),
+    "epsilon": st.sampled_from([0.0, 1.0, 30.0]),
+    "preambles": st.integers(1, 64),
+    "rach_exact": st.booleans(),
+    "heterogeneous_power": st.booleans(),
+    "r_c": st.sampled_from([0.0, 2.0, 5.0, 15.0]),
+    "type1_fraction": st.floats(0.0, 1.0),
+    "demand": st.tuples(st.integers(1, 4), st.integers(0, 3)),
+    "trace": st.booleans(),
+})
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_CONFIGS)
+def test_every_valid_config_runs(draw):
+    draw = dict(draw)
+    n_min, extra = draw.pop("demand")
+    if draw["mode"].centralized:
+        n_min = min(n_min, draw["n_rbs"])
+        draw.update(n_rbs_min=n_min, n_rbs_max=min(n_min + extra, draw["n_rbs"]))
+    config = ScenarioConfig(**draw)
+    config.validate()
+    result = run(config)
+    assert len(result.records) == config.slots
+    assert 0.0 <= result.summary.mean_service_rate <= 1.0
+    for record in result.records:
+        assert 0.0 <= record.service_rate <= 1.0
+        assert record.n_transmitting <= record.n_active
+        assert record.avg_inst_aoi_slot is None or record.avg_inst_aoi_slot >= 1
+        if config.mode.centralized:
+            # RBs are handed out once each: no collision, at least one RB per
+            # transmitter, at most R in all and n_rbs_max per transmitter
+            granted = round(record.service_rate * config.n_rbs)
+            assert record.duplicate_failures == 0
+            assert record.n_transmitting <= granted <= config.n_rbs
+            assert granted <= record.n_transmitting * config.n_rbs_max
+            assert record.rach_failures + record.n_transmitting <= record.n_active
 
 
 @pytest.mark.parametrize("mode", [Mode.CENTRALIZED_LEARNING,
@@ -210,10 +363,22 @@ def _saturated(age) -> float:
     return math.inf if age >= 2**1024 else float(age)
 
 
-def _stack_at(config, devices, t):
+def _pend(messages, device, gen, kind_u):
+    """Give one device a message generated at gen, its kind by kind_u."""
+    activate(messages, [device.id], gen, kind_u, device.dtype.p_linear)
+
+
+def _future(messages, i, t, beta):
+    """Exact future age of device i's pending message."""
+    return aoi_value(KINDS[int(messages.exponential[i])], t + beta,
+                     int(messages.gen_slot[i]))
+
+
+def _stack_at(config, devices, messages, t):
     """A distributed stack that has just allocated slot t for these devices."""
-    stack = _DistributedStack(config, devices)
-    stack.allocate(t, stack.active_ids(), SlotDraws(config.seed, config.n_devices))
+    stack = _DistributedStack(config, devices, messages)
+    stack.allocate(t, np.flatnonzero(messages.rbs_left),
+                   SlotDraws(config.seed, config.n_devices))
     return stack
 
 
@@ -223,13 +388,14 @@ def test_partial_range_thresholds_match_the_per_device_rule():
     config = small(n_devices=40, n_rbs=6, r_c=3.0, v_a=0.5)
     rng = np.random.default_rng(11)
     devices = make_devices(40, 0.6, 0.75, 0.75, 10.0, 10.0, rng)
+    messages = PendingMessages(40)
     t = 1200
     for d in devices[::3] + devices[1::3]:
         gen = 1 if rng.random() < 0.2 else int(rng.integers(1150, 1200))
-        activate(d, gen, rng.random())
-    stack = _stack_at(config, devices, t)
+        _pend(messages, d, gen, rng.random())
+    stack = _stack_at(config, devices, messages, t)
     active_ids = stack.ids.tolist()
-    f_value = {i: future_aoi(devices[i], t, config.beta) for i in active_ids}
+    f_value = {i: _future(messages, i, t, config.beta) for i in active_ids}
     expected = set()
     for i in active_ids:
         known = [_saturated(f_value[j]) for j in active_ids if stack.neighbors[i, j]]
@@ -250,15 +416,16 @@ def test_full_range_thresholds_compare_exact_ages_past_float_range(n_rbs, transm
     # exact ties (devices 2 and 3) transmit together
     config = small(n_devices=7, n_rbs=n_rbs, r_c=15.0, v_a=1.0)
     devices = make_devices(7, 0.6, 0.75, 0.75, 10.0, 10.0, np.random.default_rng(2))
+    messages = PendingMessages(7)
     t = 1200
     exponential = 0.9999                    # above every type's linear share
     for d, gen in zip(devices, (1, 2, 3, 3, 60, 100)):
-        activate(d, gen, exponential)
-    activate(devices[6], 1, 0.0)            # linear: age 1200
-    stack = _stack_at(config, devices, t)
+        _pend(messages, d, gen, exponential)
+    _pend(messages, devices[6], 1, 0.0)     # linear: age 1200
+    stack = _stack_at(config, devices, messages, t)
     assert stack.neighbors is None
     assert np.isinf(stack._float_ages()[0][:6]).all()
-    exact = [future_aoi(d, t, config.beta) for d in devices]
+    exact = [_future(messages, i, t, config.beta) for i in range(7)]
     k = kappa(7, 7, n_rbs, 7, config.v_a, config.zeta)
     threshold = kth_largest(exact, k)
     assert {i for i in range(7) if exact[i] >= threshold} == transmitters
@@ -274,20 +441,22 @@ def test_two_delegators_on_one_neighbor_the_lower_id_wins(r_c):
     devices = make_devices(4, 0.6, 0.75, 0.75, 10.0, 10.0, np.random.default_rng(5))
     for d, xy in zip(devices, [(0.0, 0.0), (5.0, 5.0), (5.5, 5.5), (6.0, 5.0)]):
         d.position = xy
-    activate(devices[2], 10, 0.0)
-    stack = _DistributedStack(config, devices)
+    messages = PendingMessages(4)
+    _pend(messages, devices[2], 10, 0.0)
+    stack = _DistributedStack(config, devices, messages)
     assert (stack.neighbors is None) == (r_c == 15.0)
     stack.last_action[[1, 3]] = [4, 2]
-    stack.allocate(11, stack.active_ids(), SlotDraws(config.seed, config.n_devices))
+    stack.allocate(11, np.flatnonzero(messages.rbs_left),
+                   SlotDraws(config.seed, config.n_devices))
     assert stack.actions.tolist() == [0, 0, 4, 0]
 
 
 def _reference_actions(stack, t, draws):
     """One slot of the distributed game, one device at a time on exact ages."""
-    config, devices, nb = stack.config, stack.devices, stack.neighbors
+    config, messages, nb = stack.config, stack.messages, stack.neighbors
     N, R = config.n_devices, config.n_rbs
-    active_ids = [d.id for d in devices if d.active]
-    f = {i: future_aoi(devices[i], t, config.beta) for i in active_ids}
+    active_ids = [i for i in range(N) if messages.rbs_left[i] > 0]
+    f = {i: _future(messages, i, t, config.beta) for i in active_ids}
     n = len(active_ids)
     if nb is None:
         threshold = kth_largest([f[i] for i in active_ids],
@@ -308,7 +477,7 @@ def _reference_actions(stack, t, draws):
     last_action, last_failed = stack.last_action.tolist(), stack.last_failed.tolist()
     delegated = {}
     for i in range(N):
-        if last_action[i] >= 1 and not last_failed[i] and not devices[i].active:
+        if last_action[i] >= 1 and not last_failed[i] and i not in f:
             candidates = [j for j in active_ids if nb is None or nb[i, j]]
             target = delegate_target_ref(candidates, [f[j] for j in candidates],
                                          draws.vec(t, 7)[i])
@@ -343,16 +512,17 @@ def test_game_slot_equals_the_per_device_rules(mode, r_c):
         config = small(n_devices=n, n_rbs=R, r_c=r_c, mode=mode, seed=seed,
                        v_a=float(rng.uniform(0.2, 1.0)))
         devices = make_devices(n, 0.6, 0.75, 0.75, 10.0, 10.0, rng)
+        messages = PendingMessages(n)
         for d in devices:
             if rng.random() < 0.7:
                 gen = int(rng.choice([1, 2, 3, 200, 1290, rng.integers(1, t)]))
-                activate(d, gen, rng.random())
-        stack = _DistributedStack(config, devices)
+                _pend(messages, d, gen, rng.random())
+        stack = _DistributedStack(config, devices, messages)
         stack.last_action[:] = rng.integers(0, R + 1, n)
         stack.last_failed[:] = rng.random(n) < 0.4
         draws = SlotDraws(seed, n)
         expected = _reference_actions(stack, t, draws)
-        stack.allocate(t, stack.active_ids(), draws)
+        stack.allocate(t, np.flatnonzero(messages.rbs_left), draws)
         assert stack.actions.tolist() == expected, seed
 
 
