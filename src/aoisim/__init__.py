@@ -12,7 +12,7 @@ from .devices import (Device, DeviceType, PendingMessages, TypeId, activate,
                       deliver_success, make_devices, type1, type2)
 from .distributed import (FullInfoGame, GameParams, NashResult,
                           delegate_target, kappa, kth_largest,
-                          predetermined_actions, random_selection, sca_step,
+                          random_selection, reaches_threshold, sca_step,
                           service_rate_closed_form)
 from .engine import (ConfigError, Mode, RunResult, RunSummary, ScenarioConfig,
                      SlotRecord, replicate_seed, run, sweep_iter)
@@ -32,7 +32,7 @@ __all__ = [
     "Device", "DeviceType", "PendingMessages", "TypeId", "activate",
     "deliver_success", "make_devices", "type1", "type2",
     "FullInfoGame", "GameParams", "NashResult", "delegate_target", "kappa",
-    "kth_largest", "predetermined_actions", "random_selection", "sca_step",
+    "kth_largest", "random_selection", "reaches_threshold", "sca_step",
     "service_rate_closed_form",
     "ConfigError", "Mode", "RunResult", "RunSummary", "ScenarioConfig",
     "SlotRecord", "replicate_seed", "run", "sweep_iter",

@@ -4,8 +4,9 @@ Each active device decides for itself whether to transmit (its future age
 must reach the kappa-th largest future age it knows about) and, if so, on
 which RB. The stochastic crowd-avoidance rule keeps a winning RB, abandons a
 contended one with probability depending on how crowded it looked, and draws
-fresh RBs from the set observed unused last slot. Baselines pick RBs
-uniformly at random or by a full-information rank-to-RB mapping.
+fresh RBs from the set observed unused last slot. The random baseline picks
+RBs uniformly; the rank-to-RB baseline is ``centralized.schedule`` run by
+the engine on future ages.
 
 Devices within communication range broadcast their future ages, observed
 per-RB transmitter counts and payoffs. No decision rule here consumes a
@@ -38,22 +39,36 @@ class GameParams:
             raise ValueError("zeta must be positive and r_c nonnegative")
 
 
-def kth_largest(values, k, known=None):
+def kth_largest(values, k):
     """k-th largest element (1-based); k beyond the list returns the minimum.
 
-    A sequence is sorted as given, so exact integer ages stay exact. With a
-    bool matrix known, one row per deciding device and one column per value,
-    gives every row the k-th largest of the values it marks, one k per row
-    (the per-device float thresholds); each row marks at least one value.
+    The sequence is sorted as given, so exact integer ages stay exact.
     """
-    if known is None:
-        return sorted(values, reverse=True)[min(k, len(values)) - 1]
-    values = np.asarray(values)
-    order = np.argsort(values)[::-1]
-    # how many marked values each row has seen, walking down from the largest
-    seen = np.cumsum(known[:, order], axis=1)
-    k = np.minimum(k, seen[:, -1])
-    return values[order][np.argmax(seen >= k[:, None], axis=1)]
+    return sorted(values, reverse=True)[min(k, len(values)) - 1]
+
+
+def reaches_threshold(ages, k, known=None, exponents=None) -> np.ndarray:
+    """Which devices transmit: fewer than k of the ages each knows exceed its own.
+
+    That is its age reaching the k-th largest known age, ties transmitting.
+    One entry per active device: its future age as float64 (inf past
+    2**1024) and its k. Row r of the bool matrix known marks the ages device
+    r knows, itself included; there saturated ages tie as inf. Without it
+    every device knows every age, and exponents (the log2 of each age) order
+    the saturated ones exactly.
+    """
+    ages = np.asarray(ages, dtype=np.float64)
+    if known is not None:
+        # int32 row sums of bools run about twice as fast as count_nonzero's
+        above = ages[None, :] > ages[:, None]
+        above &= known
+        return above.sum(axis=1, dtype=np.int32) < k
+    saturated = np.isinf(ages)
+    if saturated.any():
+        # complex keys sort lexicographically: the exponent where the age
+        # saturated, then the finite age
+        ages = np.where(saturated, exponents, 0) + 1j * np.where(saturated, 0, ages)
+    return len(ages) - np.searchsorted(np.sort(ages), ages, "right") < k
 
 
 def kappa(n_known, n_active: int, R: int, N: int, v_a: float, zeta: float):
@@ -62,9 +77,9 @@ def kappa(n_known, n_active: int, R: int, N: int, v_a: float, zeta: float):
     A device that knows every one of the n_active active devices (full
     information) admits R transmitters. Otherwise it scales R by its share of
     the estimated active population N*v_a*zeta, rounding up. The result is
-    clamped to [1, n_known]; a device transmits when its own future age
-    reaches the kappa-th largest known one, so ties transmit. Elementwise
-    over arrays of counts, one per deciding device.
+    clamped to [1, n_known]; ``reaches_threshold`` applies it. Elementwise
+    over arrays of counts, one per deciding device; n_active = 0 gives the
+    scaled rank of every count.
     """
     n_known = np.asarray(n_known)
     if (n_known < 1).any():
@@ -163,23 +178,6 @@ def random_selection(R: int, u):
     over an array of uniforms.
     """
     return 1 + np.multiply(u, R).astype(np.int64)
-
-
-def predetermined_actions(f_values, active, R: int, full_info: bool = True) -> list[int]:
-    """Rank-to-RB mapping: the k-th highest future age transmits on RB k.
-
-    Needs every device to know the full ranking, so partial information is a
-    domain error. Ranks beyond R stay silent.
-    """
-    if not full_info:
-        raise ValueError("predetermined selection requires full information")
-    actions = [0] * len(f_values)
-    order = sorted((i for i in range(len(f_values)) if active[i]),
-                   key=lambda i: (-f_values[i], i))
-    for rank, i in enumerate(order, start=1):
-        if rank <= R:
-            actions[i] = rank
-    return actions
 
 
 def service_rate_closed_form(T: int, R: int) -> float:

@@ -36,8 +36,8 @@ from .channel import (DUPLICATE, SUCCESS, ChannelModel, outage_table,
                       snr_db_to_linear)
 from .devices import (Device, PendingMessages, TypeId, activate,
                       deliver_success, make_devices)
-from .distributed import (delegate_target, kappa, kth_largest,
-                          predetermined_actions, random_selection, sca_step)
+from .distributed import (delegate_target, kappa, random_selection,
+                          reaches_threshold, sca_step)
 from .planner import plan_message
 
 
@@ -558,8 +558,8 @@ def _neighbor_matrix(devices: list[Device], r_c: float) -> np.ndarray | None:
     span = xy.max(axis=0) - xy.min(axis=0)
     if r_c >= math.hypot(span[0], span[1]):
         return None
-    d2 = ((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)
-    return d2 <= r_c * r_c
+    x, y = xy.T
+    return (x[:, None] - x) ** 2 + (y[:, None] - y) ** 2 <= r_c * r_c
 
 
 class _DistributedStack:
@@ -580,11 +580,12 @@ class _DistributedStack:
         self.neighbors = None if config.mode is Mode.DISTRIBUTED_PREDETERMINED \
             else _neighbor_matrix(devices, config.r_c)
         n = config.n_devices
-        # full information: the threshold rank for every possible number of
-        # active devices, each of which knows them all
+        # the threshold rank of a device that knows n_known ages, at index
+        # n_known - 1: when it knows every active device, and when it does not
         counts = np.arange(1, n + 1)
-        self.shared_kappa = (kappa(counts, counts, config.n_rbs, n, config.v_a,
-                                   config.zeta) if self.neighbors is None else None)
+        self.shared_kappa = kappa(counts, counts, config.n_rbs, n, config.v_a,
+                                  config.zeta)
+        self.partial_kappa = kappa(counts, 0, config.n_rbs, n, config.v_a, config.zeta)
         self.last_action = np.zeros(n, dtype=np.int64)     # 0 = did not transmit
         self.last_failed = np.zeros(n, dtype=bool)
         self.actions = np.zeros(n, dtype=np.int64)
@@ -607,17 +608,22 @@ class _DistributedStack:
         if not len(active_ids):
             actions = np.zeros(config.n_devices, dtype=np.int64)
         elif config.mode is Mode.DISTRIBUTED_PREDETERMINED:
-            active = np.zeros(config.n_devices, dtype=bool)
-            active[active_ids] = True
-            actions = np.array(predetermined_actions(self._future_ages(),
-                                                     active.tolist(), config.n_rbs,
-                                                     full_info=True),
-                               dtype=np.int64)
+            # the k-th highest future age transmits on RB k, ties by device id
+            ones = np.ones_like(active_ids)
+            served, first, _ = schedule(active_ids, *self._float_ages(), ones, ones,
+                                        config.n_rbs)
+            actions = np.zeros(config.n_devices, dtype=np.int64)
+            actions[served] = first + 1
         else:
             actions = _game_actions(self, t, draws, active_ids)
         self.actions = actions
         tx = actions.nonzero()[0]
         return tx, actions[tx], np.ones_like(tx), 0
+
+    def kappa(self, n_known: np.ndarray, n_active: int) -> np.ndarray:
+        """``kappa(n_known, n_active, ...)`` of this run, read from its tables."""
+        return np.where(n_known == n_active, self.shared_kappa[n_known - 1],
+                        self.partial_kappa[n_known - 1])
 
     def _float_ages(self) -> tuple[np.ndarray, np.ndarray]:
         """This slot's future ages as float64 (inf past 2**1024) and their log2.
@@ -631,7 +637,7 @@ class _DistributedStack:
         return self.ages_cache
 
     def _future_ages(self) -> list:
-        """Exact future ages of this slot's active devices, 0 for idle ones."""
+        """Exact future ages of this slot's active devices (0: idle), for the trace."""
         future = [0] * self.config.n_devices
         horizon = self.t + self.config.beta
         for i, exponential, gen in zip(self.ids.tolist(), self.exponential.tolist(),
@@ -659,30 +665,23 @@ class _DistributedStack:
 def _transmitters(stack: _DistributedStack) -> np.ndarray:
     """Which of the slot's active devices reach their transmit threshold.
 
-    Full range compares exact ages against one shared threshold: past float
-    range the ages at or above it are powers of two, compared by exponent.
-    Partial range gives each device the threshold of the in-range active
-    ages, as floats: exact ages beyond float range saturate to inf, which
-    keeps the ties-transmit rule intact.
+    Full range ranks exact ages: past float range by their exponents. Partial
+    range counts, per device, the in-range active ages above its own, as
+    floats: exact ages beyond float range saturate to inf, which keeps the
+    ties-transmit rule intact.
     """
-    config = stack.config
     ids = stack.ids
-    R, N, n_active = config.n_rbs, config.n_devices, len(ids)
+    n_active = len(ids)
     if stack.neighbors is None:
         k = stack.shared_kappa[n_active - 1]
         if k >= n_active:           # the threshold is the smallest age
             return np.ones(n_active, dtype=bool)
         ages, exponents = stack._float_ages()
-        threshold = kth_largest(ages.tolist(), k)
-        if threshold < math.inf:
-            return ages >= threshold
-        exponents = np.where(np.isinf(ages), exponents, -1)
-        return exponents >= kth_largest(exponents.tolist(), k)
-    ages, _ = stack._float_ages()
+        return reaches_threshold(ages, k, exponents=exponents)
     # row r marks the ages device ids[r] knows
     known = stack.neighbors[ids][:, ids]
-    ks = kappa(known.sum(axis=1), n_active, R, N, config.v_a, config.zeta)
-    return ages >= kth_largest(ages, ks, known)
+    ks = stack.kappa(known.sum(axis=1, dtype=np.int32), n_active)
+    return reaches_threshold(stack._float_ages()[0], ks, known)
 
 
 def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aoisim.aging import aoi_value
+from aoisim.centralized import KINDS
+from aoisim.devices import PendingMessages, make_devices
 from aoisim.distributed import (FullInfoGame, GameParams, delegate_target,
-                                kappa, kth_largest, predetermined_actions,
-                                random_selection, sca_step,
+                                kappa, kth_largest, random_selection,
+                                reaches_threshold, sca_step,
                                 service_rate_closed_form)
+from aoisim.engine import Mode, ScenarioConfig, SlotDraws, _DistributedStack
 
 
 # --- scalar references ---------------------------------------------------------
@@ -85,7 +89,8 @@ def delegate(ids, f_values, u):
 
 
 # --- transmit rule -----------------------------------------------------------
-# the engine's threshold is kth_largest(known ages, kappa(...)); ties transmit
+# a device transmits when its age reaches kth_largest(known ages, kappa(...)):
+# the engine counts the known ages above its own instead; ties transmit
 
 def test_kth_largest_basics():
     assert kth_largest([5, 1, 9, 3], 1) == 9
@@ -93,27 +98,53 @@ def test_kth_largest_basics():
     assert kth_largest([5, 1, 9, 3], 99) == 1
     assert kth_largest([7], 1) == 7
     assert kth_largest([1 << 1200, 1 << 1100, 3], 2) == 1 << 1100
-    # the partial-range input: shared values, one row of known ones per
-    # deciding device
-    values = np.array([5.0, 1.0, 9.0, 3.0, 2.0, 8.0, np.inf, 8.0])
-    known = np.array([[1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 0, 1],
-                      [0, 1, 1, 0, 0, 1, 1, 1]], dtype=bool)
-    assert kth_largest(values, [3, 2, 2], known).tolist() == [3.0, 8.0, 9.0]
-    assert kth_largest(values, [99, 1, 3], known).tolist() == [1.0, 8.0, 8.0]
 
 
-@settings(max_examples=60, deadline=None)
+def test_threshold_count_basics():
+    # partial range: row r marks the ages device r knows, itself included
+    ages = np.array([5.0, 1.0, 9.0, 8.0, np.inf, 8.0])
+    known = np.array([[1, 1, 1, 0, 0, 0], [1, 1, 0, 0, 0, 0], [0, 1, 1, 1, 1, 0],
+                      [0, 0, 1, 1, 0, 1], [0, 0, 1, 1, 1, 1], [0, 0, 0, 1, 0, 1]],
+                     dtype=bool)
+    got = reaches_threshold(ages, np.array([2, 1, 2, 1, 1, 1]), known)
+    assert got.tolist() == [True, False, True, False, True, True]
+    # k beyond the known count admits everyone
+    assert reaches_threshold(ages, np.full(6, 99), known).all()
+    # full range: one k for all, ties at the threshold transmit
+    assert reaches_threshold([4.0, 4.0, 2.0], 1).tolist() == [True, True, False]
+    assert reaches_threshold([4.0, 4.0, 2.0], 3).tolist() == [True, True, True]
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.lists(st.sampled_from([1.0, 2.0, 3.0, 4.0, 2.0**60, np.inf]),
                 min_size=1, max_size=12), st.data())
-def test_kth_largest_of_known_values_equals_sorting_each_row(values, data):
+def test_threshold_count_equals_sorting_each_row(values, data):
+    # ties, inf ages and k beyond the known count; every device knows itself
     n = len(values)
-    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n)
-                              .filter(any), min_size=1, max_size=5))
-    ks = data.draw(st.lists(st.integers(1, n + 2), min_size=len(rows),
-                            max_size=len(rows)))
-    got = kth_largest(np.array(values), np.array(ks), np.array(rows))
-    assert got.tolist() == [kth_largest([v for v, m in zip(values, row) if m], k)
-                            for row, k in zip(rows, ks)]
+    known = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                        min_size=n, max_size=n)), dtype=bool)
+    np.fill_diagonal(known, True)
+    ks = data.draw(st.lists(st.integers(1, n + 2), min_size=n, max_size=n))
+    got = reaches_threshold(np.array(values), np.array(ks), known)
+    assert got.tolist() == [
+        values[r] >= kth_largest([v for v, m in zip(values, known[r]) if m], k)
+        for r, k in enumerate(ks)]
+
+
+def test_full_range_count_orders_exact_ages_past_float_range():
+    # exact ages mix linear values, powers of two and powers of two past
+    # 2**1024, which all read inf as floats; their exponents keep them apart
+    rng = np.random.default_rng(23)
+    for trial in range(300):
+        n = int(rng.integers(1, 15))
+        exact = [_exact_age(rng) for _ in range(n)]
+        if trial % 4 == 0:          # exact ties past float range
+            exact[:n // 2] = [1 << 1500] * (n // 2)
+        ages, exponents = float_ages(exact)
+        for k in range(1, n + 2):
+            threshold = kth_largest(exact, k)
+            assert reaches_threshold(ages, k, exponents=exponents).tolist() == [
+                f >= threshold for f in exact], (trial, k)
 
 
 def test_kappa_full_information_admits_R():
@@ -156,6 +187,25 @@ def test_transmit_on_threshold_ties():
     threshold = kth_largest(ages, k)
     assert 4 >= threshold
     assert not 2 >= threshold
+    assert reaches_threshold(np.array(ages), k).tolist() == [True, True, False]
+
+
+@pytest.mark.parametrize("R, N, v_a", [(3, 6, 0.4), (1, 5, 1.0), (9, 4, 0.7),
+                                       (2, 5, 0.0), (4, 1, 0.3)])
+def test_per_run_kappa_tables_equal_kappa(R, N, v_a):
+    # R > N, R = 1 and v_a = 0 (the estimated active count is 0) included
+    config = ScenarioConfig(n_devices=N, n_rbs=R, v_a=v_a, zeta=1.2, r_c=2.0)
+    devices = make_devices(N, 0.6, 0.75, 0.75, 10.0, 10.0, np.random.default_rng(1))
+    stack = _DistributedStack(config, devices, PendingMessages(N))
+    for n_active in range(1, N + 1):
+        n_known = np.arange(1, n_active + 1)
+        expected = kappa(n_known, n_active, R, N, v_a, 1.2)
+        assert stack.kappa(n_known, n_active).tolist() == expected.tolist()
+        # at v_a = 0 the scalar rule divides by zero; kappa admits every
+        # known device unless it knows them all
+        assert expected.tolist() == [kappa_ref(n, n_active, R, N, v_a, 1.2)
+                                     if v_a else min(n, R if n == n_active else n)
+                                     for n in n_known.tolist()]
 
 
 def test_silent_payoff_sides():
@@ -287,17 +337,62 @@ def test_random_selection_quantiles():
 
 # --- baselines and closed forms ----------------------------------------------
 
+def predetermined_ref(f_values, active, R):
+    """Rank-to-RB map on exact ages: the k-th highest future age transmits on
+    RB k, ties by device id, ranks beyond R silent."""
+    actions = [0] * len(f_values)
+    order = sorted((i for i in range(len(f_values)) if active[i]),
+                   key=lambda i: (-f_values[i], i))
+    for rank, i in enumerate(order[:R], start=1):
+        actions[i] = rank
+    return actions
+
+
+def predetermined(gen, exponential, active, R, t=1500):
+    """The engine's rank-to-RB baseline at slot t, against the reference."""
+    n = len(gen)
+    config = ScenarioConfig(n_devices=n, n_rbs=R, r_c=0.0,
+                            mode=Mode.DISTRIBUTED_PREDETERMINED)
+    messages = PendingMessages(n)
+    messages.gen_slot[:] = gen
+    messages.exponential[:] = exponential
+    messages.rbs_left[:] = active
+    devices = make_devices(n, 0.6, 0.75, 0.75, 10.0, 10.0, np.random.default_rng(0))
+    stack = _DistributedStack(config, devices, messages)
+    # the baseline needs every device to know the full ranking, whatever r_c
+    assert stack.neighbors is None
+    tx, rbs, _, _ = stack.allocate(t, np.flatnonzero(active), SlotDraws(0, n))
+    f_values = [aoi_value(KINDS[e], t + config.beta, g) if a else 0
+                for g, e, a in zip(gen, exponential, active)]
+    expected = predetermined_ref(f_values, active, R)
+    assert stack.actions.tolist() == expected
+    assert rbs.tolist() == [expected[i] for i in tx.tolist()]
+    return expected
+
+
 def test_predetermined_maps_rank_to_rb():
-    f = [5, 9, 1, 7]
-    actions = predetermined_actions(f, [True] * 4, 3)
-    assert actions == [3, 1, 0, 2]
-    with pytest.raises(ValueError):
-        predetermined_actions(f, [True] * 4, 3, full_info=False)
+    # linear future ages 5, 9, 1, 7 at slot 10
+    assert predetermined([6, 2, 10, 4], [False] * 4, [True] * 4, 3,
+                         t=10) == [3, 1, 0, 2]
 
 
 def test_predetermined_skips_inactive():
-    actions = predetermined_actions([5, 9, 1], [True, False, True], 2)
-    assert actions == [1, 0, 2]
+    assert predetermined([6, 2, 10], [False] * 3, [True, False, True], 2,
+                         t=10) == [1, 0, 2]
+
+
+def test_predetermined_equals_the_rank_rule_on_random_cells():
+    # more active devices than RBs, exact ties, and exponential ages past
+    # 2**1024 (generated more than 1,024 slots ago), which read inf as floats
+    rng = np.random.default_rng(29)
+    for trial in range(200):
+        n = int(rng.integers(1, 40))
+        R = int(rng.integers(1, 12))
+        gen = rng.choice([1, 2, 3, 300, 470, 1490, 1499, 1500], n) if trial % 2 \
+            else rng.integers(1, 1501, n)
+        exponential = rng.random(n) < 0.5
+        active = rng.random(n) < 0.8
+        predetermined(gen.tolist(), exponential.tolist(), active.tolist(), R)
 
 
 def test_service_rate_closed_form_values():
