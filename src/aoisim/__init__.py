@@ -15,7 +15,7 @@ from .distributed import (FullInfoGame, GameParams, NashResult,
                           random_selection, reaches_threshold, sca_step,
                           service_rate_closed_form)
 from .engine import (ConfigError, Mode, RunResult, RunSummary, ScenarioConfig,
-                     SlotRecord, replicate_seed, run, sweep_iter)
+                     SlotRecord, replicate_seed, run, run_many, sweep_iter)
 from .planner import TransmissionPlan, plan_message
 from .presets import expand_preset, preset_description, preset_names
 
@@ -35,7 +35,7 @@ __all__ = [
     "kth_largest", "random_selection", "reaches_threshold", "sca_step",
     "service_rate_closed_form",
     "ConfigError", "Mode", "RunResult", "RunSummary", "ScenarioConfig",
-    "SlotRecord", "replicate_seed", "run", "sweep_iter",
+    "SlotRecord", "replicate_seed", "run", "run_many", "sweep_iter",
     "TransmissionPlan", "plan_message",
     "expand_preset", "preset_description", "preset_names",
 ]

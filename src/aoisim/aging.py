@@ -67,12 +67,18 @@ def age_forward(kind: AgingKind, value, steps: int):
     Linear ages grow additively, exponential ages double per slot. This is
     what a scheduler uses to turn a reported current age into a future age
     without knowing the generation slot.
+
+    A Python int advances exactly. A float or float64 array doubles through
+    ``np.ldexp``: the same value as multiplying by ``2**steps`` below 2**1024,
+    and inf past it, where the product would raise for steps >= 1024.
     """
     if steps < 0:
         raise ValueError("cannot age backwards")
     if kind is _LINEAR:
         return value + steps
-    return value * (1 << steps)
+    if isinstance(value, int):
+        return value * (1 << steps)
+    return np.ldexp(value, steps)
 
 
 def is_power_of_two(value):

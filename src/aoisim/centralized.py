@@ -38,7 +38,8 @@ class Variant(Enum):
 
 
 # bound once for the per-request paths, as in aging.py
-_LINEAR, _TYPE1, _TYPE2 = AgingKind.LINEAR, TypeId.TYPE1, TypeId.TYPE2
+_LINEAR, _EXPONENTIAL = AgingKind.LINEAR, AgingKind.EXPONENTIAL
+_TYPE1, _TYPE2 = TypeId.TYPE1, TypeId.TYPE2
 _NO_LEARNING, _LEARNING, _FULL_INFO = (Variant.NO_LEARNING, Variant.LEARNING,
                                        Variant.FULL_INFO)
 
@@ -66,7 +67,7 @@ def rach_collision_probability(n_active: int, preambles: int) -> float:
     return 1.0 - ((preambles - 1) / preambles) ** (n_active - 1)
 
 
-def rach_phase(active_ids, config: RachConfig, u) -> np.ndarray:
+def rach_phase(active_ids, config: RachConfig, u, lanes=None) -> np.ndarray:
     """Ids whose scheduling request reaches the base station this slot.
 
     active_ids is an id array (a list works), and u maps device id to a
@@ -74,6 +75,8 @@ def rach_phase(active_ids, config: RachConfig, u) -> np.ndarray:
     Bernoulli thinning at the per-device collision probability; the exact
     mode derives a preamble pick from each uniform and keeps the devices
     whose preamble is unique. Survivors keep the order of active_ids.
+    lanes, one index per active id, splits the requests into cells that
+    each have their own preambles and collide only among themselves.
     """
     active_ids = np.asarray(active_ids, dtype=np.intp)
     n = len(active_ids)
@@ -82,9 +85,15 @@ def rach_phase(active_ids, config: RachConfig, u) -> np.ndarray:
     u_active = np.asarray(u)[active_ids]
     if config.exact_draws:
         picks = (u_active * config.preambles).astype(np.intp)
-        counts = np.bincount(picks, minlength=config.preambles)
+        if lanes is not None:
+            picks += lanes * config.preambles
+        counts = np.bincount(picks)
         return active_ids[counts[picks] == 1]
-    survive_p = 1.0 - rach_collision_probability(n, config.preambles)
+    if lanes is None:
+        survive_p = 1.0 - rach_collision_probability(n, config.preambles)
+    else:
+        survive_p = np.array([1.0 - rach_collision_probability(c, config.preambles)
+                              for c in np.bincount(lanes).tolist()])[lanes]
     return active_ids[u_active < survive_p]
 
 
@@ -122,56 +131,63 @@ def identify_aging(ages, prev_slots, prev_ages, slot: int) -> np.ndarray:
 class TypeLearner:
     """Per-device counts of identified message kinds plus the population priors.
 
-    The priors are fixed at construction: log_lik caches their logarithms.
+    counts is an (n_devices, 2) int array: row i holds device i's
+    (linear, exponential) identifications. The priors are fixed at
+    construction: log_lik caches their logarithms.
     """
 
     m1: float = 0.75
     m2: float = 0.75
     p_type1: float = 0.6
-    counts: dict[int, list[int]] = field(default_factory=dict)   # id -> [k_lin, k_exp]
+    n_devices: int = 0
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.counts = np.zeros((self.n_devices, 2), dtype=np.int64)
         # log-likelihood of one (linear, exponential) observation per type
         self.log_lik = ((math.log(self.m1), math.log(1.0 - self.m1)),
                         (math.log(1.0 - self.m2), math.log(self.m2)))
 
-    def observe(self, device_id: int, kind: AgingKind) -> None:
-        k = self.counts.setdefault(device_id, [0, 0])
-        k[0 if kind is _LINEAR else 1] += 1
-
-    def observation_count(self, device_id: int) -> int:
-        k = self.counts.get(device_id)
-        return 0 if k is None else k[0] + k[1]
+    def observe(self, device_ids, kinds) -> None:
+        """Count one identification per id: an AgingKind, or KIND_* codes per id."""
+        if isinstance(kinds, AgingKind):
+            kinds = KINDS.index(kinds)
+        np.add.at(self.counts, (device_ids, kinds), 1)
 
 
-def learn_type(learner: TypeLearner, device_id: int) -> TypeId | None:
+def learn_type(learner: TypeLearner, device_ids):
     """Maximum-likelihood type from the identified-kind counts.
 
-    Returns None with zero observations (callers fall back to the marginal
-    priors). Ties break to TYPE2, the faster-aging class.
+    For one id: a TypeId, or None with zero observations (callers fall back
+    to the marginal priors). For an id array: TypeId values, NO_TYPE where
+    a device has no observation. Ties break to TYPE2, the faster-aging
+    class.
     """
-    k = learner.counts.get(device_id)
-    if k is None or k[0] + k[1] == 0:
-        return None
-    k_lin, k_exp = k
+    k = learner.counts[device_ids]
+    k_lin, k_exp = k[..., 0], k[..., 1]
     (lin1, exp1), (lin2, exp2) = learner.log_lik
     ll1 = k_lin * lin1 + k_exp * exp1
     ll2 = k_lin * lin2 + k_exp * exp2
-    return _TYPE1 if ll1 > ll2 else _TYPE2
+    codes = np.where(k_lin + k_exp == 0, NO_TYPE,
+                     np.where(ll1 > ll2, _TYPE1.value, _TYPE2.value)).astype(np.int8)
+    if codes.ndim:
+        return codes
+    return None if codes == NO_TYPE else TypeId(int(codes))
 
 
 def expected_future_aoi(current_aoi, est, m1: float, m2: float, beta: int = 1):
     """Expected future age of an unresolved message under a type hypothesis.
 
     current_aoi is one age and est a TypeId, or current_aoi is a float64
-    array and est an array of TypeId values, one per age.
+    array and est an array of TypeId values, one per age. Both kinds advance
+    through ``age_forward``, so float ages saturate to inf at any beta.
     """
     if isinstance(est, TypeId):
         p_lin = m1 if est is _TYPE1 else 1.0 - m2
     else:
         p_lin = np.where(est == _TYPE1.value, m1, 1.0 - m2)
-    return (p_lin * (current_aoi + beta)
-            + (1.0 - p_lin) * (current_aoi * (1 << beta)))
+    return (p_lin * age_forward(_LINEAR, current_aoi, beta)
+            + (1.0 - p_lin) * age_forward(_EXPONENTIAL, current_aoi, beta))
 
 
 def marginal_expected_future_aoi(current_aoi, m1: float, m2: float,
@@ -215,7 +231,7 @@ def priority_key(ages, kinds, types, learner: TypeLearner, variant: Variant,
             return marginal_expected_future_aoi(ages, m1, m2, p_type1, beta)
         kinds = np.asarray(kinds)
         keys = np.where(kinds == KIND_EXPONENTIAL,
-                        age_forward(AgingKind.EXPONENTIAL, ages, beta),
+                        age_forward(_EXPONENTIAL, ages, beta),
                         age_forward(_LINEAR, ages, beta))
         if variant is _LEARNING:
             types = np.asarray(types)
@@ -245,7 +261,7 @@ def tie_class(types, learner: TypeLearner, variant: Variant) -> np.ndarray:
     return classes
 
 
-def schedule(ids, keys, exponents, tie_classes, rbs_needed, R: int):
+def schedule(ids, keys, exponents, tie_classes, rbs_needed, R: int, lanes=None):
     """Allocate RB indices to requests in descending future-age order.
 
     One array entry per request: device id, priority key, log2 of its future
@@ -255,16 +271,26 @@ def schedule(ids, keys, exponents, tie_classes, rbs_needed, R: int):
     determinism. Each request gets min(remaining, rbs_needed) RBs, handed
     out consecutively so no RB is ever assigned twice.
 
+    lanes, one index per request, splits the requests into cells scheduled
+    each on its own R RBs: the order puts the lane first, and the RB count
+    restarts in every lane.
+
     Returns the served ids in service order and, per served id, its RB
-    range [first, end).
+    range [first, end) in its lane.
     """
     ids = np.asarray(ids)
     keys = np.asarray(keys, dtype=np.float64)
     saturated = np.where(np.isinf(keys), exponents, 0)
-    order = np.lexsort((ids, tie_classes, -saturated, -keys))
+    sort_keys = (ids, tie_classes, -saturated, -keys)
+    if lanes is not None:
+        sort_keys += (lanes,)
+    order = np.lexsort(sort_keys)
     needed = np.asarray(rbs_needed)[order]
     end = np.cumsum(needed)
+    if lanes is not None:
+        lane = np.asarray(lanes)[order]
+        end -= (end - needed)[np.searchsorted(lane, lane)]
+    first = end - needed
     # requests up to the first whose demand reaches R get RBs
-    n_served = int(np.searchsorted(end, R)) + 1
-    end, needed = end[:n_served], needed[:n_served]
-    return ids[order[:n_served]], end - needed, np.minimum(end, R)
+    served = first < R
+    return ids[order[served]], first[served], np.minimum(end[served], R)

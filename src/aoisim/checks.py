@@ -16,7 +16,8 @@ from .centralized import (KIND_EXPONENTIAL, KIND_LINEAR, TypeLearner, Variant,
 from .devices import TypeId
 from .distributed import (FullInfoGame, GameParams, random_selection,
                           service_rate_closed_form)
-from .engine import Mode, ScenarioConfig, replicate_seed, run
+from .engine import (SWEEP_LANES, Mode, ScenarioConfig, replicate_seed, run,
+                     run_many)
 
 
 @dataclass
@@ -129,11 +130,14 @@ def check_sca_convergence(runs: int = 100, slots: int = 200,
     converged_at = []
     ne_failures = []
     stayed = True
-    for k in range(runs):
-        config = ScenarioConfig(n_devices=n, n_rbs=r, slots=slots, v_a=1.0,
-                                epsilon=0.0, r_c=15.0, mode=Mode.DISTRIBUTED_SCA,
-                                trace=True, seed=replicate_seed(seed, k))
-        result = run(config)
+    configs = [ScenarioConfig(n_devices=n, n_rbs=r, slots=slots, v_a=1.0,
+                              epsilon=0.0, r_c=15.0, mode=Mode.DISTRIBUTED_SCA,
+                              trace=True, seed=replicate_seed(seed, k))
+               for k in range(runs)]
+    # the runs share slot loops, a sweep's worth of lanes at a time
+    results = (result for start in range(0, runs, SWEEP_LANES)
+               for result in run_many(configs[start:start + SWEEP_LANES]))
+    for k, result in enumerate(results):
         rates = [rec.service_rate for rec in result.records]
         unused[k] = result.trace["unused_rbs"]
         first = next((i + 1 for i, sr in enumerate(rates) if sr == 1.0), None)

@@ -93,13 +93,18 @@ def activate(messages: PendingMessages, ids, t: int, kind_u, p_linear,
                               else n_rbs_min + np.floor(size_u * span))
 
 
-def deliver_success(messages: PendingMessages, ids, n_rbs, t: int):
+def deliver_success(messages: PendingMessages, ids, n_rbs, t: int, lanes: int = 1):
     """Credit the successful transmissions of slot t.
 
     Device ids[j] got n_rbs[j] of its pending RBs through. Messages with no
     RB left are delivered: their devices go idle. Returns the delivered ids
-    and the exact sum (a Python int) of their recorded delivery ages C_i,
-    each the message's age at slot t through its aging kind.
+    and, per lane, the exact sum (a Python int) of their recorded delivery
+    ages C_i, each the message's age at slot t through its aging kind. The
+    devices split into lanes of equal size, in id order.
+
+    The sums run in int64 while they stay below 2**63; past that (ages past
+    about 2**56), exponential ages 2**(k-1) add up as Python ints, grouped
+    by lane and exponent, exact past 2**1024.
     """
     ids = np.asarray(ids)
     left = messages.rbs_left[ids]
@@ -111,12 +116,31 @@ def deliver_success(messages: PendingMessages, ids, n_rbs, t: int):
     delivered = ids[left == 0]
     k = t - messages.gen_slot[delivered]
     exponential = messages.exponential[delivered]
-    # linear ages sum exactly in int64; exponential ones are 2**(k-1), exact
-    # as Python ints past 2**1024
-    total = int(k.sum(where=~exponential))
-    if exponential.any():
-        total += sum(1 << e for e in (k[exponential] - 1).tolist())
-    return delivered, total
+    exponents = k[exponential] - 1
+    lane = None if lanes == 1 else delivered // (len(messages.rbs_left) // lanes)
+    top = int(exponents.max()) if len(exponents) else 0
+    # an age is at most t (linear) or 2**top (exponential)
+    if len(k) * (t + (1 << top)) < 1 << 63:
+        ages = np.where(exponential, np.left_shift(1, k - 1), k)
+        if lane is None:
+            return delivered, [int(ages.sum())]
+        totals = np.zeros(lanes, dtype=np.int64)
+        np.add.at(totals, lane, ages)
+        return delivered, totals.tolist()
+    # past int64: exponential ages 2**e as Python ints, one per (lane, e)
+    if lane is None:
+        totals = [int(k.sum(where=~exponential))]
+    else:
+        linear = np.zeros(lanes, dtype=np.int64)
+        np.add.at(linear, lane, np.where(exponential, 0, k))
+        totals = linear.tolist()
+        # k <= t, so an exponent stays below t
+        exponents += lane[exponential] * t
+    values, counts = np.unique(exponents, return_counts=True)
+    for value, count in zip(values.tolist(), counts.tolist()):
+        lane_index, exponent = divmod(value, t) if lane is not None else (0, value)
+        totals[lane_index] += count << exponent
+    return delivered, totals
 
 
 def sample_positions(n: int, w: float, l: float, rng: np.random.Generator) -> np.ndarray:

@@ -47,14 +47,15 @@ def kth_largest(values, k):
     return sorted(values, reverse=True)[min(k, len(values)) - 1]
 
 
-def reaches_threshold(ages, k, known=None, exponents=None) -> np.ndarray:
+def reaches_threshold(ages, k, known=None, exponents=None, lanes=None) -> np.ndarray:
     """Which devices transmit: fewer than k of the ages each knows exceed its own.
 
     That is its age reaching the k-th largest known age, ties transmitting.
     One entry per active device: its future age as float64 (inf past
     2**1024) and its k. Row r of the bool matrix known marks the ages device
     r knows, itself included; there saturated ages tie as inf. Without it
-    every device knows every age, and exponents (the log2 of each age) order
+    every device knows every age of its lane (one lane index per device in
+    lanes; one lane when None), and exponents (the log2 of each age) order
     the saturated ones exactly.
     """
     ages = np.asarray(ages, dtype=np.float64)
@@ -64,6 +65,15 @@ def reaches_threshold(ages, k, known=None, exponents=None) -> np.ndarray:
         above &= known
         return above.sum(axis=1, dtype=np.int32) < k
     saturated = np.isinf(ages)
+    if lanes is not None:
+        # complex keys sort lexicographically: the lane and the exponent where
+        # the age saturated, which stays below the next lane's start, then
+        # the finite age
+        span = int(np.max(exponents)) + 1
+        keys = (lanes * span + np.where(saturated, exponents, 0)
+                + 1j * np.where(saturated, 0, ages))
+        lane_end = np.cumsum(np.bincount(lanes))[lanes]
+        return lane_end - np.searchsorted(np.sort(keys), keys, "right") < k
     if saturated.any():
         # complex keys sort lexicographically: the exponent where the age
         # saturated, then the finite age
@@ -91,13 +101,14 @@ def kappa(n_known, n_active: int, R: int, N: int, v_a: float, zeta: float):
 
 
 def sca_step(prev_action, prev_failed, crowd_seen, unused, keep_u, pick_u,
-             R: int) -> np.ndarray:
+             R: int, rows=None) -> np.ndarray:
     """Crowd-avoidance RB choices of the devices that transmit this slot.
 
     One array entry per device: its last RB (0 when silent), whether that
     transmission failed and the crowd it saw on that RB last slot. Row r of
     the bool matrix unused marks the RBs device r sensed unused last slot
-    (column c is RB c+1); a single row serves every device. A device
+    (column c is RB c+1); a single row serves every device, and with rows
+    given, row rows[r] serves device r. A device
     repeats an RB that just worked. After a failure it stays with
     probability one over the crowd it saw (crowd_seen, itself included); a
     failure implies at least one other claimant (or an outage it cannot
@@ -113,6 +124,8 @@ def sca_step(prev_action, prev_failed, crowd_seen, unused, keep_u, pick_u,
                                   & (keep_u >= 1.0 / np.maximum(2, crowd_seen)))
     # the fresh pick is the floor(pick_u * n_unused)-th unused RB
     ranks = np.cumsum(unused, axis=1)
+    if rows is not None:
+        ranks = ranks[rows]
     n_unused = ranks[:, -1]
     nth = (pick_u * n_unused).astype(np.int64)
     fresh = np.argmax(ranks > nth[:, None], axis=1) + 1

@@ -31,10 +31,10 @@ from .aging import aoi_array, aoi_value
 from .centralized import (KIND_UNKNOWN, KINDS, NO_TYPE, RachConfig,
                           TypeLearner, Variant, identify_aging, learn_type,
                           rach_phase, schedule, tie_class)
-from .channel import (DUPLICATE, SUCCESS, ChannelModel, outage_table,
+from .channel import (SUCCESS, ChannelModel, outage_table,
                       resolve_transmissions, sample_heterogeneous_snr,
                       snr_db_to_linear)
-from .devices import (Device, PendingMessages, TypeId, activate,
+from .devices import (Device, PendingMessages, activate,
                       deliver_success, make_devices)
 from .distributed import (delegate_target, kappa, random_selection,
                           reaches_threshold, sca_step)
@@ -50,11 +50,6 @@ _PH_OUTAGE = 4
 _PH_DECIDE = 5
 _PH_FRESH = 6
 _PH_DELEGATE = 7
-
-# bound once, as in aging.py (Enum.value is a descriptor call too)
-_TYPE1 = TypeId.TYPE1
-_TYPE1_CODE, _TYPE2_CODE = TypeId.TYPE1.value, TypeId.TYPE2.value
-
 
 # numpy's SeedSequence constants (pool of four uint32 words, 32-bit hashes)
 _MASK32 = 0xFFFFFFFF
@@ -178,9 +173,31 @@ class SlotDraws:
         self._states = seed_states(np.column_stack(columns))
         self._first, self._end = first, end
 
-    def vec(self, slot: int, phase: int) -> np.ndarray:
+    def vec(self, slot: int, phase: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The vector of (slot, phase); written into out when given."""
         words = _SeedWords(self.state(slot, phase))
-        return _Generator(_PCG64(words)).random(self._n)
+        return _Generator(_PCG64(words)).random(self._n, out=out)
+
+
+class _LaneDraws:
+    """The slot draws of several lanes, as one vector over every lane's devices.
+
+    Lane l's devices hold entries l * N to (l + 1) * N - 1, each the draw of
+    its own lane's ``SlotDraws``.
+    """
+
+    __slots__ = ("_lanes", "_n")
+
+    def __init__(self, lanes: list[SlotDraws], n_devices: int):
+        self._lanes = lanes
+        self._n = n_devices
+
+    def vec(self, slot: int, phase: int) -> np.ndarray:
+        n = self._n
+        out = np.empty(len(self._lanes) * n)
+        for lane, draws in enumerate(self._lanes):
+            draws.vec(slot, phase, out[lane * n:(lane + 1) * n])
+        return out
 
 
 class Mode(Enum):
@@ -198,6 +215,17 @@ class Mode(Enum):
 
 class ConfigError(ValueError):
     pass
+
+
+def _usable_snr_db(db: float) -> bool:
+    """Whether a dB value converts to a positive, finite linear SNR."""
+    if not math.isfinite(db):
+        return False
+    try:
+        linear = snr_db_to_linear(db)
+    except OverflowError:
+        return False
+    return 0.0 < linear < math.inf
 
 
 @dataclass(frozen=True)
@@ -261,6 +289,13 @@ class ScenarioConfig:
                 raise ConfigError(message)
         if not self.mode.centralized and self.n_rbs_max != 1:
             raise ConfigError("multi-RB messages are a centralized-only feature")
+        snr_fields = ["mean_snr_db"]
+        if self.heterogeneous_power:
+            snr_fields += ["hetero_snr_low_db", "hetero_snr_high_db"]
+        for name in snr_fields:
+            if not _usable_snr_db(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite dB value whose "
+                                  "linear SNR is positive and finite")
 
 
 @dataclass(frozen=True)
@@ -320,6 +355,18 @@ def _build_channel(config: ScenarioConfig, rng: np.random.Generator) -> ChannelM
 
 
 _NO_IDS = np.zeros(0, dtype=np.int64)
+
+
+def _lane_of(ids: np.ndarray, width: int, lanes: int) -> np.ndarray | None:
+    """The lane of each id, each id being lane * width + index; None for one lane."""
+    return None if lanes == 1 else ids // width
+
+
+def _lane_counts(ids: np.ndarray, width: int, lanes: int) -> list[int]:
+    """How many of ids fall in each lane, each id being lane * width + index."""
+    if lanes == 1:
+        return [len(ids)]
+    return np.bincount(ids // width, minlength=lanes).tolist()
 
 
 def _activation_sweep(messages: PendingMessages, p_linear: np.ndarray, t: int,
@@ -390,7 +437,19 @@ class _MetricAccumulator:
 
 
 def run(config: ScenarioConfig) -> RunResult:
-    """Simulate one scenario; deterministic in (config, seed).
+    """Simulate one scenario; deterministic in (config, seed)."""
+    return run_many([config])[0]
+
+
+def run_many(configs) -> list[RunResult]:
+    """Simulate configs that differ only in seed, as lanes of one slot loop.
+
+    Returns one result per config, in order, each equal to what a run of
+    that config alone gives. Lane l holds config l: its devices have ids
+    l * N to l * N + N - 1 and its RBs the indices from l * w, w being the
+    stack's ``rb_width``. Each lane keeps its own positions, latent types,
+    channel and ``SlotDraws``, so its draws and outcomes are those of the
+    lone run; the array work of a slot is shared by every lane.
 
     One slot loop serves both stacks. The engine keeps every device's
     pending message in one ``PendingMessages`` set of arrays, which both
@@ -399,50 +458,70 @@ def run(config: ScenarioConfig) -> RunResult:
     stack learns the outcome (feedback) before idle devices draw fresh
     activations. Each of these is a few array operations per slot.
     """
-    config.validate()
-    rng = np.random.default_rng(config.seed)
-    devices = make_devices(config.n_devices, config.type1_fraction, config.m1,
-                           config.m2, config.width, config.length, rng)
-    channel = _build_channel(config, rng)
-    draws = SlotDraws(config.seed, config.n_devices, config.slots)
-    messages = PendingMessages(config.n_devices)
+    configs = list(configs)
+    if not configs:
+        raise ConfigError("run_many needs at least one config")
+    base = configs[0]
+    for config in configs:
+        config.validate()
+        if replace(config, seed=base.seed) != base:
+            raise ConfigError("run_many runs configs that differ only in seed")
+    lanes, N = len(configs), base.n_devices
+    devices, channels, lane_draws = [], [], []
+    for config in configs:
+        rng = np.random.default_rng(config.seed)
+        devices += make_devices(N, config.type1_fraction, config.m1, config.m2,
+                                config.width, config.length, rng)
+        channels.append(_build_channel(config, rng))
+        lane_draws.append(SlotDraws(config.seed, N, config.slots))
+    draws = lane_draws[0] if lanes == 1 else _LaneDraws(lane_draws, N)
+    messages = PendingMessages(lanes * N)
     p_linear = np.array([d.dtype.p_linear for d in devices])
-    p_outage = outage_table(channel, config.n_devices, config.n_rbs_max)
-    stack = (_CentralizedStack(config, devices, messages, channel)
-             if config.mode.centralized
-             else _DistributedStack(config, devices, messages))
-    metrics = _MetricAccumulator(config.slots, config.warmup_fraction)
-    records: list[SlotRecord] = []
+    p_outage = np.concatenate([outage_table(channel, N, base.n_rbs_max)
+                               for channel in channels])
+    stack = (_CentralizedStack(base, devices, messages, channels)
+             if base.mode.centralized
+             else _DistributedStack(base, devices, messages))
+    metrics = [_MetricAccumulator(base.slots, base.warmup_fraction) for _ in configs]
+    records: list[list[SlotRecord]] = [[] for _ in configs]
+    R, rb_width = base.n_rbs, stack.rb_width
 
-    _activation_sweep(messages, p_linear, 0, config, draws)
-    for t in range(1, config.slots + 1):
+    _activation_sweep(messages, p_linear, 0, base, draws)
+    for t in range(1, base.slots + 1):
         active_ids = messages.rbs_left.nonzero()[0]
         ids, first, n_rbs, rach_failures = stack.allocate(t, active_ids, draws)
         outcomes, claims = resolve_transmissions(ids, first, n_rbs, p_outage,
                                                  draws.vec(t, _PH_OUTAGE))
         ok = outcomes == SUCCESS
-        delivered, slot_total = deliver_success(messages, ids[ok], n_rbs[ok], t)
+        delivered, totals = deliver_success(messages, ids[ok], n_rbs[ok], t, lanes)
         stack.feedback(ids, outcomes, delivered, claims)
 
-        n_success = int(np.count_nonzero(ok))
-        duplicate_failures = int(np.count_nonzero(outcomes == DUPLICATE))
-        outage_failures = len(ids) - n_success - duplicate_failures
+        n_active = _lane_counts(active_ids, N, lanes)
+        # per lane, the transmissions by outcome code (SUCCESS, DUPLICATE, OUTAGE)
+        tallies = np.bincount(outcomes if lanes == 1 else ids // N * 3 + outcomes,
+                              minlength=3 * lanes).reshape(lanes, 3).tolist()
+        n_delivered = _lane_counts(delivered, N, lanes)
         # RBs with exactly one claimant
-        service_rate = int(np.count_nonzero(claims == 1)) / config.n_rbs
-        slot_mean, cum_mean = metrics.slot(t, slot_total, len(delivered),
-                                           service_rate, rach_failures,
-                                           duplicate_failures, outage_failures)
-        records.append(SlotRecord(
-            slot=t, avg_inst_aoi_slot=slot_mean, avg_inst_aoi_cum=cum_mean,
-            service_rate=service_rate, n_active=len(active_ids),
-            n_transmitting=len(ids), rach_failures=rach_failures,
-            duplicate_failures=duplicate_failures,
-            outage_failures=outage_failures))
-        _activation_sweep(messages, p_linear, t, config, draws)
+        n_single = _lane_counts((claims == 1).nonzero()[0], rb_width, lanes)
+        for lane in range(lanes):
+            n_success, duplicate_failures, outage_failures = tallies[lane]
+            service_rate = n_single[lane] / R
+            slot_mean, cum_mean = metrics[lane].slot(
+                t, totals[lane], n_delivered[lane], service_rate,
+                rach_failures[lane], duplicate_failures, outage_failures)
+            records[lane].append(SlotRecord(
+                slot=t, avg_inst_aoi_slot=slot_mean, avg_inst_aoi_cum=cum_mean,
+                service_rate=service_rate, n_active=n_active[lane],
+                n_transmitting=n_success + duplicate_failures + outage_failures,
+                rach_failures=rach_failures[lane],
+                duplicate_failures=duplicate_failures,
+                outage_failures=outage_failures))
+        _activation_sweep(messages, p_linear, t, base, draws)
 
-    return RunResult(config=config, records=records,
-                     summary=metrics.summary(config.slots),
-                     trace=stack.trace() if config.trace else None)
+    return [RunResult(config=config, records=records[lane],
+                      summary=metrics[lane].summary(base.slots),
+                      trace=stack.trace(lane) if base.trace else None)
+            for lane, config in enumerate(configs)]
 
 
 # ---------------------------------------------------------------------------
@@ -455,20 +534,24 @@ class _CentralizedStack:
     The stack reads the pending messages from the engine's arrays and keeps
     what the scheduler knows about them in per-device arrays of its own,
     which feedback resets on delivery. A slot then ranks its RACH survivors
-    with a few array operations.
+    with a few array operations. devices lists the devices of every lane in
+    lane order, and channels holds each lane's channel; every lane has its
+    own RACH and its own R RBs.
     """
 
     def __init__(self, config: ScenarioConfig, devices: list[Device],
-                 messages: PendingMessages, channel: ChannelModel):
+                 messages: PendingMessages, channels: list[ChannelModel]):
         self.config = config
         self.devices = devices
         self.messages = messages
-        self.channel = channel
+        self.channels = channels
+        self.lanes = len(channels)
+        self.rb_width = config.n_rbs
         self.variant = Variant(config.mode.value.removeprefix("centralized_"))
         self.rach = RachConfig(config.preambles, config.rach_exact)
+        n = len(devices)
         self.learner = TypeLearner(m1=config.m1, m2=config.m2,
-                                   p_type1=config.type1_fraction)
-        n = config.n_devices
+                                   p_type1=config.type1_fraction, n_devices=n)
         self.true_type = np.array([d.dtype.type_id.value for d in devices],
                                   dtype=np.int8)
         # scheduler-side knowledge: the identified kind of the pending message
@@ -485,10 +568,14 @@ class _CentralizedStack:
         # nothing else the plan reads varies
         self.first_split = np.zeros((n, config.n_rbs_max + 1), dtype=np.int64)
 
+    def _lane(self, ids: np.ndarray) -> np.ndarray | None:
+        return _lane_of(ids, self.config.n_devices, self.lanes)
+
     def allocate(self, t: int, active_ids: np.ndarray, draws: SlotDraws):
-        """The slot's transmitters, their RB ranges and the RACH losses."""
+        """The slot's transmitters, their RB ranges and each lane's RACH losses."""
         config, variant, messages = self.config, self.variant, self.messages
-        survivors = rach_phase(active_ids, self.rach, draws.vec(t, _PH_RACH))
+        survivors = rach_phase(active_ids, self.rach, draws.vec(t, _PH_RACH),
+                               self._lane(active_ids))
         gen = messages.gen_slot[survivors]
         exponential = messages.exponential[survivors]
         ages = aoi_array(exponential, t, gen)           # the reported ages
@@ -502,8 +589,15 @@ class _CentralizedStack:
                                         config.beta)
         served, first, end = schedule(survivors, keys, t + config.beta - 1 - gen,
                                       tie_class(types, self.learner, variant),
-                                      self._rbs_needed(t, survivors), config.n_rbs)
-        return served, first, end - first, len(active_ids) - len(survivors)
+                                      self._rbs_needed(t, survivors), config.n_rbs,
+                                      self._lane(survivors))
+        N, lanes = config.n_devices, self.lanes
+        if lanes > 1:
+            offset = served // N * config.n_rbs
+            first, end = first + offset, end + offset
+        rach_failures = [a - s for a, s in zip(_lane_counts(active_ids, N, lanes),
+                                               _lane_counts(survivors, N, lanes))]
+        return served, first, end - first, rach_failures
 
     def _identify(self, t: int, survivors: np.ndarray, ages: np.ndarray) -> np.ndarray:
         """Identify unresolved messages from their reports; the survivors' kinds."""
@@ -517,24 +611,24 @@ class _CentralizedStack:
         self.last_slot[ids], self.last_age[ids] = t, reported
         self.known_kind[ids] = found
         new = found != KIND_UNKNOWN
-        found_ids = ids[new].tolist()
-        for i, code in zip(found_ids, found[new].tolist()):
-            self.learner.observe(i, KINDS[code])
-        self.est_type[found_ids] = [_TYPE1_CODE if learn_type(self.learner, i) is _TYPE1
-                                    else _TYPE2_CODE for i in found_ids]
+        if new.any():
+            found_ids = ids[new]
+            self.learner.observe(found_ids, found[new])
+            self.est_type[found_ids] = learn_type(self.learner, found_ids)
         return kinds
 
     def _rbs_needed(self, t: int, survivors: np.ndarray) -> np.ndarray:
-        messages = self.messages
+        messages, n = self.messages, self.config.n_devices
         left = messages.rbs_left[survivors]
         needed = self.first_split[survivors, left]
         if needed.all():
             return needed
         for j in np.flatnonzero(needed == 0).tolist():
-            i, n = int(survivors[j]), int(left[j])
-            plan = plan_message(n, KINDS[int(messages.exponential[i])], self.channel,
-                                i, self.config.n_rbs, t, int(messages.gen_slot[i]))
-            needed[j] = self.first_split[i, n] = plan.splits[0]
+            i, rbs = int(survivors[j]), int(left[j])
+            plan = plan_message(rbs, KINDS[int(messages.exponential[i])],
+                                self.channels[i // n], i % n, self.config.n_rbs, t,
+                                int(messages.gen_slot[i]))
+            needed[j] = self.first_split[i, rbs] = plan.splits[0]
         return needed
 
     def feedback(self, ids, outcomes, delivered, claims) -> None:
@@ -542,10 +636,13 @@ class _CentralizedStack:
         self.known_kind[delivered] = KIND_UNKNOWN
         self.last_slot[delivered] = -1
 
-    def trace(self) -> dict:
-        return {"learner_counts": {k: tuple(v)
-                                   for k, v in self.learner.counts.items()},
-                "latent_types": {d.id: d.dtype.type_id for d in self.devices}}
+    def trace(self, lane: int) -> dict:
+        n = self.config.n_devices
+        counts = self.learner.counts[lane * n:(lane + 1) * n]
+        observed = np.flatnonzero(counts.sum(axis=1)).tolist()
+        return {"learner_counts": {i: tuple(counts[i].tolist()) for i in observed},
+                "latent_types": {d.id: d.dtype.type_id
+                                 for d in self.devices[lane * n:(lane + 1) * n]}}
 
 
 # ---------------------------------------------------------------------------
@@ -570,25 +667,40 @@ class _DistributedStack:
     them, and each device's last RB and whether it failed are arrays that
     feedback writes. A slot's decisions are then a few array operations
     over the active devices.
+
+    devices lists the devices of every lane in lane order. A device only
+    ever hears devices of its own lane. A device's action is its RB label,
+    1..R, in its own lane; on the channel, lane l's RB b is l * (R + 1) + b.
+    neighbors is None when every lane's range covers its cell, and
+    otherwise holds each lane's adjacency matrix (None for a lane whose
+    range covers its cell); such runs decide lane by lane.
     """
 
     def __init__(self, config: ScenarioConfig, devices: list[Device],
                  messages: PendingMessages):
         self.config = config
         self.messages = messages
+        n, size = config.n_devices, len(devices)
+        self.lanes = size // n
+        self.rb_width = config.n_rbs + 1
         # the rank-to-RB baseline is defined only under full information
-        self.neighbors = None if config.mode is Mode.DISTRIBUTED_PREDETERMINED \
-            else _neighbor_matrix(devices, config.r_c)
-        n = config.n_devices
+        blocks = [None if config.mode is Mode.DISTRIBUTED_PREDETERMINED
+                  else _neighbor_matrix(devices[lane * n:(lane + 1) * n], config.r_c)
+                  for lane in range(self.lanes)]
+        self.neighbors = None if all(b is None for b in blocks) else blocks
         # the threshold rank of a device that knows n_known ages, at index
         # n_known - 1: when it knows every active device, and when it does not
         counts = np.arange(1, n + 1)
         self.shared_kappa = kappa(counts, counts, config.n_rbs, n, config.v_a,
                                   config.zeta)
         self.partial_kappa = kappa(counts, 0, config.n_rbs, n, config.v_a, config.zeta)
-        self.last_action = np.zeros(n, dtype=np.int64)     # 0 = did not transmit
-        self.last_failed = np.zeros(n, dtype=bool)
-        self.actions = np.zeros(n, dtype=np.int64)
+        self.last_action = np.zeros(size, dtype=np.int64)     # 0 = did not transmit
+        self.last_failed = np.zeros(size, dtype=bool)
+        self.actions = np.zeros(size, dtype=np.int64)
+        # where each device's sensed RB counts start in a bincount over lanes
+        self.rb_offset = np.arange(size) // n * self.rb_width
+        self.lane_starts = np.arange(self.lanes + 1) * n
+        self.no_rach_loss = [0] * self.lanes
         # this slot's active ids and the generation slots and aging kinds of
         # their messages; _float_ages keeps their future ages in ages_cache
         self.t = 0
@@ -596,7 +708,17 @@ class _DistributedStack:
         self.gen = _NO_IDS
         self.exponential = np.zeros(0, dtype=bool)
         self.ages_cache = None
-        self.trace_unused: list[int] = []
+        self.trace_unused: list[list[int]] = [[] for _ in range(self.lanes)]
+
+    def _lane(self, ids: np.ndarray) -> np.ndarray | None:
+        return _lane_of(ids, self.config.n_devices, self.lanes)
+
+    def _lane_slices(self, ids: np.ndarray):
+        """(lane, lo, hi) per lane: ids[lo:hi] are its entries of the sorted ids."""
+        if self.lanes == 1:
+            return [(0, 0, len(ids))]
+        bounds = np.searchsorted(ids, self.lane_starts).tolist()
+        return [(lane, bounds[lane], bounds[lane + 1]) for lane in range(self.lanes)]
 
     def allocate(self, t: int, active_ids: np.ndarray, draws: SlotDraws):
         """The slot's transmitters, their RBs (ranges of one) and no RACH loss."""
@@ -606,19 +728,22 @@ class _DistributedStack:
         self.exponential = messages.exponential[active_ids]
         self.ages_cache = None
         if not len(active_ids):
-            actions = np.zeros(config.n_devices, dtype=np.int64)
+            actions = np.zeros(len(self.actions), dtype=np.int64)
         elif config.mode is Mode.DISTRIBUTED_PREDETERMINED:
             # the k-th highest future age transmits on RB k, ties by device id
             ones = np.ones_like(active_ids)
             served, first, _ = schedule(active_ids, *self._float_ages(), ones, ones,
-                                        config.n_rbs)
-            actions = np.zeros(config.n_devices, dtype=np.int64)
+                                        config.n_rbs, self._lane(active_ids))
+            actions = np.zeros(len(self.actions), dtype=np.int64)
             actions[served] = first + 1
         else:
             actions = _game_actions(self, t, draws, active_ids)
         self.actions = actions
         tx = actions.nonzero()[0]
-        return tx, actions[tx], np.ones_like(tx), 0
+        rbs = actions[tx]
+        if self.lanes > 1:
+            rbs += self.rb_offset[tx]
+        return tx, rbs, np.ones_like(tx), self.no_rach_loss
 
     def kappa(self, n_known: np.ndarray, n_active: int) -> np.ndarray:
         """``kappa(n_known, n_active, ...)`` of this run, read from its tables."""
@@ -636,30 +761,44 @@ class _DistributedStack:
                                horizon - 1 - self.gen)
         return self.ages_cache
 
-    def _future_ages(self) -> list:
-        """Exact future ages of this slot's active devices (0: idle), for the trace."""
-        future = [0] * self.config.n_devices
+    def _future_ages(self, lane: int) -> list:
+        """Exact future ages of a lane's devices at this slot (0: idle), for the trace."""
+        n = self.config.n_devices
+        future = [0] * n
         horizon = self.t + self.config.beta
         for i, exponential, gen in zip(self.ids.tolist(), self.exponential.tolist(),
                                        self.gen.tolist()):
-            future[i] = aoi_value(KINDS[exponential], horizon, gen)
+            if i // n == lane:
+                future[i % n] = aoi_value(KINDS[exponential], horizon, gen)
         return future
 
     def feedback(self, ids, outcomes, delivered, claims) -> None:
         self.last_action = self.actions
-        self.last_failed = np.zeros(self.config.n_devices, dtype=bool)
+        self.last_failed = np.zeros(len(self.actions), dtype=bool)
         self.last_failed[ids[outcomes != SUCCESS]] = True
         if self.config.trace:
-            self.trace_unused.append(self.config.n_rbs
-                                     - int(np.count_nonzero(claims)))
+            claimed = _lane_counts(np.flatnonzero(claims), self.rb_width, self.lanes)
+            for unused, n_claimed in zip(self.trace_unused, claimed):
+                unused.append(self.config.n_rbs - n_claimed)
 
-    def trace(self) -> dict:
-        active = np.zeros(self.config.n_devices, dtype=bool)
+    def trace(self, lane: int) -> dict:
+        n = self.config.n_devices
+        active = np.zeros(len(self.actions), dtype=bool)
         active[self.ids] = True
-        return {"unused_rbs": self.trace_unused,
-                "final": {"actions": self.actions.tolist(),
-                          "future_aoi": self._future_ages(),
-                          "active": active.tolist()}}
+        return {"unused_rbs": self.trace_unused[lane],
+                "final": {"actions": self.actions[lane * n:(lane + 1) * n].tolist(),
+                          "future_aoi": self._future_ages(lane),
+                          "active": active[lane * n:(lane + 1) * n].tolist()}}
+
+
+def _local(ids: np.ndarray, start: int) -> np.ndarray:
+    """Lane-local indices of ids whose lane starts at device start."""
+    return ids - start if start else ids
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """Per-lane parts as one array, in lane order."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _transmitters(stack: _DistributedStack) -> np.ndarray:
@@ -668,20 +807,108 @@ def _transmitters(stack: _DistributedStack) -> np.ndarray:
     Full range ranks exact ages: past float range by their exponents. Partial
     range counts, per device, the in-range active ages above its own, as
     floats: exact ages beyond float range saturate to inf, which keeps the
-    ties-transmit rule intact.
+    ties-transmit rule intact. Each device ranks its own lane only.
     """
     ids = stack.ids
-    n_active = len(ids)
     if stack.neighbors is None:
-        k = stack.shared_kappa[n_active - 1]
-        if k >= n_active:           # the threshold is the smallest age
-            return np.ones(n_active, dtype=bool)
+        # where k >= n_active the threshold is the smallest age
+        lanes = stack._lane(ids)
+        if lanes is None:
+            k = stack.shared_kappa[len(ids) - 1]
+            if k >= len(ids):
+                return np.ones(len(ids), dtype=bool)
+        else:
+            n_active = np.bincount(lanes, minlength=stack.lanes)
+            k = stack.shared_kappa[n_active - 1]
+            if (k >= n_active).all():
+                return np.ones(len(ids), dtype=bool)
+            k = k[lanes]
         ages, exponents = stack._float_ages()
-        return reaches_threshold(ages, k, exponents=exponents)
-    # row r marks the ages device ids[r] knows
-    known = stack.neighbors[ids][:, ids]
-    ks = stack.kappa(known.sum(axis=1, dtype=np.int32), n_active)
-    return reaches_threshold(stack._float_ages()[0], ks, known)
+        return reaches_threshold(ages, k, exponents=exponents, lanes=lanes)
+    ages, exponents = stack._float_ages()
+    parts = []
+    for lane, lo, hi in stack._lane_slices(ids):
+        n_active, block = hi - lo, stack.neighbors[lane]
+        if not n_active:
+            continue
+        if block is None:
+            k = stack.shared_kappa[n_active - 1]
+            parts.append(np.ones(n_active, dtype=bool) if k >= n_active
+                         else reaches_threshold(ages[lo:hi], k,
+                                                exponents=exponents[lo:hi]))
+            continue
+        # row r marks the ages the lane's r-th active device knows
+        local = _local(ids[lo:hi], lane * stack.config.n_devices)
+        known = block[local][:, local]
+        ks = stack.kappa(known.sum(axis=1, dtype=np.int32), n_active)
+        parts.append(reaches_threshold(ages[lo:hi], ks, known))
+    return _joined(parts)
+
+
+def _delegate_picks(stack: _DistributedStack, delegators: np.ndarray,
+                    u: np.ndarray) -> np.ndarray:
+    """The active device (column of stack.ids) inheriting each delegator's RB.
+
+    -1 where a delegator has no active neighbor. Candidates are the active
+    devices of the delegator's lane within its range.
+    """
+    ids = stack.ids
+    ages, exponents = stack._float_ages()
+    parts = []
+    for (lane, lo, hi), (_, d_lo, d_hi) in zip(stack._lane_slices(ids),
+                                               stack._lane_slices(delegators)):
+        if d_lo == d_hi:
+            continue
+        # a delegator is idle, so it is never its own candidate
+        block = None if stack.neighbors is None else stack.neighbors[lane]
+        start = lane * stack.config.n_devices
+        candidates = (np.ones((d_hi - d_lo, hi - lo), dtype=bool) if block is None
+                      else block[_local(delegators[d_lo:d_hi], start)][
+                          :, _local(ids[lo:hi], start)])
+        picks = delegate_target(candidates, ages[lo:hi], exponents[lo:hi],
+                                u[d_lo:d_hi])
+        parts.append(np.where(picks >= 0, picks + lo, -1) if lo else picks)
+    return _joined(parts)
+
+
+def _sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
+    """What the deciding devices sensed last slot, as ``sca_step`` reads it.
+
+    Returns the crowd each saw on its own last RB, the unused-RB rows and
+    the row of each device (None: one row per device, or one for all).
+    """
+    config, last_action = stack.config, stack.last_action
+    R = config.n_rbs
+    if stack.neighbors is None:
+        # at full range every device of a lane senses the same
+        if stack.lanes == 1:
+            sensed = np.bincount(last_action, minlength=R + 1)
+            return sensed[prev], sensed[None, 1:] == 0, None
+        sensed = np.bincount(last_action + stack.rb_offset,
+                             minlength=stack.lanes * (R + 1))
+        rows = stack._lane(deciding)
+        return (sensed[prev + rows * (R + 1)],
+                sensed.reshape(stack.lanes, R + 1)[:, 1:] == 0, rows)
+    # a device only knows an RB was taken if it sensed a transmission on it
+    crowds, unused = [], []
+    for lane, lo, hi in stack._lane_slices(deciding):
+        if lo == hi:
+            continue
+        block, start = stack.neighbors[lane], lane * config.n_devices
+        lane_actions = last_action[start:start + config.n_devices]
+        if block is None:
+            sensed = np.bincount(lane_actions, minlength=R + 1)
+            crowds.append(sensed[prev[lo:hi]])
+            unused.append(np.broadcast_to(sensed[1:] == 0, (hi - lo, R)))
+            continue
+        # count every (deciding device, RB) pair of a transmission it heard
+        heard = np.flatnonzero(lane_actions)
+        cells = np.arange(hi - lo)[:, None] * (R + 1) + lane_actions[heard]
+        sensed = np.bincount(cells[block[_local(deciding[lo:hi], start)][:, heard]],
+                             minlength=(hi - lo) * (R + 1)).reshape(hi - lo, R + 1)
+        crowds.append(sensed[np.arange(hi - lo), prev[lo:hi]])
+        unused.append(sensed[:, 1:] == 0)
+    return _joined(crowds), _joined(unused), None
 
 
 def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
@@ -691,10 +918,10 @@ def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
     Returns every device's RB, 0 for the silent ones.
     """
     config = stack.config
-    R, neighbors = config.n_rbs, stack.neighbors
+    R = config.n_rbs
     last_action, last_failed = stack.last_action, stack.last_failed
     passing = _transmitters(stack)
-    actions = np.zeros(config.n_devices, dtype=np.int64)
+    actions = np.zeros(len(last_action), dtype=np.int64)
 
     if config.mode is Mode.DISTRIBUTED_RANDOM:
         chosen = active_ids[passing]
@@ -707,16 +934,12 @@ def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
     # wins when two target the same neighbor
     won = (last_action >= 1) & ~last_failed
     sending = passing
-    if len(active_ids) < config.n_devices:
+    if len(active_ids) < len(last_action):
         idle = won.copy()
         idle[active_ids] = False
         delegators = np.flatnonzero(idle)
         if len(delegators):
-            # a delegator is idle, so it is never its own candidate
-            candidates = (np.ones((len(delegators), len(active_ids)), dtype=bool)
-                          if neighbors is None
-                          else neighbors[delegators][:, active_ids])
-            picks = delegate_target(candidates, *stack._float_ages(),
+            picks = _delegate_picks(stack, delegators,
                                     draws.vec(t, _PH_DELEGATE)[delegators])
             hit = picks >= 0
             targets, first = np.unique(picks[hit], return_index=True)
@@ -730,25 +953,12 @@ def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
     actions[kept] = last_action[kept]
     deciding = active_ids[sending & ~keep]
     if len(deciding):
-        # a device only knows an RB was taken if it sensed a transmission on
-        # it last slot; at full range every device senses the same
         prev = last_action[deciding]
-        if neighbors is None:
-            sensed = np.bincount(last_action, minlength=R + 1)
-            crowd, unused = sensed[prev], sensed[None, 1:] == 0
-        else:
-            # count every (deciding device, RB) pair of a transmission it heard
-            heard = np.flatnonzero(last_action)
-            cells = np.arange(len(deciding))[:, None] * (R + 1) + last_action[heard]
-            sensed = np.bincount(cells[neighbors[deciding][:, heard]],
-                                 minlength=len(deciding) * (R + 1))
-            sensed = sensed.reshape(len(deciding), R + 1)
-            crowd = sensed[np.arange(len(deciding)), prev]
-            unused = sensed[:, 1:] == 0
+        crowd, unused, rows = _sensed(stack, deciding, prev)
         # the crowd seen on RB 0 (silence) is never consulted
         actions[deciding] = sca_step(prev, last_failed[deciding], crowd, unused,
                                      draws.vec(t, _PH_DECIDE)[deciding],
-                                     draws.vec(t, _PH_FRESH)[deciding], R)
+                                     draws.vec(t, _PH_FRESH)[deciding], R, rows)
     return actions
 
 
@@ -757,6 +967,10 @@ def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
 # ---------------------------------------------------------------------------
 
 _FIELD_NAMES = {f.name for f in fields(ScenarioConfig)}
+
+# the replicates of one sweep value run as lanes of one slot loop, at most
+# this many at once, so a long sweep holds few runs' records at a time
+SWEEP_LANES = 16
 
 
 def replicate_seed(base_seed: int, replicate: int) -> int:
@@ -772,13 +986,19 @@ def replicate_seed(base_seed: int, replicate: int) -> int:
 
 
 def sweep_iter(base: ScenarioConfig, parameter: str, values, replicates: int = 1):
-    """Yield (value, replicate, RunResult) in (value, replicate) order."""
+    """Yield (value, replicate, RunResult) in (value, replicate) order.
+
+    The replicates of a value run together (``run_many``), SWEEP_LANES at a
+    time.
+    """
     if parameter not in _FIELD_NAMES:
         raise ConfigError(f"unknown sweep parameter: {parameter}")
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
     for value in values:
-        for rep in range(replicates):
-            config = replace(base, **{parameter: value},
-                             seed=replicate_seed(base.seed, rep))
-            yield value, rep, run(config)
+        for start in range(0, replicates, SWEEP_LANES):
+            reps = range(start, min(start + SWEEP_LANES, replicates))
+            configs = [replace(base, **{parameter: value},
+                               seed=replicate_seed(base.seed, rep)) for rep in reps]
+            for rep, result in zip(reps, run_many(configs)):
+                yield value, rep, result

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,6 +40,26 @@ def test_age_forward_matches_direct_evaluation(elapsed, steps, kind):
     if kind is AgingKind.EXPONENTIAL and elapsed == 0:
         return  # degenerate 0.5 never reaches a scheduler
     assert age_forward(kind, now, steps) == aoi_value(kind, t + steps, delta)
+
+
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False), min_size=1, max_size=8),
+       st.integers(min_value=0, max_value=1023))
+def test_float_doubling_equals_the_power_of_two_product(ages, steps):
+    # float ages advance through ldexp: below steps = 1024, where the product
+    # with the exact int 2**steps is still defined, the two agree bit for bit
+    ages = np.array(ages)
+    with np.errstate(over="ignore"):
+        doubled = age_forward(AgingKind.EXPONENTIAL, ages, steps)
+        assert doubled.tobytes() == (ages * (1 << steps)).tobytes()
+
+
+def test_float_doubling_saturates_past_float_range():
+    ages = np.array([1.0, 3.0, 2.0**-1000, np.inf])
+    with np.errstate(over="ignore"):
+        doubled = age_forward(AgingKind.EXPONENTIAL, ages, 1100)
+    assert doubled.tolist() == [np.inf, np.inf, 2.0**100, np.inf]
+    # exact ints keep the int path
+    assert age_forward(AgingKind.EXPONENTIAL, 3, 1100) == 3 << 1100
 
 
 def test_age_forward_rejects_negative_steps():

@@ -124,19 +124,25 @@ def test_identification_matches_the_exact_integer_rule(reports):
 # --- type learning -----------------------------------------------------------
 
 def test_learner_counts_and_ml_estimate():
-    learner = TypeLearner(m1=0.75, m2=0.75, p_type1=0.6)
+    learner = TypeLearner(m1=0.75, m2=0.75, p_type1=0.6, n_devices=3)
     assert learn_type(learner, 1) is None
     learner.observe(1, AgingKind.LINEAR)
     assert learn_type(learner, 1) is TypeId.TYPE1
     learner.observe(1, AgingKind.EXPONENTIAL)
     learner.observe(1, AgingKind.EXPONENTIAL)
     assert learn_type(learner, 1) is TypeId.TYPE2
-    assert learner.observation_count(1) == 3
-    assert learner.observation_count(2) == 0
+    assert learner.counts.tolist() == [[0, 0], [1, 2], [0, 0]]
+    # array form: one id and KIND_* code per identification, repeats counted
+    learner.observe(np.array([0, 2, 2]), np.array([LIN, EXP, EXP]))
+    assert learner.counts.tolist() == [[1, 0], [1, 2], [0, 2]]
+    assert learn_type(learner, np.array([2, 1, 0])).tolist() == [
+        TypeId.TYPE2.value, TypeId.TYPE2.value, TypeId.TYPE1.value]
+    assert learn_type(TypeLearner(n_devices=2), np.arange(2)).tolist() == [
+        NO_TYPE, NO_TYPE]
 
 
 def test_ml_tie_breaks_to_faster_aging_type():
-    learner = TypeLearner(m1=0.75, m2=0.75)
+    learner = TypeLearner(m1=0.75, m2=0.75, n_devices=2)
     learner.observe(1, AgingKind.LINEAR)
     learner.observe(1, AgingKind.EXPONENTIAL)
     assert learn_type(learner, 1) is TypeId.TYPE2

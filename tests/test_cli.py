@@ -80,6 +80,40 @@ def test_run_exit_codes():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("settings", [
+    ["mean_snr_db=-4000"], ["mean_snr_db=nan"], ["mean_snr_db=inf"],
+    ["mean_snr_db=4000"],
+    ["heterogeneous_power=yes", "hetero_snr_low_db=-4000"],
+    ["heterogeneous_power=yes", "hetero_snr_high_db=nan"]])
+def test_run_rejects_unusable_snr(settings, capsys):
+    # each of these once crashed in the channel model or ran on NaN outage
+    # probabilities
+    argv = ["run", "--quiet"]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == 1
+    name = settings[-1].partition("=")[0]
+    assert capsys.readouterr().err == (
+        f"aoisim: {name} must be a finite dB value whose linear SNR is "
+        "positive and finite\n")
+
+
+def test_hetero_snr_range_is_checked_only_when_used():
+    build_config({"hetero_snr_low_db": "nan"})
+    with pytest.raises(ConfigError):
+        build_config({"hetero_snr_low_db": "nan", "heterogeneous_power": "yes"})
+
+
+@pytest.mark.parametrize("mode", [m.value for m in Mode if m.centralized])
+def test_centralized_modes_run_at_lookahead_past_float_range(mode, tmp_path):
+    # beta = 1100 puts every exponential key past 2**1024 from the first slot
+    # (this once raised OverflowError in the key computation)
+    out = tmp_path / "run.csv"
+    assert main(run_argv("--set", f"mode={mode}", "--set", "beta=1100",
+                         "--out", str(out))) == 0
+    assert out.read_text().splitlines()[-1].startswith("40,")
+
+
 STARVATION = ["--set", "mode=distributed_sca", "--set", "n_devices=12",
               "--set", "n_rbs=1", "--set", "slots=1500", "--set", "seed=11",
               "--set", "v_a=1.0", "--set", "r_c=15.0"]

@@ -56,7 +56,7 @@ def test_message_lifecycle_ages_and_delivery():
     activate(m, [0], 10, kind_u=0.0, p_linear=0.75)   # linear, generated at 10
     assert aoi_array(m.exponential, 11, m.gen_slot).tolist() == [1.0]
     assert aoi_array(m.exponential, 15, m.gen_slot).tolist() == [5.0]
-    delivered, total = deliver_success(m, np.array([0]), np.array([1]), 15)
+    delivered, (total,) = deliver_success(m, np.array([0]), np.array([1]), 15)
     assert delivered.tolist() == [0] and total == 5
     assert m.rbs_left[0] == 0
 
@@ -65,7 +65,7 @@ def test_exponential_delivery_age():
     m = pending()
     activate(m, [0], 0, kind_u=0.5, p_linear=type2(0.99).p_linear)
     assert m.exponential[0]
-    delivered, total = deliver_success(m, np.array([0]), np.array([1]), 4)
+    delivered, (total,) = deliver_success(m, np.array([0]), np.array([1]), 4)
     assert total == 8 and type(total) is int
 
 
@@ -92,10 +92,10 @@ def test_partial_credit_keeps_the_message_pending():
              n_rbs_max=4, size_u=np.array([0.99, 0.3, 0.99]))
     assert m.rbs_left.tolist() == [4, 2, 4]
     # a grant beyond the RBs left completes the message too
-    delivered, total = deliver_success(m, np.array([0, 1, 2]), np.array([3, 3, 4]), 6)
+    delivered, (total,) = deliver_success(m, np.array([0, 1, 2]), np.array([3, 3, 4]), 6)
     assert delivered.tolist() == [1, 2] and total == 8 + 8
     assert m.rbs_left.tolist() == [1, 0, 0]
-    delivered, total = deliver_success(m, np.array([0]), np.array([1]), 7)
+    delivered, (total,) = deliver_success(m, np.array([0]), np.array([1]), 7)
     assert delivered.tolist() == [0] and total == 5
 
 

@@ -13,7 +13,7 @@ from aoisim.distributed import kappa, kth_largest
 from aoisim.engine import (_PH_ACTIVATE, _PH_KIND, _PH_SIZE, ConfigError, Mode,
                            ScenarioConfig, SlotDraws, _DistributedStack,
                            _MetricAccumulator, _transmitters, replicate_seed, run,
-                           sweep_iter)
+                           run_many, sweep_iter)
 from test_distributed import delegate_target_ref, kappa_ref, sca_step_ref
 from test_goldens import CASES, case_config
 
@@ -170,13 +170,13 @@ def test_centralized_arrays_match_the_devices_every_slot(name, monkeypatch):
         slots.append(t)
         return allocate(self, t, active_ids, draws)
 
-    def checked_deliver(messages, ids, n_rbs, t):
+    def checked_deliver(messages, ids, n_rbs, t, lanes):
         expected = replay.deliver(ids.tolist(), n_rbs.tolist(), t)
-        delivered, total = deliver(messages, ids, n_rbs, t)
-        assert (delivered.tolist(), total) == expected
-        assert type(total) is int
+        delivered, totals = deliver(messages, ids, n_rbs, t, lanes)
+        assert (delivered.tolist(), totals) == (expected[0], [expected[1]])
+        assert type(totals[0]) is int
         replay.check(messages)
-        return delivered, total
+        return delivered, totals
 
     def checked_feedback(self, ids, outcomes, delivered, claims):
         feedback(self, ids, outcomes, delivered, claims)
@@ -203,7 +203,7 @@ def test_delivery_accounting_is_exact_past_float_range():
     ids = np.arange(6)
     expected = sum(aoi_value(KINDS[int(m.exponential[i])], t, int(m.gen_slot[i]))
                    for i in ids)
-    delivered, total = deliver_success(m, ids, np.ones(6, dtype=np.int64), t)
+    delivered, (total,) = deliver_success(m, ids, np.ones(6, dtype=np.int64), t)
     assert delivered.tolist() == ids.tolist()
     assert total == expected and type(total) is int
     assert total > 2**1496
@@ -215,7 +215,7 @@ def test_delivery_accounting_is_exact_past_float_range():
     m = PendingMessages(3)
     for i, (gen, exponential) in enumerate([(10, False), (8, True), (2, True)]):
         activate(m, [i], gen, kind_u=float(exponential), p_linear=0.5)
-    _, total = deliver_success(m, np.arange(3), np.ones(3, dtype=np.int64), 70)
+    _, (total,) = deliver_success(m, np.arange(3), np.ones(3, dtype=np.int64), 70)
     assert total == 60 + 2**61 + 2**67
     assert _MetricAccumulator(70, 0.1).slot(70, total, 3, 0.5, 0, 0, 0)[0] == total / 3
 
@@ -255,16 +255,21 @@ _CONFIGS = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(_CONFIGS)
-def test_every_valid_config_runs(draw):
+def _valid_config(draw) -> ScenarioConfig:
+    """A ScenarioConfig from a _CONFIGS draw; demand windows for centralized modes."""
     draw = dict(draw)
     n_min, extra = draw.pop("demand")
     if draw["mode"].centralized:
         n_min = min(n_min, draw["n_rbs"])
         draw.update(n_rbs_min=n_min, n_rbs_max=min(n_min + extra, draw["n_rbs"]))
-    config = ScenarioConfig(**draw)
+    return ScenarioConfig(**draw)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_CONFIGS)
+def test_every_valid_config_runs(draw):
+    config = _valid_config(draw)
     config.validate()
     result = run(config)
     assert len(result.records) == config.slots
@@ -281,6 +286,63 @@ def test_every_valid_config_runs(draw):
             assert record.n_transmitting <= granted <= config.n_rbs
             assert granted <= record.n_transmitting * config.n_rbs_max
             assert record.rach_failures + record.n_transmitting <= record.n_active
+
+
+def _assert_lanes_equal_runs(configs):
+    """run_many gives every config the records, summary and trace of its own run."""
+    for config, lane in zip(configs, run_many(configs), strict=True):
+        alone = run(config)
+        assert lane.config == config
+        assert lane.records == alone.records
+        assert lane.summary == alone.summary
+        assert lane.trace == alone.trace
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_CONFIGS, st.lists(st.integers(0, 2**40), min_size=0, max_size=4, unique=True))
+def test_run_many_equals_one_run_per_config(draw, more_seeds):
+    # lanes of every mode: partial range, multi-RB demand, exact RACH draws,
+    # traces, and cells small enough that some lanes hear their whole cell
+    # while others do not
+    config = _valid_config(draw)
+    seeds = [config.seed] + [s for s in more_seeds if s != config.seed]
+    _assert_lanes_equal_runs([dataclasses.replace(config, seed=s) for s in seeds])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_many_equals_one_run_per_config_on_every_golden_case(name):
+    # each golden config shares its slot loop with two other seeds; the
+    # beyond-float and starvation cases hold in-flight ages past 2**1024
+    base = case_config(name)
+    _assert_lanes_equal_runs([dataclasses.replace(base, seed=s)
+                              for s in (4, base.seed, 5)])
+
+
+@pytest.mark.parametrize("mode", [Mode.DISTRIBUTED_SCA, Mode.DISTRIBUTED_RANDOM])
+def test_run_many_mixes_full_and_partial_range_lanes(mode):
+    # at r_c = 6 on a 10 x 10 cell, three devices sometimes all hear each
+    # other and sometimes not: such lanes keep their own threshold rule
+    base = small(n_devices=3, n_rbs=2, r_c=6.0, v_a=0.6, slots=60, mode=mode,
+                 trace=True)
+    configs = [dataclasses.replace(base, seed=s) for s in range(8)]
+    blocks = _DistributedStack(base, [d for c in configs for d in make_devices(
+        3, c.type1_fraction, c.m1, c.m2, c.width, c.length,
+        np.random.default_rng(c.seed))], PendingMessages(24)).neighbors
+    assert any(b is None for b in blocks) and any(b is not None for b in blocks)
+    _assert_lanes_equal_runs(configs)
+
+
+def test_run_many_rejects_empty_and_mixed_batches():
+    with pytest.raises(ConfigError, match="at least one config"):
+        run_many([])
+    base = small()
+    for change in (dict(v_a=0.5), dict(mode=Mode.DISTRIBUTED_RANDOM),
+                   dict(slots=81), dict(trace=True)):
+        with pytest.raises(ConfigError, match="differ only in seed"):
+            run_many([base, dataclasses.replace(base, seed=8, **change)])
+    with pytest.raises(ConfigError):
+        run_many([base, dataclasses.replace(base, seed=-1)])
 
 
 @pytest.mark.parametrize("mode", [Mode.CENTRALIZED_LEARNING,
@@ -398,7 +460,8 @@ def test_partial_range_thresholds_match_the_per_device_rule():
     f_value = {i: _future(messages, i, t, config.beta) for i in active_ids}
     expected = set()
     for i in active_ids:
-        known = [_saturated(f_value[j]) for j in active_ids if stack.neighbors[i, j]]
+        known = [_saturated(f_value[j]) for j in active_ids
+                 if stack.neighbors[0][i, j]]
         k = kappa(len(known), len(active_ids), config.n_rbs, config.n_devices,
                   config.v_a, config.zeta)
         if _saturated(f_value[i]) >= kth_largest(known, k):
@@ -453,7 +516,9 @@ def test_two_delegators_on_one_neighbor_the_lower_id_wins(r_c):
 
 def _reference_actions(stack, t, draws):
     """One slot of the distributed game, one device at a time on exact ages."""
-    config, messages, nb = stack.config, stack.messages, stack.neighbors
+    config, messages = stack.config, stack.messages
+    # the one lane's adjacency matrix, None at full range
+    nb = stack.neighbors and stack.neighbors[0]
     N, R = config.n_devices, config.n_rbs
     active_ids = [i for i in range(N) if messages.rbs_left[i] > 0]
     f = {i: _future(messages, i, t, config.beta) for i in active_ids}
@@ -572,6 +637,20 @@ def test_sweep_matches_seeds_across_values():
     assert seeds[0] == seeds[2]
     assert seeds[1] == seeds[3]
     assert seeds[0] != seeds[1]
+
+
+def test_sweep_batches_replicates_without_changing_results(monkeypatch):
+    # 5 replicates in lanes of 2: batches of 2, 2 and 1 per value
+    monkeypatch.setattr(engine, "SWEEP_LANES", 2)
+    base = small(slots=30)
+    points = list(sweep_iter(base, "v_a", [0.3, 0.9], replicates=5))
+    assert [(value, rep) for value, rep, _ in points] == [
+        (value, rep) for value in (0.3, 0.9) for rep in range(5)]
+    for value, rep, result in points:
+        alone = run(dataclasses.replace(base, v_a=value,
+                                        seed=replicate_seed(base.seed, rep)))
+        assert result.config == alone.config
+        assert (result.records, result.summary) == (alone.records, alone.summary)
 
 
 def test_sweep_rejects_unknown_parameter_and_bad_replicates():
