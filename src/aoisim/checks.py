@@ -16,8 +16,8 @@ from .centralized import (KIND_EXPONENTIAL, KIND_LINEAR, TypeLearner, Variant,
 from .devices import TypeId
 from .distributed import (FullInfoGame, GameParams, random_selection,
                           service_rate_closed_form)
-from .engine import (SWEEP_LANES, Mode, ScenarioConfig, replicate_seed, run,
-                     run_many)
+from .engine import (Mode, ScenarioConfig, replicate_seed, run, run_many,
+                     sweep_lanes)
 
 
 @dataclass
@@ -135,8 +135,9 @@ def check_sca_convergence(runs: int = 100, slots: int = 200,
                               trace=True, seed=replicate_seed(seed, k))
                for k in range(runs)]
     # the runs share slot loops, a sweep's worth of lanes at a time
-    results = (result for start in range(0, runs, SWEEP_LANES)
-               for result in run_many(configs[start:start + SWEEP_LANES]))
+    lanes = sweep_lanes(configs[0])
+    results = (result for start in range(0, runs, lanes)
+               for result in run_many(configs[start:start + lanes]))
     for k, result in enumerate(results):
         rates = [rec.service_rate for rec in result.records]
         unused[k] = result.trace["unused_rbs"]

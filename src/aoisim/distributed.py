@@ -65,20 +65,18 @@ def reaches_threshold(ages, k, known=None, exponents=None, lanes=None) -> np.nda
         above &= known
         return above.sum(axis=1, dtype=np.int32) < k
     saturated = np.isinf(ages)
-    if lanes is not None:
-        # complex keys sort lexicographically: the lane and the exponent where
-        # the age saturated, which stays below the next lane's start, then
-        # the finite age
-        span = int(np.max(exponents)) + 1
-        keys = (lanes * span + np.where(saturated, exponents, 0)
-                + 1j * np.where(saturated, 0, ages))
-        lane_end = np.cumsum(np.bincount(lanes))[lanes]
-        return lane_end - np.searchsorted(np.sort(keys), keys, "right") < k
-    if saturated.any():
-        # complex keys sort lexicographically: the exponent where the age
-        # saturated, then the finite age
-        ages = np.where(saturated, exponents, 0) + 1j * np.where(saturated, 0, ages)
-    return len(ages) - np.searchsorted(np.sort(ages), ages, "right") < k
+    if lanes is None and not saturated.any():
+        # finite ages of one lane sort as floats, about 3x faster than the
+        # complex keys below
+        return len(ages) - np.searchsorted(np.sort(ages), ages, "right") < k
+    lanes = np.zeros(len(ages), dtype=np.intp) if lanes is None else np.asarray(lanes)
+    top = np.where(saturated, exponents, 0) if saturated.any() else 0
+    # complex keys sort lexicographically: the lane and the exponent where the
+    # age saturated, which stays below the next lane's start, then the finite
+    # age
+    keys = lanes * (int(np.max(top)) + 1) + top + 1j * np.where(saturated, 0, ages)
+    lane_end = np.cumsum(np.bincount(lanes))[lanes]
+    return lane_end - np.searchsorted(np.sort(keys), keys, "right") < k
 
 
 def kappa(n_known, n_active: int, R: int, N: int, v_a: float, zeta: float):
@@ -94,8 +92,9 @@ def kappa(n_known, n_active: int, R: int, N: int, v_a: float, zeta: float):
     n_known = np.asarray(n_known)
     if (n_known < 1).any():
         raise ValueError("the known ages must include the deciding device itself")
-    # v_a = 0 expects nobody active, so a device admits everyone it knows
-    with np.errstate(divide="ignore"):
+    # v_a = 0 (or small enough to overflow the quotient) expects nobody
+    # active, so a device admits everyone it knows
+    with np.errstate(divide="ignore", over="ignore"):
         k = np.where(n_known == n_active, R, np.ceil(R * n_known / (N * v_a * zeta)))
     return np.minimum(np.maximum(k, 1), n_known).astype(np.int64)
 

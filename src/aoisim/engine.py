@@ -740,9 +740,7 @@ class _DistributedStack:
             actions = _game_actions(self, t, draws, active_ids)
         self.actions = actions
         tx = actions.nonzero()[0]
-        rbs = actions[tx]
-        if self.lanes > 1:
-            rbs += self.rb_offset[tx]
+        rbs = actions[tx] + self.rb_offset[tx]
         return tx, rbs, np.ones_like(tx), self.no_rach_loss
 
     def kappa(self, n_known: np.ndarray, n_active: int) -> np.ndarray:
@@ -971,6 +969,22 @@ _FIELD_NAMES = {f.name for f in fields(ScenarioConfig)}
 # the replicates of one sweep value run as lanes of one slot loop, at most
 # this many at once, so a long sweep holds few runs' records at a time
 SWEEP_LANES = 16
+# the bytes of neighbor matrices (N * N bools per lane) one batch may hold
+SWEEP_NEIGHBOR_BYTES = 1 << 20
+
+
+def sweep_lanes(config: ScenarioConfig) -> int:
+    """How many replicates of config a sweep runs as lanes of one slot loop.
+
+    SWEEP_LANES, except where a lane may keep a neighbor matrix: a game mode
+    whose range does not cover the cell diagonal. There a lane's own N x N
+    work dominates the slot, so lanes save little, and SWEEP_NEIGHBOR_BYTES
+    caps the matrices a batch holds (16 lanes up to N = 256, 1 from N = 1024).
+    """
+    if (config.mode.centralized or config.mode is Mode.DISTRIBUTED_PREDETERMINED
+            or config.r_c >= math.hypot(config.width, config.length)):
+        return SWEEP_LANES
+    return max(1, min(SWEEP_LANES, SWEEP_NEIGHBOR_BYTES // config.n_devices ** 2))
 
 
 def replicate_seed(base_seed: int, replicate: int) -> int:
@@ -988,17 +1002,23 @@ def replicate_seed(base_seed: int, replicate: int) -> int:
 def sweep_iter(base: ScenarioConfig, parameter: str, values, replicates: int = 1):
     """Yield (value, replicate, RunResult) in (value, replicate) order.
 
-    The replicates of a value run together (``run_many``), SWEEP_LANES at a
-    time.
+    Replicate k runs seed ``replicate_seed(seed, k)``, seed being the base
+    seed, or the value itself when the parameter is seed.
+
+    The replicates of a value run together (``run_many``), ``sweep_lanes``
+    at a time.
     """
     if parameter not in _FIELD_NAMES:
         raise ConfigError(f"unknown sweep parameter: {parameter}")
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
     for value in values:
-        for start in range(0, replicates, SWEEP_LANES):
-            reps = range(start, min(start + SWEEP_LANES, replicates))
-            configs = [replace(base, **{parameter: value},
-                               seed=replicate_seed(base.seed, rep)) for rep in reps]
+        config = replace(base, **{parameter: value})
+        config.validate()
+        lanes = sweep_lanes(config)
+        for start in range(0, replicates, lanes):
+            reps = range(start, min(start + lanes, replicates))
+            configs = [replace(config, seed=replicate_seed(config.seed, rep))
+                       for rep in reps]
             for rep, result in zip(reps, run_many(configs)):
                 yield value, rep, result

@@ -14,6 +14,7 @@ import itertools
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aoisim.aging import AgingKind
@@ -215,7 +216,8 @@ def test_type_classification_accuracy():
     latent = result.trace["latent_types"]
     counted = [i for i, k in counts.items() if sum(k) >= 10]
     assert len(counted) >= 100, "too few devices reached 10 observations"
-    correct = sum(1 for i in counted if learn_type(learner, i) is latent[i])
+    learned = learn_type(learner, np.array(counted)).tolist()
+    correct = sum(1 for i, code in zip(counted, learned) if code == latent[i].value)
     accuracy = correct / len(counted)
     print(f"counted={len(counted)}/200 accuracy={accuracy * 100:.2f}%")
     assert accuracy >= 0.95

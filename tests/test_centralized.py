@@ -123,16 +123,21 @@ def test_identification_matches_the_exact_integer_rule(reports):
 
 # --- type learning -----------------------------------------------------------
 
+def _learned(learner, i):
+    """The learned type code of device i."""
+    return learn_type(learner, np.array([i]))[0]
+
+
 def test_learner_counts_and_ml_estimate():
     learner = TypeLearner(m1=0.75, m2=0.75, p_type1=0.6, n_devices=3)
-    assert learn_type(learner, 1) is None
-    learner.observe(1, AgingKind.LINEAR)
-    assert learn_type(learner, 1) is TypeId.TYPE1
-    learner.observe(1, AgingKind.EXPONENTIAL)
-    learner.observe(1, AgingKind.EXPONENTIAL)
-    assert learn_type(learner, 1) is TypeId.TYPE2
+    assert _learned(learner, 1) == NO_TYPE
+    learner.observe(np.array([1]), np.array([LIN]))
+    assert _learned(learner, 1) == TypeId.TYPE1.value
+    learner.observe(np.array([1]), np.array([EXP]))
+    learner.observe(np.array([1]), np.array([EXP]))
+    assert _learned(learner, 1) == TypeId.TYPE2.value
     assert learner.counts.tolist() == [[0, 0], [1, 2], [0, 0]]
-    # array form: one id and KIND_* code per identification, repeats counted
+    # one id and KIND_* code per identification, repeats counted
     learner.observe(np.array([0, 2, 2]), np.array([LIN, EXP, EXP]))
     assert learner.counts.tolist() == [[1, 0], [1, 2], [0, 2]]
     assert learn_type(learner, np.array([2, 1, 0])).tolist() == [
@@ -143,9 +148,8 @@ def test_learner_counts_and_ml_estimate():
 
 def test_ml_tie_breaks_to_faster_aging_type():
     learner = TypeLearner(m1=0.75, m2=0.75, n_devices=2)
-    learner.observe(1, AgingKind.LINEAR)
-    learner.observe(1, AgingKind.EXPONENTIAL)
-    assert learn_type(learner, 1) is TypeId.TYPE2
+    learner.observe(np.array([1, 1]), np.array([LIN, EXP]))
+    assert _learned(learner, 1) == TypeId.TYPE2.value
 
 
 def test_expected_future_age_formulas():

@@ -13,7 +13,7 @@ from aoisim.distributed import kappa, kth_largest
 from aoisim.engine import (_PH_ACTIVATE, _PH_KIND, _PH_SIZE, ConfigError, Mode,
                            ScenarioConfig, SlotDraws, _DistributedStack,
                            _MetricAccumulator, _transmitters, replicate_seed, run,
-                           run_many, sweep_iter)
+                           run_many, sweep_iter, sweep_lanes)
 from test_distributed import delegate_target_ref, kappa_ref, sca_step_ref
 from test_goldens import CASES, case_config
 
@@ -639,6 +639,15 @@ def test_sweep_matches_seeds_across_values():
     assert seeds[0] != seeds[1]
 
 
+def test_sweep_over_seed_derives_replicates_from_each_value():
+    base = small(slots=20)
+    points = list(sweep_iter(base, "seed", [3, 4], replicates=2))
+    assert [result.config.seed for _, _, result in points] == [
+        3, replicate_seed(3, 1), 4, replicate_seed(4, 1)]
+    alone = run(dataclasses.replace(base, seed=replicate_seed(4, 1)))
+    assert points[3][2].summary == alone.summary
+
+
 def test_sweep_batches_replicates_without_changing_results(monkeypatch):
     # 5 replicates in lanes of 2: batches of 2, 2 and 1 per value
     monkeypatch.setattr(engine, "SWEEP_LANES", 2)
@@ -651,6 +660,19 @@ def test_sweep_batches_replicates_without_changing_results(monkeypatch):
                                         seed=replicate_seed(base.seed, rep)))
         assert result.config == alone.config
         assert (result.records, result.summary) == (alone.records, alone.summary)
+
+
+def test_sweep_lanes_cap_neighbor_matrices_at_partial_range():
+    full = ScenarioConfig(mode=Mode.DISTRIBUTED_SCA, r_c=15.0)    # 10 x 10 cell
+    assert sweep_lanes(full) == engine.SWEEP_LANES
+    partial = dataclasses.replace(full, r_c=10.0)
+    assert sweep_lanes(partial) == engine.SWEEP_LANES
+    assert sweep_lanes(dataclasses.replace(partial, n_devices=512)) == 4
+    assert sweep_lanes(dataclasses.replace(partial, n_devices=1000)) == 1
+    # these modes never build a neighbor matrix
+    for mode in (Mode.DISTRIBUTED_PREDETERMINED, Mode.CENTRALIZED_LEARNING):
+        assert sweep_lanes(dataclasses.replace(partial, n_devices=1000,
+                                               mode=mode)) == engine.SWEEP_LANES
 
 
 def test_sweep_rejects_unknown_parameter_and_bad_replicates():
