@@ -10,52 +10,23 @@ device fail for every claimant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 
-class Outcome(Enum):
-    SUCCESS = "success"
-    DUPLICATE_FAILURE = "duplicate"
-    OUTAGE_FAILURE = "outage"
-
-
-# outcome codes, as resolve_transmissions returns them; they index OUTCOMES
+# outcome codes, as resolve_transmissions returns them
 SUCCESS, DUPLICATE, OUTAGE = 0, 1, 2
-OUTCOMES = (Outcome.SUCCESS, Outcome.DUPLICATE_FAILURE, Outcome.OUTAGE_FAILURE)
-
-
-@dataclass(frozen=True)
-class ChannelModel:
-    """Mean-SNR outage model; per-device overrides support unequal transmit power."""
-
-    mean_snr: float = 100.0          # linear scale; 100 = 20 dB
-    epsilon: float = 1.0
-    per_device_mean_snr: dict[int, float] | None = None
-
-    def __post_init__(self):
-        if self.mean_snr <= 0:
-            raise ValueError("mean_snr must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-
-    def snr_for(self, device_id: int) -> float:
-        if self.per_device_mean_snr is not None:
-            return self.per_device_mean_snr.get(device_id, self.mean_snr)
-        return self.mean_snr
 
 
 def snr_db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def outage_probability(model: ChannelModel, device_id: int, r_simultaneous: int) -> float:
+def outage_probability(snr: float, epsilon: float, r_simultaneous: int) -> float:
     """Failure probability of a transmission using r_simultaneous RBs at once."""
     if r_simultaneous < 1:
         raise ValueError("r_simultaneous must be >= 1")
-    return 1.0 - math.exp(-r_simultaneous * model.epsilon / model.snr_for(device_id))
+    return 1.0 - math.exp(-r_simultaneous * epsilon / snr)
 
 
 def epsilon_for_outage(p: float, mean_snr_db: float, r_simultaneous: int = 1) -> float:
@@ -65,17 +36,22 @@ def epsilon_for_outage(p: float, mean_snr_db: float, r_simultaneous: int = 1) ->
     return -snr_db_to_linear(mean_snr_db) * math.log1p(-p) / r_simultaneous
 
 
-def outage_table(model: ChannelModel, n_devices: int, max_rbs: int) -> np.ndarray:
-    """p[i, r] = outage_probability(model, i, r) for r in 1..max_rbs.
+def outage_table(snr: np.ndarray, epsilon: float, max_rbs: int) -> np.ndarray:
+    """p[i, r] = outage_probability(snr[i], epsilon, r) for r in 1..max_rbs.
 
-    The probability of a transmission depends on its device and RB count
-    alone, so a run computes it once per pair. Column 0 is nan.
+    The probability of a transmission depends on its device's mean SNR and
+    its RB count alone, so a run computes it once per distinct pair. Column
+    0 is nan.
     """
-    table = np.full((n_devices, max_rbs + 1), np.nan)
-    for i in range(n_devices):
+    snr = np.asarray(snr, dtype=np.float64)
+    if (snr <= 0).any() or epsilon < 0:
+        raise ValueError("need positive SNRs and a nonnegative epsilon")
+    values, rows = np.unique(snr, return_inverse=True)
+    table = np.full((len(values), max_rbs + 1), np.nan)
+    for i, value in enumerate(values.tolist()):
         for r in range(1, max_rbs + 1):
-            table[i, r] = outage_probability(model, i, r)
-    return table
+            table[i, r] = outage_probability(value, epsilon, r)
+    return table[rows]
 
 
 def resolve_transmissions(ids, first, n_rbs, p_outage: np.ndarray, u):
@@ -118,8 +94,7 @@ def resolve_transmissions(ids, first, n_rbs, p_outage: np.ndarray, u):
     return outcomes, claims
 
 
-def sample_heterogeneous_snr(device_ids, low_db: float, high_db: float,
-                             rng: np.random.Generator) -> dict[int, float]:
-    """Per-device mean SNR drawn uniformly in dB and converted to linear scale."""
-    draws = rng.uniform(low_db, high_db, size=len(device_ids))
-    return {device_id: snr_db_to_linear(db) for device_id, db in zip(device_ids, draws)}
+def sample_heterogeneous_snr(n: int, low_db: float, high_db: float,
+                             rng: np.random.Generator) -> np.ndarray:
+    """Mean SNR of n devices, drawn uniformly in dB and converted to linear scale."""
+    return np.array([snr_db_to_linear(db) for db in rng.uniform(low_db, high_db, size=n)])

@@ -109,15 +109,12 @@ def _config_from_args(args) -> ScenarioConfig:
             raise ConfigError(f"--set expects key=value, got: {item}")
         key, _, value = item.partition("=")
         raw[key.strip()] = value.strip()
-    config = build_config(raw)
-    if getattr(args, "mode", None):
-        config = replace(config, mode=Mode(args.mode))
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.slots is not None:
-        config = replace(config, slots=args.slots)
-    config.validate()
-    return config
+    # the --mode/--seed/--slots flags win, and the config is validated once,
+    # with them applied
+    for key in ("mode", "seed", "slots"):
+        if getattr(args, key, None) is not None:
+            raw[key] = str(getattr(args, key))
+    return build_config(raw)
 
 
 # ---------------------------------------------------------------------------

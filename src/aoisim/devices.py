@@ -6,7 +6,8 @@ generation slot is well defined. Activation draws happen at the end of a
 slot, which means a fresh message is first transmitted (and first aged) the
 slot after its generation: delivery ages are always >= 1.
 
-A ``Device`` holds what never changes; the messages of all devices live in
+What never changes about the devices (positions, latent types) is a few
+per-device arrays from ``make_devices``; the messages of all devices live in
 one ``PendingMessages`` set of arrays, and ``activate`` and
 ``deliver_success`` update many devices in one call.
 """
@@ -14,7 +15,6 @@ one ``PendingMessages`` set of arrays, and ``activate`` and
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -23,41 +23,6 @@ import numpy as np
 class TypeId(Enum):
     TYPE1 = 1
     TYPE2 = 2
-
-
-@dataclass(frozen=True)
-class DeviceType:
-    """Latent device class governing the aging-kind mix of its messages."""
-
-    type_id: TypeId
-    p_linear: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_linear <= 1.0:
-            raise ValueError("p_linear must be a probability")
-
-    @property
-    def p_exponential(self) -> float:
-        return 1.0 - self.p_linear
-
-
-def type1(m1: float = 0.75) -> DeviceType:
-    """Mostly-linear device class; requires m1 > 0.5."""
-    return DeviceType(TypeId.TYPE1, m1)
-
-
-def type2(m2: float = 0.75) -> DeviceType:
-    """Mostly-exponential device class; requires m2 > 0.5."""
-    return DeviceType(TypeId.TYPE2, 1.0 - m2)
-
-
-@dataclass
-class Device:
-    """A device's static part: id, position and latent type."""
-
-    id: int
-    position: tuple[float, float]
-    dtype: DeviceType
 
 
 class PendingMessages:
@@ -139,13 +104,14 @@ def sample_positions(n: int, w: float, l: float, rng: np.random.Generator) -> np
 
 
 def make_devices(n: int, type1_fraction: float, m1: float, m2: float,
-                 w: float, l: float, rng: np.random.Generator) -> list[Device]:
-    """Create n idle devices with latent types drawn i.i.d. and uniform positions."""
+                 w: float, l: float, rng: np.random.Generator):
+    """n devices: uniform positions, then latent types drawn i.i.d.
+
+    Returns the (n, 2) positions, each device's type as its ``TypeId``
+    value (int8) and the probability that its messages age linearly: m1
+    for type 1, 1 - m2 for type 2.
+    """
     positions = sample_positions(n, w, l, rng)
-    t1, t2 = type1(m1), type2(m2)
-    draws = rng.random(n)
-    return [
-        Device(id=i, position=(float(positions[i, 0]), float(positions[i, 1])),
-               dtype=t1 if draws[i] < type1_fraction else t2)
-        for i in range(n)
-    ]
+    type1 = rng.random(n) < type1_fraction
+    types = np.where(type1, TypeId.TYPE1.value, TypeId.TYPE2.value).astype(np.int8)
+    return positions, types, np.where(type1, m1, 1.0 - m2)

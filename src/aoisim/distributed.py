@@ -27,16 +27,12 @@ class GameParams:
     rho: float = 2.0      # reward for transmitting alone on an RB
     gamma: float = 1.0    # cost of a failed transmission
     eta: float = 0.5      # tilt that rewards justified silence and punishes unjustified
-    zeta: float = 1.2     # inflation factor in the active-count estimate
-    r_c: float = 15.0     # communication range, meters
 
     def __post_init__(self):
         if not self.rho > self.gamma > 0:
             raise ValueError("need rho > gamma > 0")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("need 0 < eta < 1")
-        if self.zeta <= 0 or self.r_c < 0:
-            raise ValueError("zeta must be positive and r_c nonnegative")
 
 
 def kth_largest(values, k):

@@ -31,14 +31,13 @@ from .aging import aoi_array, aoi_value
 from .centralized import (KIND_UNKNOWN, KINDS, NO_TYPE, RachConfig,
                           TypeLearner, Variant, identify_aging, learn_type,
                           rach_phase, schedule, tie_class)
-from .channel import (SUCCESS, ChannelModel, outage_table,
-                      resolve_transmissions, sample_heterogeneous_snr,
-                      snr_db_to_linear)
-from .devices import (Device, PendingMessages, activate,
-                      deliver_success, make_devices)
+from .channel import (SUCCESS, outage_table, resolve_transmissions,
+                      sample_heterogeneous_snr, snr_db_to_linear)
+from .devices import (PendingMessages, TypeId, activate, deliver_success,
+                      make_devices)
 from .distributed import (delegate_target, kappa, random_selection,
                           reaches_threshold, sca_step)
-from .planner import plan_message
+from .planner import first_parts
 
 
 # draw phases within a slot; the (seed, slot, phase) triple seeds one vector
@@ -249,9 +248,6 @@ class ScenarioConfig:
     rach_exact: bool = False
     n_rbs_max: int = 1            # per-message RB demand uniform on {n_rbs_min..n_rbs_max}
     n_rbs_min: int = 1
-    rho: float = 2.0
-    gamma: float = 1.0
-    eta: float = 0.5
     zeta: float = 1.2
     r_c: float = 15.0
     width: float = 10.0
@@ -276,8 +272,6 @@ class ScenarioConfig:
             (self.n_rbs_max <= self.n_rbs, "n_rbs_max cannot exceed n_rbs"),
             (1 <= self.n_rbs_min <= self.n_rbs_max,
              "need 1 <= n_rbs_min <= n_rbs_max"),
-            (self.rho > self.gamma > 0, "need rho > gamma > 0"),
-            (0.0 < self.eta < 1.0, "eta must be in (0,1)"),
             (self.zeta > 0, "zeta must be positive"),
             (self.r_c >= 0, "r_c must be >= 0"),
             (self.width > 0 and self.length > 0, "cell dimensions must be positive"),
@@ -342,16 +336,6 @@ def _safe_mean(total, count) -> float | None:
         return total / count
     except OverflowError:
         return math.inf
-
-
-def _build_channel(config: ScenarioConfig, rng: np.random.Generator) -> ChannelModel:
-    per_device = None
-    if config.heterogeneous_power:
-        per_device = sample_heterogeneous_snr(
-            list(range(config.n_devices)),
-            config.hetero_snr_low_db, config.hetero_snr_high_db, rng)
-    return ChannelModel(mean_snr=snr_db_to_linear(config.mean_snr_db),
-                        epsilon=config.epsilon, per_device_mean_snr=per_device)
 
 
 _NO_IDS = np.zeros(0, dtype=np.int64)
@@ -448,7 +432,7 @@ def run_many(configs) -> list[RunResult]:
     that config alone gives. Lane l holds config l: its devices have ids
     l * N to l * N + N - 1 and its RBs the indices from l * w, w being the
     stack's ``rb_width``. Each lane keeps its own positions, latent types,
-    channel and ``SlotDraws``, so its draws and outcomes are those of the
+    mean SNRs and ``SlotDraws``, so its draws and outcomes are those of the
     lone run; the array work of a slot is shared by every lane.
 
     One slot loop serves both stacks. The engine keeps every device's
@@ -467,21 +451,27 @@ def run_many(configs) -> list[RunResult]:
         if replace(config, seed=base.seed) != base:
             raise ConfigError("run_many runs configs that differ only in seed")
     lanes, N = len(configs), base.n_devices
-    devices, channels, lane_draws = [], [], []
+    columns, lane_draws = [], []
     for config in configs:
+        # a lane's static draws, in stream order: positions, latent types,
+        # then mean SNRs
         rng = np.random.default_rng(config.seed)
-        devices += make_devices(N, config.type1_fraction, config.m1, config.m2,
-                                config.width, config.length, rng)
-        channels.append(_build_channel(config, rng))
+        lane = make_devices(N, config.type1_fraction, config.m1, config.m2,
+                            config.width, config.length, rng)
+        if config.heterogeneous_power:
+            snr = sample_heterogeneous_snr(N, config.hetero_snr_low_db,
+                                           config.hetero_snr_high_db, rng)
+        else:
+            snr = np.full(N, snr_db_to_linear(config.mean_snr_db))
+        columns.append((*lane, snr))
         lane_draws.append(SlotDraws(config.seed, N, config.slots))
+    positions, types, p_linear, snr = map(np.concatenate, zip(*columns))
     draws = lane_draws[0] if lanes == 1 else _LaneDraws(lane_draws, N)
     messages = PendingMessages(lanes * N)
-    p_linear = np.array([d.dtype.p_linear for d in devices])
-    p_outage = np.concatenate([outage_table(channel, N, base.n_rbs_max)
-                               for channel in channels])
-    stack = (_CentralizedStack(base, devices, messages, channels)
+    p_outage = outage_table(snr, base.epsilon, base.n_rbs_max)
+    stack = (_CentralizedStack(base, types, snr, messages)
              if base.mode.centralized
-             else _DistributedStack(base, devices, messages))
+             else _DistributedStack(base, positions, messages))
     metrics = [_MetricAccumulator(base.slots, base.warmup_fraction) for _ in configs]
     records: list[list[SlotRecord]] = [[] for _ in configs]
     R, rb_width = base.n_rbs, stack.rb_width
@@ -529,31 +519,28 @@ def run_many(configs) -> list[RunResult]:
 # ---------------------------------------------------------------------------
 
 class _CentralizedStack:
-    """Request phase, per-request split plan and type learning, priority schedule.
+    """Request phase, split plan and type learning, priority schedule.
 
     The stack reads the pending messages from the engine's arrays and keeps
     what the scheduler knows about them in per-device arrays of its own,
     which feedback resets on delivery. A slot then ranks its RACH survivors
-    with a few array operations. devices lists the devices of every lane in
-    lane order, and channels holds each lane's channel; every lane has its
+    with a few array operations. types (``TypeId`` values) and snr (mean
+    SNRs) hold every device of every lane, in lane order; every lane has its
     own RACH and its own R RBs.
     """
 
-    def __init__(self, config: ScenarioConfig, devices: list[Device],
-                 messages: PendingMessages, channels: list[ChannelModel]):
+    def __init__(self, config: ScenarioConfig, types: np.ndarray, snr: np.ndarray,
+                 messages: PendingMessages):
         self.config = config
-        self.devices = devices
         self.messages = messages
-        self.channels = channels
-        self.lanes = len(channels)
+        self.lanes = len(types) // config.n_devices
         self.rb_width = config.n_rbs
         self.variant = Variant(config.mode.value.removeprefix("centralized_"))
         self.rach = RachConfig(config.preambles, config.rach_exact)
-        n = len(devices)
+        n = len(types)
         self.learner = TypeLearner(m1=config.m1, m2=config.m2,
                                    p_type1=config.type1_fraction, n_devices=n)
-        self.true_type = np.array([d.dtype.type_id.value for d in devices],
-                                  dtype=np.int8)
+        self.true_type = types
         # scheduler-side knowledge: the identified kind of the pending message
         # (learning; reset on delivery) and the device type, which is the ML
         # estimate under learning (it moves only on observe) and the true type
@@ -564,9 +551,10 @@ class _CentralizedStack:
         # slot (-1: none) and age of the last report of each unresolved message
         self.last_slot = np.full(n, -1, dtype=np.int64)
         self.last_age = np.zeros(n)
-        # first split of the plan per (device, RBs left), 0 until planned:
-        # nothing else the plan reads varies
-        self.first_split = np.zeros((n, config.n_rbs_max + 1), dtype=np.int64)
+        # the RBs a message sends this slot, per (device, RBs left): the
+        # first part of its best split, which depends on nothing else
+        self.first_split = first_parts(snr, config.epsilon, config.n_rbs_max,
+                                       config.n_rbs)
 
     def _lane(self, ids: np.ndarray) -> np.ndarray | None:
         return _lane_of(ids, self.config.n_devices, self.lanes)
@@ -587,10 +575,10 @@ class _CentralizedStack:
         # called through the module, where perfbench/tracer.py times it
         keys = centralized.priority_key(ages, kinds, types, self.learner, variant,
                                         config.beta)
+        needed = self.first_split[survivors, messages.rbs_left[survivors]]
         served, first, end = schedule(survivors, keys, t + config.beta - 1 - gen,
                                       tie_class(types, self.learner, variant),
-                                      self._rbs_needed(t, survivors), config.n_rbs,
-                                      self._lane(survivors))
+                                      needed, config.n_rbs, self._lane(survivors))
         N, lanes = config.n_devices, self.lanes
         if lanes > 1:
             offset = served // N * config.n_rbs
@@ -617,20 +605,6 @@ class _CentralizedStack:
             self.est_type[found_ids] = learn_type(self.learner, found_ids)
         return kinds
 
-    def _rbs_needed(self, t: int, survivors: np.ndarray) -> np.ndarray:
-        messages, n = self.messages, self.config.n_devices
-        left = messages.rbs_left[survivors]
-        needed = self.first_split[survivors, left]
-        if needed.all():
-            return needed
-        for j in np.flatnonzero(needed == 0).tolist():
-            i, rbs = int(survivors[j]), int(left[j])
-            plan = plan_message(rbs, KINDS[int(messages.exponential[i])],
-                                self.channels[i // n], i % n, self.config.n_rbs, t,
-                                int(messages.gen_slot[i]))
-            needed[j] = self.first_split[i, rbs] = plan.splits[0]
-        return needed
-
     def feedback(self, ids, outcomes, delivered, claims) -> None:
         # what the scheduler learned about a message goes with its delivery
         self.known_kind[delivered] = KIND_UNKNOWN
@@ -640,18 +614,18 @@ class _CentralizedStack:
         n = self.config.n_devices
         counts = self.learner.counts[lane * n:(lane + 1) * n]
         observed = np.flatnonzero(counts.sum(axis=1)).tolist()
+        types = self.true_type[lane * n:(lane + 1) * n].tolist()
         return {"learner_counts": {i: tuple(counts[i].tolist()) for i in observed},
-                "latent_types": {d.id: d.dtype.type_id
-                                 for d in self.devices[lane * n:(lane + 1) * n]}}
+                "latent_types": {i: TypeId(code) for i, code in enumerate(types)}}
 
 
 # ---------------------------------------------------------------------------
 # Distributed stack
 # ---------------------------------------------------------------------------
 
-def _neighbor_matrix(devices: list[Device], r_c: float) -> np.ndarray | None:
-    """Boolean adjacency (self included) or None when the range covers the cell."""
-    xy = np.array([d.position for d in devices])
+def _neighbor_matrix(xy: np.ndarray, r_c: float) -> np.ndarray | None:
+    """Boolean adjacency (self included) of the positions xy, or None when
+    the range covers them all."""
     span = xy.max(axis=0) - xy.min(axis=0)
     if r_c >= math.hypot(span[0], span[1]):
         return None
@@ -668,7 +642,7 @@ class _DistributedStack:
     feedback writes. A slot's decisions are then a few array operations
     over the active devices.
 
-    devices lists the devices of every lane in lane order. A device only
+    positions holds the devices of every lane in lane order. A device only
     ever hears devices of its own lane. A device's action is its RB label,
     1..R, in its own lane; on the channel, lane l's RB b is l * (R + 1) + b.
     neighbors is None when every lane's range covers its cell, and
@@ -676,16 +650,16 @@ class _DistributedStack:
     range covers its cell); such runs decide lane by lane.
     """
 
-    def __init__(self, config: ScenarioConfig, devices: list[Device],
+    def __init__(self, config: ScenarioConfig, positions: np.ndarray,
                  messages: PendingMessages):
         self.config = config
         self.messages = messages
-        n, size = config.n_devices, len(devices)
+        n, size = config.n_devices, len(positions)
         self.lanes = size // n
         self.rb_width = config.n_rbs + 1
         # the rank-to-RB baseline is defined only under full information
         blocks = [None if config.mode is Mode.DISTRIBUTED_PREDETERMINED
-                  else _neighbor_matrix(devices[lane * n:(lane + 1) * n], config.r_c)
+                  else _neighbor_matrix(positions[lane * n:(lane + 1) * n], config.r_c)
                   for lane in range(self.lanes)]
         self.neighbors = None if all(b is None for b in blocks) else blocks
         # the threshold rank of a device that knows n_known ages, at index

@@ -2,10 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aoisim.channel import (OUTCOMES, ChannelModel, Outcome, epsilon_for_outage,
+from aoisim.channel import (DUPLICATE, OUTAGE, SUCCESS, epsilon_for_outage,
                             outage_probability, outage_table,
                             resolve_transmissions, sample_heterogeneous_snr,
                             snr_db_to_linear)
+
+
+def snrs_of(n, mean_snr=100.0, per_device=None):
+    """Mean SNR of devices 0..n-1: mean_snr, except those per_device lists."""
+    snr = np.full(n, mean_snr)
+    for i, value in (per_device or {}).items():
+        snr[i] = value
+    return snr
 
 
 def test_snr_conversion():
@@ -15,70 +23,66 @@ def test_snr_conversion():
 
 def test_single_rb_outage_at_reference_point():
     # 20 dB mean SNR and unit threshold: 1 - exp(-1/100)
-    model = ChannelModel(mean_snr=100.0, epsilon=1.0)
-    assert outage_probability(model, 0, 1) == pytest.approx(0.00995, abs=5e-6)
+    assert outage_probability(100.0, 1.0, 1) == pytest.approx(0.00995, abs=5e-6)
 
 
 def test_outage_grows_with_simultaneous_rbs():
-    model = ChannelModel(mean_snr=100.0, epsilon=1.0)
-    probs = [outage_probability(model, 0, r) for r in (1, 2, 4, 8)]
+    probs = [outage_probability(100.0, 1.0, r) for r in (1, 2, 4, 8)]
     assert probs == sorted(probs)
     with pytest.raises(ValueError):
-        outage_probability(model, 0, 0)
+        outage_probability(100.0, 1.0, 0)
 
 
 def test_epsilon_for_outage_round_trip():
     eps = epsilon_for_outage(0.05, 20.0)
-    model = ChannelModel(mean_snr=100.0, epsilon=eps)
-    assert outage_probability(model, 0, 1) == pytest.approx(0.05)
+    assert outage_probability(100.0, eps, 1) == pytest.approx(0.05)
     with pytest.raises(ValueError):
         epsilon_for_outage(1.0, 20.0)
 
 
 def test_per_device_snr_override():
-    model = ChannelModel(mean_snr=100.0, epsilon=1.0,
-                         per_device_mean_snr={3: 50.0})
-    assert model.snr_for(3) == 50.0
-    assert model.snr_for(4) == 100.0
-    assert outage_probability(model, 3, 1) > outage_probability(model, 4, 1)
+    snr = snrs_of(5, per_device={3: 50.0})
+    assert snr[3] == 50.0
+    assert snr[4] == 100.0
+    table = outage_table(snr, 1.0, 1)
+    assert table[3, 1] > table[4, 1]
+    assert table[3, 1] == outage_probability(50.0, 1.0, 1)
 
 
-def _resolve(model, transmissions, u):
-    """Outcomes by device id of (id, first RB, RB count) transmissions."""
+def _resolve(snr, epsilon, transmissions, u):
+    """Outcome codes by device id of (id, first RB, RB count) transmissions."""
     ids, first, n_rbs = (np.array(column, dtype=np.int64)
                          for column in zip(*transmissions))
-    table = outage_table(model, int(ids.max()) + 1, int(n_rbs.max()))
+    table = outage_table(snr[:int(ids.max()) + 1], epsilon, int(n_rbs.max()))
     outcomes, _ = resolve_transmissions(ids, first, n_rbs, table, np.asarray(u))
-    return {i: OUTCOMES[code] for i, code in zip(ids.tolist(), outcomes.tolist())}
+    return dict(zip(ids.tolist(), outcomes.tolist()))
 
 
 def test_duplicate_rb_fails_every_claimant():
-    model = ChannelModel(mean_snr=100.0, epsilon=0.0)
-    outcomes = _resolve(model, [(0, 5, 1), (1, 5, 1), (2, 6, 1)], np.full(3, 0.99))
-    assert outcomes[0] is Outcome.DUPLICATE_FAILURE
-    assert outcomes[1] is Outcome.DUPLICATE_FAILURE
-    assert outcomes[2] is Outcome.SUCCESS
+    outcomes = _resolve(snrs_of(3), 0.0, [(0, 5, 1), (1, 5, 1), (2, 6, 1)],
+                        np.full(3, 0.99))
+    assert outcomes[0] == DUPLICATE
+    assert outcomes[1] == DUPLICATE
+    assert outcomes[2] == SUCCESS
 
 
 def test_partial_overlap_fails_the_whole_transmission():
     # multi-RB transmissions succeed or fail as a unit: RBs {1, 2} and {2, 3}
-    model = ChannelModel(mean_snr=100.0, epsilon=0.0)
-    outcomes = _resolve(model, [(0, 1, 2), (1, 2, 2)], np.ones(2) * 0.5)
-    assert outcomes[0] is Outcome.DUPLICATE_FAILURE
-    assert outcomes[1] is Outcome.DUPLICATE_FAILURE
+    outcomes = _resolve(snrs_of(2), 0.0, [(0, 1, 2), (1, 2, 2)], np.ones(2) * 0.5)
+    assert outcomes[0] == DUPLICATE
+    assert outcomes[1] == DUPLICATE
 
 
 def test_outage_uses_own_uniform():
-    model = ChannelModel(mean_snr=100.0, epsilon=1.0)
-    p = outage_probability(model, 0, 1)
+    p = outage_probability(100.0, 1.0, 1)
     u = np.array([p * 0.5, p * 2.0])
-    outcomes = _resolve(model, [(0, 1, 1), (1, 2, 1)], u)
-    assert outcomes[0] is Outcome.OUTAGE_FAILURE
-    assert outcomes[1] is Outcome.SUCCESS
+    outcomes = _resolve(snrs_of(2), 1.0, [(0, 1, 1), (1, 2, 1)], u)
+    assert outcomes[0] == OUTAGE
+    assert outcomes[1] == SUCCESS
 
 
 def test_assignment_validation():
-    table = outage_table(ChannelModel(), 3, 2)
+    table = outage_table(snrs_of(3), 1.0, 2)
     u = np.zeros(3)
     with pytest.raises(ValueError, match="more than once"):
         resolve_transmissions([0, 0], [1, 2], [1, 1], table, u)
@@ -87,23 +91,23 @@ def test_assignment_validation():
 
 
 def test_outage_table_holds_the_outage_probabilities():
-    model = ChannelModel(mean_snr=100.0, epsilon=1.0, per_device_mean_snr={1: 50.0})
-    table = outage_table(model, 3, 4)
+    snr = snrs_of(3, per_device={1: 50.0})
+    table = outage_table(snr, 1.0, 4)
     assert table.shape == (3, 5) and np.isnan(table[:, 0]).all()
     for i in range(3):
         for r in range(1, 5):
-            assert table[i, r] == outage_probability(model, i, r)
+            assert table[i, r] == outage_probability(snr[i], 1.0, r)
 
 
 def test_heterogeneous_snr_range():
     rng = np.random.default_rng(0)
-    snrs = sample_heterogeneous_snr(list(range(1000)), 17.0, 21.8, rng)
+    snrs = sample_heterogeneous_snr(1000, 17.0, 21.8, rng)
     low, high = snr_db_to_linear(17.0), snr_db_to_linear(21.8)
-    assert all(low <= v <= high for v in snrs.values())
+    assert all(low <= v <= high for v in snrs)
     assert len(snrs) == 1000
 
 
-def _scalar_outcomes(model, transmissions, u):
+def _scalar_outcomes(snr, epsilon, transmissions, u):
     """The per-transmitter rule: a shared RB fails every claimant, else u < p."""
     claims = {}
     for _, first, n in transmissions:
@@ -112,11 +116,11 @@ def _scalar_outcomes(model, transmissions, u):
     outcomes = {}
     for i, first, n in transmissions:
         if any(claims[rb] > 1 for rb in range(first, first + n)):
-            outcomes[i] = Outcome.DUPLICATE_FAILURE
-        elif u[i] < outage_probability(model, i, n):
-            outcomes[i] = Outcome.OUTAGE_FAILURE
+            outcomes[i] = DUPLICATE
+        elif u[i] < outage_probability(snr[i], epsilon, n):
+            outcomes[i] = OUTAGE
         else:
-            outcomes[i] = Outcome.SUCCESS
+            outcomes[i] = SUCCESS
     return outcomes
 
 
@@ -124,11 +128,11 @@ def _scalar_outcomes(model, transmissions, u):
                 min_size=1, max_size=12, unique_by=lambda e: e[0]),
        st.integers(0, 2**32 - 1))
 def test_every_transmitter_gets_exactly_one_outcome(transmissions, seed):
-    model = ChannelModel(mean_snr=100.0, epsilon=1.0)
+    snr = snrs_of(20)
     u = np.random.default_rng(seed).random(20)
-    outcomes = _resolve(model, transmissions, u)
+    outcomes = _resolve(snr, 1.0, transmissions, u)
     assert set(outcomes) == {i for i, _, _ in transmissions}
-    assert outcomes == _scalar_outcomes(model, transmissions, u)
+    assert outcomes == _scalar_outcomes(snr, 1.0, transmissions, u)
 
 
 @given(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 12), st.integers(1, 4),
@@ -139,10 +143,10 @@ def test_every_transmitter_gets_exactly_one_outcome(transmissions, seed):
 def test_array_resolver_equals_the_scalar_rule(entries, snrs, epsilon, seed):
     # overlapping multi-RB ranges, per-device SNR, and uniforms right at,
     # just below and just above the outage probability
-    model = ChannelModel(mean_snr=100.0, epsilon=epsilon, per_device_mean_snr=snrs)
+    snr = snrs_of(30, per_device=snrs)
     u = np.random.default_rng(seed).random(30)
     for i, _, n, where in entries:
-        p = outage_probability(model, i, n)
+        p = outage_probability(snr[i], epsilon, n)
         if where == "equal":
             u[i] = p
         elif where == "below":
@@ -150,11 +154,12 @@ def test_array_resolver_equals_the_scalar_rule(entries, snrs, epsilon, seed):
         elif where == "above":
             u[i] = np.nextafter(p, 1.0)
     transmissions = [(i, first, n) for i, first, n, _ in entries]
-    assert _resolve(model, transmissions, u) == _scalar_outcomes(model, transmissions, u)
+    assert (_resolve(snr, epsilon, transmissions, u)
+            == _scalar_outcomes(snr, epsilon, transmissions, u))
 
 
 def test_model_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        ChannelModel(mean_snr=0.0)
+        outage_table(np.array([100.0, 0.0]), 1.0, 1)
     with pytest.raises(ValueError):
-        ChannelModel(mean_snr=1.0, epsilon=-0.1)
+        outage_table(np.array([1.0]), -0.1, 1)

@@ -80,6 +80,32 @@ def test_run_exit_codes():
     assert exc.value.code == 1
 
 
+def test_flags_apply_before_the_config_is_validated(tmp_path):
+    # n_rbs_max > 1 is valid only for the centralized mode that --mode gives
+    out = tmp_path / "run.csv"
+    assert main(run_argv("--set", "n_rbs_max=5", "--mode", "centralized_learning",
+                         "--out", str(out))) == 0
+    lines = out.read_text().splitlines()
+    assert "# mode=centralized_learning" in lines and "# n_rbs_max=5" in lines
+    # the flags win over --set, and a sweep validates the same way
+    assert main(run_argv("--set", "mode=distributed_sca", "--set", "n_rbs_max=5",
+                         "--mode", "centralized_full_info", "--seed", "3",
+                         "--out", str(out))) == 0
+    lines = out.read_text().splitlines()
+    assert "# mode=centralized_full_info" in lines and "# seed=3" in lines
+    assert main(["sweep", "--set", "n_rbs_max=3", "--mode", "centralized_learning",
+                 "--slots", "5", "--parameter", "v_a", "--values", "0.2",
+                 "--quiet", "--out", str(out)]) == 0
+    assert main(run_argv("--set", "n_rbs_max=5", "--mode", "distributed_sca")) == 1
+
+
+@pytest.mark.parametrize("key", ["rho", "gamma", "eta"])
+def test_payoff_keys_are_not_config_keys(key, capsys):
+    # no run reads the game payoffs, so they are no config fields
+    assert main(run_argv("--set", f"{key}=5")) == 1
+    assert capsys.readouterr().err == f"aoisim: unknown config key: {key}\n"
+
+
 @pytest.mark.parametrize("settings", [
     ["mean_snr_db=-4000"], ["mean_snr_db=nan"], ["mean_snr_db=inf"],
     ["mean_snr_db=4000"],

@@ -3,7 +3,7 @@ import pytest
 
 from aoisim.aging import AgingKind, aoi_array, aoi_value
 from aoisim.devices import (PendingMessages, TypeId, activate, deliver_success,
-                            make_devices, type1, type2)
+                            make_devices)
 from aoisim.engine import _PH_ACTIVATE, ScenarioConfig, _activation_sweep
 
 
@@ -12,9 +12,15 @@ def pending(n=1):
 
 
 def test_type_classes_complement():
-    assert type1(0.75).p_linear == 0.75
-    assert type2(0.75).p_linear == 0.25
-    assert type1(0.6).p_exponential == pytest.approx(0.4)
+    # a type-1 device ages linearly with probability m1, a type-2 device
+    # exponentially with probability m2
+    _, types, p_linear = make_devices(200, 0.5, 0.6, 0.75, 10.0, 10.0,
+                                      np.random.default_rng(3))
+    type1 = types == TypeId.TYPE1.value
+    assert type1.any() and not type1.all()
+    assert (p_linear[type1] == 0.6).all()
+    assert (p_linear[~type1] == 0.25).all()
+    assert 1.0 - p_linear[type1] == pytest.approx(0.4)
 
 
 def test_activate_kind_follows_uniform_quantile():
@@ -63,7 +69,7 @@ def test_message_lifecycle_ages_and_delivery():
 
 def test_exponential_delivery_age():
     m = pending()
-    activate(m, [0], 0, kind_u=0.5, p_linear=type2(0.99).p_linear)
+    activate(m, [0], 0, kind_u=0.5, p_linear=1.0 - 0.99)
     assert m.exponential[0]
     delivered, (total,) = deliver_success(m, np.array([0]), np.array([1]), 4)
     assert total == 8 and type(total) is int
@@ -128,12 +134,19 @@ def test_activation_step_threshold():
 
 def test_make_devices_layout_and_types():
     rng = np.random.default_rng(7)
-    devices = make_devices(500, 0.6, 0.75, 0.75, 10.0, 10.0, rng)
-    assert [d.id for d in devices] == list(range(500))
-    for d in devices:
-        assert 0.0 <= d.position[0] <= 10.0 and 0.0 <= d.position[1] <= 10.0
-    share = sum(d.dtype.type_id is TypeId.TYPE1 for d in devices) / 500
+    positions, types, p_linear = make_devices(500, 0.6, 0.75, 0.75, 10.0, 10.0, rng)
+    assert positions.shape == (500, 2) and types.shape == p_linear.shape == (500,)
+    assert ((0.0 <= positions) & (positions <= 10.0)).all()
+    assert set(types.tolist()) == {TypeId.TYPE1.value, TypeId.TYPE2.value}
+    share = (types == TypeId.TYPE1.value).mean()
     assert 0.5 < share < 0.7
+    assert p_linear.tolist() == [0.75 if code == TypeId.TYPE1.value else 0.25
+                                 for code in types.tolist()]
+    # positions come first in the stream, then one type draw per device
+    rng = np.random.default_rng(7)
+    xy = rng.random((500, 2)) * [10.0, 10.0]
+    assert (positions == xy).all()
+    assert ((types == TypeId.TYPE1.value) == (rng.random(500) < 0.6)).all()
     again = make_devices(500, 0.6, 0.75, 0.75, 10.0, 10.0, np.random.default_rng(7))
-    assert [d.dtype.type_id for d in again] == [d.dtype.type_id for d in devices]
-    assert [d.position for d in again] == [d.position for d in devices]
+    for a, b in zip(again, (positions, types, p_linear)):
+        assert (a == b).all()

@@ -195,8 +195,9 @@ def test_transmit_on_threshold_ties():
 def test_per_run_kappa_tables_equal_kappa(R, N, v_a):
     # R > N, R = 1 and v_a = 0 (the estimated active count is 0) included
     config = ScenarioConfig(n_devices=N, n_rbs=R, v_a=v_a, zeta=1.2, r_c=2.0)
-    devices = make_devices(N, 0.6, 0.75, 0.75, 10.0, 10.0, np.random.default_rng(1))
-    stack = _DistributedStack(config, devices, PendingMessages(N))
+    positions, _, _ = make_devices(N, 0.6, 0.75, 0.75, 10.0, 10.0,
+                                   np.random.default_rng(1))
+    stack = _DistributedStack(config, positions, PendingMessages(N))
     for n_active in range(1, N + 1):
         n_known = np.arange(1, n_active + 1)
         expected = kappa(n_known, n_active, R, N, v_a, 1.2)
@@ -357,8 +358,9 @@ def predetermined(gen, exponential, active, R, t=1500):
     messages.gen_slot[:] = gen
     messages.exponential[:] = exponential
     messages.rbs_left[:] = active
-    devices = make_devices(n, 0.6, 0.75, 0.75, 10.0, 10.0, np.random.default_rng(0))
-    stack = _DistributedStack(config, devices, messages)
+    positions, _, _ = make_devices(n, 0.6, 0.75, 0.75, 10.0, 10.0,
+                                   np.random.default_rng(0))
+    stack = _DistributedStack(config, positions, messages)
     # the baseline needs every device to know the full ranking, whatever r_c
     assert stack.neighbors is None
     tx, rbs, _, _ = stack.allocate(t, np.flatnonzero(active), SlotDraws(0, n))
@@ -412,7 +414,7 @@ def test_two_device_equilibria():
 
 
 def test_payoff_cells_match_symbols():
-    params = GameParams(rho=2.0, gamma=1.0, eta=0.5, zeta=1.2, r_c=15.0)
+    params = GameParams(rho=2.0, gamma=1.0, eta=0.5)
     game = FullInfoGame((2, 2), (True, True), 2, params)
     assert game.payoff([0, 0], 0) == -(1.0 + 0.5)
     assert game.payoff([0, 1], 1) == 2.0
@@ -480,5 +482,3 @@ def test_game_params_validation():
         GameParams(rho=1.0, gamma=1.0)
     with pytest.raises(ValueError):
         GameParams(eta=0.0)
-    with pytest.raises(ValueError):
-        GameParams(zeta=0.0)

@@ -104,10 +104,9 @@ class _DeviceReplay:
 
     def __init__(self, config):
         self.config = config
-        self.devices = make_devices(config.n_devices, config.type1_fraction,
-                                    config.m1, config.m2, config.width,
-                                    config.length,
-                                    np.random.default_rng(config.seed))
+        _, self.types, self.p_linear = make_devices(
+            config.n_devices, config.type1_fraction, config.m1, config.m2,
+            config.width, config.length, np.random.default_rng(config.seed))
         self.draws = SlotDraws(config.seed, config.n_devices)
         n = config.n_devices
         self.kind = [None] * n          # None: idle
@@ -119,10 +118,9 @@ class _DeviceReplay:
         u_act, u_kind, u_size = (self.draws.vec(t, phase)
                                  for phase in (_PH_ACTIVATE, _PH_KIND, _PH_SIZE))
         span = config.n_rbs_max - config.n_rbs_min + 1
-        for d in self.devices:
-            i = d.id
+        for i, p_linear in enumerate(self.p_linear.tolist()):
             if self.kind[i] is None and u_act[i] < config.v_a:
-                self.kind[i] = (AgingKind.LINEAR if u_kind[i] < d.dtype.p_linear
+                self.kind[i] = (AgingKind.LINEAR if u_kind[i] < p_linear
                                 else AgingKind.EXPONENTIAL)
                 self.gen[i] = t
                 self.left[i] = (config.n_rbs_min if span == 1
@@ -165,8 +163,7 @@ def test_centralized_arrays_match_the_devices_every_slot(name, monkeypatch):
         replay.activate(t - 1)               # the sweep at the end of slot t - 1
         replay.check(self.messages)
         assert active_ids.tolist() == replay.active_ids()
-        assert self.true_type.tolist() == [d.dtype.type_id.value
-                                           for d in replay.devices]
+        assert self.true_type.tolist() == replay.types.tolist()
         slots.append(t)
         return allocate(self, t, active_ids, draws)
 
@@ -326,9 +323,10 @@ def test_run_many_mixes_full_and_partial_range_lanes(mode):
     base = small(n_devices=3, n_rbs=2, r_c=6.0, v_a=0.6, slots=60, mode=mode,
                  trace=True)
     configs = [dataclasses.replace(base, seed=s) for s in range(8)]
-    blocks = _DistributedStack(base, [d for c in configs for d in make_devices(
+    positions = np.concatenate([make_devices(
         3, c.type1_fraction, c.m1, c.m2, c.width, c.length,
-        np.random.default_rng(c.seed))], PendingMessages(24)).neighbors
+        np.random.default_rng(c.seed))[0] for c in configs])
+    blocks = _DistributedStack(base, positions, PendingMessages(24)).neighbors
     assert any(b is None for b in blocks) and any(b is not None for b in blocks)
     _assert_lanes_equal_runs(configs)
 
@@ -425,9 +423,9 @@ def _saturated(age) -> float:
     return math.inf if age >= 2**1024 else float(age)
 
 
-def _pend(messages, device, gen, kind_u):
-    """Give one device a message generated at gen, its kind by kind_u."""
-    activate(messages, [device.id], gen, kind_u, device.dtype.p_linear)
+def _pend(messages, p_linear, i, gen, kind_u):
+    """Give device i a message generated at gen, its kind by kind_u."""
+    activate(messages, [i], gen, kind_u, p_linear[i])
 
 
 def _future(messages, i, t, beta):
@@ -436,9 +434,9 @@ def _future(messages, i, t, beta):
                      int(messages.gen_slot[i]))
 
 
-def _stack_at(config, devices, messages, t):
+def _stack_at(config, positions, messages, t):
     """A distributed stack that has just allocated slot t for these devices."""
-    stack = _DistributedStack(config, devices, messages)
+    stack = _DistributedStack(config, positions, messages)
     stack.allocate(t, np.flatnonzero(messages.rbs_left),
                    SlotDraws(config.seed, config.n_devices))
     return stack
@@ -449,13 +447,13 @@ def test_partial_range_thresholds_match_the_per_device_rule():
     # the ages mix ties, linear values and exponential ones past float range
     config = small(n_devices=40, n_rbs=6, r_c=3.0, v_a=0.5)
     rng = np.random.default_rng(11)
-    devices = make_devices(40, 0.6, 0.75, 0.75, 10.0, 10.0, rng)
+    positions, _, p_linear = make_devices(40, 0.6, 0.75, 0.75, 10.0, 10.0, rng)
     messages = PendingMessages(40)
     t = 1200
-    for d in devices[::3] + devices[1::3]:
+    for i in list(range(0, 40, 3)) + list(range(1, 40, 3)):
         gen = 1 if rng.random() < 0.2 else int(rng.integers(1150, 1200))
-        _pend(messages, d, gen, rng.random())
-    stack = _stack_at(config, devices, messages, t)
+        _pend(messages, p_linear, i, gen, rng.random())
+    stack = _stack_at(config, positions, messages, t)
     active_ids = stack.ids.tolist()
     f_value = {i: _future(messages, i, t, config.beta) for i in active_ids}
     expected = set()
@@ -478,14 +476,15 @@ def test_full_range_thresholds_compare_exact_ages_past_float_range(n_rbs, transm
     # floats; the threshold still splits them by their exact values and lets
     # exact ties (devices 2 and 3) transmit together
     config = small(n_devices=7, n_rbs=n_rbs, r_c=15.0, v_a=1.0)
-    devices = make_devices(7, 0.6, 0.75, 0.75, 10.0, 10.0, np.random.default_rng(2))
+    positions, _, p_linear = make_devices(7, 0.6, 0.75, 0.75, 10.0, 10.0,
+                                          np.random.default_rng(2))
     messages = PendingMessages(7)
     t = 1200
     exponential = 0.9999                    # above every type's linear share
-    for d, gen in zip(devices, (1, 2, 3, 3, 60, 100)):
-        _pend(messages, d, gen, exponential)
-    _pend(messages, devices[6], 1, 0.0)     # linear: age 1200
-    stack = _stack_at(config, devices, messages, t)
+    for i, gen in enumerate((1, 2, 3, 3, 60, 100)):
+        _pend(messages, p_linear, i, gen, exponential)
+    _pend(messages, p_linear, 6, 1, 0.0)    # linear: age 1200
+    stack = _stack_at(config, positions, messages, t)
     assert stack.neighbors is None
     assert np.isinf(stack._float_ages()[0][:6]).all()
     exact = [_future(messages, i, t, config.beta) for i in range(7)]
@@ -501,12 +500,12 @@ def test_two_delegators_on_one_neighbor_the_lower_id_wins(r_c):
     # only active device is the sole candidate of both (device 0 is out of
     # range at r_c=3) and inherits the RB of the lower delegator id
     config = small(n_devices=4, n_rbs=6, r_c=r_c, v_a=0.4)
-    devices = make_devices(4, 0.6, 0.75, 0.75, 10.0, 10.0, np.random.default_rng(5))
-    for d, xy in zip(devices, [(0.0, 0.0), (5.0, 5.0), (5.5, 5.5), (6.0, 5.0)]):
-        d.position = xy
+    _, _, p_linear = make_devices(4, 0.6, 0.75, 0.75, 10.0, 10.0,
+                                  np.random.default_rng(5))
+    positions = np.array([(0.0, 0.0), (5.0, 5.0), (5.5, 5.5), (6.0, 5.0)])
     messages = PendingMessages(4)
-    _pend(messages, devices[2], 10, 0.0)
-    stack = _DistributedStack(config, devices, messages)
+    _pend(messages, p_linear, 2, 10, 0.0)
+    stack = _DistributedStack(config, positions, messages)
     assert (stack.neighbors is None) == (r_c == 15.0)
     stack.last_action[[1, 3]] = [4, 2]
     stack.allocate(11, np.flatnonzero(messages.rbs_left),
@@ -576,13 +575,13 @@ def test_game_slot_equals_the_per_device_rules(mode, r_c):
         n, R = int(rng.integers(2, 30)), int(rng.integers(1, 9))
         config = small(n_devices=n, n_rbs=R, r_c=r_c, mode=mode, seed=seed,
                        v_a=float(rng.uniform(0.2, 1.0)))
-        devices = make_devices(n, 0.6, 0.75, 0.75, 10.0, 10.0, rng)
+        positions, _, p_linear = make_devices(n, 0.6, 0.75, 0.75, 10.0, 10.0, rng)
         messages = PendingMessages(n)
-        for d in devices:
+        for i in range(n):
             if rng.random() < 0.7:
                 gen = int(rng.choice([1, 2, 3, 200, 1290, rng.integers(1, t)]))
-                _pend(messages, d, gen, rng.random())
-        stack = _DistributedStack(config, devices, messages)
+                _pend(messages, p_linear, i, gen, rng.random())
+        stack = _DistributedStack(config, positions, messages)
         stack.last_action[:] = rng.integers(0, R + 1, n)
         stack.last_failed[:] = rng.random(n) < 0.4
         draws = SlotDraws(seed, n)
