@@ -22,11 +22,6 @@ class AgingKind(Enum):
     EXPONENTIAL = "exponential"
 
 
-# per-request paths compare against bindings: on Python 3.11 every Enum
-# member lookup is a descriptor call
-_LINEAR = AgingKind.LINEAR
-
-
 def aoi_value(kind: AgingKind, t: int, delta: int):
     """Age of a message generated at slot ``delta``, evaluated at slot ``t``.
 
@@ -36,7 +31,7 @@ def aoi_value(kind: AgingKind, t: int, delta: int):
     if t < delta:
         raise ValueError(f"evaluation slot {t} precedes generation slot {delta}")
     k = t - delta
-    if kind is _LINEAR:
+    if kind is AgingKind.LINEAR:
         return k
     if k == 0:
         return 0.5
@@ -74,7 +69,7 @@ def age_forward(kind: AgingKind, value, steps: int):
     """
     if steps < 0:
         raise ValueError("cannot age backwards")
-    if kind is _LINEAR:
+    if kind is AgingKind.LINEAR:
         return value + steps
     if isinstance(value, int):
         return value * (1 << steps)

@@ -37,12 +37,6 @@ class Variant(Enum):
     FULL_INFO = "full_info"
 
 
-# bound once for the per-request paths, as in aging.py
-_LINEAR, _EXPONENTIAL = AgingKind.LINEAR, AgingKind.EXPONENTIAL
-_TYPE1, _TYPE2 = TypeId.TYPE1, TypeId.TYPE2
-_NO_LEARNING, _LEARNING, _FULL_INFO = (Variant.NO_LEARNING, Variant.LEARNING,
-                                       Variant.FULL_INFO)
-
 # array codes of what the scheduler knows: a message's aging kind (the code
 # indexes KINDS) and a device's type (the TypeId value, or NO_TYPE)
 KIND_UNKNOWN, KIND_LINEAR, KIND_EXPONENTIAL = -1, 0, 1
@@ -162,8 +156,8 @@ def learn_type(learner: TypeLearner, device_ids) -> np.ndarray:
     (lin1, exp1), (lin2, exp2) = learner.log_lik
     ll1 = k_lin * lin1 + k_exp * exp1
     ll2 = k_lin * lin2 + k_exp * exp2
-    return np.where(k_lin + k_exp == 0, NO_TYPE,
-                    np.where(ll1 > ll2, _TYPE1.value, _TYPE2.value)).astype(np.int8)
+    learned = np.where(ll1 > ll2, TypeId.TYPE1.value, TypeId.TYPE2.value)
+    return np.where(k_lin + k_exp == 0, NO_TYPE, learned).astype(np.int8)
 
 
 def expected_future_aoi(current_aoi, est, m1: float, m2: float, beta: int = 1):
@@ -174,11 +168,11 @@ def expected_future_aoi(current_aoi, est, m1: float, m2: float, beta: int = 1):
     through ``age_forward``, so float ages saturate to inf at any beta.
     """
     if isinstance(est, TypeId):
-        p_lin = m1 if est is _TYPE1 else 1.0 - m2
+        p_lin = m1 if est is TypeId.TYPE1 else 1.0 - m2
     else:
-        p_lin = np.where(est == _TYPE1.value, m1, 1.0 - m2)
-    return (p_lin * age_forward(_LINEAR, current_aoi, beta)
-            + (1.0 - p_lin) * age_forward(_EXPONENTIAL, current_aoi, beta))
+        p_lin = np.where(est == TypeId.TYPE1.value, m1, 1.0 - m2)
+    return (p_lin * age_forward(AgingKind.LINEAR, current_aoi, beta)
+            + (1.0 - p_lin) * age_forward(AgingKind.EXPONENTIAL, current_aoi, beta))
 
 
 def marginal_expected_future_aoi(current_aoi, m1: float, m2: float,
@@ -190,11 +184,12 @@ def marginal_expected_future_aoi(current_aoi, m1: float, m2: float,
     is the same either way.
     """
     if p_type1 == 0.0:
-        return expected_future_aoi(current_aoi, _TYPE2, m1, m2, beta)
+        return expected_future_aoi(current_aoi, TypeId.TYPE2, m1, m2, beta)
     if p_type1 == 1.0:
-        return expected_future_aoi(current_aoi, _TYPE1, m1, m2, beta)
-    return (p_type1 * expected_future_aoi(current_aoi, _TYPE1, m1, m2, beta)
-            + (1.0 - p_type1) * expected_future_aoi(current_aoi, _TYPE2, m1, m2, beta))
+        return expected_future_aoi(current_aoi, TypeId.TYPE1, m1, m2, beta)
+    return (p_type1 * expected_future_aoi(current_aoi, TypeId.TYPE1, m1, m2, beta)
+            + (1.0 - p_type1) * expected_future_aoi(current_aoi, TypeId.TYPE2,
+                                                    m1, m2, beta))
 
 
 def priority_key(ages, kinds, types, learner: TypeLearner, variant: Variant,
@@ -218,13 +213,13 @@ def priority_key(ages, kinds, types, learner: TypeLearner, variant: Variant,
     ages = np.asarray(ages, dtype=np.float64)
     m1, m2, p_type1 = learner.m1, learner.m2, learner.p_type1
     with np.errstate(over="ignore"):
-        if variant is _NO_LEARNING:
+        if variant is Variant.NO_LEARNING:
             return marginal_expected_future_aoi(ages, m1, m2, p_type1, beta)
         kinds = np.asarray(kinds)
         keys = np.where(kinds == KIND_EXPONENTIAL,
-                        age_forward(_EXPONENTIAL, ages, beta),
-                        age_forward(_LINEAR, ages, beta))
-        if variant is _LEARNING:
+                        age_forward(AgingKind.EXPONENTIAL, ages, beta),
+                        age_forward(AgingKind.LINEAR, ages, beta))
+        if variant is Variant.LEARNING:
             types = np.asarray(types)
             unresolved = kinds == KIND_UNKNOWN
             keys = np.where(unresolved, expected_future_aoi(ages, types, m1, m2, beta),
@@ -244,10 +239,10 @@ def tie_class(types, learner: TypeLearner, variant: Variant) -> np.ndarray:
     information. Without learning every request shares one class.
     """
     types = np.asarray(types)
-    if variant is _NO_LEARNING:
+    if variant is Variant.NO_LEARNING:
         return np.ones(len(types), dtype=bool)
-    classes = types != _TYPE2.value
-    if variant is _LEARNING and learner.p_type1 < 0.5:
+    classes = types != TypeId.TYPE2.value
+    if variant is Variant.LEARNING and learner.p_type1 < 0.5:
         classes &= types != NO_TYPE           # no type yet: presumed TYPE2
     return classes
 

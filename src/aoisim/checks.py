@@ -16,8 +16,7 @@ from .centralized import (KIND_EXPONENTIAL, KIND_LINEAR, TypeLearner, Variant,
 from .devices import TypeId
 from .distributed import (FullInfoGame, GameParams, random_selection,
                           service_rate_closed_form)
-from .engine import (Mode, ScenarioConfig, replicate_seed, run, run_many,
-                     sweep_lanes)
+from .engine import Mode, ScenarioConfig, replicate_seed, run, sweep_iter
 
 
 @dataclass
@@ -81,11 +80,8 @@ def check_random_service_rate(slots: int = 10_000, seed: int = 2026) -> CheckRes
     for n, r in _RATE_POINTS:
         rng = np.random.default_rng(np.random.SeedSequence([seed, n, r]))
         u = rng.random((slots, n))
-        picks = (u * r).astype(np.int64)
-        # the vectorized rule must be the module pick rule, label shift aside
-        assert all(random_selection(r, uu) == pick + 1
-                   for uu, pick in zip(u[0], picks[0]))
-        offsets = picks + r * np.arange(slots)[:, None]
+        # RB labels are 1..R; slot s counts its picks in bins s*R..s*R+R-1
+        offsets = random_selection(r, u) - 1 + r * np.arange(slots)[:, None]
         counts = np.bincount(offsets.ravel(), minlength=slots * r).reshape(slots, r)
         empirical = float((counts == 1).sum(axis=1).mean() / r)
         expected = service_rate_closed_form(n, r)
@@ -130,15 +126,11 @@ def check_sca_convergence(runs: int = 100, slots: int = 200,
     converged_at = []
     ne_failures = []
     stayed = True
-    configs = [ScenarioConfig(n_devices=n, n_rbs=r, slots=slots, v_a=1.0,
-                              epsilon=0.0, r_c=15.0, mode=Mode.DISTRIBUTED_SCA,
-                              trace=True, seed=replicate_seed(seed, k))
-               for k in range(runs)]
-    # the runs share slot loops, a sweep's worth of lanes at a time
-    lanes = sweep_lanes(configs[0])
-    results = (result for start in range(0, runs, lanes)
-               for result in run_many(configs[start:start + lanes]))
-    for k, result in enumerate(results):
+    config = ScenarioConfig(n_devices=n, n_rbs=r, slots=slots, v_a=1.0,
+                            epsilon=0.0, r_c=15.0, mode=Mode.DISTRIBUTED_SCA,
+                            trace=True)
+    # replicate k runs seed replicate_seed(seed, k), batched as a sweep does
+    for _, k, result in sweep_iter(config, "seed", [seed], runs):
         rates = [rec.service_rate for rec in result.records]
         unused[k] = result.trace["unused_rbs"]
         first = next((i + 1 for i, sr in enumerate(rates) if sr == 1.0), None)

@@ -272,10 +272,12 @@ def _cmd_preset(args) -> int:
 
 def _cmd_verify(args) -> int:
     slots = 10_000 if args.slots is None else args.slots
+    seed = 2026 if args.seed is None else args.seed
     if args.runs < 1 or slots < 1:
         raise ConfigError("verify needs --runs >= 1 and --slots >= 1")
-    results = run_all(slots=slots, runs=args.runs, seed=args.seed
-                      if args.seed is not None else 2026)
+    if seed < 0:
+        raise ConfigError("verify needs --seed >= 0")
+    results = run_all(slots=slots, runs=args.runs, seed=seed)
     failed = False
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'} {res.name}")

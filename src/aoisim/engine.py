@@ -469,7 +469,7 @@ def run_many(configs) -> list[RunResult]:
     draws = lane_draws[0] if lanes == 1 else _LaneDraws(lane_draws, N)
     messages = PendingMessages(lanes * N)
     p_outage = outage_table(snr, base.epsilon, base.n_rbs_max)
-    stack = (_CentralizedStack(base, types, snr, messages)
+    stack = (_CentralizedStack(base, types, p_outage, messages)
              if base.mode.centralized
              else _DistributedStack(base, positions, messages))
     metrics = [_MetricAccumulator(base.slots, base.warmup_fraction) for _ in configs]
@@ -524,13 +524,13 @@ class _CentralizedStack:
     The stack reads the pending messages from the engine's arrays and keeps
     what the scheduler knows about them in per-device arrays of its own,
     which feedback resets on delivery. A slot then ranks its RACH survivors
-    with a few array operations. types (``TypeId`` values) and snr (mean
-    SNRs) hold every device of every lane, in lane order; every lane has its
-    own RACH and its own R RBs.
+    with a few array operations. types (``TypeId`` values) and p_outage
+    (the run's ``outage_table``) hold every device of every lane, in lane
+    order; every lane has its own RACH and its own R RBs.
     """
 
-    def __init__(self, config: ScenarioConfig, types: np.ndarray, snr: np.ndarray,
-                 messages: PendingMessages):
+    def __init__(self, config: ScenarioConfig, types: np.ndarray,
+                 p_outage: np.ndarray, messages: PendingMessages):
         self.config = config
         self.messages = messages
         self.lanes = len(types) // config.n_devices
@@ -552,9 +552,8 @@ class _CentralizedStack:
         self.last_slot = np.full(n, -1, dtype=np.int64)
         self.last_age = np.zeros(n)
         # the RBs a message sends this slot, per (device, RBs left): the
-        # first part of its best split, which depends on nothing else
-        self.first_split = first_parts(snr, config.epsilon, config.n_rbs_max,
-                                       config.n_rbs)
+        # first part of its best split under the device's outage probabilities
+        self.first_split = first_parts(p_outage)
 
     def _lane(self, ids: np.ndarray) -> np.ndarray | None:
         return _lane_of(ids, self.config.n_devices, self.lanes)

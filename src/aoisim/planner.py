@@ -6,60 +6,45 @@ simultaneous RBs lasts 1/(1-p(r)) slots in expectation, so a candidate split
 is a composition of n and its cost is the message age at the expected finish
 time. Both aging kinds are strictly increasing in time, so the minimizer of
 expected finish time minimizes the age regardless of kind; plans therefore
-depend on (n, snr, epsilon) only, and a run plans every (SNR, demand) pair
-once, before its first slot (``first_parts``).
+depend on the device's outage probabilities only, and a run plans every
+(device, demand) pair once, before its first slot (``first_parts``).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .channel import outage_probability
 
+def first_parts(p_outage: np.ndarray) -> np.ndarray:
+    """table[i, m]: the first part of the best split of m RBs for device i.
 
-@lru_cache(maxsize=4096)
-def _best_split(n: int, snr: float, epsilon: float,
-                max_part: int) -> tuple[tuple[tuple[int, ...], ...], tuple[float, ...]]:
-    """Best composition of every m <= n into parts of at most max_part, and its cost.
-
-    Returns splits and costs: splits[m] is the best split of m and costs[m]
-    its cost, the expected slot count summed part by part from the first
-    (splits[0] is empty). Ties go to fewer slots, then to the
-    lexicographically largest split (the larger first part). Expected slots
-    add up over parts, so this is rod cutting: the best split of m ends in
-    some part r after a best split of m - r, and each m is settled once, in
-    O(n * max_part). Settling n settles every smaller m on the way.
+    p_outage is the run's ``channel.outage_table``: p_outage[i, r] is device
+    i's outage probability on r simultaneous RBs. A part of r RBs costs
+    1/(1 - p) expected slots, inf where p = 1, and a split costs its
+    parts summed from the first. Ties go to fewer slots, then to the larger
+    first part. Expected slots add up over parts, so this is rod cutting:
+    the best split of m ends in some part r after the best split of m - r,
+    and one pass over m settles every device row at once. Column 0 is 0; a
+    message with m RBs left sends table[i, m] of them this slot.
     """
-    part_cost = [0.0]
-    for r in range(1, min(n, max_part) + 1):
-        p = outage_probability(snr, epsilon, r)
-        part_cost.append(float("inf") if p >= 1.0 else 1.0 / (1.0 - p))
-    cost, slots, splits = [0.0] * (n + 1), [0] * (n + 1), [()] * (n + 1)
-    for m in range(1, n + 1):
-        last = 0
-        for r in range(1, min(m, max_part) + 1):
-            candidate = (cost[m - r] + part_cost[r], slots[m - r] + 1)
-            if last:
-                best = (cost[m], slots[m])
-                if candidate > best or (candidate == best and splits[m - r] + (r,)
-                                        < splits[m - last] + (last,)):
-                    continue
-            (cost[m], slots[m]), last = candidate, r
-        splits[m] = splits[m - last] + (last,)
-    return tuple(splits), tuple(cost)
-
-
-def first_parts(snr: np.ndarray, epsilon: float, n_max: int, max_part: int) -> np.ndarray:
-    """table[i, m]: the first part of the best split of m for a device of SNR snr[i].
-
-    One ``_best_split`` per distinct SNR fills every m in 1..n_max; column 0
-    is 0. A message with m RBs left sends table[i, m] of them this slot.
-    """
-    values, rows = np.unique(np.asarray(snr, dtype=np.float64), return_inverse=True)
-    table = np.zeros((len(values), n_max + 1), dtype=np.int64)
-    for i, value in enumerate(values.tolist()):
-        splits, _ = _best_split(n_max, value, epsilon, max_part)
-        table[i, 1:] = [split[0] for split in splits[1:]]
-    return table[rows]
+    p = np.asarray(p_outage, dtype=np.float64)[:, 1:]
+    n_rows, n_max = p.shape
+    with np.errstate(divide="ignore"):
+        part_cost = 1.0 / (1.0 - p)
+    cost = np.zeros((n_rows, n_max + 1))
+    slots = np.zeros((n_rows, n_max + 1), dtype=np.int64)
+    first = np.zeros((n_rows, n_max + 1), dtype=np.int64)
+    rows = np.arange(n_rows)
+    for m in range(1, n_max + 1):
+        # column j: the best split of m - 1 - j, then a last part of j + 1
+        rest = np.arange(m - 1, -1, -1)
+        c = cost[:, rest] + part_cost[:, :m]
+        s = slots[:, rest] + 1
+        f = np.where(rest > 0, first[:, rest], np.arange(1, m + 1))
+        tied = c == c.min(axis=1, keepdims=True)
+        s_tied = np.where(tied, s, n_max + 1)
+        tied &= s_tied == s_tied.min(axis=1, keepdims=True)
+        pick = np.where(tied, f, 0).argmax(axis=1)
+        cost[:, m], slots[:, m] = c[rows, pick], s[rows, pick]
+        first[:, m] = f[rows, pick]
+    return first

@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 
 from aoisim.centralized import TypeLearner, learn_type
-from aoisim.channel import epsilon_for_outage, outage_probability
+from aoisim.channel import epsilon_for_outage, outage_probability, outage_table
 from aoisim.checks import (check_pairwise_priority, check_payoff_table,
                            check_random_service_rate, check_sca_convergence)
 from aoisim.cli import main as cli_main
 from aoisim.devices import TypeId
 from aoisim.engine import Mode, ScenarioConfig, replicate_seed, run, run_many
-from aoisim.planner import _best_split, first_parts
+from aoisim.planner import first_parts
 from aoisim.presets import preset_names
 
 EPS_1PCT = epsilon_for_outage(0.01, 20.0)
@@ -178,22 +178,25 @@ def _expected_slots(parts, snr, eps) -> float:
 
 
 def test_split_planner_matches_brute_force():
-    """Planner cost equals the brute-force optimum over every composition for
-    n <= 6, epsilon in {0.1, 1, 5, 20}, mean SNR in {10, 100}; the per-run
-    table sends the first part of that split. The split depends on neither
-    the aging kind nor the message age, so one DP per SNR serves every n."""
+    """The split the engine sends costs the brute-force optimum over every
+    composition for n <= 6, epsilon in {0.1, 1, 5, 20}, mean SNR in {10, 100}.
+    The per-run table sends the first part of that split, and a message
+    with m RBs left sends table[m] of them. The split depends on neither the
+    aging kind nor the message age, so one table row per device serves every
+    n."""
     cases = 0
     for snr, eps in itertools.product((10.0, 100.0), (0.1, 1.0, 5.0, 20.0)):
-        splits, costs = _best_split(6, snr, eps, 50)
-        table = first_parts(np.array([snr]), eps, 6, 50)
+        table = first_parts(outage_table(np.array([snr]), eps, 6))
         for n in range(1, 7):
             best = min(_expected_slots(parts, snr, eps)
                        for parts in _cut_compositions(n))
-            assert costs[n] == pytest.approx(best, abs=1e-12), \
+            splits, left = [], n
+            while left > 0:
+                splits.append(int(table[0, left]))
+                assert 1 <= splits[-1] <= left
+                left -= splits[-1]
+            assert _expected_slots(splits, snr, eps) == pytest.approx(best, abs=1e-12), \
                 f"suboptimal split at n={n} eps={eps} snr={snr}"
-            assert _expected_slots(splits[n], snr, eps) == pytest.approx(best, abs=1e-12)
-            assert sum(splits[n]) == n
-            assert table[0, n] == splits[n][0]
             cases += 1
     print(f"planner verified on {cases} cases")
 

@@ -289,3 +289,11 @@ def test_verify_rejects_run_counts_it_cannot_use(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "verify needs --runs >= 1 and --slots >= 1" in captured.err
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    # numpy seeds must be nonnegative; the CLI says so before any check runs
+    assert main(["verify", "--seed", "-1", "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "aoisim: verify needs --seed >= 0\n"
