@@ -1,11 +1,9 @@
 """Slotted simulator of age-aware uplink resource-block allocation."""
 
 from .aging import AgingKind, age_forward, aoi_array, aoi_value, linear_only
-from .centralized import (RachConfig, TypeLearner, Variant,
-                          expected_future_aoi, identify_aging, learn_type,
-                          marginal_expected_future_aoi, priority_key,
-                          rach_collision_probability, rach_phase, schedule,
-                          tie_class)
+from .centralized import (TypeLearner, identify_aging, learn_type,
+                          priority_key, rach_collision_probability, rach_phase,
+                          schedule, tie_class)
 from .channel import (epsilon_for_outage, outage_probability, outage_table,
                       resolve_transmissions)
 from .devices import (PendingMessages, TypeId, activate, deliver_success,
@@ -23,9 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgingKind", "age_forward", "aoi_array", "aoi_value", "linear_only",
-    "RachConfig", "TypeLearner", "Variant",
-    "expected_future_aoi", "identify_aging", "learn_type",
-    "marginal_expected_future_aoi", "priority_key",
+    "TypeLearner", "identify_aging", "learn_type", "priority_key",
     "rach_collision_probability", "rach_phase", "schedule", "tie_class",
     "epsilon_for_outage", "outage_probability", "outage_table",
     "resolve_transmissions",

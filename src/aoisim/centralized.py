@@ -3,17 +3,22 @@
 Every active device contends on the request channel each slot; a request
 survives the preamble-collision thinning and reports the pending message's
 current age C_i and its RB demand. The scheduler ranks requests by future
-age. Three variants differ only in how the future age is obtained:
+age, priced from what the base station knows about each request:
 
-* full information: the true aging kind of every message is known;
-* learning: the kind is inferred from observed C_i values (a single
-  non-power-of-two observation proves linear aging; two observations of the
-  same message separate additive from doubling growth), and while a message
-  is still unresolved the scheduler substitutes the expected future age under
-  a maximum-likelihood estimate of the device's type;
-* no learning: every request gets the population-marginal expected future
-  age, which is monotone in C_i, so this variant reduces to priority by
-  current age.
+* a known aging kind gives the exact future age;
+* an unknown kind with a known device type gives the expected future age
+  under that type;
+* an unknown kind with no type gives the expected future age under the
+  population type mix, which is monotone in C_i.
+
+The three centralized modes share this one rule and differ only in what
+the engine tells it. Full information knows every kind and type. Learning
+knows the kinds identified from observed C_i values (a single
+non-power-of-two observation proves linear aging; two observations of the
+same message separate additive from doubling growth) and a
+maximum-likelihood estimate of each observed device's type. No learning
+knows nothing, so every request gets the population-mix price and the
+order reduces to priority by current age.
 
 The request-phase, priority and scheduling rules take and return arrays with
 one entry per request, so a slot's requests are ranked by one sort.
@@ -23,18 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .aging import AgingKind, age_forward, linear_only
 from .devices import TypeId
-
-
-class Variant(Enum):
-    NO_LEARNING = "no_learning"
-    LEARNING = "learning"
-    FULL_INFO = "full_info"
 
 
 # array codes of what the scheduler knows: a message's aging kind (the code
@@ -44,16 +42,6 @@ KINDS = (AgingKind.LINEAR, AgingKind.EXPONENTIAL)
 NO_TYPE = 0
 
 
-@dataclass(frozen=True)
-class RachConfig:
-    preambles: int = 64
-    exact_draws: bool = False   # simulate actual preamble picks instead of thinning
-
-    def __post_init__(self):
-        if self.preambles < 1:
-            raise ValueError("preambles must be >= 1")
-
-
 def rach_collision_probability(n_active: int, preambles: int) -> float:
     """Chance a given device's preamble is picked by at least one other device."""
     if n_active <= 1:
@@ -61,29 +49,32 @@ def rach_collision_probability(n_active: int, preambles: int) -> float:
     return 1.0 - ((preambles - 1) / preambles) ** (n_active - 1)
 
 
-def rach_phase(active_ids, config: RachConfig, u, lanes=None) -> np.ndarray:
+def rach_phase(active_ids, u, preambles: int, exact: bool = False,
+               lanes=None) -> np.ndarray:
     """Ids whose scheduling request reaches the base station this slot.
 
     active_ids is an id array (a list works), and u maps device id to a
     uniform in [0,1) (an array indexed by id). Default is independent
-    Bernoulli thinning at the per-device collision probability; the exact
-    mode derives a preamble pick from each uniform and keeps the devices
-    whose preamble is unique. Survivors keep the order of active_ids.
+    Bernoulli thinning at the per-device collision probability; exact
+    derives a preamble pick from each uniform and keeps the devices whose
+    preamble is unique. Survivors keep the order of active_ids.
     lanes, one index per active id, splits the requests into cells that
     each have their own preambles and collide only among themselves; None
     puts every request in one cell.
     """
+    if preambles < 1:
+        raise ValueError("preambles must be >= 1")
     active_ids = np.asarray(active_ids, dtype=np.intp)
     n = len(active_ids)
     if n == 0:
         return active_ids
     u_active = np.asarray(u)[active_ids]
     lanes = np.zeros(n, dtype=np.intp) if lanes is None else np.asarray(lanes)
-    if config.exact_draws:
-        picks = (u_active * config.preambles).astype(np.intp) + lanes * config.preambles
+    if exact:
+        picks = (u_active * preambles).astype(np.intp) + lanes * preambles
         counts = np.bincount(picks)
         return active_ids[counts[picks] == 1]
-    survive_p = np.array([1.0 - rach_collision_probability(c, config.preambles)
+    survive_p = np.array([1.0 - rach_collision_probability(c, preambles)
                           for c in np.bincount(lanes).tolist()])[lanes]
     return active_ids[u_active < survive_p]
 
@@ -147,9 +138,9 @@ class TypeLearner:
 def learn_type(learner: TypeLearner, device_ids) -> np.ndarray:
     """Maximum-likelihood types of an id array from the identified-kind counts.
 
-    TypeId values, NO_TYPE where a device has no observation (callers fall
-    back to the marginal priors). Ties break to TYPE2, the faster-aging
-    class.
+    TypeId values, NO_TYPE where a device has no observation (priority_key
+    then prices it under the population type mix). Ties break to TYPE2, the
+    faster-aging class.
     """
     k = learner.counts[device_ids]
     k_lin, k_exp = k[..., 0], k[..., 1]
@@ -160,89 +151,58 @@ def learn_type(learner: TypeLearner, device_ids) -> np.ndarray:
     return np.where(k_lin + k_exp == 0, NO_TYPE, learned).astype(np.int8)
 
 
-def expected_future_aoi(current_aoi, est, m1: float, m2: float, beta: int = 1):
-    """Expected future age of an unresolved message under a type hypothesis.
-
-    current_aoi is one age and est a TypeId, or current_aoi is a float64
-    array and est an array of TypeId values, one per age. Both kinds advance
-    through ``age_forward``, so float ages saturate to inf at any beta.
-    """
-    if isinstance(est, TypeId):
-        p_lin = m1 if est is TypeId.TYPE1 else 1.0 - m2
-    else:
-        p_lin = np.where(est == TypeId.TYPE1.value, m1, 1.0 - m2)
-    return (p_lin * age_forward(AgingKind.LINEAR, current_aoi, beta)
-            + (1.0 - p_lin) * age_forward(AgingKind.EXPONENTIAL, current_aoi, beta))
+def _expected(linear, exponential, p_linear: float):
+    """Future age of a message that ages linearly with probability p_linear."""
+    return p_linear * linear + (1.0 - p_linear) * exponential
 
 
-def marginal_expected_future_aoi(current_aoi, m1: float, m2: float,
-                                 p_type1: float, beta: int = 1):
-    """Expected future age with only the population type mix known.
+def priority_key(ages, kinds, types, learner: TypeLearner, beta: int = 1) -> np.ndarray:
+    """Future-age priority keys of many requests, from what the scheduler knows.
 
-    A type with zero share is left out instead of weighted by 0.0, which
-    would turn an age saturated to inf into NaN; for finite ages the value
-    is the same either way.
-    """
-    if p_type1 == 0.0:
-        return expected_future_aoi(current_aoi, TypeId.TYPE2, m1, m2, beta)
-    if p_type1 == 1.0:
-        return expected_future_aoi(current_aoi, TypeId.TYPE1, m1, m2, beta)
-    return (p_type1 * expected_future_aoi(current_aoi, TypeId.TYPE1, m1, m2, beta)
-            + (1.0 - p_type1) * expected_future_aoi(current_aoi, TypeId.TYPE2,
-                                                    m1, m2, beta))
-
-
-def priority_key(ages, kinds, types, learner: TypeLearner, variant: Variant,
-                 beta: int = 1) -> np.ndarray:
-    """Future-age priority keys of many requests under the given variant.
-
-    ages are the reported current ages as float64 (``aging.aoi_array``).
-    kinds holds each message's aging kind as the scheduler knows it (a
-    KIND_* code; the true kind under full information) and types each
-    device's type (a TypeId value or NO_TYPE; the true type under full
-    information). A known kind prices a request at its exact future age.
-    Under learning an unresolved request is priced at its expected future
-    age under the learned type, or under the population mix while no type
-    is learned; without learning every request gets the population-mix
-    price.
+    ages are the reported current ages as float64 (``aging.aoi_array``),
+    kinds each message's aging kind as a KIND_* code and types each device's
+    type as a TypeId value or NO_TYPE. A request of known kind is priced at
+    its exact future age; one of unknown kind at its expected future age
+    under its device's type, or under the population type mix when no type
+    is known. A type with zero share is left out of the mix instead of
+    weighted by 0.0, which would turn an age saturated to inf into NaN.
 
     Finite keys equal the exact scalar values: integer future ages below
     2**1024 convert exactly, and the expected ages keep the scalar operation
     order. Keys past float range saturate to inf, never NaN.
     """
     ages = np.asarray(ages, dtype=np.float64)
+    kinds, types = np.asarray(kinds), np.asarray(types)
     m1, m2, p_type1 = learner.m1, learner.m2, learner.p_type1
     with np.errstate(over="ignore"):
-        if variant is Variant.NO_LEARNING:
-            return marginal_expected_future_aoi(ages, m1, m2, p_type1, beta)
-        kinds = np.asarray(kinds)
-        keys = np.where(kinds == KIND_EXPONENTIAL,
-                        age_forward(AgingKind.EXPONENTIAL, ages, beta),
-                        age_forward(AgingKind.LINEAR, ages, beta))
-        if variant is Variant.LEARNING:
-            types = np.asarray(types)
-            unresolved = kinds == KIND_UNKNOWN
-            keys = np.where(unresolved, expected_future_aoi(ages, types, m1, m2, beta),
-                            keys)
-            no_type = unresolved & (types == NO_TYPE)
-            if no_type.any():
-                keys[no_type] = marginal_expected_future_aoi(ages[no_type], m1, m2,
-                                                             p_type1, beta)
-    return keys
+        linear = age_forward(AgingKind.LINEAR, ages, beta)
+        exponential = age_forward(AgingKind.EXPONENTIAL, ages, beta)
+        exact = np.where(kinds == KIND_EXPONENTIAL, exponential, linear)
+        unknown = kinds == KIND_UNKNOWN
+        if not unknown.any():       # every kind known: skip the expected ages
+            return exact
+        type1 = _expected(linear, exponential, m1)
+        type2 = _expected(linear, exponential, 1.0 - m2)
+        if p_type1 == 0.0:
+            mix = type2
+        elif p_type1 == 1.0:
+            mix = type1
+        else:
+            mix = p_type1 * type1 + (1.0 - p_type1) * type2
+    expected = np.where(types == TypeId.TYPE1.value, type1,
+                        np.where(types == NO_TYPE, mix, type2))
+    return np.where(unknown, expected, exact)
 
 
-def tie_class(types, learner: TypeLearner, variant: Variant) -> np.ndarray:
+def tie_class(types, learner: TypeLearner) -> np.ndarray:
     """Tie class per request: on equal keys class 0 is served before class 1.
 
-    The faster-aging type goes first: the learned type under learning (the
-    more common type while none is learned), the true type under full
-    information. Without learning every request shares one class.
+    The faster-aging type (TYPE2) goes first. A request with no known type
+    is presumed of the more common type (TYPE1 on an even mix).
     """
     types = np.asarray(types)
-    if variant is Variant.NO_LEARNING:
-        return np.ones(len(types), dtype=bool)
     classes = types != TypeId.TYPE2.value
-    if variant is Variant.LEARNING and learner.p_type1 < 0.5:
+    if learner.p_type1 < 0.5:
         classes &= types != NO_TYPE           # no type yet: presumed TYPE2
     return classes
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aging import AgingKind, age_forward
-from .centralized import (KIND_EXPONENTIAL, KIND_LINEAR, TypeLearner, Variant,
+from .centralized import (KIND_EXPONENTIAL, KIND_LINEAR, TypeLearner,
                           priority_key, schedule, tie_class)
 from .devices import TypeId
 from .distributed import (FullInfoGame, GameParams, random_selection,
@@ -188,13 +188,13 @@ def _winner_by_lookahead(exp_age: int, lin_age: int, beta: int) -> str:
     linear one (type 1); the ages stay far below 2**1024, so no key
     saturates and the exponents are never consulted.
     """
-    learner, full = TypeLearner(), Variant.FULL_INFO
+    learner = TypeLearner()
     types = np.array([TypeId.TYPE2.value, TypeId.TYPE1.value])
     keys = priority_key(np.array([exp_age, lin_age], dtype=np.float64),
                         np.array([KIND_EXPONENTIAL, KIND_LINEAR]), types,
-                        learner, full, beta)
+                        learner, beta)
     served, _, _ = schedule(np.array([0, 1]), keys, np.zeros(2, dtype=np.int64),
-                            tie_class(types, learner, full),
+                            tie_class(types, learner),
                             np.ones(2, dtype=np.int64), 1)
     return "exp" if served[0] == 0 else "lin"
 

@@ -19,23 +19,20 @@ from enum import Enum
 from pathlib import Path
 
 from .checks import run_all
-from .engine import (ConfigError, Mode, RunResult, ScenarioConfig, run,
-                     sweep_iter)
+from .engine import (ConfigError, Mode, RunResult, RunSummary, ScenarioConfig,
+                     SlotRecord, run, sweep_iter)
 from .presets import expand_preset, preset_description, preset_names
 
 OUT_DIR_ENV = "AOISIM_OUT_DIR"
 
-RECORD_COLUMNS = ("slot", "avg_inst_aoi_slot", "avg_inst_aoi_cum",
-                  "service_rate", "n_active", "n_transmitting",
-                  "rach_failures", "duplicate_failures", "outage_failures")
+RECORD_COLUMNS = tuple(f.name for f in fields(SlotRecord))
 
-SUMMARY_COLUMNS = ("slots", "warmup_slots", "deliveries",
-                   "deliveries_postwarmup", "mean_delivery_aoi",
-                   "mean_delivery_aoi_postwarmup", "mean_service_rate",
-                   "mean_service_rate_postwarmup", "rach_failures",
-                   "duplicate_failures", "outage_failures")
+SUMMARY_COLUMNS = tuple(f.name for f in fields(RunSummary))
 
 SWEEP_COLUMNS = ("parameter", "value", "replicate", "seed") + SUMMARY_COLUMNS
+
+# each config field's annotation ("int", "float", "bool", "Mode") by name
+_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
@@ -91,12 +88,11 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def build_config(raw: dict[str, str]) -> ScenarioConfig:
-    annotations = {f.name: f.type for f in fields(ScenarioConfig)}
     values = {}
     for key, text in raw.items():
-        if key not in annotations:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key: {key}")
-        values[key] = _coerce(key, annotations[key], text)
+        values[key] = _coerce(key, _FIELD_TYPES[key], text)
     config = ScenarioConfig(**values)
     config.validate()
     return config
@@ -126,6 +122,13 @@ def _plain(value):
     return value.value if isinstance(value, Enum) else value
 
 
+def _json_safe(row: dict) -> dict:
+    """row with inf, -inf and nan, which JSON has no number for, as the
+    strings "inf", "-inf" and "nan" that a CSV cell holds."""
+    return {key: repr(value) if isinstance(value, float) and not math.isfinite(value)
+            else value for key, value in row.items()}
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -142,8 +145,7 @@ def write_output(out: str | None, fmt: str, config: ScenarioConfig,
     """
     fh = open(out, "w", newline="") if out else sys.stdout
     try:
-        echo = {f.name: _plain(getattr(config, f.name))
-                for f in fields(ScenarioConfig)}
+        echo = {name: _plain(getattr(config, name)) for name in _FIELD_TYPES}
         if fmt == "csv":
             for key, value in echo.items():
                 fh.write(f"# {key}={_cell(value)}\n")
@@ -151,9 +153,11 @@ def write_output(out: str | None, fmt: str, config: ScenarioConfig,
             for row in rows:
                 fh.write(",".join(_cell(row[col]) for col in columns) + "\n")
         else:
-            fh.write(json.dumps({"config": echo}, sort_keys=True) + "\n")
+            fh.write(json.dumps({"config": _json_safe(echo)}, sort_keys=True,
+                                allow_nan=False) + "\n")
             for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+                fh.write(json.dumps(_json_safe(row), sort_keys=True,
+                                    allow_nan=False) + "\n")
     finally:
         if out:
             fh.close()
@@ -202,7 +206,7 @@ def _cmd_run(args) -> int:
 
 
 def _parse_values(parameter: str, text: str) -> list:
-    annotation = {f.name: f.type for f in fields(ScenarioConfig)}.get(parameter)
+    annotation = _FIELD_TYPES.get(parameter)
     if annotation is None:
         raise ConfigError(f"unknown sweep parameter: {parameter}")
     return [_coerce(parameter, annotation, part.strip())

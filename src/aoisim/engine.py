@@ -28,9 +28,9 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import centralized
 from .aging import aoi_array, aoi_value
-from .centralized import (KIND_UNKNOWN, KINDS, NO_TYPE, RachConfig,
-                          TypeLearner, Variant, identify_aging, learn_type,
-                          rach_phase, schedule, tie_class)
+from .centralized import (KIND_UNKNOWN, KINDS, NO_TYPE, TypeLearner,
+                          identify_aging, learn_type, rach_phase, schedule,
+                          tie_class)
 from .channel import (SUCCESS, outage_table, resolve_transmissions,
                       sample_heterogeneous_snr, snr_db_to_linear)
 from .devices import (PendingMessages, TypeId, activate, deliver_success,
@@ -535,19 +535,15 @@ class _CentralizedStack:
         self.messages = messages
         self.lanes = len(types) // config.n_devices
         self.rb_width = config.n_rbs
-        self.variant = Variant(config.mode.value.removeprefix("centralized_"))
-        self.rach = RachConfig(config.preambles, config.rach_exact)
         n = len(types)
         self.learner = TypeLearner(m1=config.m1, m2=config.m2,
                                    p_type1=config.type1_fraction, n_devices=n)
         self.true_type = types
-        # scheduler-side knowledge: the identified kind of the pending message
-        # (learning; reset on delivery) and the device type, which is the ML
-        # estimate under learning (it moves only on observe) and the true type
-        # under full information
+        # scheduler-side knowledge under learning: the identified kind of the
+        # pending message (reset on delivery) and the device's ML type
+        # estimate (it moves only on observe)
         self.known_kind = np.full(n, KIND_UNKNOWN, dtype=np.int8)
-        self.est_type = (self.true_type.copy() if self.variant is Variant.FULL_INFO
-                         else np.full(n, NO_TYPE, dtype=np.int8))
+        self.est_type = np.full(n, NO_TYPE, dtype=np.int8)
         # slot (-1: none) and age of the last report of each unresolved message
         self.last_slot = np.full(n, -1, dtype=np.int64)
         self.last_age = np.zeros(n)
@@ -560,23 +556,27 @@ class _CentralizedStack:
 
     def allocate(self, t: int, active_ids: np.ndarray, draws: SlotDraws):
         """The slot's transmitters, their RB ranges and each lane's RACH losses."""
-        config, variant, messages = self.config, self.variant, self.messages
-        survivors = rach_phase(active_ids, self.rach, draws.vec(t, _PH_RACH),
-                               self._lane(active_ids))
+        config, messages = self.config, self.messages
+        survivors = rach_phase(active_ids, draws.vec(t, _PH_RACH), config.preambles,
+                               config.rach_exact, self._lane(active_ids))
         gen = messages.gen_slot[survivors]
         exponential = messages.exponential[survivors]
         ages = aoi_array(exponential, t, gen)           # the reported ages
-        if variant is Variant.LEARNING:
-            kinds = self._identify(t, survivors, ages)
-        else:
+        # what the base station knows of each request: the mode's only effect
+        if config.mode is Mode.CENTRALIZED_FULL_INFO:
             kinds = exponential.astype(np.int8)     # true kinds (KINDS codes)
-        types = self.est_type[survivors]
+            types = self.true_type[survivors]
+        elif config.mode is Mode.CENTRALIZED_LEARNING:
+            kinds = self._identify(t, survivors, ages)
+            types = self.est_type[survivors]
+        else:
+            kinds = np.full(len(survivors), KIND_UNKNOWN, dtype=np.int8)
+            types = np.full(len(survivors), NO_TYPE, dtype=np.int8)
         # called through the module, where perfbench/tracer.py times it
-        keys = centralized.priority_key(ages, kinds, types, self.learner, variant,
-                                        config.beta)
+        keys = centralized.priority_key(ages, kinds, types, self.learner, config.beta)
         needed = self.first_split[survivors, messages.rbs_left[survivors]]
         served, first, end = schedule(survivors, keys, t + config.beta - 1 - gen,
-                                      tie_class(types, self.learner, variant),
+                                      tie_class(types, self.learner),
                                       needed, config.n_rbs, self._lane(survivors))
         N, lanes = config.n_devices, self.lanes
         if lanes > 1:

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aoisim.aging import AgingKind, age_forward, aoi_array, aoi_value
+from aoisim.aging import AgingKind, aoi_array, aoi_value
 from aoisim.centralized import (KIND_EXPONENTIAL, KIND_LINEAR, KIND_UNKNOWN,
-                                NO_TYPE, RachConfig, TypeLearner, Variant,
-                                expected_future_aoi, identify_aging, learn_type,
-                                marginal_expected_future_aoi, priority_key,
-                                rach_collision_probability, rach_phase, schedule,
-                                tie_class)
+                                NO_TYPE, TypeLearner, identify_aging, learn_type,
+                                priority_key, rach_collision_probability,
+                                rach_phase, schedule, tie_class)
 from aoisim.devices import TypeId
 
 LIN, EXP, UNKNOWN = KIND_LINEAR, KIND_EXPONENTIAL, KIND_UNKNOWN
@@ -25,26 +23,26 @@ def test_collision_probability_closed_form():
 
 
 def test_rach_thinning_is_per_device():
-    config = RachConfig(preambles=64)
     ids = [0, 2, 5]
     survive_p = 1.0 - rach_collision_probability(3, 64)
     u = np.zeros(6)
     u[2] = survive_p + 1e-9   # only device 2 is unlucky
-    assert rach_phase(ids, config, u).tolist() == [0, 5]
-    assert rach_phase(np.array(ids), config, u).tolist() == [0, 5]
-    assert rach_phase([], config, u).tolist() == []
+    assert rach_phase(ids, u, 64).tolist() == [0, 5]
+    assert rach_phase(np.array(ids), u, 64).tolist() == [0, 5]
+    assert rach_phase([], u, 64).tolist() == []
 
 
 def test_rach_exact_mode_keeps_unique_preambles():
-    config = RachConfig(preambles=4, exact_draws=True)
     # picks are floor(u * 4): devices 0 and 1 collide on preamble 2
     u = np.array([0.55, 0.6, 0.1])
-    assert rach_phase([0, 1, 2], config, u).tolist() == [2]
+    assert rach_phase([0, 1, 2], u, 4, exact=True).tolist() == [2]
 
 
 def test_rach_config_validation():
-    with pytest.raises(ValueError):
-        RachConfig(preambles=0)
+    for ids in ([0], []):
+        for exact in (False, True):
+            with pytest.raises(ValueError):
+                rach_phase(ids, np.zeros(1), 0, exact)
 
 
 # --- aging identification ----------------------------------------------------
@@ -152,40 +150,59 @@ def test_ml_tie_breaks_to_faster_aging_type():
     assert _learned(learner, 1) == TypeId.TYPE2.value
 
 
+# --- priority scheduling -----------------------------------------------------
+
+def key(age, kind=UNKNOWN, est=NO_TYPE, beta=1, learner=None):
+    keys = priority_key(np.array([age], dtype=np.float64), np.array([kind]),
+                        np.array([est]), learner or TypeLearner(), beta)
+    return keys[0]
+
+
+def _scalar_key(age, kind, est, learner, beta):
+    """The pricing rule on one exact (big) integer age, in Python arithmetic.
+
+    Keyed by what the scheduler knows: a known kind (KIND_* code), else the
+    device's type (TypeId value), else the population type mix.
+    """
+    linear, exponential = age + beta, age * (1 << beta)
+    if kind != UNKNOWN:
+        return (linear, exponential)[kind]
+
+    def expected(p_linear):
+        return p_linear * linear + (1.0 - p_linear) * exponential
+
+    type1, type2 = expected(learner.m1), expected(1.0 - learner.m2)
+    if est != NO_TYPE:
+        return type1 if est == T1 else type2
+    # the population mix leaves a type with zero share out
+    p1 = learner.p_type1
+    if p1 == 0.0:
+        return type2
+    if p1 == 1.0:
+        return type1
+    return p1 * type1 + (1.0 - p1) * type2
+
+
 def test_expected_future_age_formulas():
     # type-1 hypothesis: mostly linear
-    assert expected_future_aoi(4, TypeId.TYPE1, 0.75, 0.75) == \
-        pytest.approx(0.75 * 5 + 0.25 * 8)
-    assert expected_future_aoi(4, TypeId.TYPE2, 0.75, 0.75) == \
-        pytest.approx(0.25 * 5 + 0.75 * 8)
-    mixed = marginal_expected_future_aoi(4, 0.75, 0.75, 0.6)
-    assert mixed == pytest.approx(0.6 * 5.75 + 0.4 * 7.25)
+    assert key(4, UNKNOWN, T1) == pytest.approx(0.75 * 5 + 0.25 * 8)
+    assert key(4, UNKNOWN, T2) == pytest.approx(0.25 * 5 + 0.75 * 8)
+    # no type known: the population mix of the two
+    assert key(4) == pytest.approx(0.6 * 5.75 + 0.4 * 7.25)
 
 
 @given(st.integers(min_value=1, max_value=1000), st.integers(min_value=1, max_value=4))
 def test_marginal_priority_is_monotone_in_current_age(age, beta):
-    lo = marginal_expected_future_aoi(age, 0.75, 0.75, 0.6, beta)
-    hi = marginal_expected_future_aoi(age + 1, 0.75, 0.75, 0.6, beta)
-    assert hi > lo
+    assert key(age + 1, beta=beta) > key(age, beta=beta)
 
 
-# --- priority scheduling -----------------------------------------------------
-
-def key(age, kind=UNKNOWN, est=NO_TYPE, variant=Variant.LEARNING, beta=1,
-        learner=None):
-    keys = priority_key(np.array([age], dtype=np.float64), np.array([kind]),
-                        np.array([est]), learner or TypeLearner(), variant, beta)
-    return keys[0]
-
-
-def serve(rows, R, variant=Variant.FULL_INFO, beta=1, learner=None):
+def serve(rows, R, beta=1, learner=None):
     """Schedule rows of (device id, current age, RB demand, kind, type)."""
     learner = learner or TypeLearner()
     ids, ages, rbs, kinds, types = (np.array(col) for col in zip(*rows))
-    keys = priority_key(ages.astype(np.float64), kinds, types, learner,
-                        variant, beta)
+    keys = priority_key(ages.astype(np.float64), kinds, types, learner, beta)
     return grants(schedule(ids, keys, np.zeros(len(ids), dtype=np.int64),
-                           tie_class(types, learner, variant), rbs, R))
+                           tie_class(types, learner), rbs, R))
 
 
 def grants(scheduled):
@@ -196,34 +213,24 @@ def grants(scheduled):
 
 
 def test_full_info_priority_is_exact_future_age():
-    assert key(6, EXP, T2, Variant.FULL_INFO) == 12
-    assert key(6, LIN, T1, Variant.FULL_INFO, beta=2) == 8
+    # a known kind is priced exactly, whatever the type
+    for est in (NO_TYPE, T1, T2):
+        assert key(6, EXP, est) == 12
+        assert key(6, LIN, est, beta=2) == 8
 
 
 def test_learning_priority_prefers_identified_kind():
     assert key(4, EXP) == 8
-    # nothing identified, no observations
-    assert key(4) == pytest.approx(marginal_expected_future_aoi(4, 0.75, 0.75, 0.6))
+    # nothing identified, no observations: the population mix
+    assert key(4) == _scalar_key(4, UNKNOWN, NO_TYPE, TypeLearner(), 1)
 
 
 def test_learning_priority_uses_the_estimated_type():
     # an unresolved message is priced under the device's learned type
-    for est in (TypeId.TYPE1, TypeId.TYPE2):
-        assert key(4, UNKNOWN, est.value, beta=2) == \
-            pytest.approx(expected_future_aoi(4, est, 0.75, 0.75, 2))
-
-
-def _scalar_key(age, kind, est, learner, variant, beta):
-    """The priority rule on one exact (big) integer age, in Python arithmetic."""
-    m1, m2, p1 = learner.m1, learner.m2, learner.p_type1
-    if variant is Variant.NO_LEARNING:
-        return marginal_expected_future_aoi(age, m1, m2, p1, beta)
-    if kind != UNKNOWN:
-        kinds = (AgingKind.LINEAR, AgingKind.EXPONENTIAL)
-        return age_forward(kinds[kind], age, beta)
-    if est == NO_TYPE:
-        return marginal_expected_future_aoi(age, m1, m2, p1, beta)
-    return expected_future_aoi(age, TypeId(est), m1, m2, beta)
+    for est in (T1, T2):
+        assert key(4, UNKNOWN, est, beta=2) == \
+            _scalar_key(4, UNKNOWN, est, TypeLearner(), 2)
+    assert key(4, UNKNOWN, T1) < key(4) < key(4, UNKNOWN, T2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,38 +238,38 @@ def _scalar_key(age, kind, est, learner, variant, beta):
                           st.sampled_from([UNKNOWN, LIN, EXP]),
                           st.sampled_from([NO_TYPE, T1, T2])),
                 min_size=1, max_size=20),
-       st.sampled_from(list(Variant)), st.integers(1, 4),
-       st.sampled_from([0.0, 0.3, 0.6, 1.0]))
-def test_array_keys_equal_exact_scalar_keys(rows, variant, beta, p_type1):
+       st.integers(1, 4), st.sampled_from([0.0, 0.3, 0.6, 1.0]))
+def test_array_keys_equal_exact_scalar_keys(rows, beta, p_type1):
     # ages up to 2**1014 and future ages below 2**1024: every float64 key
     # is bit for bit the Python value of the same rule on exact integers
     learner = TypeLearner(m1=0.8, m2=0.7, p_type1=p_type1)
     t = 2000
     gen = np.array([t - k for k, _, _, _ in rows])
     exponential = np.array([exp for _, exp, _, _ in rows])
-    kinds = np.array([LIN + exp if variant is Variant.FULL_INFO else kind
-                      for _, exp, kind, _ in rows])
+    kinds = np.array([kind for _, _, kind, _ in rows])
     types = np.array([est for _, _, _, est in rows])
-    if variant is Variant.FULL_INFO:
-        types = np.where(types == NO_TYPE, T1, types)
-    keys = priority_key(aoi_array(exponential, t, gen), kinds, types, learner,
-                        variant, beta)
+    keys = priority_key(aoi_array(exponential, t, gen), kinds, types, learner, beta)
     for i, (k, exp, _, _) in enumerate(rows):
         age = aoi_value(AgingKind.EXPONENTIAL if exp else AgingKind.LINEAR, t, t - k)
-        want = _scalar_key(age, kinds[i], types[i], learner, variant, beta)
+        want = _scalar_key(age, kinds[i], types[i], learner, beta)
         assert keys[i] == want and float(keys[i]) == float(want)
 
 
 @pytest.mark.parametrize("p_type1", [0.0, 1.0])
 def test_keys_are_never_nan_at_a_pure_type_mix(p_type1):
-    # a saturated age under a zero-share type once gave 0.0 * inf
+    # a saturated age under a zero-share type once gave 0.0 * inf; checked
+    # with what each mode knows: some kinds and types, nothing, everything
     learner = TypeLearner(m1=0.75, m2=0.9, p_type1=p_type1)
     ages = np.array([np.inf, 1e300, 3.0, np.inf, np.inf, 2.0 ** 1023])
-    kinds = np.array([UNKNOWN, UNKNOWN, UNKNOWN, EXP, LIN, UNKNOWN])
-    types = np.array([NO_TYPE, T1, T2, T2, T1, T2])
-    for variant in Variant:
-        keys = priority_key(ages, kinds, types, learner, variant, beta=2)
-        assert not np.isnan(keys).any(), variant
+    knowledge = [
+        (np.array([UNKNOWN, UNKNOWN, UNKNOWN, EXP, LIN, UNKNOWN]),
+         np.array([NO_TYPE, T1, T2, T2, T1, T2])),
+        (np.full(6, UNKNOWN), np.full(6, NO_TYPE)),
+        (np.array([EXP, LIN, LIN, EXP, LIN, EXP]), np.array([T2, T1, T1, T2, T1, T2])),
+    ]
+    for kinds, types in knowledge:
+        keys = priority_key(ages, kinds, types, learner, beta=2)
+        assert not np.isnan(keys).any(), (kinds, types)
         assert keys[0] == np.inf and keys[2] > 3.0
 
 
@@ -290,6 +297,16 @@ def test_schedule_tie_breaks_faster_type_then_id():
     assert [d for d, _ in allocation] == [7, 0, 4]
 
 
+@pytest.mark.parametrize("p_type1, order", [(0.3, [1, 5, 2]), (0.5, [1, 2, 5]),
+                                            (0.7, [1, 2, 5])])
+def test_unknown_type_ties_as_the_more_common_type(p_type1, order):
+    # equal keys (linear age 3): device 1 is type 2, device 2 type 1 and
+    # device 5 has no type yet, so it ties as the type of the larger share
+    rows = [(2, 3, 1, LIN, T1), (5, 3, 1, LIN, NO_TYPE), (1, 3, 1, LIN, T2)]
+    allocation = serve(rows, 3, learner=TypeLearner(p_type1=p_type1))
+    assert [d for d, _ in allocation] == order
+
+
 def test_schedule_grants_partial_demand_at_the_boundary():
     allocation = serve([(0, 9, 3, LIN, T1), (1, 5, 3, LIN, T1)], 4)
     assert allocation == [(0, (0, 1, 2)), (1, (3,))]
@@ -302,14 +319,14 @@ def test_schedule_stops_when_rbs_run_out():
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 64), st.integers(1, 4),
-                          st.booleans(), st.booleans()),
+                          st.sampled_from([UNKNOWN, LIN, EXP]),
+                          st.sampled_from([NO_TYPE, T1, T2])),
                 min_size=1, max_size=12),
-       st.sampled_from(list(Variant)), st.integers(1, 3))
-def test_schedule_never_double_books_an_rb(entries, variant, beta):
-    rows = [(i, aoi, rbs, EXP if exp_kind else LIN, T2 if t2 else T1)
-            for i, (aoi, rbs, exp_kind, t2) in enumerate(entries)]
+       st.integers(1, 3))
+def test_schedule_never_double_books_an_rb(entries, beta):
+    rows = [(i, aoi, rbs, kind, est) for i, (aoi, rbs, kind, est) in enumerate(entries)]
     R = 6
-    allocation = serve(rows, R, variant, beta)
+    allocation = serve(rows, R, beta)
     used = [rb for _, rbs in allocation for rb in rbs]
     assert len(used) == len(set(used))
     assert len(used) <= R

@@ -71,6 +71,43 @@ def test_run_writes_jsonl(tmp_path):
     assert row["slot"] == 1
 
 
+# the central_full_info_beyond_float golden config: in-flight ages pass
+# 2**1024, so per-slot means and the summary means read inf
+BEYOND_FLOAT = ["--set", "mode=centralized_full_info", "--set", "n_devices=400",
+                "--set", "n_rbs=1", "--set", "v_a=0.5", "--set", "preambles=64",
+                "--set", "type1_fraction=0.0", "--set", "m2=0.9",
+                "--set", "slots=1500", "--set", "seed=11"]
+
+
+def _strict_json(line: str):
+    """json.loads that refuses the non-JSON tokens Infinity, -Infinity, NaN."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(line, parse_constant=refuse)
+
+
+def test_jsonl_writes_non_finite_floats_as_strings(tmp_path):
+    run_jsonl, run_csv = tmp_path / "run.jsonl", tmp_path / "run.csv"
+    assert main(["run", *BEYOND_FLOAT, "--format", "jsonl", "--out", str(run_jsonl),
+                 "--quiet"]) == 0
+    assert main(["run", *BEYOND_FLOAT, "--out", str(run_csv), "--quiet"]) == 0
+    rows = [_strict_json(line) for line in run_jsonl.read_text().splitlines()[1:]]
+    cells = [line.split(",") for line in run_csv.read_text().splitlines()
+             if not line.startswith("#")][1:]
+    # a string in a JSON line is the cell the CSV holds for it
+    strings = {(i, col): row[col] for i, row in enumerate(rows)
+               for col in RECORD_COLUMNS if isinstance(row[col], str)}
+    assert "inf" in {row["avg_inst_aoi_cum"] for row in rows}
+    assert all(cells[i][RECORD_COLUMNS.index(col)] == text
+               for (i, col), text in strings.items())
+    sweep = tmp_path / "sweep.jsonl"
+    assert main(["sweep", *BEYOND_FLOAT, "--parameter", "seed", "--values", "11",
+                 "--format", "jsonl", "--out", str(sweep), "--quiet"]) == 0
+    summary = _strict_json(sweep.read_text().splitlines()[-1])
+    assert summary["mean_delivery_aoi"] == "inf"
+    assert summary["deliveries"] > 0
+
+
 def test_run_exit_codes():
     assert main(["run", "--set", "nope=1", "--quiet"]) == 1
     assert main(["run", "--set", "v_a=2.0", "--quiet"]) == 1

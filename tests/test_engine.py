@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from aoisim import engine
-from aoisim.aging import AgingKind, aoi_value
-from aoisim.centralized import KIND_UNKNOWN, KINDS
+from aoisim import centralized, engine
+from aoisim.aging import AgingKind, aoi_value, is_power_of_two
+from aoisim.centralized import KIND_UNKNOWN, KINDS, NO_TYPE
 from aoisim.devices import PendingMessages, activate, deliver_success, make_devices
 from aoisim.distributed import kappa, kth_largest
 from aoisim.engine import (_PH_ACTIVATE, _PH_KIND, _PH_SIZE, ConfigError, Mode,
@@ -368,6 +368,62 @@ def test_modes_coincide_when_the_scheduler_never_binds():
     full, learn, none = results.values()
     assert full.records == learn.records == none.records
     assert full.summary == learn.summary == none.summary
+
+
+@pytest.mark.parametrize("mode", [m for m in Mode if m.centralized])
+def test_priority_key_is_told_what_the_mode_knows(mode, monkeypatch):
+    # the mode only changes the kinds and types the one pricing rule sees
+    stacks, survivors, calls = [], [], []
+    real_rach, real_key = engine.rach_phase, centralized.priority_key
+
+    class Recorded(engine._CentralizedStack):
+        def __init__(self, *args):
+            super().__init__(*args)
+            stacks.append(self)
+
+    def recorded_rach(*args):
+        survivors.append(real_rach(*args))
+        return survivors[-1]
+
+    def recorded_key(ages, kinds, types, learner, beta):
+        ids, messages = survivors[-1], stacks[0].messages
+        calls.append((ids, np.array(ages), np.array(kinds), np.array(types),
+                      messages.exponential[ids].astype(np.int8),
+                      messages.gen_slot[ids].copy()))
+        return real_key(ages, kinds, types, learner, beta)
+
+    monkeypatch.setattr(engine, "_CentralizedStack", Recorded)
+    monkeypatch.setattr(engine, "rach_phase", recorded_rach)
+    monkeypatch.setattr(centralized, "priority_key", recorded_key)
+    result = run(small(mode=mode, n_devices=20, n_rbs=4, v_a=0.5, trace=True))
+    latent = result.trace["latent_types"]
+    assert len(calls) == 80
+    reported, identified, typed = set(), set(), set()   # messages as (device,
+    # generation slot) first reported and identified so far; devices typed
+    n_known = n_unknown = 0
+    for ids, ages, kinds, types, exponential, gen in calls:
+        if mode is Mode.CENTRALIZED_NO_LEARNING:
+            assert (kinds == KIND_UNKNOWN).all() and (types == NO_TYPE).all()
+        elif mode is Mode.CENTRALIZED_FULL_INFO:
+            assert kinds.tolist() == exponential.tolist()
+            assert types.tolist() == [latent[i].value for i in ids.tolist()]
+        else:
+            known = kinds != KIND_UNKNOWN
+            assert (kinds[known] == exponential[known]).all()
+            pending = list(zip(ids.tolist(), gen.tolist()))
+            first = np.array([m not in reported for m in pending], dtype=bool)
+            # a message's first report identifies it only by a linear-only age,
+            # and an identified message stays identified until delivered
+            assert (known[first] == ~is_power_of_two(ages[first])).all()
+            assert all(known[j] for j, m in enumerate(pending) if m in identified)
+            identified |= {m for m, k in zip(pending, known.tolist()) if k}
+            typed |= set(ids[known].tolist())
+            assert [t != NO_TYPE for t in types.tolist()] == \
+                [i in typed for i in ids.tolist()]
+            reported |= set(pending)
+            n_known, n_unknown = n_known + known.sum(), n_unknown + (~known).sum()
+    if mode is Mode.CENTRALIZED_LEARNING:
+        assert n_known > 0 and n_unknown > 0
 
 
 def test_heterogeneous_snr_path_is_deterministic():
