@@ -13,7 +13,8 @@ from .distributed import (FullInfoGame, GameParams, NashResult,
                           random_selection, reaches_threshold, sca_step,
                           service_rate_closed_form)
 from .engine import (ConfigError, Mode, RunResult, RunSummary, ScenarioConfig,
-                     SlotRecord, replicate_seed, run, run_many, sweep_iter)
+                     SlotRecord, loop_batches, replicate_seed, run, run_many,
+                     sweep_iter)
 from .planner import first_parts
 from .presets import expand_preset, preset_description, preset_names
 
@@ -30,7 +31,8 @@ __all__ = [
     "kth_largest", "random_selection", "reaches_threshold", "sca_step",
     "service_rate_closed_form",
     "ConfigError", "Mode", "RunResult", "RunSummary", "ScenarioConfig",
-    "SlotRecord", "replicate_seed", "run", "run_many", "sweep_iter",
+    "SlotRecord", "loop_batches", "replicate_seed", "run", "run_many",
+    "sweep_iter",
     "first_parts",
     "expand_preset", "preset_description", "preset_names",
 ]

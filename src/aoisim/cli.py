@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .checks import run_all
 from .engine import (ConfigError, Mode, RunResult, RunSummary, ScenarioConfig,
-                     SlotRecord, run, sweep_iter)
+                     SlotRecord, loop_batches, run, run_many, sweep_iter)
 from .presets import expand_preset, preset_description, preset_names
 
 OUT_DIR_ENV = "AOISIM_OUT_DIR"
@@ -213,6 +213,24 @@ def _parse_values(parameter: str, text: str) -> list:
             for part in text.split(",") if part.strip()]
 
 
+def _mean_and_se(values: list[float]) -> tuple[float, float | None]:
+    """Mean and standard error of non-negative values, which may be huge or inf.
+
+    Each value is divided by the count before summing, and the deviations by
+    the largest before squaring, so no step overflows; the se is None when
+    the mean is inf.
+    """
+    n = len(values)
+    mean = sum(v / n for v in values)
+    if mean == math.inf:
+        return mean, None
+    scale = max(abs(v - mean) for v in values)
+    if scale == 0.0:
+        return mean, 0.0
+    var = sum(((v - mean) / scale) ** 2 for v in values) / (n - 1)
+    return mean, scale * math.sqrt(var / n)
+
+
 def _cmd_sweep(args) -> int:
     base = _config_from_args(args)
     values = _parse_values(args.parameter, args.values)
@@ -236,12 +254,10 @@ def _cmd_sweep(args) -> int:
             group = [r["mean_delivery_aoi"] for r in rows
                      if r["value"] == value and r["mean_delivery_aoi"] is not None]
             if group:
-                mean = sum(group) / len(group)
-                var = (sum((g - mean) ** 2 for g in group)
-                       / (len(group) - 1)) if len(group) > 1 else 0.0
-                se = math.sqrt(var / len(group)) if len(group) > 1 else 0.0
-                _say(args, f"{args.parameter}={value}: mean delivery age "
-                           f"{mean:.4g} +- {se:.2g} (se, n={len(group)})")
+                mean, se = _mean_and_se(group)
+                note = (f"{mean:.4g} (n={len(group)})" if se is None
+                        else f"{mean:.4g} +- {se:.2g} (se, n={len(group)})")
+                _say(args, f"{args.parameter}={value}: mean delivery age {note}")
     return 0
 
 
@@ -255,22 +271,24 @@ def _cmd_preset(args) -> int:
     out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = "csv" if args.format == "csv" else "jsonl"
+    overrides = {key: getattr(args, key) for key in ("seed", "slots")
+                 if getattr(args, key) is not None}
     for name in names:
-        jobs = expand_preset(name)
+        jobs = [(label, replace(config, **overrides))
+                for label, config in expand_preset(name)]
         _say(args, f"{name}: {preset_description(name)} ({len(jobs)} runs)")
-        for label, config in jobs:
-            if args.seed is not None:
-                config = replace(config, seed=args.seed)
-            if args.slots is not None:
-                config = replace(config, slots=args.slots)
-            result = run(config)
-            path = out_dir / f"{name}__{label}.{ext}"
-            write_run_csv(result, str(path), args.format)
-            _warn_if_nothing_delivered(result, f"{name}__{label}")
-            s = result.summary
-            aoi = "n/a" if s.mean_delivery_aoi is None else f"{s.mean_delivery_aoi:.4g}"
-            _say(args, f"  {path} mean delivery age {aoi} "
-                       f"service rate {s.mean_service_rate:.4f}")
+        # consecutive jobs that differ only in seed and mode share a slot loop
+        for batch in loop_batches(jobs, lambda job: job[1]):
+            results = run_many([config for _, config in batch])
+            for (label, _), result in zip(batch, results):
+                path = out_dir / f"{name}__{label}.{ext}"
+                write_run_csv(result, str(path), args.format)
+                _warn_if_nothing_delivered(result, f"{name}__{label}")
+                s = result.summary
+                aoi = ("n/a" if s.mean_delivery_aoi is None
+                       else f"{s.mean_delivery_aoi:.4g}")
+                _say(args, f"  {path} mean delivery age {aoi} "
+                           f"service rate {s.mean_service_rate:.4f}")
     return 0
 
 

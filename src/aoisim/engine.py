@@ -172,8 +172,14 @@ class SlotDraws:
         self._states = seed_states(np.column_stack(columns))
         self._first, self._end = first, end
 
-    def vec(self, slot: int, phase: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The vector of (slot, phase); written into out when given."""
+    def vec(self, slot: int, phase: int, ids: np.ndarray | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
+        """The vector of (slot, phase); written into out when given.
+
+        ids, the devices that will read the vector, is accepted for the
+        interface ``_LaneDraws`` shares: one lane holds every id, so the whole
+        vector is drawn.
+        """
         words = _SeedWords(self.state(slot, phase))
         return _Generator(_PCG64(words)).random(self._n, out=out)
 
@@ -182,7 +188,11 @@ class _LaneDraws:
     """The slot draws of several lanes, as one vector over every lane's devices.
 
     Lane l's devices hold entries l * N to (l + 1) * N - 1, each the draw of
-    its own lane's ``SlotDraws``.
+    its own lane's ``SlotDraws``. A lane draws a phase only when one of its
+    devices reads it: given the ids that will read the vector, vec fills the
+    lanes holding them and leaves every other entry NaN, so a batch whose
+    lanes run different modes draws no phase for a lane that does not
+    consume it.
     """
 
     __slots__ = ("_lanes", "_n")
@@ -191,11 +201,17 @@ class _LaneDraws:
         self._lanes = lanes
         self._n = n_devices
 
-    def vec(self, slot: int, phase: int) -> np.ndarray:
-        n = self._n
-        out = np.empty(len(self._lanes) * n)
-        for lane, draws in enumerate(self._lanes):
-            draws.vec(slot, phase, out[lane * n:(lane + 1) * n])
+    def vec(self, slot: int, phase: int, ids: np.ndarray | None = None) -> np.ndarray:
+        """The vector of (slot, phase) for every lane, or for the lanes holding ids."""
+        n, lanes = self._n, self._lanes
+        if ids is None:
+            out = np.empty(len(lanes) * n)
+            reading = range(len(lanes))
+        else:
+            out = np.full(len(lanes) * n, np.nan)
+            reading = np.flatnonzero(np.bincount(ids // n, minlength=len(lanes))).tolist()
+        for lane in reading:
+            lanes[lane].vec(slot, phase, out=out[lane * n:(lane + 1) * n])
         return out
 
 
@@ -346,6 +362,29 @@ def _lane_of(ids: np.ndarray, width: int, lanes: int) -> np.ndarray | None:
     return None if lanes == 1 else ids // width
 
 
+# a row selector that takes every entry (a view, no copy)
+_ALL = slice(None)
+
+
+def _lane_mask(modes: list[Mode], wanted, n_devices: int):
+    """Which devices sit in a lane whose mode is one of wanted.
+
+    None when no lane's is, _ALL when every lane's is, and otherwise a bool
+    mask over every device of every lane.
+    """
+    hit = [mode in wanted for mode in modes]
+    if not any(hit):
+        return None
+    if all(hit):
+        return _ALL
+    return np.repeat(hit, n_devices)
+
+
+def _rows(mask, ids: np.ndarray):
+    """The selector of ids under a ``_lane_mask``: None, _ALL or a bool mask."""
+    return mask if mask is None or mask is _ALL else mask[ids]
+
+
 def _lane_counts(ids: np.ndarray, width: int, lanes: int) -> list[int]:
     """How many of ids fall in each lane, each id being lane * width + index."""
     if lanes == 1:
@@ -357,16 +396,17 @@ def _activation_sweep(messages: PendingMessages, p_linear: np.ndarray, t: int,
                       config: ScenarioConfig, draws: SlotDraws) -> np.ndarray:
     """Activate idle devices whose draw falls below v_a; returns their ids.
 
-    Each phase is drawn only when the slot needs it.
+    Each phase is drawn only when the slot needs it, and the kind and size
+    phases only for the lanes that activate a device.
     """
     idle = messages.rbs_left == 0
     if config.v_a == 0.0 or not idle.any():
         return _NO_IDS
     hits = (idle & (draws.vec(t, _PH_ACTIVATE) < config.v_a)).nonzero()[0]
     if len(hits):
-        size_u = (draws.vec(t, _PH_SIZE)[hits]
+        size_u = (draws.vec(t, _PH_SIZE, hits)[hits]
                   if config.n_rbs_max > config.n_rbs_min else 0.0)
-        activate(messages, hits, t, draws.vec(t, _PH_KIND)[hits], p_linear[hits],
+        activate(messages, hits, t, draws.vec(t, _PH_KIND, hits)[hits], p_linear[hits],
                  config.n_rbs_max, size_u, config.n_rbs_min)
     return hits
 
@@ -425,15 +465,27 @@ def run(config: ScenarioConfig) -> RunResult:
     return run_many([config])[0]
 
 
-def run_many(configs) -> list[RunResult]:
-    """Simulate configs that differ only in seed, as lanes of one slot loop.
+def _shares_loop(a: ScenarioConfig, b: ScenarioConfig) -> bool:
+    """Whether run_many runs a and b as lanes of one slot loop: they differ
+    only in seed and in mode, and both modes belong to one stack."""
+    return (a.mode.centralized == b.mode.centralized
+            and replace(b, seed=a.seed, mode=a.mode) == a)
 
-    Returns one result per config, in order, each equal to what a run of
-    that config alone gives. Lane l holds config l: its devices have ids
-    l * N to l * N + N - 1 and its RBs the indices from l * w, w being the
-    stack's ``rb_width``. Each lane keeps its own positions, latent types,
-    mean SNRs and ``SlotDraws``, so its draws and outcomes are those of the
-    lone run; the array work of a slot is shared by every lane.
+
+def run_many(configs) -> list[RunResult]:
+    """Simulate configs that differ only in seed and mode, as lanes of one slot loop.
+
+    The modes must belong to one stack (``_shares_loop``); any other batch,
+    and an empty one, raises ``ConfigError``. Returns one result per config,
+    in order, each equal to what a run of that config alone gives. Lane l
+    holds config l: its devices have ids l * N to l * N + N - 1 and its RBs
+    the indices from l * w, w being the stack's ``rb_width``. Each lane
+    keeps its own positions, latent types, mean SNRs and ``SlotDraws``, so
+    its draws and outcomes are those of the lone run; the array work of a
+    slot is shared by every lane. A lane's mode is a mask over its devices
+    within the stack's one slot path, and a lane draws a phase only when
+    its mode consumes it (``_LaneDraws``). run_many takes any number of
+    lanes; sweeps and presets cap theirs with ``loop_batches``.
 
     One slot loop serves both stacks. The engine keeps every device's
     pending message in one ``PendingMessages`` set of arrays, which both
@@ -448,9 +500,11 @@ def run_many(configs) -> list[RunResult]:
     base = configs[0]
     for config in configs:
         config.validate()
-        if replace(config, seed=base.seed) != base:
-            raise ConfigError("run_many runs configs that differ only in seed")
+        if not _shares_loop(base, config):
+            raise ConfigError("run_many runs configs that differ only in seed "
+                              "and in mode within one stack")
     lanes, N = len(configs), base.n_devices
+    modes = [config.mode for config in configs]
     columns, lane_draws = [], []
     for config in configs:
         # a lane's static draws, in stream order: positions, latent types,
@@ -469,9 +523,9 @@ def run_many(configs) -> list[RunResult]:
     draws = lane_draws[0] if lanes == 1 else _LaneDraws(lane_draws, N)
     messages = PendingMessages(lanes * N)
     p_outage = outage_table(snr, base.epsilon, base.n_rbs_max)
-    stack = (_CentralizedStack(base, types, p_outage, messages)
+    stack = (_CentralizedStack(base, types, p_outage, messages, modes)
              if base.mode.centralized
-             else _DistributedStack(base, positions, messages))
+             else _DistributedStack(base, positions, messages, modes))
     metrics = [_MetricAccumulator(base.slots, base.warmup_fraction) for _ in configs]
     records: list[list[SlotRecord]] = [[] for _ in configs]
     R, rb_width = base.n_rbs, stack.rb_width
@@ -526,16 +580,24 @@ class _CentralizedStack:
     which feedback resets on delivery. A slot then ranks its RACH survivors
     with a few array operations. types (``TypeId`` values) and p_outage
     (the run's ``outage_table``) hold every device of every lane, in lane
-    order; every lane has its own RACH and its own R RBs.
+    order; every lane has its own RACH and its own R RBs. modes holds each
+    lane's mode (config.mode for every lane when None): it selects what
+    the scheduler knows of the lane's requests.
     """
 
     def __init__(self, config: ScenarioConfig, types: np.ndarray,
-                 p_outage: np.ndarray, messages: PendingMessages):
+                 p_outage: np.ndarray, messages: PendingMessages,
+                 modes: list[Mode] | None = None):
         self.config = config
         self.messages = messages
         self.lanes = len(types) // config.n_devices
         self.rb_width = config.n_rbs
         n = len(types)
+        modes = modes or [config.mode] * self.lanes
+        self.full_info = _lane_mask(modes, {Mode.CENTRALIZED_FULL_INFO},
+                                    config.n_devices)
+        self.learning = _lane_mask(modes, {Mode.CENTRALIZED_LEARNING},
+                                   config.n_devices)
         self.learner = TypeLearner(m1=config.m1, m2=config.m2,
                                    p_type1=config.type1_fraction, n_devices=n)
         self.true_type = types
@@ -562,16 +624,18 @@ class _CentralizedStack:
         gen = messages.gen_slot[survivors]
         exponential = messages.exponential[survivors]
         ages = aoi_array(exponential, t, gen)           # the reported ages
-        # what the base station knows of each request: the mode's only effect
-        if config.mode is Mode.CENTRALIZED_FULL_INFO:
-            kinds = exponential.astype(np.int8)     # true kinds (KINDS codes)
-            types = self.true_type[survivors]
-        elif config.mode is Mode.CENTRALIZED_LEARNING:
-            kinds = self._identify(t, survivors, ages)
-            types = self.est_type[survivors]
-        else:
-            kinds = np.full(len(survivors), KIND_UNKNOWN, dtype=np.int8)
-            types = np.full(len(survivors), NO_TYPE, dtype=np.int8)
+        # what the base station knows of each request, by its lane's mode:
+        # the mode's only effect. No learning knows nothing.
+        kinds = np.full(len(survivors), KIND_UNKNOWN, dtype=np.int8)
+        types = np.full(len(survivors), NO_TYPE, dtype=np.int8)
+        full = _rows(self.full_info, survivors)
+        if full is not None:
+            kinds[full] = exponential[full]         # true kinds (KINDS codes)
+            types[full] = self.true_type[survivors[full]]
+        learn = _rows(self.learning, survivors)
+        if learn is not None:
+            kinds[learn] = self._identify(t, survivors[learn], ages[learn])
+            types[learn] = self.est_type[survivors[learn]]
         # called through the module, where perfbench/tracer.py times it
         keys = centralized.priority_key(ages, kinds, types, self.learner, config.beta)
         needed = self.first_split[survivors, messages.rbs_left[survivors]]
@@ -647,19 +711,30 @@ class _DistributedStack:
     neighbors is None when every lane's range covers its cell, and
     otherwise holds each lane's adjacency matrix (None for a lane whose
     range covers its cell); such runs decide lane by lane.
+
+    modes holds each lane's mode (config.mode for every lane when None).
+    Predetermined lanes go through the rank map alone; the game lanes share
+    the transmit threshold, after which random lanes pick uniformly and SCA
+    lanes delegate, keep and step. Each of predetermined, game, random and
+    sca is a ``_lane_mask`` over the devices.
     """
 
     def __init__(self, config: ScenarioConfig, positions: np.ndarray,
-                 messages: PendingMessages):
+                 messages: PendingMessages, modes: list[Mode] | None = None):
         self.config = config
         self.messages = messages
         n, size = config.n_devices, len(positions)
         self.lanes = size // n
         self.rb_width = config.n_rbs + 1
+        modes = modes or [config.mode] * self.lanes
+        self.predetermined = _lane_mask(modes, {Mode.DISTRIBUTED_PREDETERMINED}, n)
+        self.game = _lane_mask(modes, {Mode.DISTRIBUTED_SCA, Mode.DISTRIBUTED_RANDOM}, n)
+        self.random = _lane_mask(modes, {Mode.DISTRIBUTED_RANDOM}, n)
+        self.sca = _lane_mask(modes, {Mode.DISTRIBUTED_SCA}, n)
         # the rank-to-RB baseline is defined only under full information
-        blocks = [None if config.mode is Mode.DISTRIBUTED_PREDETERMINED
+        blocks = [None if mode is Mode.DISTRIBUTED_PREDETERMINED
                   else _neighbor_matrix(positions[lane * n:(lane + 1) * n], config.r_c)
-                  for lane in range(self.lanes)]
+                  for lane, mode in enumerate(modes)]
         self.neighbors = None if all(b is None for b in blocks) else blocks
         # the threshold rank of a device that knows n_known ages, at index
         # n_known - 1: when it knows every active device, and when it does not
@@ -700,17 +775,19 @@ class _DistributedStack:
         self.gen = messages.gen_slot[active_ids]
         self.exponential = messages.exponential[active_ids]
         self.ages_cache = None
-        if not len(active_ids):
-            actions = np.zeros(len(self.actions), dtype=np.int64)
-        elif config.mode is Mode.DISTRIBUTED_PREDETERMINED:
-            # the k-th highest future age transmits on RB k, ties by device id
-            ones = np.ones_like(active_ids)
-            served, first, _ = schedule(active_ids, *self._float_ages(), ones, ones,
-                                        config.n_rbs, self._lane(active_ids))
-            actions = np.zeros(len(self.actions), dtype=np.int64)
-            actions[served] = first + 1
-        else:
-            actions = _game_actions(self, t, draws, active_ids)
+        actions = np.zeros(len(self.actions), dtype=np.int64)
+        if len(active_ids):
+            pred = _rows(self.predetermined, active_ids)
+            if pred is not None:
+                # the k-th highest future age transmits on RB k, ties by device id
+                ids = active_ids[pred]
+                ages, exponents = self._float_ages()
+                ones = np.ones_like(ids)
+                served, first, _ = schedule(ids, ages[pred], exponents[pred], ones,
+                                            ones, config.n_rbs, self._lane(ids))
+                actions[served] = first + 1
+            if self.game is not None:
+                _game_actions(self, t, draws, actions)
         self.actions = actions
         tx = actions.nonzero()[0]
         rbs = actions[tx] + self.rb_offset[tx]
@@ -772,15 +849,31 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _transmitters(stack: _DistributedStack) -> np.ndarray:
+def _transmitters(stack: _DistributedStack, game=_ALL) -> np.ndarray:
     """Which of the slot's active devices reach their transmit threshold.
+
+    game (a ``_rows`` selector) picks the active devices of the game lanes;
+    the threshold runs on those alone, and every other device reads False.
+    """
+    ids = stack.ids[game]
+    if not len(ids):
+        return np.zeros(len(stack.ids), dtype=bool)
+    passing = _reaching(stack, ids, game)
+    if game is _ALL:
+        return passing
+    out = np.zeros(len(stack.ids), dtype=bool)
+    out[game] = passing
+    return out
+
+
+def _reaching(stack: _DistributedStack, ids: np.ndarray, game) -> np.ndarray:
+    """The transmit threshold of the active devices ids, the game rows of stack.ids.
 
     Full range ranks exact ages: past float range by their exponents. Partial
     range counts, per device, the in-range active ages above its own, as
     floats: exact ages beyond float range saturate to inf, which keeps the
     ties-transmit rule intact. Each device ranks its own lane only.
     """
-    ids = stack.ids
     if stack.neighbors is None:
         # where k >= n_active the threshold is the smallest age
         lanes = stack._lane(ids)
@@ -795,8 +888,8 @@ def _transmitters(stack: _DistributedStack) -> np.ndarray:
                 return np.ones(len(ids), dtype=bool)
             k = k[lanes]
         ages, exponents = stack._float_ages()
-        return reaches_threshold(ages, k, exponents=exponents, lanes=lanes)
-    ages, exponents = stack._float_ages()
+        return reaches_threshold(ages[game], k, exponents=exponents[game], lanes=lanes)
+    ages, exponents = (values[game] for values in stack._float_ages())
     parts = []
     for lane, lo, hi in stack._lane_slices(ids):
         n_active, block = hi - lo, stack.neighbors[lane]
@@ -883,39 +976,45 @@ def _sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
 
 
 def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
-                  active_ids: np.ndarray) -> np.ndarray:
+                  actions: np.ndarray) -> None:
     """Minority-game transmit decisions plus SCA/random RB choices for one slot.
 
-    Returns every device's RB, 0 for the silent ones.
+    Writes the RB of every device of the game lanes into actions (0 for the
+    silent ones), which holds every device.
     """
-    config = stack.config
-    R = config.n_rbs
+    R = stack.config.n_rbs
+    active_ids = stack.ids
     last_action, last_failed = stack.last_action, stack.last_failed
-    passing = _transmitters(stack)
-    actions = np.zeros(len(last_action), dtype=np.int64)
+    passing = _transmitters(stack, _rows(stack.game, active_ids))
 
-    if config.mode is Mode.DISTRIBUTED_RANDOM:
-        chosen = active_ids[passing]
+    random = _rows(stack.random, active_ids)
+    if random is not None:
+        chosen = active_ids[passing if random is _ALL else passing & random]
         if len(chosen):
-            actions[chosen] = random_selection(R, draws.vec(t, _PH_DECIDE)[chosen])
-        return actions
+            actions[chosen] = random_selection(
+                R, draws.vec(t, _PH_DECIDE, chosen)[chosen])
+    sca = _rows(stack.sca, active_ids)
+    if sca is None:
+        return
 
     # freed-RB delegation: a device that delivered last slot and went idle hands
     # its RB to an active neighbor, weighted by future age; lowest delegator id
     # wins when two target the same neighbor
     won = (last_action >= 1) & ~last_failed
-    sending = passing
+    sending = passing if sca is _ALL else passing & sca
     if len(active_ids) < len(last_action):
         idle = won.copy()
         idle[active_ids] = False
+        if stack.sca is not _ALL:
+            idle &= stack.sca
         delegators = np.flatnonzero(idle)
         if len(delegators):
             picks = _delegate_picks(stack, delegators,
-                                    draws.vec(t, _PH_DELEGATE)[delegators])
+                                    draws.vec(t, _PH_DELEGATE, delegators)[delegators])
             hit = picks >= 0
             targets, first = np.unique(picks[hit], return_index=True)
             actions[active_ids[targets]] = last_action[delegators[hit][first]]
-            sending = passing.copy()
+            sending = sending.copy()
             sending[targets] = False
 
     # a passing device repeats an RB that just worked; the rest decide by SCA
@@ -928,9 +1027,9 @@ def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
         crowd, unused, rows = _sensed(stack, deciding, prev)
         # the crowd seen on RB 0 (silence) is never consulted
         actions[deciding] = sca_step(prev, last_failed[deciding], crowd, unused,
-                                     draws.vec(t, _PH_DECIDE)[deciding],
-                                     draws.vec(t, _PH_FRESH)[deciding], R, rows)
-    return actions
+                                     draws.vec(t, _PH_DECIDE, deciding)[deciding],
+                                     draws.vec(t, _PH_FRESH, deciding)[deciding],
+                                     R, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -939,15 +1038,15 @@ def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
 
 _FIELD_NAMES = {f.name for f in fields(ScenarioConfig)}
 
-# the replicates of one sweep value run as lanes of one slot loop, at most
-# this many at once, so a long sweep holds few runs' records at a time
+# a sweep runs consecutive configs as lanes of one slot loop, at most this
+# many at once, so a long sweep holds few runs' records at a time
 SWEEP_LANES = 16
 # the bytes of neighbor matrices (N * N bools per lane) one batch may hold
 SWEEP_NEIGHBOR_BYTES = 1 << 20
 
 
 def sweep_lanes(config: ScenarioConfig) -> int:
-    """How many replicates of config a sweep runs as lanes of one slot loop.
+    """How many lanes a batch holding config may have (``loop_batches``).
 
     SWEEP_LANES, except where a lane may keep a neighbor matrix: a game mode
     whose range does not cover the cell diagonal. There a lane's own N x N
@@ -958,6 +1057,30 @@ def sweep_lanes(config: ScenarioConfig) -> int:
             or config.r_c >= math.hypot(config.width, config.length)):
         return SWEEP_LANES
     return max(1, min(SWEEP_LANES, SWEEP_NEIGHBOR_BYTES // config.n_devices ** 2))
+
+
+def loop_batches(items, config_of=lambda item: item):
+    """Split items, in order, into consecutive batches for ``run_many``.
+
+    config_of gives an item's ScenarioConfig (the item itself by default).
+    An item joins the batch before it when their configs share a slot loop
+    (equal but for seed and for mode within one stack) and the batch stays
+    within the smallest ``sweep_lanes`` of its configs; otherwise it starts
+    a new batch. Items are read lazily: a batch is yielded once the next
+    item does not join it.
+    """
+    batch, cap = [], 0
+    for item in items:
+        config = config_of(item)
+        lanes = sweep_lanes(config)
+        if batch and (len(batch) >= min(cap, lanes)
+                      or not _shares_loop(config_of(batch[0]), config)):
+            yield batch
+            batch = []
+        cap = min(cap, lanes) if batch else lanes
+        batch.append(item)
+    if batch:
+        yield batch
 
 
 def replicate_seed(base_seed: int, replicate: int) -> int:
@@ -978,20 +1101,23 @@ def sweep_iter(base: ScenarioConfig, parameter: str, values, replicates: int = 1
     Replicate k runs seed ``replicate_seed(seed, k)``, seed being the base
     seed, or the value itself when the parameter is seed.
 
-    The replicates of a value run together (``run_many``), ``sweep_lanes``
-    at a time.
+    The runs go through ``run_many`` in the batches of ``loop_batches``:
+    a value's replicates, and across values the runs that differ only in
+    seed and in mode within one stack (a sweep over seed, or over modes of
+    one stack), share a slot loop, at most ``sweep_lanes`` lanes at a time.
     """
     if parameter not in _FIELD_NAMES:
         raise ConfigError(f"unknown sweep parameter: {parameter}")
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    for value in values:
-        config = replace(base, **{parameter: value})
-        config.validate()
-        lanes = sweep_lanes(config)
-        for start in range(0, replicates, lanes):
-            reps = range(start, min(start + lanes, replicates))
-            configs = [replace(config, seed=replicate_seed(config.seed, rep))
-                       for rep in reps]
-            for rep, result in zip(reps, run_many(configs)):
-                yield value, rep, result
+
+    def jobs():
+        for value in values:
+            config = replace(base, **{parameter: value})
+            config.validate()
+            for rep in range(replicates):
+                yield value, rep, replace(config, seed=replicate_seed(config.seed, rep))
+
+    for batch in loop_batches(jobs(), lambda job: job[2]):
+        for (value, rep, _), result in zip(batch, run_many([job[2] for job in batch])):
+            yield value, rep, result

@@ -2,9 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -v` to get one pass/fail line per
 claim. The whole module takes about 2 minutes on a shared 2-core host; most
-of it is the 150-run centralized ordering ensemble, whose replicates run as
-lanes of one slot loop (``run_many``). Measured values are
-printed so a failing bar shows the numbers, not just the assertion.
+of it is the 150-run centralized ordering ensemble, whose modes and
+replicates at each activation level run as lanes of one slot loop
+(``run_many``). Measured values are printed so a failing bar shows the
+numbers, not just the assertion.
 """
 
 from __future__ import annotations
@@ -76,14 +77,28 @@ _CENTRAL_MODES = (
 )
 
 
-def _central_mean(v_a: float, mode: Mode, reps: int = 10) -> float:
-    total = 0.0
-    for result in run_many(ScenarioConfig(
-            n_devices=200, n_rbs=50, slots=5000, preambles=384, n_rbs_max=5,
-            epsilon=EPS_1PCT, seed=replicate_seed(0, rep), v_a=v_a, mode=mode)
-            for rep in range(reps)):
-        total += result.summary.mean_delivery_aoi
-    return total / reps
+def _mode_means(configs, modes, reps: int) -> dict[str, float]:
+    """Mean delivery age per labeled mode over its reps matched-seed replicates.
+
+    configs(mode, rep) gives a replicate's config; every mode and replicate
+    is a lane of one slot loop.
+    """
+    results = iter(run_many([configs(mode, rep) for _, mode in modes
+                             for rep in range(reps)]))
+    means = {}
+    for label, _ in modes:
+        total = 0.0
+        for _ in range(reps):
+            total += next(results).summary.mean_delivery_aoi
+        means[label] = total / reps
+    return means
+
+
+def _central_means(v_a: float, reps: int = 10) -> dict[str, float]:
+    return _mode_means(lambda mode, rep: ScenarioConfig(
+        n_devices=200, n_rbs=50, slots=5000, preambles=384, n_rbs_max=5,
+        epsilon=EPS_1PCT, seed=replicate_seed(0, rep), v_a=v_a, mode=mode),
+        _CENTRAL_MODES, reps)
 
 
 def test_centralized_scheduler_ordering():
@@ -93,8 +108,7 @@ def test_centralized_scheduler_ordering():
     grid = (0.1, 0.2, 0.3, 0.4, 0.5)
     rows = {}
     for v_a in grid:
-        means = {label: _central_mean(v_a, mode)
-                 for label, mode in _CENTRAL_MODES}
+        means = _central_means(v_a)
         rows[v_a] = means
         gap = (means["none"] - means["learn"]) / means["none"]
         print(f"v_a={v_a}: full={means['full']:.4f} learn={means['learn']:.4f} "
@@ -118,17 +132,11 @@ def test_distributed_ordering_and_range_effect():
     """Matched seeds: predetermined <= SCA < random in mean delivery age; SCA
     service rate strictly increasing in sensing range, reaching 0.97 +/- 0.02
     at full coverage."""
-    order = {}
-    for label, mode in (("pred", Mode.DISTRIBUTED_PREDETERMINED),
-                        ("sca", Mode.DISTRIBUTED_SCA),
-                        ("random", Mode.DISTRIBUTED_RANDOM)):
-        total = 0.0
-        for result in run_many(ScenarioConfig(
-                n_devices=200, n_rbs=50, slots=3000, v_a=0.35, r_c=10.0,
-                epsilon=EPS_1PCT, seed=replicate_seed(0, rep), mode=mode)
-                for rep in range(5)):
-            total += result.summary.mean_delivery_aoi
-        order[label] = total / 5
+    order = _mode_means(lambda mode, rep: ScenarioConfig(
+        n_devices=200, n_rbs=50, slots=3000, v_a=0.35, r_c=10.0,
+        epsilon=EPS_1PCT, seed=replicate_seed(0, rep), mode=mode),
+        (("pred", Mode.DISTRIBUTED_PREDETERMINED), ("sca", Mode.DISTRIBUTED_SCA),
+         ("random", Mode.DISTRIBUTED_RANDOM)), 5)
     print(f"pred={order['pred']:.4f} sca={order['sca']:.4f} "
           f"random={order['random']:.4g}")
 

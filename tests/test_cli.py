@@ -1,11 +1,28 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
-from aoisim.cli import (RECORD_COLUMNS, SUMMARY_COLUMNS, build_config, main,
-                        parse_config_file, write_run_csv)
-from aoisim.engine import ConfigError, Mode, run
-from aoisim.presets import preset_names
+from aoisim import engine
+from aoisim.cli import (RECORD_COLUMNS, SUMMARY_COLUMNS, SWEEP_COLUMNS,
+                        build_config, main, parse_config_file, write_output,
+                        write_run_csv)
+from aoisim.engine import ConfigError, Mode, ScenarioConfig, replicate_seed, run
+from aoisim.presets import expand_preset, preset_names
+
+
+def _recorded_loops(monkeypatch) -> list[list[ScenarioConfig]]:
+    """The config batches every later run_many call is given, in order."""
+    loops, real = [], engine.run_many
+
+    def recorded(configs):
+        loops.append(list(configs))
+        return real(loops[-1])
+
+    monkeypatch.setattr(engine, "run_many", recorded)
+    monkeypatch.setattr("aoisim.cli.run_many", recorded)
+    return loops
 
 
 def run_argv(*extra):
@@ -256,6 +273,60 @@ def test_sweep_over_modes_writes_readable_values(tmp_path):
     assert csv_out.read_text().splitlines()[-1].startswith("mode,distributed_random,")
 
 
+def test_sweep_over_modes_of_both_stacks_equals_one_run_per_config(tmp_path,
+                                                                   monkeypatch):
+    # each stack's modes and replicates share one slot loop; the file is the
+    # one written from a lone run of every config
+    loops = _recorded_loops(monkeypatch)
+    out = tmp_path / "modes.csv"
+    argv = ["--set", "n_devices=9", "--set", "n_rbs=4", "--set", "v_a=0.6",
+            "--set", "r_c=6", "--set", "slots=30", "--seed", "5"]
+    modes = [m.value for m in Mode]
+    assert main(["sweep", *argv, "--parameter", "mode", "--values", ",".join(modes),
+                 "--replicates", "2", "--out", str(out), "--quiet"]) == 0
+    assert [[c.mode.centralized for c in loop] for loop in loops] == [
+        [True] * 6, [False] * 6]
+    base = ScenarioConfig(n_devices=9, n_rbs=4, v_a=0.6, r_c=6.0, slots=30, seed=5)
+    rows = []
+    for mode in Mode:
+        for rep in range(2):
+            seed = replicate_seed(5, rep)
+            result = run(dataclasses.replace(base, mode=mode, seed=seed))
+            rows.append({"parameter": "mode", "value": mode.value, "replicate": rep,
+                         "seed": seed} | dataclasses.asdict(result.summary))
+    expected = tmp_path / "expected.csv"
+    write_output(str(expected), "csv", base, SWEEP_COLUMNS, rows)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_sweep_spread_of_huge_and_infinite_means(monkeypatch, capsys, tmp_path):
+    # replicate means near 1e177 once overflowed the squared deviations; an
+    # inf mean gets no standard error
+    assert main(["sweep", "--parameter", "n_devices", "--values", "400",
+                 "--replicates", "4", "--set", "mode=centralized_learning",
+                 "--set", "n_rbs=50", "--set", "v_a=0.3", "--slots", "600",
+                 "--out", str(tmp_path / "huge.csv")]) == 0
+    spread = capsys.readouterr().err.splitlines()[-1]
+    assert spread.startswith("n_devices=400: mean delivery age ")
+    assert "e+17" in spread and "(se, n=4)" in spread
+
+    real = engine.run_many
+
+    def inflated(configs):
+        results = real(configs)
+        for result, mean in zip(results, (math.inf, 2.0)):
+            result.summary = dataclasses.replace(result.summary,
+                                                 mean_delivery_aoi=mean)
+        return results
+
+    monkeypatch.setattr(engine, "run_many", inflated)
+    assert main(["sweep", "--parameter", "v_a", "--values", "0.5",
+                 "--replicates", "2", "--set", "slots=5",
+                 "--out", str(tmp_path / "inf.csv")]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "v_a=0.5: mean delivery age inf (n=2)"
+
+
 def test_sweep_rejects_unknown_parameter():
     assert main(["sweep", "--parameter", "nope", "--values", "1",
                  "--quiet"]) == 1
@@ -305,6 +376,24 @@ def test_preset_rerun_is_byte_identical(tmp_path):
                      "--slots", "60", "--quiet"]) == 0
     fa, fb = (sorted(d.iterdir())[0] for d in (a, b))
     assert fa.read_bytes() == fb.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["lookahead", "dist_range"])
+def test_preset_files_equal_one_run_per_config(name, tmp_path, monkeypatch):
+    # consecutive jobs that differ only in mode and seed share a slot loop
+    # (each beta's three modes of a stack, the r_c = 15 tail); every file is
+    # still the one its config writes alone
+    loops = _recorded_loops(monkeypatch)
+    assert main(["preset", name, "--out", str(tmp_path / "batched"),
+                 "--slots", "40", "--quiet"]) == 0
+    jobs = expand_preset(name)
+    assert sum(map(len, loops)) == len(jobs)
+    assert len(loops) == {"lookahead": 6, "dist_range": 4}[name]
+    for label, config in jobs:
+        alone = tmp_path / f"{label}.csv"
+        write_run_csv(run(dataclasses.replace(config, slots=40)), str(alone))
+        assert (tmp_path / "batched" / f"{name}__{label}.csv").read_bytes() == \
+            alone.read_bytes(), label
 
 
 # --- verify subcommand ---------------------------------------------------------------

@@ -111,7 +111,7 @@ class FixedDraws:
     def __init__(self, act_u):
         self.act_u = act_u
 
-    def vec(self, slot, phase):
+    def vec(self, slot, phase, ids=None):
         return np.array([self.act_u if phase == _PH_ACTIVATE else 0.0])
 
 

@@ -10,10 +10,11 @@ from aoisim.aging import AgingKind, aoi_value, is_power_of_two
 from aoisim.centralized import KIND_UNKNOWN, KINDS, NO_TYPE
 from aoisim.devices import PendingMessages, activate, deliver_success, make_devices
 from aoisim.distributed import kappa, kth_largest
-from aoisim.engine import (_PH_ACTIVATE, _PH_KIND, _PH_SIZE, ConfigError, Mode,
-                           ScenarioConfig, SlotDraws, _DistributedStack,
-                           _MetricAccumulator, _transmitters, replicate_seed, run,
-                           run_many, sweep_iter, sweep_lanes)
+from aoisim.engine import (_PH_ACTIVATE, _PH_DECIDE, _PH_DELEGATE, _PH_FRESH,
+                           _PH_KIND, _PH_SIZE, ConfigError, Mode, ScenarioConfig,
+                           SlotDraws, _DistributedStack, _LaneDraws,
+                           _MetricAccumulator, _transmitters, loop_batches,
+                           replicate_seed, run, run_many, sweep_iter, sweep_lanes)
 from test_distributed import delegate_target_ref, kappa_ref, sca_step_ref
 from test_goldens import CASES, case_config
 
@@ -331,14 +332,95 @@ def test_run_many_mixes_full_and_partial_range_lanes(mode):
     _assert_lanes_equal_runs(configs)
 
 
+def _stack_modes(mode: Mode) -> list[Mode]:
+    return [m for m in Mode if m.centralized == mode.centralized]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_CONFIGS, st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2**40)),
+                          min_size=1, max_size=5))
+def test_run_many_mixes_modes_within_a_stack(draw, lanes):
+    # lanes of every mode of one stack in one loop: partial range, multi-RB
+    # demand, exact RACH draws and traces
+    config = _valid_config(draw)
+    modes = _stack_modes(config.mode)
+    _assert_lanes_equal_runs([config] + [
+        dataclasses.replace(config, mode=modes[m], seed=seed) for m, seed in lanes])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_many_mixes_modes_on_every_golden_case(name):
+    # the golden config shares its loop with the other modes of its stack
+    base = case_config(name)
+    others = [m for m in _stack_modes(base.mode) if m is not base.mode]
+    _assert_lanes_equal_runs([dataclasses.replace(base, mode=others[0], seed=4), base,
+                              dataclasses.replace(base, mode=others[1])])
+
+
+def test_lane_draws_fill_exactly_the_lanes_holding_the_ids(monkeypatch):
+    n, seeds = 7, [3, 9, 2**40, 0]
+    calls = []
+    real_vec = SlotDraws.vec
+
+    def counted(self, slot, phase, ids=None, out=None):
+        calls.append(self)
+        return real_vec(self, slot, phase, ids, out)
+
+    monkeypatch.setattr(SlotDraws, "vec", counted)
+    lanes = [SlotDraws(seed, n, 50) for seed in seeds]
+    draws = _LaneDraws(lanes, n)
+    for ids in ([], [0], [8, 9, 13], [27, 3, 22, 4], list(range(28)), None):
+        calls.clear()
+        vec = draws.vec(12, _PH_KIND, None if ids is None else np.array(ids, dtype=np.int64))
+        held = range(4) if ids is None else sorted({i // n for i in ids})
+        assert calls == [lanes[lane] for lane in held]
+        for lane, seed in enumerate(seeds):
+            part = vec[lane * n:(lane + 1) * n]
+            if lane in held:
+                assert part.tolist() == SlotDraws(seed, n).vec(12, _PH_KIND).tolist()
+            else:
+                assert np.isnan(part).all()
+
+
+def test_mixed_lanes_draw_only_the_phases_their_modes_use(monkeypatch):
+    # a predetermined lane draws no game phase, and no lane draws a phase
+    # twice in a slot, though random and SCA lanes both decide
+    base = small(n_devices=12, n_rbs=4, v_a=0.5, r_c=6.0, slots=60)
+    modes = (Mode.DISTRIBUTED_PREDETERMINED, Mode.DISTRIBUTED_RANDOM,
+             Mode.DISTRIBUTED_SCA)
+    drawn, real_vec = [], SlotDraws.vec
+
+    def recorded(self, slot, phase, ids=None, out=None):
+        drawn.append((self._seed_words[0], slot, phase))
+        return real_vec(self, slot, phase, ids, out)
+
+    monkeypatch.setattr(SlotDraws, "vec", recorded)
+    run_many([dataclasses.replace(base, mode=mode, seed=seed)
+              for seed, mode in enumerate(modes)])
+    assert len(drawn) == len(set(drawn))
+    by_lane = {seed: {phase for s, _, phase in drawn if s == seed} for seed in range(3)}
+    assert not by_lane[0] & {_PH_DECIDE, _PH_FRESH, _PH_DELEGATE}
+    assert _PH_DECIDE in by_lane[1] and not by_lane[1] & {_PH_FRESH, _PH_DELEGATE}
+    assert {_PH_DECIDE, _PH_FRESH, _PH_DELEGATE} <= by_lane[2]
+
+
 def test_run_many_rejects_empty_and_mixed_batches():
     with pytest.raises(ConfigError, match="at least one config"):
         run_many([])
     base = small()
-    for change in (dict(v_a=0.5), dict(mode=Mode.DISTRIBUTED_RANDOM),
+    # a mode of the same stack shares the loop; one of the other stack, or
+    # any other field, does not
+    run_many([base, dataclasses.replace(base, seed=8, mode=Mode.DISTRIBUTED_RANDOM),
+              dataclasses.replace(base, mode=Mode.DISTRIBUTED_PREDETERMINED)])
+    central = small(mode=Mode.CENTRALIZED_LEARNING)
+    run_many([central, dataclasses.replace(central, mode=Mode.CENTRALIZED_FULL_INFO)])
+    for change in (dict(v_a=0.5), dict(mode=Mode.CENTRALIZED_LEARNING),
                    dict(slots=81), dict(trace=True)):
-        with pytest.raises(ConfigError, match="differ only in seed"):
+        with pytest.raises(ConfigError, match="differ only in seed and in mode"):
             run_many([base, dataclasses.replace(base, seed=8, **change)])
+    with pytest.raises(ConfigError, match="within one stack"):
+        run_many([central, dataclasses.replace(central, mode=Mode.DISTRIBUTED_SCA)])
     with pytest.raises(ConfigError):
         run_many([base, dataclasses.replace(base, seed=-1)])
 
@@ -715,6 +797,23 @@ def test_sweep_batches_replicates_without_changing_results(monkeypatch):
                                         seed=replicate_seed(base.seed, rep)))
         assert result.config == alone.config
         assert (result.records, result.summary) == (alone.records, alone.summary)
+
+
+def test_loop_batches_split_where_configs_cannot_share_a_loop(monkeypatch):
+    monkeypatch.setattr(engine, "SWEEP_LANES", 3)
+    sca = small()
+    rnd = dataclasses.replace(sca, mode=Mode.DISTRIBUTED_RANDOM, seed=1)
+    central = small(mode=Mode.CENTRALIZED_LEARNING)
+    # at partial range, 600-device game lanes share a batch 2 at a time
+    wide = dataclasses.replace(sca, n_devices=600, r_c=5.0)
+    assert sweep_lanes(wide) == 2
+    configs = [sca, rnd, sca, rnd, central, central, dataclasses.replace(sca, v_a=0.5),
+               wide, dataclasses.replace(wide, mode=Mode.DISTRIBUTED_PREDETERMINED),
+               dataclasses.replace(wide, seed=3)]
+    batches = list(loop_batches(enumerate(configs), lambda job: job[1]))
+    assert [[i for i, _ in batch] for batch in batches] == [
+        [0, 1, 2], [3], [4, 5], [6], [7, 8], [9]]
+    assert list(loop_batches([])) == []
 
 
 def test_sweep_lanes_cap_neighbor_matrices_at_partial_range():

@@ -215,8 +215,8 @@ def test_first_split_table_equals_the_brute_force_first_part(epsilon, monkeypatc
         return tables[-1][1]
 
     class Recorded(engine._CentralizedStack):
-        def __init__(self, config, types, p_outage, messages):
-            super().__init__(config, types, p_outage, messages)
+        def __init__(self, config, types, p_outage, messages, modes):
+            super().__init__(config, types, p_outage, messages, modes)
             built.append((self, p_outage))
 
     monkeypatch.setattr(engine, "outage_table", recorded_table)
