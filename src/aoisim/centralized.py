@@ -53,14 +53,15 @@ def rach_phase(active_ids, u, preambles: int, exact: bool = False,
                lanes=None) -> np.ndarray:
     """Ids whose scheduling request reaches the base station this slot.
 
-    active_ids is an id array (a list works), and u maps device id to a
-    uniform in [0,1) (an array indexed by id). Default is independent
-    Bernoulli thinning at the per-device collision probability; exact
-    derives a preamble pick from each uniform and keeps the devices whose
-    preamble is unique. Survivors keep the order of active_ids.
-    lanes, one index per active id, splits the requests into cells that
-    each have their own preambles and collide only among themselves; None
-    puts every request in one cell.
+    active_ids is an id array (a list works), and u holds one uniform in
+    [0,1) per active id, aligned with it. Default is independent Bernoulli
+    thinning at the per-device collision probability; exact derives a
+    preamble pick from each uniform and keeps the devices whose preamble is
+    unique, counting the picks by sorting them, so its cost follows the
+    requests and not the preamble pool. Survivors keep the order of
+    active_ids. lanes, one index per active id, splits the requests into
+    cells that each have their own preambles and collide only among
+    themselves; None puts every request in one cell.
     """
     if preambles < 1:
         raise ValueError("preambles must be >= 1")
@@ -68,15 +69,24 @@ def rach_phase(active_ids, u, preambles: int, exact: bool = False,
     n = len(active_ids)
     if n == 0:
         return active_ids
-    u_active = np.asarray(u)[active_ids]
+    u = np.asarray(u)
     lanes = np.zeros(n, dtype=np.intp) if lanes is None else np.asarray(lanes)
     if exact:
-        picks = (u_active * preambles).astype(np.intp) + lanes * preambles
-        counts = np.bincount(picks)
-        return active_ids[counts[picks] == 1]
+        # floor(u * preambles) as floats: equal exactly when the integer
+        # picks are, and no pool is too large to hold
+        picks = np.floor(u * float(preambles))
+        order = np.lexsort((picks, lanes))
+        picks, lanes = picks[order], lanes[order]
+        repeat = (picks[1:] == picks[:-1]) & (lanes[1:] == lanes[:-1])
+        unique = np.ones(n, dtype=bool)
+        unique[1:] &= ~repeat
+        unique[:-1] &= ~repeat
+        keep = np.empty(n, dtype=bool)
+        keep[order] = unique
+        return active_ids[keep]
     survive_p = np.array([1.0 - rach_collision_probability(c, preambles)
                           for c in np.bincount(lanes).tolist()])[lanes]
-    return active_ids[u_active < survive_p]
+    return active_ids[u < survive_p]
 
 
 def identify_aging(ages, prev_slots, prev_ages, slot: int) -> np.ndarray:

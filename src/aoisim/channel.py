@@ -59,10 +59,10 @@ def resolve_transmissions(ids, first, n_rbs, p_outage: np.ndarray, u):
 
     Transmitter j is device ids[j] on the RB range [first[j], first[j] +
     n_rbs[j]). Any RB claimed by two or more transmitters fails all its
-    claimants. Each surviving transmitter compares its own uniform u[id]
-    against its outage probability p_outage[id, n_rbs] (``outage_table``);
-    a multi-RB transmission succeeds or fails whole. A device's channel luck
-    is thus a function of (slot, id) alone.
+    claimants. Each surviving transmitter compares its own uniform u[j],
+    u being aligned with ids, against its outage probability p_outage[id,
+    n_rbs] (``outage_table``); a multi-RB transmission succeeds or fails
+    whole. A device's channel luck is thus a function of (slot, id) alone.
 
     Returns the SUCCESS/DUPLICATE/OUTAGE code of every transmitter and the
     number of claimants of every RB index up to the highest one claimed.
@@ -90,7 +90,7 @@ def resolve_transmissions(ids, first, n_rbs, p_outage: np.ndarray, u):
         np.cumsum(claims > 1, out=crowded[1:])
         duplicate = crowded[end] > crowded[first]
     outcomes = duplicate.astype(np.int8)        # SUCCESS is 0, DUPLICATE 1
-    outcomes[~duplicate & (u[ids] < p_outage[ids, n_rbs])] = OUTAGE
+    outcomes[~duplicate & (u < p_outage[ids, n_rbs])] = OUTAGE
     return outcomes, claims
 
 

@@ -9,12 +9,13 @@ once before the first slot (generation slot 0), so with v_a = 1 the cell is
 busy from slot 1 on.
 
 Static draws (positions, latent types, per-device SNR) come from one
-generator seeded with the scenario seed. Every in-loop draw instead comes
-from a uniform vector keyed by (seed, slot, phase) and indexed by device id,
-so equal configs give byte-identical results and runs that share a seed but
-differ in mode see identical device-level randomness (common random
-numbers); mode comparisons on matched seeds then differ only where the
-allocation decisions actually differ.
+generator seeded with the scenario seed. Every in-loop draw instead is a
+uniform keyed by (seed, slot, phase, device) (``SlotDraws``), handed to each
+rule aligned with the ids it decides for, so equal configs give
+byte-identical results and runs that share a seed but differ in mode see
+identical device-level randomness (common random numbers); mode comparisons
+on matched seeds then differ only where the allocation decisions actually
+differ.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def seed_states(entropy: np.ndarray) -> np.ndarray:
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * np.uint32(hash_const)
         state[:, i_dst] = value ^ (value >> shift)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 _Generator, _PCG64 = np.random.Generator, np.random.PCG64
@@ -134,30 +135,26 @@ class _SeedWords(ISeedSequence):
 
 
 class SlotDraws:
-    """Per-slot uniform vectors, one entry per device.
+    """The in-loop uniforms of a slot loop's lanes, served to the ids that read them.
 
-    vec(slot, phase) is a pure function of (seed, slot, phase), so a device
-    keeps its draw across modes run with the same seed even when the modes
-    consume different phases or diverge in state. It is the stream of
-    ``default_rng(SeedSequence([seed, slot, phase]))``; the seed words of a
-    block of up to min(256, slots + 1) slots are computed at once
-    (``seed_states``) when a slot outside the current block is asked for.
+    Lane l runs seed seeds[l] on n_devices devices, ids l * n_devices to
+    (l + 1) * n_devices - 1. Device i of lane l draws entry i of the stream
+    of ``default_rng(SeedSequence([seeds[l], slot, phase])).random(n_devices)``,
+    a pure function of (seed, slot, phase), so a device keeps its draw across
+    modes run with the same seed even when the modes consume different
+    phases or diverge in state. The seed words of every lane for a block of
+    up to min(256, slots + 1) slots are computed at once (``seed_states``)
+    when a slot outside the current block is asked for.
     """
 
     __slots__ = ("_seed_words", "_n", "_block", "_first", "_end", "_states")
 
-    def __init__(self, seed: int, n_devices: int, slots: int = _STATE_BLOCK - 1):
-        self._seed_words = _uint32_words(seed)
+    def __init__(self, seeds, n_devices: int, slots: int = _STATE_BLOCK - 1):
+        self._seed_words = [_uint32_words(seed) for seed in seeds]
         self._n = n_devices
         self._block = min(_STATE_BLOCK, slots + 1)
         self._first = self._end = 0
         self._states = None
-
-    def state(self, slot: int, phase: int) -> np.ndarray:
-        """The four uint64 PCG64 seed words of (seed, slot, phase)."""
-        if not self._first <= slot < self._end:
-            self._fill(slot)
-        return self._states[(slot - self._first) * _N_PHASES + phase]
 
     def _fill(self, first: int) -> None:
         # a block never mixes slots of different word counts
@@ -165,54 +162,38 @@ class SlotDraws:
         end = min(first + self._block, 1 << (32 * n_words))
         slots = np.arange(first, end, dtype=np.uint64)
         rows = len(slots) * _N_PHASES
-        columns = [np.full(rows, word, dtype=np.uint32) for word in self._seed_words]
-        columns += [np.repeat((slots >> np.uint64(32 * j)) & np.uint64(_MASK32),
-                              _N_PHASES).astype(np.uint32) for j in range(n_words)]
-        columns.append(np.tile(np.arange(_N_PHASES, dtype=np.uint32), len(slots)))
-        self._states = seed_states(np.column_stack(columns))
+        # the entropy after the seed of each (slot, phase) row: slot words, phase
+        tail = [np.repeat((slots >> np.uint64(32 * j)) & np.uint64(_MASK32),
+                          _N_PHASES).astype(np.uint32) for j in range(n_words)]
+        tail.append(np.tile(np.arange(_N_PHASES, dtype=np.uint32), len(slots)))
+        # row (slot, phase) holds every lane's words; one pass per seed width
+        self._states = np.empty((rows, len(self._seed_words), 4), dtype=np.uint64)
+        for width in {len(words) for words in self._seed_words}:
+            lanes = [lane for lane, words in enumerate(self._seed_words)
+                     if len(words) == width]
+            seeds = np.array([self._seed_words[lane] for lane in lanes], dtype=np.uint32)
+            columns = [np.tile(seeds[:, j], rows) for j in range(width)]
+            columns += [np.repeat(column, len(lanes)) for column in tail]
+            self._states[:, lanes] = seed_states(np.column_stack(columns)).reshape(
+                rows, len(lanes), 4)
         self._first, self._end = first, end
 
-    def vec(self, slot: int, phase: int, ids: np.ndarray | None = None,
-            out: np.ndarray | None = None) -> np.ndarray:
-        """The vector of (slot, phase); written into out when given.
+    def vec(self, slot: int, phase: int, ids: np.ndarray) -> np.ndarray:
+        """The uniforms of (slot, phase) of the devices ids, aligned with ids.
 
-        ids, the devices that will read the vector, is accepted for the
-        interface ``_LaneDraws`` shares: one lane holds every id, so the whole
-        vector is drawn.
+        Only the lanes holding ids draw, so a lane never draws a phase its
+        mode does not consume.
         """
-        words = _SeedWords(self.state(slot, phase))
-        return _Generator(_PCG64(words)).random(self._n, out=out)
-
-
-class _LaneDraws:
-    """The slot draws of several lanes, as one vector over every lane's devices.
-
-    Lane l's devices hold entries l * N to (l + 1) * N - 1, each the draw of
-    its own lane's ``SlotDraws``. A lane draws a phase only when one of its
-    devices reads it: given the ids that will read the vector, vec fills the
-    lanes holding them and leaves every other entry NaN, so a batch whose
-    lanes run different modes draws no phase for a lane that does not
-    consume it.
-    """
-
-    __slots__ = ("_lanes", "_n")
-
-    def __init__(self, lanes: list[SlotDraws], n_devices: int):
-        self._lanes = lanes
-        self._n = n_devices
-
-    def vec(self, slot: int, phase: int, ids: np.ndarray | None = None) -> np.ndarray:
-        """The vector of (slot, phase) for every lane, or for the lanes holding ids."""
-        n, lanes = self._n, self._lanes
-        if ids is None:
-            out = np.empty(len(lanes) * n)
-            reading = range(len(lanes))
-        else:
-            out = np.full(len(lanes) * n, np.nan)
-            reading = np.flatnonzero(np.bincount(ids // n, minlength=len(lanes))).tolist()
-        for lane in reading:
-            lanes[lane].vec(slot, phase, out=out[lane * n:(lane + 1) * n])
-        return out
+        if not self._first <= slot < self._end:
+            self._fill(slot)
+        states, n = self._states[(slot - self._first) * _N_PHASES + phase], self._n
+        if len(states) == 1 and len(ids):
+            return _Generator(_PCG64(_SeedWords(states[0]))).random(n)[ids]
+        out = np.empty(len(states) * n)
+        for lane in np.flatnonzero(np.bincount(ids // n, minlength=len(states))).tolist():
+            _Generator(_PCG64(_SeedWords(states[lane]))).random(
+                n, out=out[lane * n:(lane + 1) * n])
+        return out[ids]
 
 
 class Mode(Enum):
@@ -290,7 +271,8 @@ class ScenarioConfig:
              "need 1 <= n_rbs_min <= n_rbs_max"),
             (self.zeta > 0, "zeta must be positive"),
             (self.r_c >= 0, "r_c must be >= 0"),
-            (self.width > 0 and self.length > 0, "cell dimensions must be positive"),
+            (0 < self.width < math.inf and 0 < self.length < math.inf,
+             "cell dimensions must be positive and finite"),
             (0.0 <= self.warmup_fraction < 1.0, "warmup_fraction must be in [0,1)"),
             (isinstance(self.mode, Mode), "mode must be a Mode"),
         ]
@@ -396,17 +378,17 @@ def _activation_sweep(messages: PendingMessages, p_linear: np.ndarray, t: int,
                       config: ScenarioConfig, draws: SlotDraws) -> np.ndarray:
     """Activate idle devices whose draw falls below v_a; returns their ids.
 
-    Each phase is drawn only when the slot needs it, and the kind and size
-    phases only for the lanes that activate a device.
+    Each phase is drawn only when the slot needs it: the activation coin
+    for the idle devices, the kind and size for the activated ones.
     """
-    idle = messages.rbs_left == 0
-    if config.v_a == 0.0 or not idle.any():
+    idle = (messages.rbs_left == 0).nonzero()[0]
+    if config.v_a == 0.0 or not len(idle):
         return _NO_IDS
-    hits = (idle & (draws.vec(t, _PH_ACTIVATE) < config.v_a)).nonzero()[0]
+    hits = idle[draws.vec(t, _PH_ACTIVATE, idle) < config.v_a]
     if len(hits):
-        size_u = (draws.vec(t, _PH_SIZE, hits)[hits]
+        size_u = (draws.vec(t, _PH_SIZE, hits)
                   if config.n_rbs_max > config.n_rbs_min else 0.0)
-        activate(messages, hits, t, draws.vec(t, _PH_KIND, hits)[hits], p_linear[hits],
+        activate(messages, hits, t, draws.vec(t, _PH_KIND, hits), p_linear[hits],
                  config.n_rbs_max, size_u, config.n_rbs_min)
     return hits
 
@@ -480,12 +462,13 @@ def run_many(configs) -> list[RunResult]:
     in order, each equal to what a run of that config alone gives. Lane l
     holds config l: its devices have ids l * N to l * N + N - 1 and its RBs
     the indices from l * w, w being the stack's ``rb_width``. Each lane
-    keeps its own positions, latent types, mean SNRs and ``SlotDraws``, so
-    its draws and outcomes are those of the lone run; the array work of a
+    keeps its own positions, latent types, mean SNRs and draw seed, so its
+    draws and outcomes are those of the lone run; the array work of a
     slot is shared by every lane. A lane's mode is a mask over its devices
-    within the stack's one slot path, and a lane draws a phase only when
-    its mode consumes it (``_LaneDraws``). run_many takes any number of
-    lanes; sweeps and presets cap theirs with ``loop_batches``.
+    within the stack's one slot path. One ``SlotDraws`` serves every lane:
+    each rule is handed the uniforms of the ids it decides for, so a lane
+    draws a phase only when its mode consumes it. run_many takes any number
+    of lanes; sweeps and presets cap theirs with ``loop_batches``.
 
     One slot loop serves both stacks. The engine keeps every device's
     pending message in one ``PendingMessages`` set of arrays, which both
@@ -505,7 +488,7 @@ def run_many(configs) -> list[RunResult]:
                               "and in mode within one stack")
     lanes, N = len(configs), base.n_devices
     modes = [config.mode for config in configs]
-    columns, lane_draws = [], []
+    columns = []
     for config in configs:
         # a lane's static draws, in stream order: positions, latent types,
         # then mean SNRs
@@ -518,9 +501,8 @@ def run_many(configs) -> list[RunResult]:
         else:
             snr = np.full(N, snr_db_to_linear(config.mean_snr_db))
         columns.append((*lane, snr))
-        lane_draws.append(SlotDraws(config.seed, N, config.slots))
     positions, types, p_linear, snr = map(np.concatenate, zip(*columns))
-    draws = lane_draws[0] if lanes == 1 else _LaneDraws(lane_draws, N)
+    draws = SlotDraws([config.seed for config in configs], N, base.slots)
     messages = PendingMessages(lanes * N)
     p_outage = outage_table(snr, base.epsilon, base.n_rbs_max)
     stack = (_CentralizedStack(base, types, p_outage, messages, modes)
@@ -535,7 +517,7 @@ def run_many(configs) -> list[RunResult]:
         active_ids = messages.rbs_left.nonzero()[0]
         ids, first, n_rbs, rach_failures = stack.allocate(t, active_ids, draws)
         outcomes, claims = resolve_transmissions(ids, first, n_rbs, p_outage,
-                                                 draws.vec(t, _PH_OUTAGE))
+                                                 draws.vec(t, _PH_OUTAGE, ids))
         ok = outcomes == SUCCESS
         delivered, totals = deliver_success(messages, ids[ok], n_rbs[ok], t, lanes)
         stack.feedback(ids, outcomes, delivered, claims)
@@ -619,8 +601,9 @@ class _CentralizedStack:
     def allocate(self, t: int, active_ids: np.ndarray, draws: SlotDraws):
         """The slot's transmitters, their RB ranges and each lane's RACH losses."""
         config, messages = self.config, self.messages
-        survivors = rach_phase(active_ids, draws.vec(t, _PH_RACH), config.preambles,
-                               config.rach_exact, self._lane(active_ids))
+        survivors = rach_phase(active_ids, draws.vec(t, _PH_RACH, active_ids),
+                               config.preambles, config.rach_exact,
+                               self._lane(active_ids))
         gen = messages.gen_slot[survivors]
         exponential = messages.exponential[survivors]
         ages = aoi_array(exponential, t, gen)           # the reported ages
@@ -991,8 +974,7 @@ def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
     if random is not None:
         chosen = active_ids[passing if random is _ALL else passing & random]
         if len(chosen):
-            actions[chosen] = random_selection(
-                R, draws.vec(t, _PH_DECIDE, chosen)[chosen])
+            actions[chosen] = random_selection(R, draws.vec(t, _PH_DECIDE, chosen))
     sca = _rows(stack.sca, active_ids)
     if sca is None:
         return
@@ -1010,7 +992,7 @@ def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
         delegators = np.flatnonzero(idle)
         if len(delegators):
             picks = _delegate_picks(stack, delegators,
-                                    draws.vec(t, _PH_DELEGATE, delegators)[delegators])
+                                    draws.vec(t, _PH_DELEGATE, delegators))
             hit = picks >= 0
             targets, first = np.unique(picks[hit], return_index=True)
             actions[active_ids[targets]] = last_action[delegators[hit][first]]
@@ -1027,8 +1009,8 @@ def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
         crowd, unused, rows = _sensed(stack, deciding, prev)
         # the crowd seen on RB 0 (silence) is never consulted
         actions[deciding] = sca_step(prev, last_failed[deciding], crowd, unused,
-                                     draws.vec(t, _PH_DECIDE, deciding)[deciding],
-                                     draws.vec(t, _PH_FRESH, deciding)[deciding],
+                                     draws.vec(t, _PH_DECIDE, deciding),
+                                     draws.vec(t, _PH_FRESH, deciding),
                                      R, rows)
 
 

@@ -8,6 +8,7 @@ from aoisim.centralized import (KIND_EXPONENTIAL, KIND_LINEAR, KIND_UNKNOWN,
                                 priority_key, rach_collision_probability,
                                 rach_phase, schedule, tie_class)
 from aoisim.devices import TypeId
+from aoisim.engine import Mode, ScenarioConfig, run
 
 LIN, EXP, UNKNOWN = KIND_LINEAR, KIND_EXPONENTIAL, KIND_UNKNOWN
 T1, T2 = TypeId.TYPE1.value, TypeId.TYPE2.value
@@ -25,24 +26,44 @@ def test_collision_probability_closed_form():
 def test_rach_thinning_is_per_device():
     ids = [0, 2, 5]
     survive_p = 1.0 - rach_collision_probability(3, 64)
-    u = np.zeros(6)
-    u[2] = survive_p + 1e-9   # only device 2 is unlucky
+    u = np.zeros(3)
+    u[1] = survive_p + 1e-9   # u[1] is device 2's: only it is unlucky
     assert rach_phase(ids, u, 64).tolist() == [0, 5]
     assert rach_phase(np.array(ids), u, 64).tolist() == [0, 5]
-    assert rach_phase([], u, 64).tolist() == []
+    assert rach_phase([], np.zeros(0), 64).tolist() == []
 
 
 def test_rach_exact_mode_keeps_unique_preambles():
     # picks are floor(u * 4): devices 0 and 1 collide on preamble 2
     u = np.array([0.55, 0.6, 0.1])
     assert rach_phase([0, 1, 2], u, 4, exact=True).tolist() == [2]
+    # u is aligned with the ids, in whatever order they come; each lane has
+    # its own preambles, so equal picks in two lanes do not collide
+    assert rach_phase([9, 4, 1, 7], [0.1, 0.55, 0.1, 0.6], 4, exact=True,
+                      lanes=[1, 0, 0, 0]).tolist() == [9, 1]
+    assert rach_phase([9, 4, 1, 7], [0.1, 0.55, 0.1, 0.6], 4, exact=True,
+                      lanes=[1, 0, 1, 0]).tolist() == []
+
+
+@pytest.mark.parametrize("preambles", [2**62, 2**70])
+def test_rach_exact_memory_follows_the_requests(preambles):
+    # memory follows the requests: a counter per preamble would not fit,
+    # and 2**70 picks do not fit an int64
+    u = np.array([0.25, 0.5, 0.25 + 2.0**-50, 0.5, 0.75])
+    assert rach_phase([0, 1, 2, 3, 4], u, preambles, exact=True).tolist() == [0, 2, 4]
+    assert rach_phase([0, 1, 2, 3, 4], u, preambles, exact=True,
+                      lanes=[0, 0, 1, 1, 1]).tolist() == [0, 1, 2, 3, 4]
+    config = ScenarioConfig(mode=Mode.CENTRALIZED_LEARNING, rach_exact=True,
+                            preambles=preambles, n_devices=10, n_rbs=5, slots=5)
+    result = run(config)
+    assert len(result.records) == 5 and result.summary.rach_failures == 0
 
 
 def test_rach_config_validation():
     for ids in ([0], []):
         for exact in (False, True):
             with pytest.raises(ValueError):
-                rach_phase(ids, np.zeros(1), 0, exact)
+                rach_phase(ids, np.zeros(len(ids)), 0, exact)
 
 
 # --- aging identification ----------------------------------------------------

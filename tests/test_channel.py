@@ -50,11 +50,14 @@ def test_per_device_snr_override():
 
 
 def _resolve(snr, epsilon, transmissions, u):
-    """Outcome codes by device id of (id, first RB, RB count) transmissions."""
+    """Outcome codes by device id of (id, first RB, RB count) transmissions.
+
+    u holds each device's uniform by id; the resolver reads them aligned
+    with the transmitters, as the engine's draws hand them over."""
     ids, first, n_rbs = (np.array(column, dtype=np.int64)
                          for column in zip(*transmissions))
     table = outage_table(snr[:int(ids.max()) + 1], epsilon, int(n_rbs.max()))
-    outcomes, _ = resolve_transmissions(ids, first, n_rbs, table, np.asarray(u))
+    outcomes, _ = resolve_transmissions(ids, first, n_rbs, table, np.asarray(u)[ids])
     return dict(zip(ids.tolist(), outcomes.tolist()))
 
 
@@ -79,11 +82,15 @@ def test_outage_uses_own_uniform():
     outcomes = _resolve(snrs_of(2), 1.0, [(0, 1, 1), (1, 2, 1)], u)
     assert outcomes[0] == OUTAGE
     assert outcomes[1] == SUCCESS
+    # u follows the transmitters' order, not their ids
+    outcomes, _ = resolve_transmissions([1, 0], [1, 2], [1, 1],
+                                        outage_table(snrs_of(2), 1.0, 1), u)
+    assert outcomes.tolist() == [OUTAGE, SUCCESS]
 
 
 def test_assignment_validation():
     table = outage_table(snrs_of(3), 1.0, 2)
-    u = np.zeros(3)
+    u = np.zeros(2)
     with pytest.raises(ValueError, match="more than once"):
         resolve_transmissions([0, 0], [1, 2], [1, 1], table, u)
     with pytest.raises(ValueError, match="device 2 listed with an empty RB set"):

@@ -111,8 +111,8 @@ class FixedDraws:
     def __init__(self, act_u):
         self.act_u = act_u
 
-    def vec(self, slot, phase, ids=None):
-        return np.array([self.act_u if phase == _PH_ACTIVATE else 0.0])
+    def vec(self, slot, phase, ids):
+        return np.full(len(ids), self.act_u if phase == _PH_ACTIVATE else 0.0)
 
 
 def test_activation_step_leaves_active_device_alone():

@@ -363,7 +363,7 @@ def predetermined(gen, exponential, active, R, t=1500):
     stack = _DistributedStack(config, positions, messages)
     # the baseline needs every device to know the full ranking, whatever r_c
     assert stack.neighbors is None
-    tx, rbs, _, _ = stack.allocate(t, np.flatnonzero(active), SlotDraws(0, n))
+    tx, rbs, _, _ = stack.allocate(t, np.flatnonzero(active), SlotDraws([0], n))
     f_values = [aoi_value(KINDS[e], t + config.beta, g) if a else 0
                 for g, e, a in zip(gen, exponential, active)]
     expected = predetermined_ref(f_values, active, R)

@@ -12,7 +12,7 @@ from aoisim.devices import PendingMessages, activate, deliver_success, make_devi
 from aoisim.distributed import kappa, kth_largest
 from aoisim.engine import (_PH_ACTIVATE, _PH_DECIDE, _PH_DELEGATE, _PH_FRESH,
                            _PH_KIND, _PH_SIZE, ConfigError, Mode, ScenarioConfig,
-                           SlotDraws, _DistributedStack, _LaneDraws,
+                           SlotDraws, _DistributedStack,
                            _MetricAccumulator, _transmitters, loop_batches,
                            replicate_seed, run, run_many, sweep_iter, sweep_lanes)
 from test_distributed import delegate_target_ref, kappa_ref, sca_step_ref
@@ -32,9 +32,14 @@ def test_validate_rejects_bad_fields():
     for kw in (dict(n_devices=0), dict(v_a=1.5), dict(seed=-1),
                dict(m1=0.5), dict(beta=0), dict(warmup_fraction=1.0),
                dict(n_rbs_max=11), dict(n_rbs_min=0),
-               dict(n_rbs_max=2, n_rbs_min=3)):
+               dict(n_rbs_max=2, n_rbs_min=3),
+               # an infinite cell puts devices at inf, where none hears itself
+               dict(width=math.inf), dict(length=math.inf),
+               dict(width=math.nan)):
         with pytest.raises(ConfigError):
             small(**kw).validate()
+    # an infinite sensing range is full range
+    small(r_c=math.inf).validate()
 
 
 def test_multi_rb_is_centralized_only():
@@ -66,33 +71,44 @@ def test_same_config_same_output():
 
 
 def test_slot_draws_are_pure():
-    d = SlotDraws(3, 5)
-    assert (d.vec(10, 1) == d.vec(10, 1)).all()
-    assert (d.vec(10, 1) != d.vec(10, 2)).any()
-    assert (d.vec(10, 1) != d.vec(11, 1)).any()
+    d, ids = SlotDraws([3], 5), np.arange(5)
+    assert (d.vec(10, 1, ids) == d.vec(10, 1, ids)).all()
+    assert (d.vec(10, 1, ids) != d.vec(10, 2, ids)).any()
+    assert (d.vec(10, 1, ids) != d.vec(11, 1, ids)).any()
+    assert d.vec(10, 1, np.array([4, 0, 4])).tolist() == \
+        d.vec(10, 1, ids)[[4, 0, 4]].tolist()
+
+
+def _stream(seed, slot, phase, n):
+    return np.random.default_rng(np.random.SeedSequence([seed, slot, phase])).random(n)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
 def test_bulk_seed_words_equal_the_seed_sequence(seed):
     # blocks of 10 slots here: slots 9/10 and 19/20 straddle a boundary, and
     # slot 3 after 21 refills an earlier block; 2**32 - 1 and 2**32 differ
-    # in word count, so they never share a block
-    draws = SlotDraws(seed, 7, slots=9)
+    # in word count, so they never share a block. The seed runs alone and
+    # as lane 1 beside seeds of one, two and three words.
+    n, seeds = 7, [0, seed, 2**32, 2**64 + 5]
+    alone, lanes = SlotDraws([seed], n, slots=9), SlotDraws(seeds, n, slots=9)
+    rng = np.random.default_rng(seed % 97)
     for slot in (0, 1, 9, 10, 11, 19, 20, 21, 3, 2**32 - 1, 2**32):
         for phase in range(8):
-            ss = np.random.SeedSequence([seed, slot, phase])
-            assert (draws.state(slot, phase)
-                    == ss.generate_state(4, np.uint64)).all(), (slot, phase)
-            assert (draws.vec(slot, phase)
-                    == np.random.default_rng(ss).random(7)).all(), (slot, phase)
+            assert (alone.vec(slot, phase, np.arange(n))
+                    == _stream(seed, slot, phase, n)).all(), (slot, phase)
+            # unsorted ids, repeats included, spanning the lanes
+            ids = rng.integers(0, len(seeds) * n, 12)
+            expected = [_stream(seeds[i // n], slot, phase, n)[i % n]
+                        for i in ids.tolist()]
+            assert lanes.vec(slot, phase, ids).tolist() == expected, (slot, phase)
 
 
 def test_seed_words_come_in_bounded_blocks():
-    assert SlotDraws(5, 3, slots=1)._block == 2
-    assert SlotDraws(5, 3, slots=10_000)._block == 256
-    draws = SlotDraws(5, 3, slots=10_000)
-    draws.vec(700, 0)
-    assert draws._states.shape == (256 * 8, 4)
+    assert SlotDraws([5], 3, slots=1)._block == 2
+    assert SlotDraws([5], 3, slots=10_000)._block == 256
+    draws = SlotDraws([5, 2**40], 3, slots=10_000)
+    draws.vec(700, 0, np.arange(6))
+    assert draws._states.shape == (256 * 8, 2, 4)
 
 
 class _DeviceReplay:
@@ -108,7 +124,7 @@ class _DeviceReplay:
         _, self.types, self.p_linear = make_devices(
             config.n_devices, config.type1_fraction, config.m1, config.m2,
             config.width, config.length, np.random.default_rng(config.seed))
-        self.draws = SlotDraws(config.seed, config.n_devices)
+        self.draws = SlotDraws([config.seed], config.n_devices)
         n = config.n_devices
         self.kind = [None] * n          # None: idle
         self.gen = [0] * n
@@ -116,7 +132,7 @@ class _DeviceReplay:
 
     def activate(self, t):
         config = self.config
-        u_act, u_kind, u_size = (self.draws.vec(t, phase)
+        u_act, u_kind, u_size = (self.draws.vec(t, phase, np.arange(config.n_devices))
                                  for phase in (_PH_ACTIVATE, _PH_KIND, _PH_SIZE))
         span = config.n_rbs_max - config.n_rbs_min + 1
         for i, p_linear in enumerate(self.p_linear.tolist()):
@@ -358,48 +374,61 @@ def test_run_many_mixes_modes_on_every_golden_case(name):
                               dataclasses.replace(base, mode=others[1])])
 
 
+def _record_generators(monkeypatch, seeds, slots):
+    """Record the (lane, slot, phase) of every generator SlotDraws builds.
+
+    Returns the list the records go to; a generator is keyed by its seed
+    words, which identify the (seed, slot, phase) they were made from.
+    """
+    key_of = {tuple(np.random.SeedSequence([seed, slot, phase])
+                    .generate_state(4, np.uint64).tolist()): (lane, slot, phase)
+              for lane, seed in enumerate(seeds) for slot in slots
+              for phase in range(8)}
+    built = []
+
+    class Recorded(engine._SeedWords):
+        def __init__(self, words):
+            super().__init__(words)
+            built.append(key_of[tuple(words.tolist())])
+
+    monkeypatch.setattr(engine, "_SeedWords", Recorded)
+    return built
+
+
 def test_lane_draws_fill_exactly_the_lanes_holding_the_ids(monkeypatch):
+    # one generator per lane holding an id, none for any other lane, and
+    # each id gets its own lane's draw
     n, seeds = 7, [3, 9, 2**40, 0]
-    calls = []
-    real_vec = SlotDraws.vec
-
-    def counted(self, slot, phase, ids=None, out=None):
-        calls.append(self)
-        return real_vec(self, slot, phase, ids, out)
-
-    monkeypatch.setattr(SlotDraws, "vec", counted)
-    lanes = [SlotDraws(seed, n, 50) for seed in seeds]
-    draws = _LaneDraws(lanes, n)
-    for ids in ([], [0], [8, 9, 13], [27, 3, 22, 4], list(range(28)), None):
-        calls.clear()
-        vec = draws.vec(12, _PH_KIND, None if ids is None else np.array(ids, dtype=np.int64))
-        held = range(4) if ids is None else sorted({i // n for i in ids})
-        assert calls == [lanes[lane] for lane in held]
-        for lane, seed in enumerate(seeds):
-            part = vec[lane * n:(lane + 1) * n]
-            if lane in held:
-                assert part.tolist() == SlotDraws(seed, n).vec(12, _PH_KIND).tolist()
-            else:
-                assert np.isnan(part).all()
+    built = _record_generators(monkeypatch, seeds, [12])
+    for draws, lanes in ((SlotDraws(seeds, n, 50), 4), (SlotDraws(seeds[:1], n, 50), 1)):
+        for ids in ([], [0], [8, 9, 13], [27, 3, 22, 4, 27], list(range(28)), [6, 0, 6]):
+            ids = [i for i in ids if i < lanes * n]
+            built.clear()
+            u = draws.vec(12, _PH_KIND, np.array(ids, dtype=np.int64))
+            assert sorted(built) == sorted({(i // n, 12, _PH_KIND) for i in ids})
+            assert u.tolist() == [_stream(seeds[i // n], 12, _PH_KIND, n)[i % n]
+                                  for i in ids]
 
 
 def test_mixed_lanes_draw_only_the_phases_their_modes_use(monkeypatch):
-    # a predetermined lane draws no game phase, and no lane draws a phase
-    # twice in a slot, though random and SCA lanes both decide
+    # a lane draws exactly the (slot, phase) pairs its devices read, each
+    # once: a predetermined lane draws no game phase, and no lane draws a
+    # phase twice in a slot, though random and SCA lanes both decide
     base = small(n_devices=12, n_rbs=4, v_a=0.5, r_c=6.0, slots=60)
     modes = (Mode.DISTRIBUTED_PREDETERMINED, Mode.DISTRIBUTED_RANDOM,
              Mode.DISTRIBUTED_SCA)
-    drawn, real_vec = [], SlotDraws.vec
+    built = _record_generators(monkeypatch, range(3), range(61))
+    read, real_vec = set(), SlotDraws.vec
 
-    def recorded(self, slot, phase, ids=None, out=None):
-        drawn.append((self._seed_words[0], slot, phase))
-        return real_vec(self, slot, phase, ids, out)
+    def recorded(self, slot, phase, ids):
+        read.update((lane, slot, phase) for lane in (ids // 12).tolist())
+        return real_vec(self, slot, phase, ids)
 
     monkeypatch.setattr(SlotDraws, "vec", recorded)
     run_many([dataclasses.replace(base, mode=mode, seed=seed)
               for seed, mode in enumerate(modes)])
-    assert len(drawn) == len(set(drawn))
-    by_lane = {seed: {phase for s, _, phase in drawn if s == seed} for seed in range(3)}
+    assert len(built) == len(set(built)) and set(built) == read
+    by_lane = {lane: {phase for s, _, phase in built if s == lane} for lane in range(3)}
     assert not by_lane[0] & {_PH_DECIDE, _PH_FRESH, _PH_DELEGATE}
     assert _PH_DECIDE in by_lane[1] and not by_lane[1] & {_PH_FRESH, _PH_DELEGATE}
     assert {_PH_DECIDE, _PH_FRESH, _PH_DELEGATE} <= by_lane[2]
@@ -576,7 +605,7 @@ def _stack_at(config, positions, messages, t):
     """A distributed stack that has just allocated slot t for these devices."""
     stack = _DistributedStack(config, positions, messages)
     stack.allocate(t, np.flatnonzero(messages.rbs_left),
-                   SlotDraws(config.seed, config.n_devices))
+                   SlotDraws([config.seed], config.n_devices))
     return stack
 
 
@@ -647,7 +676,7 @@ def test_two_delegators_on_one_neighbor_the_lower_id_wins(r_c):
     assert (stack.neighbors is None) == (r_c == 15.0)
     stack.last_action[[1, 3]] = [4, 2]
     stack.allocate(11, np.flatnonzero(messages.rbs_left),
-                   SlotDraws(config.seed, config.n_devices))
+                   SlotDraws([config.seed], config.n_devices))
     assert stack.actions.tolist() == [0, 0, 4, 0]
 
 
@@ -672,9 +701,11 @@ def _reference_actions(stack, t, draws):
             if _saturated(f[i]) >= kth_largest(known, k):
                 passing.append(i)
     actions = [0] * N
+    u = {phase: draws.vec(t, phase, np.arange(N))
+         for phase in (_PH_DECIDE, _PH_FRESH, _PH_DELEGATE)}
     if config.mode is Mode.DISTRIBUTED_RANDOM:
         for i in passing:
-            actions[i] = 1 + int(draws.vec(t, 5)[i] * R)
+            actions[i] = 1 + int(u[_PH_DECIDE][i] * R)
         return actions
     last_action, last_failed = stack.last_action.tolist(), stack.last_failed.tolist()
     delegated = {}
@@ -682,7 +713,7 @@ def _reference_actions(stack, t, draws):
         if last_action[i] >= 1 and not last_failed[i] and i not in f:
             candidates = [j for j in active_ids if nb is None or nb[i, j]]
             target = delegate_target_ref(candidates, [f[j] for j in candidates],
-                                         draws.vec(t, 7)[i])
+                                         u[_PH_DELEGATE][i])
             if target is not None and target not in delegated:
                 delegated[target] = last_action[i]
     for i in active_ids:
@@ -698,7 +729,7 @@ def _reference_actions(stack, t, draws):
             unused = [rb for rb in range(1, R + 1) if rb not in seen]
             actions[i] = sca_step_ref(prev, last_failed[i],
                                       seen.count(prev) if prev else 0, unused,
-                                      draws.vec(t, 5)[i], draws.vec(t, 6)[i], R)
+                                      u[_PH_DECIDE][i], u[_PH_FRESH][i], R)
     return actions
 
 
@@ -722,7 +753,7 @@ def test_game_slot_equals_the_per_device_rules(mode, r_c):
         stack = _DistributedStack(config, positions, messages)
         stack.last_action[:] = rng.integers(0, R + 1, n)
         stack.last_failed[:] = rng.random(n) < 0.4
-        draws = SlotDraws(seed, n)
+        draws = SlotDraws([seed], n)
         expected = _reference_actions(stack, t, draws)
         stack.allocate(t, np.flatnonzero(messages.rbs_left), draws)
         assert stack.actions.tolist() == expected, seed
