@@ -59,6 +59,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
 _POOL_SIZE = 4
 _N_PHASES = 8
 _STATE_BLOCK = 256
+_FILL_LANES = 3       # lanes whose seed words one seed_states pass computes
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -85,16 +86,21 @@ def seed_states(entropy: np.ndarray) -> np.ndarray:
     shift = np.uint32(16)
     hash_const = _INIT_A
 
+    # each step writes into the one array it has just made or may overwrite
     def hashmix(value):
         nonlocal hash_const
         value = value ^ np.uint32(hash_const)
         hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> shift)
+        value *= np.uint32(hash_const)
+        value ^= value >> shift
+        return value
 
     def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> shift)
+        x *= np.uint32(_MIX_MULT_L)
+        y *= np.uint32(_MIX_MULT_R)
+        x -= y
+        x ^= x >> shift
+        return x
 
     zero = np.zeros(m, dtype=np.uint32)
     pool = [hashmix(entropy[:, i] if i < width else zero)
@@ -112,12 +118,14 @@ def seed_states(entropy: np.ndarray) -> np.ndarray:
     for i_dst in range(8):
         value = pool[i_dst % _POOL_SIZE] ^ np.uint32(hash_const)
         hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, i_dst] = value ^ (value >> shift)
+        value *= np.uint32(hash_const)
+        value ^= value >> shift
+        state[:, i_dst] = value
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 _Generator, _PCG64 = np.random.Generator, np.random.PCG64
+_DOUBLE_SHIFT, _DOUBLE_UNIT = np.uint64(11), 2.0 ** -53
 
 
 class _SeedWords(ISeedSequence):
@@ -143,8 +151,11 @@ class SlotDraws:
     a pure function of (seed, slot, phase), so a device keeps its draw across
     modes run with the same seed even when the modes consume different
     phases or diverge in state. The seed words of every lane for a block of
-    up to min(256, slots + 1) slots are computed at once (``seed_states``)
-    when a slot outside the current block is asked for.
+    up to min(256, slots + 1) slots are computed when a slot outside the
+    current block is asked for, a few lanes per ``seed_states`` pass. One
+    lane draws through ``Generator.random``; several lanes draw raw words
+    from one bare ``PCG64`` per lane holding ids and convert only the ids'
+    words, as ``Generator.random`` does.
     """
 
     __slots__ = ("_seed_words", "_n", "_block", "_first", "_end", "_states")
@@ -166,16 +177,21 @@ class SlotDraws:
         tail = [np.repeat((slots >> np.uint64(32 * j)) & np.uint64(_MASK32),
                           _N_PHASES).astype(np.uint32) for j in range(n_words)]
         tail.append(np.tile(np.arange(_N_PHASES, dtype=np.uint32), len(slots)))
-        # row (slot, phase) holds every lane's words; one pass per seed width
-        self._states = np.empty((rows, len(self._seed_words), 4), dtype=np.uint64)
+        # row (slot, phase) holds every lane's words; one pass per group of
+        # lanes of one seed width, so the temporaries do not grow with the lanes
+        if self._states is None or len(self._states) != rows:
+            self._states = np.empty((rows, len(self._seed_words), 4), dtype=np.uint64)
         for width in {len(words) for words in self._seed_words}:
             lanes = [lane for lane, words in enumerate(self._seed_words)
                      if len(words) == width]
-            seeds = np.array([self._seed_words[lane] for lane in lanes], dtype=np.uint32)
-            columns = [np.tile(seeds[:, j], rows) for j in range(width)]
-            columns += [np.repeat(column, len(lanes)) for column in tail]
-            self._states[:, lanes] = seed_states(np.column_stack(columns)).reshape(
-                rows, len(lanes), 4)
+            for start in range(0, len(lanes), _FILL_LANES):
+                group = lanes[start:start + _FILL_LANES]
+                seeds = np.array([self._seed_words[lane] for lane in group],
+                                 dtype=np.uint32)
+                columns = [np.tile(seeds[:, j], rows) for j in range(width)]
+                columns += [np.repeat(column, len(group)) for column in tail]
+                self._states[:, group] = seed_states(np.column_stack(columns)).reshape(
+                    rows, len(group), 4)
         self._first, self._end = first, end
 
     def vec(self, slot: int, phase: int, ids: np.ndarray) -> np.ndarray:
@@ -189,11 +205,12 @@ class SlotDraws:
         states, n = self._states[(slot - self._first) * _N_PHASES + phase], self._n
         if len(states) == 1 and len(ids):
             return _Generator(_PCG64(_SeedWords(states[0]))).random(n)[ids]
-        out = np.empty(len(states) * n)
-        for lane in np.flatnonzero(np.bincount(ids // n, minlength=len(states))).tolist():
-            _Generator(_PCG64(_SeedWords(states[lane]))).random(
-                n, out=out[lane * n:(lane + 1) * n])
-        return out[ids]
+        words = np.empty(len(states) * n, dtype=np.uint64)
+        for lane, count in enumerate(np.bincount(ids // n, minlength=len(states)).tolist()):
+            if count:
+                words[lane * n:(lane + 1) * n] = _PCG64(_SeedWords(states[lane])).random_raw(n)
+        # Generator.random's double of a PCG64 word: its top 53 bits
+        return (words[ids] >> _DOUBLE_SHIFT) * _DOUBLE_UNIT
 
 
 class Mode(Enum):
@@ -273,6 +290,10 @@ class ScenarioConfig:
             (self.r_c >= 0, "r_c must be >= 0"),
             (0 < self.width < math.inf and 0 < self.length < math.inf,
              "cell dimensions must be positive and finite"),
+            # squared distances must not overflow to inf, where every pair
+            # would read as in range
+            (self.width * self.width + self.length * self.length < math.inf,
+             "the cell's squared diagonal width**2 + length**2 must be finite"),
             (0.0 <= self.warmup_fraction < 1.0, "warmup_fraction must be in [0,1)"),
             (isinstance(self.mode, Mode), "mode must be a Mode"),
         ]
@@ -379,12 +400,15 @@ def _activation_sweep(messages: PendingMessages, p_linear: np.ndarray, t: int,
     """Activate idle devices whose draw falls below v_a; returns their ids.
 
     Each phase is drawn only when the slot needs it: the activation coin
-    for the idle devices, the kind and size for the activated ones.
+    for the idle devices, the kind and size for the activated ones. At
+    v_a = 1 every idle device activates and at v_a = 0 none does, so
+    neither draws the coin.
     """
     idle = (messages.rbs_left == 0).nonzero()[0]
     if config.v_a == 0.0 or not len(idle):
         return _NO_IDS
-    hits = idle[draws.vec(t, _PH_ACTIVATE, idle) < config.v_a]
+    hits = (idle if config.v_a >= 1.0
+            else idle[draws.vec(t, _PH_ACTIVATE, idle) < config.v_a])
     if len(hits):
         size_u = (draws.vec(t, _PH_SIZE, hits)
                   if config.n_rbs_max > config.n_rbs_min else 0.0)

@@ -2,9 +2,11 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from aoisim import engine
+from aoisim.checks import _rate_line
 from aoisim.cli import (RECORD_COLUMNS, SUMMARY_COLUMNS, SWEEP_COLUMNS,
                         build_config, main, parse_config_file, write_output,
                         write_run_csv)
@@ -406,6 +408,30 @@ def test_verify_reports_one_line_per_check(capsys):
     assert code in (0, 2)
     assert len(lines) == 4
     assert all(l.startswith(("PASS ", "FAIL ")) for l in lines)
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "0"], ["--seed", "7"]])
+def test_verify_short_runs_pass_on_sampling_noise(seed, capsys):
+    # at 2,000 slots one standard error of the T = R = 2 rate is about 0.011,
+    # so a fixed 0.01 tolerance failed the default seed and seed 7
+    assert main(["verify", "--runs", "20", "--slots", "2000", *seed, "--quiet"]) == 0
+    assert capsys.readouterr().out.split() == [
+        "PASS", "payoff-table", "PASS", "random-service-rate",
+        "PASS", "sca-convergence", "PASS", "pairwise-priority"]
+
+
+def test_service_rate_tolerance_follows_the_standard_error():
+    rates = np.tile([0.0, 1.0], 1000)          # mean 0.5, se about 0.0112
+    se = rates.std(ddof=1) / math.sqrt(len(rates))
+    assert _rate_line("x", rates, 0.5, 0.5 + 3 * se)[0]
+    good, line = _rate_line("x", rates, 0.5, 0.5 + 10 * se)
+    assert not good and line.endswith(f"  EXCEEDS {4 * se:.4f}")
+    # a tight sample keeps the 0.01 floor
+    flat = np.full(100, 0.3)
+    assert _rate_line("x", flat, 0.3, 0.309)[0]
+    good, line = _rate_line("x", flat, 0.3, 0.32)
+    assert not good and line == ("x: empirical 0.3000 closed-form 0.3200 "
+                                 "|delta| 0.0200  EXCEEDS 0.0100")
 
 
 @pytest.mark.parametrize("argv", [["--runs", "0"], ["--runs", "-1"],

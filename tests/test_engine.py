@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from aoisim.centralized import KIND_UNKNOWN, KINDS, NO_TYPE
 from aoisim.devices import PendingMessages, activate, deliver_success, make_devices
 from aoisim.distributed import kappa, kth_largest
 from aoisim.engine import (_PH_ACTIVATE, _PH_DECIDE, _PH_DELEGATE, _PH_FRESH,
-                           _PH_KIND, _PH_SIZE, ConfigError, Mode, ScenarioConfig,
-                           SlotDraws, _DistributedStack,
+                           _PH_KIND, _PH_OUTAGE, _PH_SIZE, ConfigError, Mode,
+                           ScenarioConfig, SlotDraws, _DistributedStack,
                            _MetricAccumulator, _transmitters, loop_batches,
                            replicate_seed, run, run_many, sweep_iter, sweep_lanes)
 from test_distributed import delegate_target_ref, kappa_ref, sca_step_ref
@@ -40,6 +41,22 @@ def test_validate_rejects_bad_fields():
             small(**kw).validate()
     # an infinite sensing range is full range
     small(r_c=math.inf).validate()
+
+
+def test_validate_rejects_a_cell_whose_squared_diagonal_overflows():
+    # at 1e300 every squared distance, and r_c**2, overflows to inf, and
+    # inf <= inf would put every pair in range
+    with pytest.raises(ConfigError, match="squared diagonal"):
+        small(width=1e300, length=1e300, r_c=1e200).validate()
+    config = small(width=1e150, length=1e150, r_c=5e149, n_devices=12)
+    config.validate()
+    xy, _, _ = make_devices(config.n_devices, 0.6, 0.75, 0.75, config.width,
+                            config.length, np.random.default_rng(3))
+    near = engine._neighbor_matrix(xy, config.r_c)
+    reference = [[math.hypot(a[0] - b[0], a[1] - b[1]) <= config.r_c for b in xy]
+                 for a in xy]
+    assert near.tolist() == reference
+    assert 0 < near.sum() < near.size    # partial range: some pairs out of it
 
 
 def test_multi_rb_is_centralized_only():
@@ -88,8 +105,10 @@ def test_bulk_seed_words_equal_the_seed_sequence(seed):
     # blocks of 10 slots here: slots 9/10 and 19/20 straddle a boundary, and
     # slot 3 after 21 refills an earlier block; 2**32 - 1 and 2**32 differ
     # in word count, so they never share a block. The seed runs alone and
-    # as lane 1 beside seeds of one, two and three words.
-    n, seeds = 7, [0, seed, 2**32, 2**64 + 5]
+    # as lane 1 of 17, beside seeds of one, two and three words; the 14 or
+    # more one-word seeds fill in several lane groups.
+    n, seeds = 7, [0, seed, 2**32, 2**64 + 5, *range(3, 16)]
+    assert len(seeds) > 4 * engine._FILL_LANES
     alone, lanes = SlotDraws([seed], n, slots=9), SlotDraws(seeds, n, slots=9)
     rng = np.random.default_rng(seed % 97)
     for slot in (0, 1, 9, 10, 11, 19, 20, 21, 3, 2**32 - 1, 2**32):
@@ -97,7 +116,7 @@ def test_bulk_seed_words_equal_the_seed_sequence(seed):
             assert (alone.vec(slot, phase, np.arange(n))
                     == _stream(seed, slot, phase, n)).all(), (slot, phase)
             # unsorted ids, repeats included, spanning the lanes
-            ids = rng.integers(0, len(seeds) * n, 12)
+            ids = rng.integers(0, len(seeds) * n, 24)
             expected = [_stream(seeds[i // n], slot, phase, n)[i % n]
                         for i in ids.tolist()]
             assert lanes.vec(slot, phase, ids).tolist() == expected, (slot, phase)
@@ -109,6 +128,20 @@ def test_seed_words_come_in_bounded_blocks():
     draws = SlotDraws([5, 2**40], 3, slots=10_000)
     draws.vec(700, 0, np.arange(6))
     assert draws._states.shape == (256 * 8, 2, 4)
+
+
+def test_a_block_fill_keeps_its_temporaries_to_a_lane_group():
+    # lanes fill a few at a time, so at 30 lanes a fill holds the 1.875 MiB
+    # block of seed words and one group's temporaries, not every lane's
+    draws = SlotDraws(range(30), 200, slots=1000)
+    tracemalloc.start()
+    try:
+        draws.vec(0, 0, np.arange(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws._states.nbytes == 256 * 8 * 30 * 4 * 8
+    assert peak <= 2.5 * 2**20
 
 
 class _DeviceReplay:
@@ -432,6 +465,45 @@ def test_mixed_lanes_draw_only_the_phases_their_modes_use(monkeypatch):
     assert not by_lane[0] & {_PH_DECIDE, _PH_FRESH, _PH_DELEGATE}
     assert _PH_DECIDE in by_lane[1] and not by_lane[1] & {_PH_FRESH, _PH_DELEGATE}
     assert {_PH_DECIDE, _PH_FRESH, _PH_DELEGATE} <= by_lane[2]
+
+
+@pytest.mark.parametrize("seeds", [[5], [0, 1, 2]])
+def test_no_activation_coin_is_drawn_where_v_a_decides_it(monkeypatch, seeds):
+    # at v_a = 1 every idle device activates, so the coin is not drawn; the
+    # reference draws it first, as the rule did before, and every other
+    # generator and the results stay the same. At v_a = 0 nothing ever
+    # activates, so no generator is built at all.
+    base = small(n_devices=12, n_rbs=4, v_a=1.0, r_c=6.0, slots=40)
+    modes = (Mode.DISTRIBUTED_SCA, Mode.DISTRIBUTED_RANDOM,
+             Mode.DISTRIBUTED_PREDETERMINED)
+    configs = [dataclasses.replace(base, mode=mode, seed=seed)
+               for seed, mode in zip(seeds, modes)]
+    built = _record_generators(monkeypatch, seeds, range(41))
+    skipped = run_many(configs)
+    without_coin = list(built)
+    real_sweep = engine._activation_sweep
+
+    def coin_drawn(messages, p_linear, t, config, draws):
+        idle = (messages.rbs_left == 0).nonzero()[0]
+        if len(idle):
+            assert (draws.vec(t, _PH_ACTIVATE, idle) < config.v_a).all()
+        return real_sweep(messages, p_linear, t, config, draws)
+
+    built.clear()
+    monkeypatch.setattr(engine, "_activation_sweep", coin_drawn)
+    drawn = run_many(configs)
+    assert [(r.summary, r.records) for r in skipped] == \
+        [(r.summary, r.records) for r in drawn]
+    assert not any(phase == _PH_ACTIVATE for _, _, phase in without_coin)
+    assert any(phase == _PH_ACTIVATE for _, _, phase in built)
+    assert sorted(without_coin) == sorted(k for k in built if k[2] != _PH_ACTIVATE)
+    assert {phase for _, _, phase in without_coin} >= \
+        {_PH_KIND, _PH_OUTAGE, _PH_DECIDE, _PH_FRESH}
+
+    built.clear()
+    monkeypatch.setattr(engine, "_activation_sweep", real_sweep)
+    run_many([dataclasses.replace(config, v_a=0.0) for config in configs])
+    assert built == []
 
 
 def test_run_many_rejects_empty_and_mixed_batches():
