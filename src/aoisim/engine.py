@@ -59,7 +59,9 @@ _MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
 _POOL_SIZE = 4
 _N_PHASES = 8
 _STATE_BLOCK = 256
-_FILL_LANES = 3       # lanes whose seed words one seed_states pass computes
+# lanes whose seed words one seed_states pass computes: the largest group
+# that keeps a 30-lane block fill under 2.5 MiB traced (BENCH_13.json)
+_FILL_LANES = 3
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -125,7 +127,6 @@ def seed_states(entropy: np.ndarray) -> np.ndarray:
 
 
 _Generator, _PCG64 = np.random.Generator, np.random.PCG64
-_DOUBLE_SHIFT, _DOUBLE_UNIT = np.uint64(11), 2.0 ** -53
 
 
 class _SeedWords(ISeedSequence):
@@ -152,10 +153,9 @@ class SlotDraws:
     modes run with the same seed even when the modes consume different
     phases or diverge in state. The seed words of every lane for a block of
     up to min(256, slots + 1) slots are computed when a slot outside the
-    current block is asked for, a few lanes per ``seed_states`` pass. One
-    lane draws through ``Generator.random``; several lanes draw raw words
-    from one bare ``PCG64`` per lane holding ids and convert only the ids'
-    words, as ``Generator.random`` does.
+    current block is asked for, a few lanes per ``seed_states`` pass. A
+    call builds one generator per lane holding ids; one lane returns its
+    vector's ids with no lane bookkeeping.
     """
 
     __slots__ = ("_seed_words", "_n", "_block", "_first", "_end", "_states")
@@ -205,12 +205,12 @@ class SlotDraws:
         states, n = self._states[(slot - self._first) * _N_PHASES + phase], self._n
         if len(states) == 1 and len(ids):
             return _Generator(_PCG64(_SeedWords(states[0]))).random(n)[ids]
-        words = np.empty(len(states) * n, dtype=np.uint64)
+        out = np.empty(len(states) * n)
         for lane, count in enumerate(np.bincount(ids // n, minlength=len(states)).tolist()):
             if count:
-                words[lane * n:(lane + 1) * n] = _PCG64(_SeedWords(states[lane])).random_raw(n)
-        # Generator.random's double of a PCG64 word: its top 53 bits
-        return (words[ids] >> _DOUBLE_SHIFT) * _DOUBLE_UNIT
+                _Generator(_PCG64(_SeedWords(states[lane]))).random(
+                    n, out=out[lane * n:(lane + 1) * n])
+        return out[ids]
 
 
 class Mode(Enum):
