@@ -43,16 +43,24 @@ def kth_largest(values, k):
     return sorted(values, reverse=True)[min(k, len(values)) - 1]
 
 
-def reaches_threshold(ages, k, known=None, exponents=None, lanes=None) -> np.ndarray:
+def reaches_threshold(ages, k, known=None, exponents=None, lanes=None,
+                      unheard=None) -> np.ndarray:
     """Which devices transmit: fewer than k of the ages each knows exceed its own.
 
     That is its age reaching the k-th largest known age, ties transmitting.
     One entry per active device: its future age as float64 (inf past
-    2**1024) and its k. Row r of the bool matrix known marks the ages device
-    r knows, itself included; there saturated ages tie as inf. Without it
-    every device knows every age of its lane (one lane index per device in
-    lanes; one lane when None), and exponents (the log2 of each age) order
-    the saturated ones exactly.
+    2**1024) and its k; lanes holds one lane index per device (one lane when
+    None). A device knows the ages of its lane, itself included, in one of
+    three forms:
+
+    - known, a bool matrix whose row r marks the ages device r knows;
+    - unheard, index arrays (a, b), as the rows of a (2, P) array: every
+      age of its lane but that of a[p] for device b[p], and that of b[p]
+      for device a[p];
+    - neither: every age of its lane, and exponents (the log2 of each age)
+      order the saturated ones exactly.
+
+    Under known and unheard, saturated ages tie as inf.
     """
     ages = np.asarray(ages, dtype=np.float64)
     if known is not None:
@@ -60,19 +68,33 @@ def reaches_threshold(ages, k, known=None, exponents=None, lanes=None) -> np.nda
         above = ages[None, :] > ages[:, None]
         above &= known
         return above.sum(axis=1, dtype=np.int32) < k
-    saturated = np.isinf(ages)
-    if lanes is None and not saturated.any():
-        # finite ages of one lane sort as floats, about 3x faster than the
-        # complex keys below
-        return len(ages) - np.searchsorted(np.sort(ages), ages, "right") < k
-    lanes = np.zeros(len(ages), dtype=np.intp) if lanes is None else np.asarray(lanes)
-    top = np.where(saturated, exponents, 0) if saturated.any() else 0
-    # complex keys sort lexicographically: the lane and the exponent where the
-    # age saturated, which stays below the next lane's start, then the finite
-    # age
-    keys = lanes * (int(np.max(top)) + 1) + top + 1j * np.where(saturated, 0, ages)
-    lane_end = np.cumsum(np.bincount(lanes))[lanes]
-    return lane_end - np.searchsorted(np.sort(keys), keys, "right") < k
+    # only a full range ranks saturated ages apart
+    saturated = None if unheard is not None else np.isinf(ages)
+    exact = saturated is not None and saturated.any()
+    if lanes is None and not exact:
+        # one lane's ages sort as floats, about 3x faster than complex keys
+        above = len(ages) - np.searchsorted(np.sort(ages), ages, "right")
+    else:
+        lanes = np.zeros(len(ages), dtype=np.intp) if lanes is None else np.asarray(lanes)
+        # complex keys sort lexicographically: the lane and, ranking exactly,
+        # the exponent where the age saturated, which stays below the next
+        # lane's start; then the age (0 where its exponent ranks it)
+        keys = np.empty(len(ages), dtype=np.complex128)
+        if exact:
+            top = np.where(saturated, exponents, 0)
+            keys.real = lanes * (int(np.max(top)) + 1) + top
+            keys.imag = np.where(saturated, 0, ages)
+        else:
+            keys.real, keys.imag = lanes, ages
+        lane_end = np.cumsum(np.bincount(lanes))[lanes]
+        above = lane_end - np.searchsorted(np.sort(keys), keys, "right")
+    if unheard is not None:
+        # the lower age of an unheard pair does not count the higher one
+        a, b = unheard = np.asarray(unheard)
+        age_a, age_b = ages[unheard]
+        lower = np.where(age_b > age_a, a, b)
+        above -= np.bincount(lower[age_a != age_b], minlength=len(ages))
+    return above < k
 
 
 def kappa(n_known, n_active: int, R: int, N: int, v_a: float, zeta: float):
@@ -136,7 +158,8 @@ def delegate_target(candidates, ages, exponents, u) -> np.ndarray:
     Row r of the bool matrix candidates marks the active neighbors of the
     r-th delegator; the columns are devices in ascending id order, with
     their future ages as float64 (``aging.aoi_array``: inf past 2**1024) and
-    the log2 of each age, which is consulted only where the age saturated.
+    the log2 of each age, which is consulted only where the age saturated:
+    one per column, or, as matrices, one per entry of candidates.
     u holds one uniform in [0,1) per delegator (inverse-CDF sampling).
     Returns the chosen column of every row, -1 for a row without candidates.
 
@@ -159,8 +182,10 @@ def delegate_target(candidates, ages, exponents, u) -> np.ndarray:
         weights = known / np.where(regular, top, 1.0)[:, None]
         saturated = top == np.inf
         if saturated.any():
+            ages = np.broadcast_to(ages, candidates.shape)[saturated]
             big = np.isinf(ages)
-            exponents = np.where(big, exponents, 0)
+            exponents = np.where(big, np.broadcast_to(exponents, candidates.shape)[saturated],
+                                 0)
             rows = candidates[saturated]
             top_exponent = np.where(rows & big, exponents, 0).max(axis=1)
             # only non-candidates can sit above a row's top exponent; the

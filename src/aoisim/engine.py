@@ -370,12 +370,16 @@ _ALL = slice(None)
 
 
 def _lane_mask(modes: list[Mode], wanted, n_devices: int):
-    """Which devices sit in a lane whose mode is one of wanted.
+    """Which devices sit in a lane whose mode is one of wanted (``_lanes_mask``)."""
+    return _lanes_mask([mode in wanted for mode in modes], n_devices)
 
-    None when no lane's is, _ALL when every lane's is, and otherwise a bool
+
+def _lanes_mask(hit: list[bool], n_devices: int):
+    """Which devices sit in a lane l with hit[l].
+
+    None when no lane is hit, _ALL when every lane is, and otherwise a bool
     mask over every device of every lane.
     """
-    hit = [mode in wanted for mode in modes]
     if not any(hit):
         return None
     if all(hit):
@@ -529,6 +533,9 @@ def run_many(configs) -> list[RunResult]:
     draws = SlotDraws([config.seed for config in configs], N, base.slots)
     messages = PendingMessages(lanes * N)
     p_outage = outage_table(snr, base.epsilon, base.n_rbs_max)
+    # where no transmission can fail on the channel (epsilon = 0) the outage
+    # uniforms decide nothing, so they are not drawn: u < 0 never holds
+    can_fail = bool((p_outage[:, 1:] > 0).any())
     stack = (_CentralizedStack(base, types, p_outage, messages, modes)
              if base.mode.centralized
              else _DistributedStack(base, positions, messages, modes))
@@ -540,8 +547,9 @@ def run_many(configs) -> list[RunResult]:
     for t in range(1, base.slots + 1):
         active_ids = messages.rbs_left.nonzero()[0]
         ids, first, n_rbs, rach_failures = stack.allocate(t, active_ids, draws)
-        outcomes, claims = resolve_transmissions(ids, first, n_rbs, p_outage,
-                                                 draws.vec(t, _PH_OUTAGE, ids))
+        outcomes, claims = resolve_transmissions(
+            ids, first, n_rbs, p_outage,
+            draws.vec(t, _PH_OUTAGE, ids) if can_fail else 0.0)
         ok = outcomes == SUCCESS
         delivered, totals = deliver_success(messages, ids[ok], n_rbs[ok], t, lanes)
         stack.feedback(ids, outcomes, delivered, claims)
@@ -693,14 +701,48 @@ class _CentralizedStack:
 # Distributed stack
 # ---------------------------------------------------------------------------
 
+# the float64 entries of one row block of _neighbor_matrix's distances (1 MiB)
+_NEIGHBOR_BLOCK = 1 << 17
+# the largest share of a lane's device pairs out of range that _DistributedStack
+# handles as a list of those pairs; above it a lane keeps its dense block
+# (crossover measured on N = 200 and 1,000 cells, BENCH_14.json)
+_PAIR_SHARE = 0.15
+
+
 def _neighbor_matrix(xy: np.ndarray, r_c: float) -> np.ndarray | None:
     """Boolean adjacency (self included) of the positions xy, or None when
-    the range covers them all."""
+    the range covers them all.
+
+    Pair (i, j) is in range when (x_i - x_j)**2 + (y_i - y_j)**2 <= r_c**2,
+    computed a block of rows at a time, so no N x N float array exists.
+    """
     span = xy.max(axis=0) - xy.min(axis=0)
     if r_c >= math.hypot(span[0], span[1]):
         return None
     x, y = xy.T
-    return (x[:, None] - x) ** 2 + (y[:, None] - y) ** 2 <= r_c * r_c
+    near = np.empty((len(xy), len(xy)), dtype=bool)
+    step = max(1, _NEIGHBOR_BLOCK // len(xy))
+    for lo in range(0, len(xy), step):
+        distance = x[lo:lo + step, None] - x
+        distance *= distance
+        dy = y[lo:lo + step, None] - y
+        dy *= dy
+        distance += dy
+        np.less_equal(distance, r_c * r_c, out=near[lo:lo + step])
+    return near
+
+
+def _unheard_pairs(block: np.ndarray) -> np.ndarray | None:
+    """The out-of-range pairs (i < j) of a lane's neighbor block, as a (2, P)
+    array, or None when they are more than _PAIR_SHARE of its pairs."""
+    n = len(block)
+    # the block is symmetric with a true diagonal
+    pairs = (block.size - np.count_nonzero(block)) // 2
+    if pairs > _PAIR_SHARE * (n * (n - 1) // 2):
+        return None
+    i, j = np.nonzero(~block)
+    upper = i < j
+    return np.stack((i[upper], j[upper]))
 
 
 class _DistributedStack:
@@ -717,7 +759,12 @@ class _DistributedStack:
     1..R, in its own lane; on the channel, lane l's RB b is l * (R + 1) + b.
     neighbors is None when every lane's range covers its cell, and
     otherwise holds each lane's adjacency matrix (None for a lane whose
-    range covers its cell); such runs decide lane by lane.
+    range covers its cell). A lane whose range misses at most _PAIR_SHARE
+    of its device pairs is a pair lane (``pair_form``, a ``_lanes_mask``):
+    unheard lists the out-of-range pairs (i < j) of every pair lane, as
+    global ids, and such lanes decide together in one pass, taking the
+    unheard pairs' share from what a full range would give. Other lanes
+    with a matrix decide lane by lane on it.
 
     modes holds each lane's mode (config.mode for every lane when None).
     Predetermined lanes go through the rank map alone; the game lanes share
@@ -743,6 +790,19 @@ class _DistributedStack:
                   else _neighbor_matrix(positions[lane * n:(lane + 1) * n], config.r_c)
                   for lane, mode in enumerate(modes)]
         self.neighbors = None if all(b is None for b in blocks) else blocks
+        pairs = [None if block is None else _unheard_pairs(block) for block in blocks]
+        self.pair_lane = [lane_pairs is not None for lane_pairs in pairs]
+        self.pair_form = _lanes_mask(self.pair_lane, n)
+        self.unheard = (None if self.pair_form is None else np.concatenate(
+            [lane_pairs + lane * n for lane, lane_pairs in enumerate(pairs)
+             if lane_pairs is not None], axis=1))
+        if self.unheard is not None:
+            # device d's unheard partners: partners[partner_start[d]:partner_end[d]]
+            source = self.unheard.ravel()
+            self.partners = self.unheard[::-1].ravel()[np.argsort(source, kind="stable")]
+            count = np.bincount(source, minlength=size)
+            self.partner_end = np.cumsum(count)
+            self.partner_start = self.partner_end - count
         # the threshold rank of a device that knows n_known ages, at index
         # n_known - 1: when it knows every active device, and when it does not
         counts = np.arange(1, n + 1)
@@ -774,6 +834,31 @@ class _DistributedStack:
             return [(0, 0, len(ids))]
         bounds = np.searchsorted(ids, self.lane_starts).tolist()
         return [(lane, bounds[lane], bounds[lane + 1]) for lane in range(self.lanes)]
+
+    def _lane_rb_counts(self) -> np.ndarray:
+        """Last slot's transmitters per lane and RB label (0: silent), as a
+        (lanes, R + 1) array."""
+        if self.lanes == 1:
+            return np.bincount(self.last_action, minlength=self.rb_width)[None]
+        return np.bincount(self.last_action + self.rb_offset,
+                           minlength=self.lanes * self.rb_width).reshape(self.lanes, -1)
+
+    def _unheard_among(self, ids: np.ndarray) -> np.ndarray:
+        """The unheard pairs of two devices of the sorted ids, as the columns
+        (i, j) of a (2, P) array of indices into ids, ids[i] < ids[j]."""
+        where = np.full(len(self.actions), -1)
+        where[ids] = np.arange(len(ids))
+        pairs = where[self.unheard]
+        return pairs.compress(np.minimum(*pairs) >= 0, axis=1)
+
+    def _partners_of(self, rows: np.ndarray):
+        """(r, d) for every unheard partner d of every device rows[r]."""
+        start = self.partner_start[rows]
+        count = self.partner_end[rows] - start
+        r = np.arange(len(rows)).repeat(count)
+        # partner k of row r: entry start[r] + k, output position cumsum[r] - count[r] + k
+        entry = np.arange(len(r)) + (start + count - count.cumsum()).repeat(count)
+        return r, self.partners[entry]
 
     def allocate(self, t: int, active_ids: np.ndarray, draws: SlotDraws):
         """The slot's transmitters, their RBs (ranges of one) and no RACH loss."""
@@ -851,11 +936,6 @@ def _local(ids: np.ndarray, start: int) -> np.ndarray:
     return ids - start if start else ids
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """Per-lane parts as one array, in lane order."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def _transmitters(stack: _DistributedStack, game=_ALL) -> np.ndarray:
     """Which of the slot's active devices reach their transmit threshold.
 
@@ -897,23 +977,42 @@ def _reaching(stack: _DistributedStack, ids: np.ndarray, game) -> np.ndarray:
         ages, exponents = stack._float_ages()
         return reaches_threshold(ages[game], k, exponents=exponents[game], lanes=lanes)
     ages, exponents = (values[game] for values in stack._float_ages())
-    parts = []
+    pairs = _rows(stack.pair_form, ids)
+    if pairs is _ALL:
+        return _pair_reaching(stack, ids, ages)
+    passing = np.empty(len(ids), dtype=bool)
+    if pairs is not None and pairs.any():
+        passing[pairs] = _pair_reaching(stack, ids[pairs], ages[pairs])
     for lane, lo, hi in stack._lane_slices(ids):
         n_active, block = hi - lo, stack.neighbors[lane]
-        if not n_active:
+        if not n_active or stack.pair_lane[lane]:
             continue
         if block is None:
             k = stack.shared_kappa[n_active - 1]
-            parts.append(np.ones(n_active, dtype=bool) if k >= n_active
-                         else reaches_threshold(ages[lo:hi], k,
-                                                exponents=exponents[lo:hi]))
+            passing[lo:hi] = (True if k >= n_active
+                              else reaches_threshold(ages[lo:hi], k,
+                                                     exponents=exponents[lo:hi]))
             continue
         # row r marks the ages the lane's r-th active device knows
         local = _local(ids[lo:hi], lane * stack.config.n_devices)
         known = block[local][:, local]
         ks = stack.kappa(known.sum(axis=1, dtype=np.int32), n_active)
-        parts.append(reaches_threshold(ages[lo:hi], ks, known))
-    return _joined(parts)
+        passing[lo:hi] = reaches_threshold(ages[lo:hi], ks, known)
+    return passing
+
+
+def _pair_reaching(stack: _DistributedStack, ids: np.ndarray,
+                   ages: np.ndarray) -> np.ndarray:
+    """The transmit threshold of the active devices ids of pair lanes, all at once.
+
+    A device knows its lane's active ages but those of its unheard partners.
+    """
+    lanes = stack._lane(ids)
+    n_active = len(ids) if lanes is None else np.bincount(lanes)[lanes]
+    unheard = stack._unheard_among(ids)
+    n_known = n_active - np.bincount(unheard.ravel(), minlength=len(ids))
+    return reaches_threshold(ages, stack.kappa(n_known, n_active), lanes=lanes,
+                             unheard=unheard)
 
 
 def _delegate_picks(stack: _DistributedStack, delegators: np.ndarray,
@@ -923,12 +1022,17 @@ def _delegate_picks(stack: _DistributedStack, delegators: np.ndarray,
     -1 where a delegator has no active neighbor. Candidates are the active
     devices of the delegator's lane within its range.
     """
+    pairs = _rows(stack.pair_form, delegators)
+    if pairs is _ALL:
+        return _pair_picks(stack, delegators, u)
+    picks = np.empty(len(delegators), dtype=np.intp)
+    if pairs is not None and pairs.any():
+        picks[pairs] = _pair_picks(stack, delegators[pairs], u[pairs])
     ids = stack.ids
     ages, exponents = stack._float_ages()
-    parts = []
     for (lane, lo, hi), (_, d_lo, d_hi) in zip(stack._lane_slices(ids),
                                                stack._lane_slices(delegators)):
-        if d_lo == d_hi:
+        if d_lo == d_hi or stack.pair_lane[lane]:
             continue
         # a delegator is idle, so it is never its own candidate
         block = None if stack.neighbors is None else stack.neighbors[lane]
@@ -936,10 +1040,44 @@ def _delegate_picks(stack: _DistributedStack, delegators: np.ndarray,
         candidates = (np.ones((d_hi - d_lo, hi - lo), dtype=bool) if block is None
                       else block[_local(delegators[d_lo:d_hi], start)][
                           :, _local(ids[lo:hi], start)])
-        picks = delegate_target(candidates, ages[lo:hi], exponents[lo:hi],
-                                u[d_lo:d_hi])
-        parts.append(np.where(picks >= 0, picks + lo, -1) if lo else picks)
-    return _joined(parts)
+        lane_picks = delegate_target(candidates, ages[lo:hi], exponents[lo:hi],
+                                     u[d_lo:d_hi])
+        picks[d_lo:d_hi] = np.where(lane_picks >= 0, lane_picks + lo, -1)
+    return picks
+
+
+def _pair_picks(stack: _DistributedStack, delegators: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """``_delegate_picks`` of delegators of pair lanes, all at once.
+
+    Row r of the candidates spans the active devices of delegator r's lane,
+    the widest lane setting the width, less its unheard partners.
+    """
+    ids = stack.ids
+    ages, exponents = stack._float_ages()
+    # column[d]: active device d's place among its lane's active devices;
+    # column width, past the candidates, takes every other device
+    if stack.lanes == 1:
+        width = len(ids)
+        column = np.full(len(stack.actions), width)
+        column[ids] = np.arange(width)
+        candidates = np.ones((len(delegators), width + 1), dtype=bool)
+    else:
+        bounds = np.searchsorted(ids, stack.lane_starts)
+        count = np.diff(bounds)
+        lanes = stack._lane(delegators)
+        lo, width = bounds[lanes], int(count[lanes].max())
+        column = np.full(len(stack.actions), width)
+        column[ids] = np.arange(len(ids)) - np.repeat(bounds[:-1], count)
+        span = np.arange(width + 1)
+        candidates = span < count[lanes, None]
+        # row r, column c: the active device lo[r] + c, if its lane has one
+        columns = np.minimum(lo[:, None] + span[:-1], len(ids) - 1)
+        ages, exponents = ages[columns], exponents[columns]
+    rows, partners = stack._partners_of(delegators)
+    candidates[rows, column[partners]] = False
+    picks = delegate_target(candidates[:, :width], ages, exponents, u)
+    return picks if stack.lanes == 1 else np.where(picks >= 0, picks + lo, -1)
 
 
 def _sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
@@ -952,34 +1090,55 @@ def _sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
     R = config.n_rbs
     if stack.neighbors is None:
         # at full range every device of a lane senses the same
+        sensed = stack._lane_rb_counts()
         if stack.lanes == 1:
-            sensed = np.bincount(last_action, minlength=R + 1)
-            return sensed[prev], sensed[None, 1:] == 0, None
-        sensed = np.bincount(last_action + stack.rb_offset,
-                             minlength=stack.lanes * (R + 1))
+            return sensed[0, prev], sensed[:, 1:] == 0, None
         rows = stack._lane(deciding)
-        return (sensed[prev + rows * (R + 1)],
-                sensed.reshape(stack.lanes, R + 1)[:, 1:] == 0, rows)
+        return sensed[rows, prev], sensed[:, 1:] == 0, rows
+    pairs = _rows(stack.pair_form, deciding)
+    if pairs is _ALL:
+        return _pair_sensed(stack, deciding, prev)
     # a device only knows an RB was taken if it sensed a transmission on it
-    crowds, unused = [], []
+    crowds = np.empty(len(deciding), dtype=np.intp)
+    unused = np.empty((len(deciding), R), dtype=bool)
+    if pairs is not None and pairs.any():
+        crowds[pairs], unused[pairs], _ = _pair_sensed(stack, deciding[pairs],
+                                                       prev[pairs])
     for lane, lo, hi in stack._lane_slices(deciding):
-        if lo == hi:
+        if lo == hi or stack.pair_lane[lane]:
             continue
         block, start = stack.neighbors[lane], lane * config.n_devices
         lane_actions = last_action[start:start + config.n_devices]
         if block is None:
             sensed = np.bincount(lane_actions, minlength=R + 1)
-            crowds.append(sensed[prev[lo:hi]])
-            unused.append(np.broadcast_to(sensed[1:] == 0, (hi - lo, R)))
+            crowds[lo:hi] = sensed[prev[lo:hi]]
+            unused[lo:hi] = sensed[1:] == 0
             continue
         # count every (deciding device, RB) pair of a transmission it heard
         heard = np.flatnonzero(lane_actions)
         cells = np.arange(hi - lo)[:, None] * (R + 1) + lane_actions[heard]
         sensed = np.bincount(cells[block[_local(deciding[lo:hi], start)][:, heard]],
                              minlength=(hi - lo) * (R + 1)).reshape(hi - lo, R + 1)
-        crowds.append(sensed[np.arange(hi - lo), prev[lo:hi]])
-        unused.append(sensed[:, 1:] == 0)
-    return _joined(crowds), _joined(unused), None
+        crowds[lo:hi] = sensed[np.arange(hi - lo), prev[lo:hi]]
+        unused[lo:hi] = sensed[:, 1:] == 0
+    return crowds, unused, None
+
+
+def _pair_sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
+    """``_sensed`` of deciding devices of pair lanes, all at once.
+
+    A device senses its lane's transmissions of last slot but those of its
+    unheard partners.
+    """
+    last_action, width = stack.last_action, stack.rb_width
+    sensed = stack._lane_rb_counts()
+    sensed = sensed[0] if stack.lanes == 1 else sensed[stack._lane(deciding)]
+    # a silent partner lands in column 0, which nothing reads
+    rows, partners = stack._partners_of(deciding)
+    missed = np.bincount(rows * width + last_action[partners],
+                         minlength=len(deciding) * width)
+    sensed = sensed - missed.reshape(len(deciding), width)
+    return sensed[np.arange(len(deciding)), prev], sensed[:, 1:] == 0, None
 
 
 def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
@@ -1055,9 +1214,9 @@ def sweep_lanes(config: ScenarioConfig) -> int:
     """How many lanes a batch holding config may have (``loop_batches``).
 
     SWEEP_LANES, except where a lane may keep a neighbor matrix: a game mode
-    whose range does not cover the cell diagonal. There a lane's own N x N
-    work dominates the slot, so lanes save little, and SWEEP_NEIGHBOR_BYTES
-    caps the matrices a batch holds (16 lanes up to N = 256, 1 from N = 1024).
+    whose range does not cover the cell diagonal. There every lane holds an
+    N x N matrix, and SWEEP_NEIGHBOR_BYTES caps the matrices a batch holds
+    (16 lanes up to N = 256, 1 from N = 1024).
     """
     if (config.mode.centralized or config.mode is Mode.DISTRIBUTED_PREDETERMINED
             or config.r_c >= math.hypot(config.width, config.length)):

@@ -131,6 +131,44 @@ def test_threshold_count_equals_sorting_each_row(values, data):
         for r, k in enumerate(ks)]
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2),
+                          st.sampled_from([1.0, 2.0, 3.0, 4.0, 2.0**60, np.inf])),
+                min_size=1, max_size=14), st.data())
+def test_unheard_pairs_count_as_the_known_matrix(devices, data):
+    # lanes in ascending order, each device knowing its lane but the pairs
+    # drawn out of range; ties, inf ages (which tie) and k beyond the count
+    devices.sort(key=lambda device: device[0])
+    lanes = np.array([lane for lane, _ in devices])
+    ages = np.array([age for _, age in devices])
+    n = len(devices)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if lanes[i] == lanes[j]]
+    unheard = [pair for pair in pairs if data.draw(st.booleans())]
+    known = lanes[:, None] == lanes[None, :]
+    for i, j in unheard:
+        known[i, j] = known[j, i] = False
+    ks = np.array(data.draw(st.lists(st.integers(1, n + 2), min_size=n, max_size=n)))
+    a, b = np.array(unheard, dtype=np.intp).reshape(-1, 2).T
+    expected = reaches_threshold(ages, ks, known)
+    got = reaches_threshold(ages, ks, lanes=lanes, unheard=(a, b))
+    assert got.tolist() == expected.tolist()
+    if (lanes == lanes[0]).all():
+        assert reaches_threshold(ages, ks, unheard=(a, b)).tolist() == expected.tolist()
+
+
+def test_unheard_pairs_tie_saturated_ages():
+    # three ages past float range: the full-range rule tells them apart by
+    # exponent, while a device that misses a pair ranks them as equal infs
+    ages = np.array([np.inf, np.inf, np.inf, 5.0])
+    exponents = np.array([1100, 1200, 1300, 2])
+    assert reaches_threshold(ages, 1, exponents=exponents).tolist() == [
+        False, False, True, False]
+    # device 3 does not hear device 0; the infs tie, so all three transmit
+    unheard = np.array([[0], [3]])
+    assert reaches_threshold(ages, np.array([1, 1, 1, 1]), unheard=unheard).tolist() == [
+        True, True, True, False]
+
+
 def test_full_range_count_orders_exact_ages_past_float_range():
     # exact ages mix linear values, powers of two and powers of two past
     # 2**1024, which all read inf as floats; their exponents keep them apart

@@ -144,6 +144,27 @@ def test_a_block_fill_keeps_its_temporaries_to_a_lane_group():
     assert peak <= 2.5 * 2**20
 
 
+def test_neighbor_matrix_holds_no_n_by_n_float_array():
+    # at N = 2,000 one float64 N x N temporary alone is 30.5 MiB; row blocks
+    # keep the peak to the 3.8 MiB bool output and a few 1 MiB blocks
+    n, r_c = 2000, 5.0
+    xy = np.random.default_rng(4).uniform(0.0, 10.0, size=(n, 2))
+    tracemalloc.start()
+    try:
+        near = engine._neighbor_matrix(xy, r_c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * n + 4 * 2**20
+    # each entry is the plain formula's, rows at block edges included
+    x, y = xy.T
+    step = engine._NEIGHBOR_BLOCK // n
+    for row in (0, step - 1, step, 2 * step + 7, n - 1):
+        assert near[row].tolist() == ((x[row] - x) ** 2 + (y[row] - y) ** 2
+                                      <= r_c * r_c).tolist()
+    assert 0 < near.sum() < near.size
+
+
 class _DeviceReplay:
     """A run's pending messages stepped one device at a time.
 
@@ -407,6 +428,80 @@ def test_run_many_mixes_modes_on_every_golden_case(name):
                               dataclasses.replace(base, mode=others[1])])
 
 
+# --- partial range as a list of unheard pairs ----------------------------------
+
+_DISTRIBUTED = [m for m in Mode if not m.centralized]
+
+_PARTIAL = st.fixed_dictionaries({
+    "mode": st.sampled_from(_DISTRIBUTED),
+    "n_devices": st.integers(2, 30),
+    "n_rbs": st.integers(1, 8),
+    "slots": st.integers(1, 40),
+    "seed": st.integers(0, 2**40),
+    "v_a": st.sampled_from([0.05, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    "beta": st.integers(1, 3),
+    "epsilon": st.sampled_from([0.0, 1.0, 30.0]),
+    "r_c": st.floats(1.0, 14.0),
+    "trace": st.booleans(),
+})
+
+
+def _results_in_each_form(configs, shares=(1.0, -1.0)):
+    """run_many of configs for each crossover share: 1 puts every
+    partial-range lane in pair form, -1 every such lane on its dense block,
+    and a share between splits the lanes of a batch."""
+    results = []
+    for share in shares:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_PAIR_SHARE", share)
+            results.append([(r.config, r.records, r.summary, r.trace)
+                            for r in run_many(configs)])
+    return results
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_PARTIAL, st.lists(st.tuples(st.sampled_from(_DISTRIBUTED), st.integers(0, 2**40)),
+                          max_size=5), st.floats(0.0, 1.0))
+def test_unheard_pairs_equal_the_dense_blocks(draw, lanes, share):
+    # random partial-range configs, alone and in mixed batches whose lanes
+    # range from hearing their whole cell to hearing few devices
+    config = ScenarioConfig(**draw)
+    configs = [config] + [dataclasses.replace(config, mode=mode, seed=seed)
+                          for mode, seed in lanes]
+    pairs, dense, split = _results_in_each_form(configs, (1.0, -1.0, share))
+    assert pairs == dense == split
+
+
+@pytest.mark.parametrize("name", ["starvation_partial", "starvation_staggered_partial"])
+def test_unheard_pairs_tie_saturated_ages_as_the_dense_blocks(name):
+    # in-flight exponential ages pass 2**1024 and tie as inf at partial range
+    base = case_config(name)
+    configs = [base, dataclasses.replace(base, seed=4),
+               dataclasses.replace(base, mode=Mode.DISTRIBUTED_RANDOM)]
+    pairs, dense = _results_in_each_form(configs)
+    assert pairs == dense
+
+
+def test_pair_lanes_are_those_whose_range_misses_few_pairs():
+    # at r_c = 10 on a 10 x 10 cell a few pairs are out of range, at r_c = 3
+    # most are; the pair list holds exactly the out-of-range pairs (i < j)
+    # of the pair lanes, in global ids, and the dense blocks stay the source
+    base = small(n_devices=40, r_c=10.0)
+    configs = [dataclasses.replace(base, seed=s) for s in (1, 2)]
+    positions = np.concatenate([make_devices(
+        40, c.type1_fraction, c.m1, c.m2, c.width, c.length,
+        np.random.default_rng(c.seed))[0] for c in configs])
+    stack = _DistributedStack(base, positions, PendingMessages(80))
+    assert stack.pair_lane == [True, True] and stack.pair_form is engine._ALL
+    expected = [(i + 40 * lane, j + 40 * lane) for lane, block in enumerate(stack.neighbors)
+                for i in range(40) for j in range(i + 1, 40) if not block[i, j]]
+    assert expected and sorted(map(tuple, stack.unheard.T.tolist())) == expected
+    short = _DistributedStack(dataclasses.replace(base, r_c=3.0), positions,
+                              PendingMessages(80))
+    assert short.pair_lane == [False, False] and short.unheard is None
+
+
 def _record_generators(monkeypatch, seeds, slots):
     """Record the (lane, slot, phase) of every generator SlotDraws builds.
 
@@ -504,6 +599,40 @@ def test_no_activation_coin_is_drawn_where_v_a_decides_it(monkeypatch, seeds):
     monkeypatch.setattr(engine, "_activation_sweep", real_sweep)
     run_many([dataclasses.replace(config, v_a=0.0) for config in configs])
     assert built == []
+
+
+@pytest.mark.parametrize("mode, seeds", [(Mode.DISTRIBUTED_SCA, [5]),
+                                         (Mode.DISTRIBUTED_SCA, [0, 1, 2]),
+                                         (Mode.CENTRALIZED_LEARNING, [0, 1, 2])])
+def test_no_outage_uniforms_are_drawn_where_no_transmission_can_fail(
+        monkeypatch, mode, seeds):
+    # at epsilon = 0 every outage probability is 0 and u < 0 never holds, so
+    # no lane draws the outage uniforms. The reference's table holds the
+    # smallest positive probability, which no uniform of these runs falls
+    # below: it draws them, and every other generator and the results stay
+    # the same.
+    base = small(n_devices=12, n_rbs=4, v_a=0.5, r_c=6.0, slots=40, epsilon=0.0,
+                 mode=mode)
+    configs = [dataclasses.replace(base, mode=other, seed=seed)
+               for seed, other in zip(seeds, _stack_modes(mode))]
+    built = _record_generators(monkeypatch, seeds, range(41))
+    skipped = run_many(configs)
+    without_outage = list(built)
+    real_table = engine.outage_table
+
+    def smallest_positive(snr, epsilon, max_rbs):
+        table = real_table(snr, epsilon, max_rbs)
+        table[:, 1:] = np.nextafter(0.0, 1.0)
+        return table
+
+    built.clear()
+    monkeypatch.setattr(engine, "outage_table", smallest_positive)
+    drawn = run_many(configs)
+    assert [(r.summary, r.records) for r in skipped] == \
+        [(r.summary, r.records) for r in drawn]
+    assert not any(phase == _PH_OUTAGE for _, _, phase in without_outage)
+    assert any(phase == _PH_OUTAGE for _, _, phase in built)
+    assert sorted(without_outage) == sorted(k for k in built if k[2] != _PH_OUTAGE)
 
 
 def test_run_many_rejects_empty_and_mixed_batches():
