@@ -49,18 +49,18 @@ def reaches_threshold(ages, k, known=None, exponents=None, lanes=None,
 
     That is its age reaching the k-th largest known age, ties transmitting.
     One entry per active device: its future age as float64 (inf past
-    2**1024) and its k; lanes holds one lane index per device (one lane when
-    None). A device knows the ages of its lane, itself included, in one of
-    three forms:
+    2**1024) and its k. A device knows the ages of its lane, itself
+    included, in one of two forms:
 
     - known, a bool matrix whose row r marks the ages device r knows;
-    - unheard, index arrays (a, b), as the rows of a (2, P) array: every
-      age of its lane but that of a[p] for device b[p], and that of b[p]
-      for device a[p];
-    - neither: every age of its lane, and exponents (the log2 of each age)
-      order the saturated ones exactly.
+    - lanes, one lane index per device (one lane when None), and unheard,
+      index arrays (a, b) as the rows of a (2, P) array (none when None):
+      every age of its lane but that of a[p] for device b[p], and that of
+      b[p] for device a[p].
 
-    Under known and unheard, saturated ages tie as inf.
+    In the lanes form, exponents (the log2 of each age) order the saturated
+    ages exactly; without them, and always under known, saturated ages tie
+    as inf.
     """
     ages = np.asarray(ages, dtype=np.float64)
     if known is not None:
@@ -68,8 +68,7 @@ def reaches_threshold(ages, k, known=None, exponents=None, lanes=None,
         above = ages[None, :] > ages[:, None]
         above &= known
         return above.sum(axis=1, dtype=np.int32) < k
-    # only a full range ranks saturated ages apart
-    saturated = None if unheard is not None else np.isinf(ages)
+    saturated = None if exponents is None else np.isinf(ages)
     exact = saturated is not None and saturated.any()
     if lanes is None and not exact:
         # one lane's ages sort as floats, about 3x faster than complex keys
@@ -89,11 +88,12 @@ def reaches_threshold(ages, k, known=None, exponents=None, lanes=None,
         lane_end = np.cumsum(np.bincount(lanes))[lanes]
         above = lane_end - np.searchsorted(np.sort(keys), keys, "right")
     if unheard is not None:
-        # the lower age of an unheard pair does not count the higher one
+        # the lower of an unheard pair does not count the higher one; within
+        # a lane the higher age has fewer ages above it
         a, b = unheard = np.asarray(unheard)
-        age_a, age_b = ages[unheard]
-        lower = np.where(age_b > age_a, a, b)
-        above -= np.bincount(lower[age_a != age_b], minlength=len(ages))
+        above_a, above_b = above[unheard]
+        lower = np.where(above_b < above_a, a, b)
+        above -= np.bincount(lower[above_a != above_b], minlength=len(ages))
     return above < k
 
 
@@ -118,14 +118,13 @@ def kappa(n_known, n_active: int, R: int, N: int, v_a: float, zeta: float):
 
 
 def sca_step(prev_action, prev_failed, crowd_seen, unused, keep_u, pick_u,
-             R: int, rows=None) -> np.ndarray:
+             R: int) -> np.ndarray:
     """Crowd-avoidance RB choices of the devices that transmit this slot.
 
     One array entry per device: its last RB (0 when silent), whether that
     transmission failed and the crowd it saw on that RB last slot. Row r of
     the bool matrix unused marks the RBs device r sensed unused last slot
-    (column c is RB c+1); a single row serves every device, and with rows
-    given, row rows[r] serves device r. A device
+    (column c is RB c+1); a single row serves every device. A device
     repeats an RB that just worked. After a failure it stays with
     probability one over the crowd it saw (crowd_seen, itself included); a
     failure implies at least one other claimant (or an outage it cannot
@@ -141,8 +140,6 @@ def sca_step(prev_action, prev_failed, crowd_seen, unused, keep_u, pick_u,
                                   & (keep_u >= 1.0 / np.maximum(2, crowd_seen)))
     # the fresh pick is the floor(pick_u * n_unused)-th unused RB
     ranks = np.cumsum(unused, axis=1)
-    if rows is not None:
-        ranks = ranks[rows]
     n_unused = ranks[:, -1]
     nth = (pick_u * n_unused).astype(np.int64)
     fresh = np.argmax(ranks > nth[:, None], axis=1) + 1

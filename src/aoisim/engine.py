@@ -241,6 +241,11 @@ def _usable_snr_db(db: float) -> bool:
     return 0.0 < linear < math.inf
 
 
+# the largest look-ahead validate() accepts: from about 1,100 on every exponential
+# future age is inf, while from 2**31 on ldexp and int64 overflow
+MAX_BETA = 1 << 16
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     n_devices: int = 50
@@ -280,7 +285,7 @@ class ScenarioConfig:
             (0.5 < self.m2 < 1.0, "m2 must be in (0.5, 1)"),
             (0.0 <= self.type1_fraction <= 1.0, "type1_fraction must be in [0,1]"),
             (self.epsilon >= 0.0, "epsilon must be >= 0"),
-            (self.beta >= 1, "beta must be >= 1"),
+            (1 <= self.beta <= MAX_BETA, f"beta must be in [1, {MAX_BETA}]"),
             (self.preambles >= 1, "preambles must be >= 1"),
             (self.n_rbs_max >= 1, "n_rbs_max must be >= 1"),
             (self.n_rbs_max <= self.n_rbs, "n_rbs_max cannot exceed n_rbs"),
@@ -732,6 +737,10 @@ def _neighbor_matrix(xy: np.ndarray, r_c: float) -> np.ndarray | None:
     return near
 
 
+# no device pairs, as the (2, P) arrays of _unheard_pairs
+_NO_PAIRS = np.zeros((2, 0), dtype=np.intp)
+
+
 def _unheard_pairs(block: np.ndarray) -> np.ndarray | None:
     """The out-of-range pairs (i < j) of a lane's neighbor block, as a (2, P)
     array, or None when they are more than _PAIR_SHARE of its pairs."""
@@ -757,14 +766,17 @@ class _DistributedStack:
     positions holds the devices of every lane in lane order. A device only
     ever hears devices of its own lane. A device's action is its RB label,
     1..R, in its own lane; on the channel, lane l's RB b is l * (R + 1) + b.
-    neighbors is None when every lane's range covers its cell, and
-    otherwise holds each lane's adjacency matrix (None for a lane whose
-    range covers its cell). A lane whose range misses at most _PAIR_SHARE
-    of its device pairs is a pair lane (``pair_form``, a ``_lanes_mask``):
+    A lane hears in one of two forms. A lane whose range misses at most
+    _PAIR_SHARE of its device pairs, a full range and every predetermined
+    lane among them, is a pair lane (``pair_form``, a ``_lanes_mask``):
     unheard lists the out-of-range pairs (i < j) of every pair lane, as
-    global ids, and such lanes decide together in one pass, taking the
-    unheard pairs' share from what a full range would give. Other lanes
-    with a matrix decide lane by lane on it.
+    global ids, possibly none, and the pair lanes decide together in one
+    pass, taking the unheard pairs' share from what their whole lane gives.
+    Any other lane is dense: neighbors holds its adjacency matrix (None for
+    a pair lane), and it decides lane by lane on it. full_range says no
+    pair lane misses a pair. Where a lane's range covers the span of its
+    devices (exact, a ``_lanes_mask``) the threshold ranks saturated ages by
+    exponent; every other lane ties them as inf.
 
     modes holds each lane's mode (config.mode for every lane when None).
     Predetermined lanes go through the rank map alone; the game lanes share
@@ -785,24 +797,29 @@ class _DistributedStack:
         self.game = _lane_mask(modes, {Mode.DISTRIBUTED_SCA, Mode.DISTRIBUTED_RANDOM}, n)
         self.random = _lane_mask(modes, {Mode.DISTRIBUTED_RANDOM}, n)
         self.sca = _lane_mask(modes, {Mode.DISTRIBUTED_SCA}, n)
-        # the rank-to-RB baseline is defined only under full information
-        blocks = [None if mode is Mode.DISTRIBUTED_PREDETERMINED
-                  else _neighbor_matrix(positions[lane * n:(lane + 1) * n], config.r_c)
-                  for lane, mode in enumerate(modes)]
-        self.neighbors = None if all(b is None for b in blocks) else blocks
-        pairs = [None if block is None else _unheard_pairs(block) for block in blocks]
-        self.pair_lane = [lane_pairs is not None for lane_pairs in pairs]
-        self.pair_form = _lanes_mask(self.pair_lane, n)
-        self.unheard = (None if self.pair_form is None else np.concatenate(
-            [lane_pairs + lane * n for lane, lane_pairs in enumerate(pairs)
-             if lane_pairs is not None], axis=1))
-        if self.unheard is not None:
-            # device d's unheard partners: partners[partner_start[d]:partner_end[d]]
-            source = self.unheard.ravel()
-            self.partners = self.unheard[::-1].ravel()[np.argsort(source, kind="stable")]
-            count = np.bincount(source, minlength=size)
-            self.partner_end = np.cumsum(count)
-            self.partner_start = self.partner_end - count
+        # the rank-to-RB baseline is defined only under full information;
+        # a pair lane's block lives only until its pairs are listed
+        self.neighbors, exact, pairs = [], [], [_NO_PAIRS]
+        for lane, mode in enumerate(modes):
+            block = (None if mode is Mode.DISTRIBUTED_PREDETERMINED
+                     else _neighbor_matrix(positions[lane * n:(lane + 1) * n], config.r_c))
+            lane_pairs = _NO_PAIRS if block is None else _unheard_pairs(block)
+            exact.append(block is None)
+            self.neighbors.append(block if lane_pairs is None else None)
+            if lane_pairs is not None:
+                pairs.append(lane_pairs + lane * n)
+        self.dense = [(lane, block) for lane, block in enumerate(self.neighbors)
+                      if block is not None]
+        self.pair_form = _lanes_mask([block is None for block in self.neighbors], n)
+        self.exact = _lanes_mask(exact, n)
+        self.unheard = np.concatenate(pairs, axis=1)
+        self.full_range = not self.unheard.size
+        # device d's unheard partners: partners[partner_start[d]:partner_end[d]]
+        source = self.unheard.ravel()
+        self.partners = self.unheard[::-1].ravel()[np.argsort(source, kind="stable")]
+        count = np.bincount(source, minlength=size)
+        self.partner_end = np.cumsum(count)
+        self.partner_start = self.partner_end - count
         # the threshold rank of a device that knows n_known ages, at index
         # n_known - 1: when it knows every active device, and when it does not
         counts = np.arange(1, n + 1)
@@ -828,20 +845,10 @@ class _DistributedStack:
     def _lane(self, ids: np.ndarray) -> np.ndarray | None:
         return _lane_of(ids, self.config.n_devices, self.lanes)
 
-    def _lane_slices(self, ids: np.ndarray):
-        """(lane, lo, hi) per lane: ids[lo:hi] are its entries of the sorted ids."""
-        if self.lanes == 1:
-            return [(0, 0, len(ids))]
-        bounds = np.searchsorted(ids, self.lane_starts).tolist()
-        return [(lane, bounds[lane], bounds[lane + 1]) for lane in range(self.lanes)]
-
-    def _lane_rb_counts(self) -> np.ndarray:
-        """Last slot's transmitters per lane and RB label (0: silent), as a
-        (lanes, R + 1) array."""
-        if self.lanes == 1:
-            return np.bincount(self.last_action, minlength=self.rb_width)[None]
-        return np.bincount(self.last_action + self.rb_offset,
-                           minlength=self.lanes * self.rb_width).reshape(self.lanes, -1)
+    def _lane_bounds(self, ids: np.ndarray) -> list[int]:
+        """ids[bounds[l]:bounds[l + 1]] are lane l's entries of the sorted ids."""
+        return [0, len(ids)] if self.lanes == 1 else np.searchsorted(
+            ids, self.lane_starts).tolist()
 
     def _unheard_among(self, ids: np.ndarray) -> np.ndarray:
         """The unheard pairs of two devices of the sorted ids, as the columns
@@ -956,63 +963,57 @@ def _transmitters(stack: _DistributedStack, game=_ALL) -> np.ndarray:
 def _reaching(stack: _DistributedStack, ids: np.ndarray, game) -> np.ndarray:
     """The transmit threshold of the active devices ids, the game rows of stack.ids.
 
-    Full range ranks exact ages: past float range by their exponents. Partial
-    range counts, per device, the in-range active ages above its own, as
-    floats: exact ages beyond float range saturate to inf, which keeps the
-    ties-transmit rule intact. Each device ranks its own lane only.
+    A pair lane ranks its lane's active ages but its unheard partners';
+    a dense lane counts, per device, the in-range active ages above its
+    own, as floats. Each device ranks its own lane only.
     """
-    if stack.neighbors is None:
-        # where k >= n_active the threshold is the smallest age
-        lanes = stack._lane(ids)
-        if lanes is None:
-            k = stack.shared_kappa[len(ids) - 1]
-            if k >= len(ids):
-                return np.ones(len(ids), dtype=bool)
-        else:
-            n_active = np.bincount(lanes, minlength=stack.lanes)
-            k = stack.shared_kappa[n_active - 1]
-            if (k >= n_active).all():
-                return np.ones(len(ids), dtype=bool)
-            k = k[lanes]
-        ages, exponents = stack._float_ages()
-        return reaches_threshold(ages[game], k, exponents=exponents[game], lanes=lanes)
-    ages, exponents = (values[game] for values in stack._float_ages())
     pairs = _rows(stack.pair_form, ids)
     if pairs is _ALL:
-        return _pair_reaching(stack, ids, ages)
+        return _pair_reaching(stack, ids, game)
     passing = np.empty(len(ids), dtype=bool)
     if pairs is not None and pairs.any():
-        passing[pairs] = _pair_reaching(stack, ids[pairs], ages[pairs])
-    for lane, lo, hi in stack._lane_slices(ids):
-        n_active, block = hi - lo, stack.neighbors[lane]
-        if not n_active or stack.pair_lane[lane]:
-            continue
-        if block is None:
-            k = stack.shared_kappa[n_active - 1]
-            passing[lo:hi] = (True if k >= n_active
-                              else reaches_threshold(ages[lo:hi], k,
-                                                     exponents=exponents[lo:hi]))
+        passing[pairs] = _pair_reaching(stack, ids[pairs], pairs if game is _ALL
+                                        else np.flatnonzero(game)[pairs])
+    ages = stack._float_ages()[0][game]
+    bounds = stack._lane_bounds(ids)
+    for lane, block in stack.dense:
+        lo, hi = bounds[lane], bounds[lane + 1]
+        if lo == hi:
             continue
         # row r marks the ages the lane's r-th active device knows
         local = _local(ids[lo:hi], lane * stack.config.n_devices)
         known = block[local][:, local]
-        ks = stack.kappa(known.sum(axis=1, dtype=np.int32), n_active)
+        ks = stack.kappa(known.sum(axis=1, dtype=np.int32), hi - lo)
         passing[lo:hi] = reaches_threshold(ages[lo:hi], ks, known)
     return passing
 
 
-def _pair_reaching(stack: _DistributedStack, ids: np.ndarray,
-                   ages: np.ndarray) -> np.ndarray:
-    """The transmit threshold of the active devices ids of pair lanes, all at once.
+def _pair_reaching(stack: _DistributedStack, ids: np.ndarray, rows) -> np.ndarray:
+    """The transmit threshold of the active devices ids of pair lanes, all at
+    once; rows selects them from stack.ids.
 
     A device knows its lane's active ages but those of its unheard partners.
+    Ages past float range rank by exponent where the lane is exact and tie
+    as inf elsewhere: no exponents are passed, or, beside exact lanes, they
+    all read 1024, the first exponent past float range.
     """
     lanes = stack._lane(ids)
     n_active = len(ids) if lanes is None else np.bincount(lanes)[lanes]
-    unheard = stack._unheard_among(ids)
-    n_known = n_active - np.bincount(unheard.ravel(), minlength=len(ids))
-    return reaches_threshold(ages, stack.kappa(n_known, n_active), lanes=lanes,
-                             unheard=unheard)
+    if stack.full_range:
+        k, unheard = stack.shared_kappa[n_active - 1], None
+        # where k >= n_active the threshold is the smallest age; one lane
+        # compares scalars, which need no reduction
+        if k >= n_active if lanes is None else (k >= n_active).all():
+            return np.ones(len(ids), dtype=bool)
+    else:
+        unheard = stack._unheard_among(ids)
+        k = stack.kappa(n_active - np.bincount(unheard.ravel(), minlength=len(ids)),
+                        n_active)
+    ages, exponents = (values[rows] for values in stack._float_ages())
+    exact = _rows(stack.exact, ids)
+    exponents = (exponents if exact is _ALL else None if exact is None
+                 else np.where(exact, exponents, 1024))
+    return reaches_threshold(ages, k, exponents=exponents, lanes=lanes, unheard=unheard)
 
 
 def _delegate_picks(stack: _DistributedStack, delegators: np.ndarray,
@@ -1030,16 +1031,15 @@ def _delegate_picks(stack: _DistributedStack, delegators: np.ndarray,
         picks[pairs] = _pair_picks(stack, delegators[pairs], u[pairs])
     ids = stack.ids
     ages, exponents = stack._float_ages()
-    for (lane, lo, hi), (_, d_lo, d_hi) in zip(stack._lane_slices(ids),
-                                               stack._lane_slices(delegators)):
-        if d_lo == d_hi or stack.pair_lane[lane]:
+    bounds, delegator_bounds = stack._lane_bounds(ids), stack._lane_bounds(delegators)
+    for lane, block in stack.dense:
+        lo, hi = bounds[lane], bounds[lane + 1]
+        d_lo, d_hi = delegator_bounds[lane], delegator_bounds[lane + 1]
+        if d_lo == d_hi:
             continue
         # a delegator is idle, so it is never its own candidate
-        block = None if stack.neighbors is None else stack.neighbors[lane]
         start = lane * stack.config.n_devices
-        candidates = (np.ones((d_hi - d_lo, hi - lo), dtype=bool) if block is None
-                      else block[_local(delegators[d_lo:d_hi], start)][
-                          :, _local(ids[lo:hi], start)])
+        candidates = block[_local(delegators[d_lo:d_hi], start)][:, _local(ids[lo:hi], start)]
         lane_picks = delegate_target(candidates, ages[lo:hi], exponents[lo:hi],
                                      u[d_lo:d_hi])
         picks[d_lo:d_hi] = np.where(lane_picks >= 0, lane_picks + lo, -1)
@@ -1055,27 +1055,27 @@ def _pair_picks(stack: _DistributedStack, delegators: np.ndarray,
     """
     ids = stack.ids
     ages, exponents = stack._float_ages()
-    # column[d]: active device d's place among its lane's active devices;
-    # column width, past the candidates, takes every other device
     if stack.lanes == 1:
-        width = len(ids)
-        column = np.full(len(stack.actions), width)
-        column[ids] = np.arange(width)
+        width, offset = len(ids), 0
         candidates = np.ones((len(delegators), width + 1), dtype=bool)
     else:
         bounds = np.searchsorted(ids, stack.lane_starts)
         count = np.diff(bounds)
         lanes = stack._lane(delegators)
         lo, width = bounds[lanes], int(count[lanes].max())
-        column = np.full(len(stack.actions), width)
-        column[ids] = np.arange(len(ids)) - np.repeat(bounds[:-1], count)
+        offset = np.repeat(bounds[:-1], count)
         span = np.arange(width + 1)
         candidates = span < count[lanes, None]
         # row r, column c: the active device lo[r] + c, if its lane has one
         columns = np.minimum(lo[:, None] + span[:-1], len(ids) - 1)
         ages, exponents = ages[columns], exponents[columns]
-    rows, partners = stack._partners_of(delegators)
-    candidates[rows, column[partners]] = False
+    if not stack.full_range:
+        # column[d]: active device d's place among its lane's active devices;
+        # column width, past the candidates, takes every other device
+        column = np.full(len(stack.actions), width)
+        column[ids] = np.arange(len(ids)) - offset
+        rows, partners = stack._partners_of(delegators)
+        candidates[rows, column[partners]] = False
     picks = delegate_target(candidates[:, :width], ages, exponents, u)
     return picks if stack.lanes == 1 else np.where(picks >= 0, picks + lo, -1)
 
@@ -1083,18 +1083,11 @@ def _pair_picks(stack: _DistributedStack, delegators: np.ndarray,
 def _sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
     """What the deciding devices sensed last slot, as ``sca_step`` reads it.
 
-    Returns the crowd each saw on its own last RB, the unused-RB rows and
-    the row of each device (None: one row per device, or one for all).
+    Returns the crowd each saw on its own last RB and the unused-RB rows:
+    one per device, or one for all where every device sensed the same.
     """
     config, last_action = stack.config, stack.last_action
     R = config.n_rbs
-    if stack.neighbors is None:
-        # at full range every device of a lane senses the same
-        sensed = stack._lane_rb_counts()
-        if stack.lanes == 1:
-            return sensed[0, prev], sensed[:, 1:] == 0, None
-        rows = stack._lane(deciding)
-        return sensed[rows, prev], sensed[:, 1:] == 0, rows
     pairs = _rows(stack.pair_form, deciding)
     if pairs is _ALL:
         return _pair_sensed(stack, deciding, prev)
@@ -1102,18 +1095,14 @@ def _sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
     crowds = np.empty(len(deciding), dtype=np.intp)
     unused = np.empty((len(deciding), R), dtype=bool)
     if pairs is not None and pairs.any():
-        crowds[pairs], unused[pairs], _ = _pair_sensed(stack, deciding[pairs],
-                                                       prev[pairs])
-    for lane, lo, hi in stack._lane_slices(deciding):
-        if lo == hi or stack.pair_lane[lane]:
+        crowds[pairs], unused[pairs] = _pair_sensed(stack, deciding[pairs], prev[pairs])
+    bounds = stack._lane_bounds(deciding)
+    for lane, block in stack.dense:
+        lo, hi = bounds[lane], bounds[lane + 1]
+        if lo == hi:
             continue
-        block, start = stack.neighbors[lane], lane * config.n_devices
+        start = lane * config.n_devices
         lane_actions = last_action[start:start + config.n_devices]
-        if block is None:
-            sensed = np.bincount(lane_actions, minlength=R + 1)
-            crowds[lo:hi] = sensed[prev[lo:hi]]
-            unused[lo:hi] = sensed[1:] == 0
-            continue
         # count every (deciding device, RB) pair of a transmission it heard
         heard = np.flatnonzero(lane_actions)
         cells = np.arange(hi - lo)[:, None] * (R + 1) + lane_actions[heard]
@@ -1121,7 +1110,7 @@ def _sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
                              minlength=(hi - lo) * (R + 1)).reshape(hi - lo, R + 1)
         crowds[lo:hi] = sensed[np.arange(hi - lo), prev[lo:hi]]
         unused[lo:hi] = sensed[:, 1:] == 0
-    return crowds, unused, None
+    return crowds, unused
 
 
 def _pair_sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
@@ -1130,15 +1119,25 @@ def _pair_sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarra
     A device senses its lane's transmissions of last slot but those of its
     unheard partners.
     """
-    last_action, width = stack.last_action, stack.rb_width
-    sensed = stack._lane_rb_counts()
-    sensed = sensed[0] if stack.lanes == 1 else sensed[stack._lane(deciding)]
+    last_action, width, lanes = stack.last_action, stack.rb_width, stack._lane(deciding)
+    # last slot's transmitters per RB label (0: silent) of each device's lane;
+    # at full range every device of a lane senses the same
+    if lanes is None:
+        sensed = np.bincount(last_action, minlength=width)
+        if stack.full_range:
+            return sensed[prev], sensed[None, 1:] == 0
+    else:
+        sensed = np.bincount(last_action + stack.rb_offset,
+                             minlength=stack.lanes * width).reshape(stack.lanes, width)
+        if stack.full_range:
+            return sensed[lanes, prev], (sensed[:, 1:] == 0)[lanes]
+        sensed = sensed[lanes]
     # a silent partner lands in column 0, which nothing reads
     rows, partners = stack._partners_of(deciding)
     missed = np.bincount(rows * width + last_action[partners],
                          minlength=len(deciding) * width)
-    sensed = sensed - missed.reshape(len(deciding), width)
-    return sensed[np.arange(len(deciding)), prev], sensed[:, 1:] == 0, None
+    sensed = sensed - missed.reshape(-1, width)
+    return sensed[np.arange(len(deciding)), prev], sensed[:, 1:] == 0
 
 
 def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
@@ -1189,12 +1188,11 @@ def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
     deciding = active_ids[sending & ~keep]
     if len(deciding):
         prev = last_action[deciding]
-        crowd, unused, rows = _sensed(stack, deciding, prev)
+        crowd, unused = _sensed(stack, deciding, prev)
         # the crowd seen on RB 0 (silence) is never consulted
         actions[deciding] = sca_step(prev, last_failed[deciding], crowd, unused,
                                      draws.vec(t, _PH_DECIDE, deciding),
-                                     draws.vec(t, _PH_FRESH, deciding),
-                                     R, rows)
+                                     draws.vec(t, _PH_FRESH, deciding), R)
 
 
 # ---------------------------------------------------------------------------
@@ -1213,9 +1211,10 @@ SWEEP_NEIGHBOR_BYTES = 1 << 20
 def sweep_lanes(config: ScenarioConfig) -> int:
     """How many lanes a batch holding config may have (``loop_batches``).
 
-    SWEEP_LANES, except where a lane may keep a neighbor matrix: a game mode
-    whose range does not cover the cell diagonal. There every lane holds an
-    N x N matrix, and SWEEP_NEIGHBOR_BYTES caps the matrices a batch holds
+    SWEEP_LANES, except where a lane may build a neighbor matrix: a game
+    mode whose range does not cover the cell diagonal. There every lane
+    builds an N x N matrix while the stack is set up, and a dense lane
+    keeps it; SWEEP_NEIGHBOR_BYTES caps the matrices a batch may hold
     (16 lanes up to N = 256, 1 from N = 1024).
     """
     if (config.mode.centralized or config.mode is Mode.DISTRIBUTED_PREDETERMINED

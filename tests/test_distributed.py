@@ -169,6 +169,31 @@ def test_unheard_pairs_tie_saturated_ages():
         True, True, True, False]
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(
+    [1, 2, 3, 2**60, 2**1100, 2**1101, 2**1200])), min_size=1, max_size=14), st.data())
+def test_unheard_pairs_rank_saturated_ages_by_exponent_when_given(devices, data):
+    # with exponents the lanes form ranks ages past 2**1024 exactly, unheard
+    # pairs or not: each device against its lane's exact ages but its
+    # unheard partners'
+    devices.sort(key=lambda device: device[0])
+    lanes = np.array([lane for lane, _ in devices])
+    exact = [age for _, age in devices]
+    ages = np.array([math.inf if age >= 2**1024 else float(age) for age in exact])
+    exponents = np.array([age.bit_length() - 1 for age in exact])
+    n = len(devices)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if lanes[i] == lanes[j]]
+    unheard = [pair for pair in pairs if data.draw(st.booleans())]
+    ks = data.draw(st.lists(st.integers(1, n + 2), min_size=n, max_size=n))
+    a, b = np.array(unheard, dtype=np.intp).reshape(-1, 2).T
+    got = reaches_threshold(ages, np.array(ks), exponents=exponents, lanes=lanes,
+                            unheard=(a, b))
+    expected = [exact[r] >= kth_largest(
+        [exact[c] for c in range(n) if lanes[c] == lanes[r]
+         and (min(r, c), max(r, c)) not in unheard], k) for r, k in enumerate(ks)]
+    assert got.tolist() == expected
+
+
 def test_full_range_count_orders_exact_ages_past_float_range():
     # exact ages mix linear values, powers of two and powers of two past
     # 2**1024, which all read inf as floats; their exponents keep them apart
@@ -400,7 +425,7 @@ def predetermined(gen, exponential, active, R, t=1500):
                                    np.random.default_rng(0))
     stack = _DistributedStack(config, positions, messages)
     # the baseline needs every device to know the full ranking, whatever r_c
-    assert stack.neighbors is None
+    assert stack.neighbors == [None] and stack.full_range
     tx, rbs, _, _ = stack.allocate(t, np.flatnonzero(active), SlotDraws([0], n))
     f_values = [aoi_value(KINDS[e], t + config.beta, g) if a else 0
                 for g, e, a in zip(gen, exponential, active)]

@@ -43,6 +43,19 @@ def test_validate_rejects_bad_fields():
     small(r_c=math.inf).validate()
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_beta_runs_up_to_its_bound(mode):
+    # float ages saturate from beta ~ 1,100 on; the bound keeps the exact
+    # trace ages small and ldexp and int64 conversions in range, and one
+    # past it is rejected
+    config = small(n_devices=8, n_rbs=2, slots=40, v_a=0.5, mode=mode, r_c=3.0,
+                   beta=engine.MAX_BETA, trace=True)
+    result = run(config)
+    assert result.summary.deliveries and math.isfinite(result.summary.mean_delivery_aoi)
+    with pytest.raises(ConfigError, match="beta"):
+        dataclasses.replace(config, beta=engine.MAX_BETA + 1).validate()
+
+
 def test_validate_rejects_a_cell_whose_squared_diagonal_overflows():
     # at 1e300 every squared distance, and r_c**2, overflows to inf, and
     # inf <= inf would put every pair in range
@@ -402,6 +415,23 @@ def test_run_many_mixes_full_and_partial_range_lanes(mode):
     _assert_lanes_equal_runs(configs)
 
 
+@pytest.mark.parametrize("mode", [Mode.DISTRIBUTED_SCA, Mode.DISTRIBUTED_RANDOM])
+def test_run_many_mixes_full_and_partial_range_lanes_past_float_range(mode):
+    # one RB at v_a = 1 keeps messages in flight past 2**1024 for 1,500
+    # slots; the lanes mix a span within r_c (saturated ages rank exactly),
+    # every pair in range though the span is not (they tie as inf) and
+    # pairs out of range (a dense block)
+    base = small(n_devices=3, n_rbs=1, r_c=6.0, v_a=1.0, slots=1500, mode=mode,
+                 trace=True)
+    configs = [dataclasses.replace(base, seed=s) for s in range(8)]
+    blocks = [engine._neighbor_matrix(make_devices(
+        3, c.type1_fraction, c.m1, c.m2, c.width, c.length,
+        np.random.default_rng(c.seed))[0], c.r_c) for c in configs]
+    assert {"exact" if b is None else "pairs" if b.all() else "dense"
+            for b in blocks} == {"exact", "pairs", "dense"}
+    _assert_lanes_equal_runs(configs)
+
+
 def _stack_modes(mode: Mode) -> list[Mode]:
     return [m for m in Mode if m.centralized == mode.centralized]
 
@@ -441,7 +471,7 @@ _PARTIAL = st.fixed_dictionaries({
     "v_a": st.sampled_from([0.05, 0.5, 1.0]) | st.floats(0.0, 1.0),
     "beta": st.integers(1, 3),
     "epsilon": st.sampled_from([0.0, 1.0, 30.0]),
-    "r_c": st.floats(1.0, 14.0),
+    "r_c": st.floats(1.0, 15.0),
     "trace": st.booleans(),
 })
 
@@ -485,21 +515,32 @@ def test_unheard_pairs_tie_saturated_ages_as_the_dense_blocks(name):
 
 def test_pair_lanes_are_those_whose_range_misses_few_pairs():
     # at r_c = 10 on a 10 x 10 cell a few pairs are out of range, at r_c = 3
-    # most are; the pair list holds exactly the out-of-range pairs (i < j)
-    # of the pair lanes, in global ids, and the dense blocks stay the source
+    # most are, and at r_c = 15 none; the pair list holds exactly the
+    # out-of-range pairs (i < j) of the pair lanes, in global ids, and only
+    # dense lanes keep their block
     base = small(n_devices=40, r_c=10.0)
     configs = [dataclasses.replace(base, seed=s) for s in (1, 2)]
     positions = np.concatenate([make_devices(
         40, c.type1_fraction, c.m1, c.m2, c.width, c.length,
         np.random.default_rng(c.seed))[0] for c in configs])
+    blocks = [engine._neighbor_matrix(positions[lane * 40:(lane + 1) * 40], base.r_c)
+              for lane in range(2)]
     stack = _DistributedStack(base, positions, PendingMessages(80))
-    assert stack.pair_lane == [True, True] and stack.pair_form is engine._ALL
-    expected = [(i + 40 * lane, j + 40 * lane) for lane, block in enumerate(stack.neighbors)
+    assert stack.neighbors == [None, None] and stack.pair_form is engine._ALL
+    expected = [(i + 40 * lane, j + 40 * lane) for lane, block in enumerate(blocks)
                 for i in range(40) for j in range(i + 1, 40) if not block[i, j]]
     assert expected and sorted(map(tuple, stack.unheard.T.tolist())) == expected
+    assert not stack.full_range and stack.exact is None
     short = _DistributedStack(dataclasses.replace(base, r_c=3.0), positions,
                               PendingMessages(80))
-    assert short.pair_lane == [False, False] and short.unheard is None
+    assert short.pair_form is None and not short.unheard.size
+    for lane, block in enumerate(short.neighbors):
+        near = engine._neighbor_matrix(positions[lane * 40:(lane + 1) * 40], 3.0)
+        assert (block == near).all()
+    full = _DistributedStack(dataclasses.replace(base, r_c=15.0), positions,
+                             PendingMessages(80))
+    assert full.neighbors == [None, None] and full.pair_form is engine._ALL
+    assert full.full_range and full.exact is engine._ALL
 
 
 def _record_generators(monkeypatch, seeds, slots):
@@ -822,12 +863,12 @@ def test_partial_range_thresholds_match_the_per_device_rule():
         gen = 1 if rng.random() < 0.2 else int(rng.integers(1150, 1200))
         _pend(messages, p_linear, i, gen, rng.random())
     stack = _stack_at(config, positions, messages, t)
+    near = engine._neighbor_matrix(positions, config.r_c)
     active_ids = stack.ids.tolist()
     f_value = {i: _future(messages, i, t, config.beta) for i in active_ids}
     expected = set()
     for i in active_ids:
-        known = [_saturated(f_value[j]) for j in active_ids
-                 if stack.neighbors[0][i, j]]
+        known = [_saturated(f_value[j]) for j in active_ids if near[i, j]]
         k = kappa(len(known), len(active_ids), config.n_rbs, config.n_devices,
                   config.v_a, config.zeta)
         if _saturated(f_value[i]) >= kth_largest(known, k):
@@ -853,7 +894,7 @@ def test_full_range_thresholds_compare_exact_ages_past_float_range(n_rbs, transm
         _pend(messages, p_linear, i, gen, exponential)
     _pend(messages, p_linear, 6, 1, 0.0)    # linear: age 1200
     stack = _stack_at(config, positions, messages, t)
-    assert stack.neighbors is None
+    assert engine._neighbor_matrix(positions, config.r_c) is None
     assert np.isinf(stack._float_ages()[0][:6]).all()
     exact = [_future(messages, i, t, config.beta) for i in range(7)]
     k = kappa(7, 7, n_rbs, 7, config.v_a, config.zeta)
@@ -874,18 +915,18 @@ def test_two_delegators_on_one_neighbor_the_lower_id_wins(r_c):
     messages = PendingMessages(4)
     _pend(messages, p_linear, 2, 10, 0.0)
     stack = _DistributedStack(config, positions, messages)
-    assert (stack.neighbors is None) == (r_c == 15.0)
+    assert (engine._neighbor_matrix(positions, r_c) is None) == (r_c == 15.0)
     stack.last_action[[1, 3]] = [4, 2]
     stack.allocate(11, np.flatnonzero(messages.rbs_left),
                    SlotDraws([config.seed], config.n_devices))
     assert stack.actions.tolist() == [0, 0, 4, 0]
 
 
-def _reference_actions(stack, t, draws):
+def _reference_actions(stack, positions, t, draws):
     """One slot of the distributed game, one device at a time on exact ages."""
     config, messages = stack.config, stack.messages
-    # the one lane's adjacency matrix, None at full range
-    nb = stack.neighbors and stack.neighbors[0]
+    # the adjacency matrix, None where the range covers the devices' span
+    nb = engine._neighbor_matrix(positions, config.r_c)
     N, R = config.n_devices, config.n_rbs
     active_ids = [i for i in range(N) if messages.rbs_left[i] > 0]
     f = {i: _future(messages, i, t, config.beta) for i in active_ids}
@@ -955,7 +996,7 @@ def test_game_slot_equals_the_per_device_rules(mode, r_c):
         stack.last_action[:] = rng.integers(0, R + 1, n)
         stack.last_failed[:] = rng.random(n) < 0.4
         draws = SlotDraws([seed], n)
-        expected = _reference_actions(stack, t, draws)
+        expected = _reference_actions(stack, positions, t, draws)
         stack.allocate(t, np.flatnonzero(messages.rbs_left), draws)
         assert stack.actions.tolist() == expected, seed
 

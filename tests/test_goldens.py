@@ -11,6 +11,10 @@ and the exponential ones tie forever; the staggered runs (v_a=0.5) hold
 messages of different generation slots beyond float range at once, which
 pins that the full-range threshold compares exact integers (they differ)
 while the partial-range threshold compares floats saturated to inf (they tie).
+Two more staggered runs draw few devices at a partial r_c and pin where
+that line runs: with three devices whose span fits within r_c the ages rank
+exactly (staggered_span), and with four devices that hear every pair though
+the span exceeds r_c they tie (staggered_pairs_in_range).
 
 central_full_info_beyond_float does the same for the centralized scheduler:
 400 devices share one RB and 64 preambles, so requests rarely survive and
@@ -62,6 +66,12 @@ CASES = {
                                          v_a=0.5, slots=1500, r_c=3.0),
     "starvation_staggered_full": dict(mode=Mode.DISTRIBUTED_SCA, n_rbs=1,
                                       v_a=0.5, slots=1500, r_c=15.0),
+    "starvation_staggered_span": dict(mode=Mode.DISTRIBUTED_SCA, n_rbs=1,
+                                      v_a=0.5, slots=1500, n_devices=3,
+                                      r_c=6.0, seed=14),
+    "starvation_staggered_pairs_in_range": dict(mode=Mode.DISTRIBUTED_SCA,
+                                                n_rbs=1, v_a=0.5, slots=1500,
+                                                n_devices=4, r_c=7.0, seed=24),
 }
 
 GOLDEN = {
@@ -107,6 +117,10 @@ GOLDEN = {
         "3c8bd1e27f9b9179d76ad90ce570d46bfae733dfad2eee94643d0e97e05763db",
     "starvation_staggered_partial":
         "9eb4800406ec221feeb606164e92e009443c814d1c559ac9395643c56fc893dd",
+    "starvation_staggered_span":
+        "00bd6d1178cd84178e6c27004fcc77cf274b8302703139b0651e6c84a43411b2",
+    "starvation_staggered_pairs_in_range":
+        "560ac6ceac974733dcb2d3a0313292b581e912ff6dc715b06bfa57396a5decd5",
 }
 
 
