@@ -218,11 +218,11 @@ def _mean_and_se(values: list[float]) -> tuple[float, float | None]:
 
     Each value is divided by the count before summing, and the deviations by
     the largest before squaring, so no step overflows; the se is None when
-    the mean is inf.
+    the mean is inf or there is one value.
     """
     n = len(values)
     mean = sum(v / n for v in values)
-    if mean == math.inf:
+    if mean == math.inf or n == 1:
         return mean, None
     scale = max(abs(v - mean) for v in values)
     if scale == 0.0:

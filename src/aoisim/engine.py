@@ -21,8 +21,10 @@ differ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -346,10 +348,17 @@ class RunSummary:
 
 @dataclass
 class RunResult:
+    """A run's config, summary, trace and records; the records are built from
+    the run's tallies when first read, so a summary reader never builds them."""
     config: ScenarioConfig
-    records: list[SlotRecord]
     summary: RunSummary
     trace: dict | None = None
+    _tallies: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def records(self) -> list[SlotRecord]:
+        records, self._tallies = _slot_records(*self._tallies), None
+        return records
 
 
 def _safe_mean(total, count) -> float | None:
@@ -426,53 +435,48 @@ def _activation_sweep(messages: PendingMessages, p_linear: np.ndarray, t: int,
     return hits
 
 
-class _MetricAccumulator:
-    def __init__(self, slots: int, warmup_fraction: float):
-        self.warmup_slots = int(slots * warmup_fraction)
-        self.cum_aoi_total = 0
-        self.cum_deliveries = 0
-        self.post_aoi_total = 0
-        self.post_deliveries = 0
-        self.sr_total = 0.0
-        self.sr_post = 0.0
-        self.sr_slots = 0
-        self.sr_post_slots = 0
-        self.rach = 0
-        self.dup = 0
-        self.outage = 0
+# a lane's tallies of a slot: active devices, transmissions by outcome code
+# (SUCCESS, DUPLICATE, OUTAGE), RACH losses, deliveries, singly claimed RBs
+_ACTIVE, _OUTCOMES, _RACH, _DELIVERED, _SINGLE, _N_TALLIES = 0, 1, 4, 5, 6, 7
 
-    def slot(self, t: int, slot_total: int, n_delivered: int, service_rate: float,
-             rach: int, dup: int, outage: int):
-        self.cum_aoi_total += slot_total
-        self.cum_deliveries += n_delivered
-        self.sr_total += service_rate
-        self.sr_slots += 1
-        self.rach += rach
-        self.dup += dup
-        self.outage += outage
-        if t > self.warmup_slots:
-            self.post_aoi_total += slot_total
-            self.post_deliveries += n_delivered
-            self.sr_post += service_rate
-            self.sr_post_slots += 1
-        return (_safe_mean(slot_total, n_delivered),
-                _safe_mean(self.cum_aoi_total, self.cum_deliveries))
 
-    def summary(self, slots: int) -> RunSummary:
-        return RunSummary(
-            slots=slots,
-            warmup_slots=self.warmup_slots,
-            deliveries=self.cum_deliveries,
-            deliveries_postwarmup=self.post_deliveries,
-            mean_delivery_aoi=_safe_mean(self.cum_aoi_total, self.cum_deliveries),
-            mean_delivery_aoi_postwarmup=_safe_mean(self.post_aoi_total,
-                                                    self.post_deliveries),
-            mean_service_rate=self.sr_total / max(1, self.sr_slots),
-            mean_service_rate_postwarmup=self.sr_post / max(1, self.sr_post_slots),
-            rach_failures=self.rach,
-            duplicate_failures=self.dup,
-            outage_failures=self.outage,
-        )
+def _summaries(tallies: np.ndarray, totals: list, warmup_slots: int,
+               R: int) -> list[RunSummary]:
+    """Each lane's summary, from the (slots, lanes, _N_TALLIES) tallies and
+    the exact age totals (Python ints) of each slot's lanes, slot by slot."""
+    slots, lanes = tallies.shape[:2]
+    rates = tallies[:, :, _SINGLE] / R
+    # added slot by slot from 0.0, as a running total adds them (np.sum adds
+    # pairwise, and sum() compensates from Python 3.12); none after a full warm-up
+    rate_sums = ((part.cumsum(axis=0)[-1] if len(part) else np.zeros(lanes)).tolist()
+                 for part in (rates, rates[warmup_slots:]))
+    columns = zip(tallies.sum(axis=0).tolist(),
+                  tallies[warmup_slots:, :, _DELIVERED].sum(axis=0).tolist(), *rate_sums)
+    return [RunSummary(
+        slots=slots, warmup_slots=warmup_slots, deliveries=count[_DELIVERED],
+        deliveries_postwarmup=post,
+        mean_delivery_aoi=_safe_mean(sum(islice(totals, lane, None, lanes)),
+                                     count[_DELIVERED]),
+        mean_delivery_aoi_postwarmup=_safe_mean(
+            sum(islice(totals, warmup_slots * lanes + lane, None, lanes)), post),
+        mean_service_rate=rate / max(1, slots),
+        mean_service_rate_postwarmup=post_rate / max(1, slots - warmup_slots),
+        rach_failures=count[_RACH], duplicate_failures=count[_OUTCOMES + 1],
+        outage_failures=count[_OUTCOMES + 2])
+        for lane, (count, post, rate, post_rate) in enumerate(columns)]
+
+
+def _slot_records(tallies: np.ndarray, totals, R: int) -> list[SlotRecord]:
+    """A lane's records from its (slots, _N_TALLIES) tallies and exact age totals."""
+    records, cum_total, cum_deliveries = [], 0, 0
+    for t, (row, total) in enumerate(zip(tallies, totals), 1):
+        n_active, n_success, duplicate, outage, rach, n_delivered, n_single = row.tolist()
+        cum_total, cum_deliveries = cum_total + total, cum_deliveries + n_delivered
+        records.append(SlotRecord(
+            t, _safe_mean(total, n_delivered), _safe_mean(cum_total, cum_deliveries),
+            n_single / R, n_active, n_success + duplicate + outage, rach, duplicate,
+            outage))
+    return records
 
 
 def run(config: ScenarioConfig) -> RunResult:
@@ -508,7 +512,10 @@ def run_many(configs) -> list[RunResult]:
     stacks read. The stack picks who transmits on which RB range (allocate),
     the channel resolves the slot, the loop delivers and counts, and the
     stack learns the outcome (feedback) before idle devices draw fresh
-    activations. Each of these is a few array operations per slot.
+    activations. Each of these is a few array operations per slot. The
+    counts of a slot are one row of every lane's tallies in an integer
+    array, beside the lanes' exact age totals; each lane's summary comes
+    from them after the loop, and its records when first read.
     """
     configs = list(configs)
     if not configs:
@@ -544,9 +551,9 @@ def run_many(configs) -> list[RunResult]:
     stack = (_CentralizedStack(base, types, p_outage, messages, modes)
              if base.mode.centralized
              else _DistributedStack(base, positions, messages, modes))
-    metrics = [_MetricAccumulator(base.slots, base.warmup_fraction) for _ in configs]
-    records: list[list[SlotRecord]] = [[] for _ in configs]
-    R, rb_width = base.n_rbs, stack.rb_width
+    # each slot's row of tallies and exact age totals (``_summaries``)
+    tallies = np.zeros((base.slots, lanes, _N_TALLIES), dtype=np.int64)
+    totals: list[int] = []
 
     _activation_sweep(messages, p_linear, 0, base, draws)
     for t in range(1, base.slots + 1):
@@ -556,34 +563,26 @@ def run_many(configs) -> list[RunResult]:
             ids, first, n_rbs, p_outage,
             draws.vec(t, _PH_OUTAGE, ids) if can_fail else 0.0)
         ok = outcomes == SUCCESS
-        delivered, totals = deliver_success(messages, ids[ok], n_rbs[ok], t, lanes)
+        delivered, slot_totals = deliver_success(messages, ids[ok], n_rbs[ok], t, lanes)
         stack.feedback(ids, outcomes, delivered, claims)
 
-        n_active = _lane_counts(active_ids, N, lanes)
-        # per lane, the transmissions by outcome code (SUCCESS, DUPLICATE, OUTAGE)
-        tallies = np.bincount(outcomes if lanes == 1 else ids // N * 3 + outcomes,
-                              minlength=3 * lanes).reshape(lanes, 3).tolist()
-        n_delivered = _lane_counts(delivered, N, lanes)
-        # RBs with exactly one claimant
-        n_single = _lane_counts((claims == 1).nonzero()[0], rb_width, lanes)
-        for lane in range(lanes):
-            n_success, duplicate_failures, outage_failures = tallies[lane]
-            service_rate = n_single[lane] / R
-            slot_mean, cum_mean = metrics[lane].slot(
-                t, totals[lane], n_delivered[lane], service_rate,
-                rach_failures[lane], duplicate_failures, outage_failures)
-            records[lane].append(SlotRecord(
-                slot=t, avg_inst_aoi_slot=slot_mean, avg_inst_aoi_cum=cum_mean,
-                service_rate=service_rate, n_active=n_active[lane],
-                n_transmitting=n_success + duplicate_failures + outage_failures,
-                rach_failures=rach_failures[lane],
-                duplicate_failures=duplicate_failures,
-                outage_failures=outage_failures))
+        tally = tallies[t - 1]
+        tally[:, _ACTIVE] = _lane_counts(active_ids, N, lanes)
+        tally[:, _OUTCOMES:_RACH] = np.bincount(
+            outcomes if lanes == 1 else ids // N * 3 + outcomes,
+            minlength=3 * lanes).reshape(lanes, 3)
+        tally[:, _RACH] = rach_failures
+        tally[:, _DELIVERED] = _lane_counts(delivered, N, lanes)
+        tally[:, _SINGLE] = _lane_counts((claims == 1).nonzero()[0], stack.rb_width, lanes)
+        totals += slot_totals
         _activation_sweep(messages, p_linear, t, base, draws)
 
-    return [RunResult(config=config, records=records[lane],
-                      summary=metrics[lane].summary(base.slots),
-                      trace=stack.trace(lane) if base.trace else None)
+    summaries = _summaries(tallies, totals, int(base.slots * base.warmup_fraction),
+                           base.n_rbs)
+    return [RunResult(config=config, summary=summaries[lane],
+                      trace=stack.trace(lane) if base.trace else None,
+                      _tallies=(tallies[:, lane], islice(totals, lane, None, lanes),
+                                base.n_rbs))
             for lane, config in enumerate(configs)]
 
 
@@ -1202,7 +1201,7 @@ def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
 _FIELD_NAMES = {f.name for f in fields(ScenarioConfig)}
 
 # a sweep runs consecutive configs as lanes of one slot loop, at most this
-# many at once, so a long sweep holds few runs' records at a time
+# many at once, which takes most of the lanes' speed-up (README)
 SWEEP_LANES = 16
 # the bytes of neighbor matrices (N * N bools per lane) one batch may hold
 SWEEP_NEIGHBOR_BYTES = 1 << 20

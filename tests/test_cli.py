@@ -329,6 +329,15 @@ def test_sweep_spread_of_huge_and_infinite_means(monkeypatch, capsys, tmp_path):
         "v_a=0.5: mean delivery age inf (n=2)"
 
 
+def test_sweep_spread_of_one_delivering_replicate_has_no_se(tmp_path, capsys):
+    # replicate 1 delivers nothing, so the value's mean rests on one sample
+    assert main(["sweep", "--parameter", "v_a", "--values", "0.02",
+                 "--replicates", "2", "--slots", "4", "--set", "n_devices=3",
+                 "--seed", "1", "--out", str(tmp_path / "one.csv")]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "v_a=0.02: mean delivery age 1 (n=1)"
+
+
 def test_sweep_rejects_unknown_parameter():
     assert main(["sweep", "--parameter", "nope", "--values", "1",
                  "--quiet"]) == 1

@@ -9,13 +9,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from aoisim import centralized, engine
 from aoisim.aging import AgingKind, aoi_value, is_power_of_two
 from aoisim.centralized import KIND_UNKNOWN, KINDS, NO_TYPE
+from aoisim.cli import main
 from aoisim.devices import PendingMessages, activate, deliver_success, make_devices
 from aoisim.distributed import kappa, kth_largest
 from aoisim.engine import (_PH_ACTIVATE, _PH_DECIDE, _PH_DELEGATE, _PH_FRESH,
                            _PH_KIND, _PH_OUTAGE, _PH_SIZE, ConfigError, Mode,
-                           ScenarioConfig, SlotDraws, _DistributedStack,
-                           _MetricAccumulator, _transmitters, loop_batches,
-                           replicate_seed, run, run_many, sweep_iter, sweep_lanes)
+                           ScenarioConfig, SlotDraws, SlotRecord, _DistributedStack,
+                           _N_TALLIES, _safe_mean, _slot_records, _summaries,
+                           _transmitters, loop_batches, replicate_seed, run,
+                           run_many, sweep_iter, sweep_lanes)
 from test_distributed import delegate_target_ref, kappa_ref, sca_step_ref
 from test_goldens import CASES, case_config
 
@@ -288,17 +290,149 @@ def test_delivery_accounting_is_exact_past_float_range():
     assert delivered.tolist() == ids.tolist()
     assert total == expected and type(total) is int
     assert total > 2**1496
-    metrics = _MetricAccumulator(t, 0.1)
-    slot_mean, cum_mean = metrics.slot(t, total, len(delivered), 0.5, 0, 0, 0)
-    assert slot_mean == cum_mean == math.inf
-    assert metrics.cum_aoi_total == expected
+    tallies = _one_lane_tallies([len(delivered)])
+    (record,) = _slot_records(tallies[:, 0], [total], 2)
+    assert record.avg_inst_aoi_slot == record.avg_inst_aoi_cum == math.inf
+    assert _summaries(tallies, [total], 0, 2)[0].mean_delivery_aoi == math.inf
+    # the summary keeps the exact total: past float range a mean within it
+    # reads the exact quotient, a slot's and the run's alike
+    huge = [2**1030, 2**1029]
+    tallies = _one_lane_tallies([2**7, 2**7])
+    summary = _summaries(tallies, huge, 1, 2)[0]
+    assert summary.mean_delivery_aoi == 1.5 * 2**1022
+    assert summary.mean_delivery_aoi_postwarmup == 2**1022
+    assert [r.avg_inst_aoi_cum for r in _slot_records(tallies[:, 0], huge, 2)] == \
+        [2.0**1023, 1.5 * 2**1022]
     # below float range the mean is the exact total over the count
     m = PendingMessages(3)
     for i, (gen, exponential) in enumerate([(10, False), (8, True), (2, True)]):
         activate(m, [i], gen, kind_u=float(exponential), p_linear=0.5)
     _, (total,) = deliver_success(m, np.arange(3), np.ones(3, dtype=np.int64), 70)
     assert total == 60 + 2**61 + 2**67
-    assert _MetricAccumulator(70, 0.1).slot(70, total, 3, 0.5, 0, 0, 0)[0] == total / 3
+    (record,) = _slot_records(_one_lane_tallies([3])[:, 0], [total], 2)
+    assert record.avg_inst_aoi_slot == total / 3
+
+
+def _one_lane_tallies(deliveries: list[int]) -> np.ndarray:
+    """The tallies of a one-lane run whose slots delivered these counts."""
+    tallies = np.zeros((len(deliveries), 1, _N_TALLIES), dtype=np.int64)
+    tallies[:, 0, engine._DELIVERED] = deliveries
+    return tallies
+
+
+class _ReferenceAccumulator:
+    """The run metrics added up one slot at a time, as a slot loop would."""
+
+    def __init__(self, warmup_slots: int):
+        self.warmup_slots = warmup_slots
+        self.total = self.deliveries = self.post_total = self.post_deliveries = 0
+        self.rate = self.post_rate = 0.0
+        self.slots = self.post_slots = self.rach = self.dup = self.outage = 0
+        self.records = []
+
+    def slot(self, t, row, age_total, R):
+        n_active, n_success, dup, outage, rach, n_delivered, n_single = row
+        self.total += age_total
+        self.deliveries += n_delivered
+        self.rate += n_single / R
+        self.slots += 1
+        self.rach, self.dup, self.outage = (self.rach + rach, self.dup + dup,
+                                            self.outage + outage)
+        if t > self.warmup_slots:
+            self.post_total += age_total
+            self.post_deliveries += n_delivered
+            self.post_rate += n_single / R
+            self.post_slots += 1
+        self.records.append(SlotRecord(
+            slot=t, avg_inst_aoi_slot=_safe_mean(age_total, n_delivered),
+            avg_inst_aoi_cum=_safe_mean(self.total, self.deliveries),
+            service_rate=n_single / R, n_active=n_active,
+            n_transmitting=n_success + dup + outage, rach_failures=rach,
+            duplicate_failures=dup, outage_failures=outage))
+
+    def summary(self) -> engine.RunSummary:
+        return engine.RunSummary(
+            slots=self.slots, warmup_slots=self.warmup_slots,
+            deliveries=self.deliveries, deliveries_postwarmup=self.post_deliveries,
+            mean_delivery_aoi=_safe_mean(self.total, self.deliveries),
+            mean_delivery_aoi_postwarmup=_safe_mean(self.post_total,
+                                                    self.post_deliveries),
+            mean_service_rate=self.rate / max(1, self.slots),
+            mean_service_rate_postwarmup=self.post_rate / max(1, self.post_slots),
+            rach_failures=self.rach, duplicate_failures=self.dup,
+            outage_failures=self.outage)
+
+
+@st.composite
+def _run_tallies(draw):
+    """Random tallies and age totals of a run: (tallies, totals, warmup, R)."""
+    slots, R = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    lanes = draw(st.integers(1, 4))
+    counts = st.integers(0, 5) | st.integers(0, 2**40)
+    tallies = np.array([[[draw(counts) for _ in range(_N_TALLIES - 1)]
+                         + [draw(st.integers(0, R))] for _ in range(lanes)]
+                        for _ in range(slots)], dtype=np.int64)
+    # a slot with no delivery has a total of 0; others reach past 2**1024
+    totals = [draw(st.integers(1, 2**40) | st.integers(2**1000, 2**1100))
+              if delivered else 0
+              for delivered in tallies[:, :, engine._DELIVERED].ravel().tolist()]
+    warmup = draw(st.sampled_from([0, slots]) | st.integers(0, slots))
+    return tallies, totals, warmup, R
+
+
+@settings(max_examples=100, deadline=None)
+@given(_run_tallies())
+def test_summaries_and_records_equal_a_slot_by_slot_reference(case):
+    tallies, totals, warmup, R = case
+    slots, lanes = tallies.shape[:2]
+    summaries = _summaries(tallies, totals, warmup, R)
+    for lane in range(lanes):
+        reference = _ReferenceAccumulator(warmup)
+        for t in range(1, slots + 1):
+            reference.slot(t, tallies[t - 1, lane].tolist(),
+                           totals[(t - 1) * lanes + lane], R)
+        records = _slot_records(tallies[:, lane], totals[lane::lanes], R)
+        # repr tells an int from an equal float, as the golden digests do
+        assert repr(summaries[lane]) == repr(reference.summary())
+        assert repr(records) == repr(reference.records)
+
+
+def test_service_rates_add_up_in_slot_order():
+    # ten slots of one singly claimed RB of ten: a running total from 0.0
+    # reads 0.9999999999999999, where pairwise or compensated sums read 1.0
+    tallies = np.zeros((10, 1, _N_TALLIES), dtype=np.int64)
+    tallies[:, 0, engine._SINGLE] = 1
+    summary = _summaries(tallies, [0] * 10, 0, 10)[0]
+    assert summary.mean_service_rate == 0.09999999999999999
+    assert summary.mean_service_rate_postwarmup == 0.09999999999999999
+
+
+def test_summary_readers_build_no_records(monkeypatch, tmp_path):
+    built = []
+
+    class CountedRecord(SlotRecord):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "SlotRecord", CountedRecord)
+    base = small(slots=30)
+    summaries = [result.summary for _, _, result in
+                 sweep_iter(base, "seed", [1, 2, 3, 4])]
+    assert len(summaries) == 4 and not built
+    assert main(["sweep", "--parameter", "v_a", "--values", "0.2,0.4",
+                 "--replicates", "2", "--slots", "20", "--quiet",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert not built
+    # a run's records are built when first read, once
+    config = small(slots=30, seed=2)
+    result = run(config)
+    records = result.records
+    assert len(built) == config.slots
+    assert result.records is records and len(built) == config.slots
+    mixed = run_many([small(slots=30, seed=5, mode=Mode.DISTRIBUTED_RANDOM), config,
+                      small(slots=30, seed=2, mode=Mode.DISTRIBUTED_PREDETERMINED)])
+    assert mixed[1].records == records
 
 
 def _plain(value) -> bool:
