@@ -141,8 +141,7 @@ def check_sca_convergence(runs: int = 100, slots: int = 200,
     ne_failures = []
     stayed = True
     config = ScenarioConfig(n_devices=n, n_rbs=r, slots=slots, v_a=1.0,
-                            epsilon=0.0, r_c=15.0, mode=Mode.DISTRIBUTED_SCA,
-                            trace=True)
+                            epsilon=0.0, r_c=15.0, mode=Mode.DISTRIBUTED_SCA)
     # replicate k runs seed replicate_seed(seed, k), batched as a sweep does
     for _, k, result in sweep_iter(config, "seed", [seed], runs):
         rates = [rec.service_rate for rec in result.records]

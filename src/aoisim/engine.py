@@ -274,7 +274,6 @@ class ScenarioConfig:
     width: float = 10.0
     length: float = 10.0
     warmup_fraction: float = 0.1
-    trace: bool = False
 
     def validate(self) -> None:
         checks = [
@@ -349,10 +348,11 @@ class RunSummary:
 @dataclass
 class RunResult:
     """A run's config, summary, trace and records; the records are built from
-    the run's tallies when first read, so a summary reader never builds them."""
+    the run's tallies when first read, so a summary reader never builds them.
+    Every run has a trace, in its stack's schema (each stack's ``trace``)."""
     config: ScenarioConfig
     summary: RunSummary
-    trace: dict | None = None
+    trace: dict
     _tallies: tuple | None = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -436,8 +436,9 @@ def _activation_sweep(messages: PendingMessages, p_linear: np.ndarray, t: int,
 
 
 # a lane's tallies of a slot: active devices, transmissions by outcome code
-# (SUCCESS, DUPLICATE, OUTAGE), RACH losses, deliveries, singly claimed RBs
-_ACTIVE, _OUTCOMES, _RACH, _DELIVERED, _SINGLE, _N_TALLIES = 0, 1, 4, 5, 6, 7
+# (SUCCESS, DUPLICATE, OUTAGE), RACH losses, deliveries, RBs with one claimant
+# and RBs with two or more (crowded)
+_ACTIVE, _OUTCOMES, _RACH, _DELIVERED, _SINGLE, _CROWDED, _N_TALLIES = 0, 1, 4, 5, 6, 7, 8
 
 
 def _summaries(tallies: np.ndarray, totals: list, warmup_slots: int,
@@ -470,7 +471,7 @@ def _slot_records(tallies: np.ndarray, totals, R: int) -> list[SlotRecord]:
     """A lane's records from its (slots, _N_TALLIES) tallies and exact age totals."""
     records, cum_total, cum_deliveries = [], 0, 0
     for t, (row, total) in enumerate(zip(tallies, totals), 1):
-        n_active, n_success, duplicate, outage, rach, n_delivered, n_single = row.tolist()
+        n_active, n_success, duplicate, outage, rach, n_delivered, n_single, _ = row.tolist()
         cum_total, cum_deliveries = cum_total + total, cum_deliveries + n_delivered
         records.append(SlotRecord(
             t, _safe_mean(total, n_delivered), _safe_mean(cum_total, cum_deliveries),
@@ -514,8 +515,8 @@ def run_many(configs) -> list[RunResult]:
     stack learns the outcome (feedback) before idle devices draw fresh
     activations. Each of these is a few array operations per slot. The
     counts of a slot are one row of every lane's tallies in an integer
-    array, beside the lanes' exact age totals; each lane's summary comes
-    from them after the loop, and its records when first read.
+    array, beside the lanes' exact age totals; each lane's summary and trace
+    are built after the loop, and its records from them when first read.
     """
     configs = list(configs)
     if not configs:
@@ -554,6 +555,8 @@ def run_many(configs) -> list[RunResult]:
     # each slot's row of tallies and exact age totals (``_summaries``)
     tallies = np.zeros((base.slots, lanes, _N_TALLIES), dtype=np.int64)
     totals: list[int] = []
+    # 3 * the lane of every RB index, which keys an RB's claimant count by lane
+    rb_keys = 3 * (np.arange(lanes * stack.rb_width) // stack.rb_width)
 
     _activation_sweep(messages, p_linear, 0, base, draws)
     for t in range(1, base.slots + 1):
@@ -564,7 +567,7 @@ def run_many(configs) -> list[RunResult]:
             draws.vec(t, _PH_OUTAGE, ids) if can_fail else 0.0)
         ok = outcomes == SUCCESS
         delivered, slot_totals = deliver_success(messages, ids[ok], n_rbs[ok], t, lanes)
-        stack.feedback(ids, outcomes, delivered, claims)
+        stack.feedback(ids, outcomes, delivered)
 
         tally = tallies[t - 1]
         tally[:, _ACTIVE] = _lane_counts(active_ids, N, lanes)
@@ -573,14 +576,19 @@ def run_many(configs) -> list[RunResult]:
             minlength=3 * lanes).reshape(lanes, 3)
         tally[:, _RACH] = rach_failures
         tally[:, _DELIVERED] = _lane_counts(delivered, N, lanes)
-        tally[:, _SINGLE] = _lane_counts((claims == 1).nonzero()[0], stack.rb_width, lanes)
+        # each lane's RBs by claimants: none, one (single), more (crowded)
+        claims = np.minimum(claims, 2)
+        tally[:, _SINGLE:] = np.bincount(
+            claims if lanes == 1 else claims + rb_keys[:len(claims)],
+            minlength=3 * lanes).reshape(lanes, 3)[:, 1:]
         totals += slot_totals
         _activation_sweep(messages, p_linear, t, base, draws)
 
     summaries = _summaries(tallies, totals, int(base.slots * base.warmup_fraction),
                            base.n_rbs)
+    claimed = tallies[:, :, _SINGLE] + tallies[:, :, _CROWDED]
     return [RunResult(config=config, summary=summaries[lane],
-                      trace=stack.trace(lane) if base.trace else None,
+                      trace=stack.trace(lane, claimed[:, lane]),
                       _tallies=(tallies[:, lane], islice(totals, lane, None, lanes),
                                 base.n_rbs))
             for lane, config in enumerate(configs)]
@@ -687,12 +695,12 @@ class _CentralizedStack:
             self.est_type[found_ids] = learn_type(self.learner, found_ids)
         return kinds
 
-    def feedback(self, ids, outcomes, delivered, claims) -> None:
+    def feedback(self, ids, outcomes, delivered) -> None:
         # what the scheduler learned about a message goes with its delivery
         self.known_kind[delivered] = KIND_UNKNOWN
         self.last_slot[delivered] = -1
 
-    def trace(self, lane: int) -> dict:
+    def trace(self, lane: int, claimed: np.ndarray) -> dict:
         n = self.config.n_devices
         counts = self.learner.counts[lane * n:(lane + 1) * n]
         observed = np.flatnonzero(counts.sum(axis=1)).tolist()
@@ -839,7 +847,6 @@ class _DistributedStack:
         self.gen = _NO_IDS
         self.exponential = np.zeros(0, dtype=bool)
         self.ages_cache = None
-        self.trace_unused: list[list[int]] = [[] for _ in range(self.lanes)]
 
     def _lane(self, ids: np.ndarray) -> np.ndarray | None:
         return _lane_of(ids, self.config.n_devices, self.lanes)
@@ -907,34 +914,28 @@ class _DistributedStack:
                                horizon - 1 - self.gen)
         return self.ages_cache
 
-    def _future_ages(self, lane: int) -> list:
-        """Exact future ages of a lane's devices at this slot (0: idle), for the trace."""
-        n = self.config.n_devices
-        future = [0] * n
-        horizon = self.t + self.config.beta
-        for i, exponential, gen in zip(self.ids.tolist(), self.exponential.tolist(),
-                                       self.gen.tolist()):
-            if i // n == lane:
-                future[i % n] = aoi_value(KINDS[exponential], horizon, gen)
-        return future
-
-    def feedback(self, ids, outcomes, delivered, claims) -> None:
+    def feedback(self, ids, outcomes, delivered) -> None:
         self.last_action = self.actions
         self.last_failed = np.zeros(len(self.actions), dtype=bool)
         self.last_failed[ids[outcomes != SUCCESS]] = True
-        if self.config.trace:
-            claimed = _lane_counts(np.flatnonzero(claims), self.rb_width, self.lanes)
-            for unused, n_claimed in zip(self.trace_unused, claimed):
-                unused.append(self.config.n_rbs - n_claimed)
 
-    def trace(self, lane: int) -> dict:
+    def trace(self, lane: int, claimed: np.ndarray) -> dict:
+        """The lane's unused RBs in every slot, and its devices' actions, exact
+        future ages (0: idle) and activity at the last slot."""
         n = self.config.n_devices
-        active = np.zeros(len(self.actions), dtype=bool)
-        active[self.ids] = True
-        return {"unused_rbs": self.trace_unused[lane],
-                "final": {"actions": self.actions[lane * n:(lane + 1) * n].tolist(),
-                          "future_aoi": self._future_ages(lane),
-                          "active": active[lane * n:(lane + 1) * n].tolist()}}
+        start = lane * n
+        lo, hi = np.searchsorted(self.ids, (start, start + n)).tolist()
+        local = self.ids[lo:hi] - start
+        future = [0] * n
+        horizon = self.t + self.config.beta
+        for i, exponential, gen in zip(local.tolist(), self.exponential[lo:hi].tolist(),
+                                       self.gen[lo:hi].tolist()):
+            future[i] = aoi_value(KINDS[exponential], horizon, gen)
+        active = np.zeros(n, dtype=bool)
+        active[local] = True
+        return {"unused_rbs": (self.config.n_rbs - claimed).tolist(),
+                "final": {"actions": self.actions[start:start + n].tolist(),
+                          "future_aoi": future, "active": active.tolist()}}
 
 
 def _local(ids: np.ndarray, start: int) -> np.ndarray:

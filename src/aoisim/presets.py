@@ -125,7 +125,7 @@ def _stack_comparison_sweep():
 def _two_device_game():
     return [("sca", ScenarioConfig(
         n_devices=2, n_rbs=2, slots=50, v_a=1.0, epsilon=0.0, r_c=15.0,
-        mode=Mode.DISTRIBUTED_SCA, trace=True, seed=0))]
+        mode=Mode.DISTRIBUTED_SCA, seed=0))]
 
 
 def _random_rate_points():
@@ -140,7 +140,7 @@ def _random_rate_points():
 def _convergence_run():
     return [("sca", ScenarioConfig(
         n_devices=50, n_rbs=50, slots=200, v_a=1.0, epsilon=0.0, r_c=15.0,
-        mode=Mode.DISTRIBUTED_SCA, trace=True, seed=0))]
+        mode=Mode.DISTRIBUTED_SCA, seed=0))]
 
 
 _PRESETS = {

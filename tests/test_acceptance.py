@@ -217,7 +217,7 @@ def test_type_classification_accuracy():
     cfg = ScenarioConfig(
         n_devices=200, n_rbs=50, slots=3000, preambles=384, n_rbs_max=5,
         epsilon=EPS_1PCT, seed=replicate_seed(0, 0), v_a=0.3,
-        mode=Mode.CENTRALIZED_LEARNING, trace=True)
+        mode=Mode.CENTRALIZED_LEARNING)
     result = run(cfg)
     counts = result.trace["learner_counts"]
     learner = TypeLearner(n_devices=200)

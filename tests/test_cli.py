@@ -155,9 +155,10 @@ def test_flags_apply_before_the_config_is_validated(tmp_path):
     assert main(run_argv("--set", "n_rbs_max=5", "--mode", "distributed_sca")) == 1
 
 
-@pytest.mark.parametrize("key", ["rho", "gamma", "eta"])
-def test_payoff_keys_are_not_config_keys(key, capsys):
-    # no run reads the game payoffs, so they are no config fields
+@pytest.mark.parametrize("key", ["rho", "gamma", "eta", "trace"])
+def test_removed_keys_are_not_config_keys(key, capsys):
+    # no run reads the game payoffs, and every run builds its trace, so
+    # none of them is a config field
     assert main(run_argv("--set", f"{key}=5")) == 1
     assert capsys.readouterr().err == f"aoisim: unknown config key: {key}\n"
 

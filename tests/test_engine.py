@@ -51,7 +51,7 @@ def test_beta_runs_up_to_its_bound(mode):
     # trace ages small and ldexp and int64 conversions in range, and one
     # past it is rejected
     config = small(n_devices=8, n_rbs=2, slots=40, v_a=0.5, mode=mode, r_c=3.0,
-                   beta=engine.MAX_BETA, trace=True)
+                   beta=engine.MAX_BETA)
     result = run(config)
     assert result.summary.deliveries and math.isfinite(result.summary.mean_delivery_aoi)
     with pytest.raises(ConfigError, match="beta"):
@@ -261,8 +261,8 @@ def test_centralized_arrays_match_the_devices_every_slot(name, monkeypatch):
         replay.check(messages)
         return delivered, totals
 
-    def checked_feedback(self, ids, outcomes, delivered, claims):
-        feedback(self, ids, outcomes, delivered, claims)
+    def checked_feedback(self, ids, outcomes, delivered):
+        feedback(self, ids, outcomes, delivered)
         # what the scheduler learned about a message goes with its delivery
         idle = self.messages.rbs_left == 0
         assert (self.known_kind[idle] == KIND_UNKNOWN).all()
@@ -331,7 +331,7 @@ class _ReferenceAccumulator:
         self.records = []
 
     def slot(self, t, row, age_total, R):
-        n_active, n_success, dup, outage, rach, n_delivered, n_single = row
+        n_active, n_success, dup, outage, rach, n_delivered, n_single, _ = row
         self.total += age_total
         self.deliveries += n_delivered
         self.rate += n_single / R
@@ -369,9 +369,15 @@ def _run_tallies(draw):
     slots, R = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     lanes = draw(st.integers(1, 4))
     counts = st.integers(0, 5) | st.integers(0, 2**40)
-    tallies = np.array([[[draw(counts) for _ in range(_N_TALLIES - 1)]
-                         + [draw(st.integers(0, R))] for _ in range(lanes)]
-                        for _ in range(slots)], dtype=np.int64)
+
+    def row():
+        # the counts, then the RBs with one claimant and with more
+        single = draw(st.integers(0, R))
+        return ([draw(counts) for _ in range(engine._SINGLE)]
+                + [single, draw(st.integers(0, R - single))])
+
+    tallies = np.array([[row() for _ in range(lanes)] for _ in range(slots)],
+                       dtype=np.int64)
     # a slot with no delivery has a total of 0; others reach past 2**1024
     totals = [draw(st.integers(1, 2**40) | st.integers(2**1000, 2**1100))
               if delivered else 0
@@ -466,7 +472,6 @@ _CONFIGS = st.fixed_dictionaries({
     "r_c": st.sampled_from([0.0, 2.0, 5.0, 15.0]),
     "type1_fraction": st.floats(0.0, 1.0),
     "demand": st.tuples(st.integers(1, 4), st.integers(0, 3)),
-    "trace": st.booleans(),
 })
 
 
@@ -489,7 +494,9 @@ def test_every_valid_config_runs(draw):
     result = run(config)
     assert len(result.records) == config.slots
     assert 0.0 <= result.summary.mean_service_rate <= 1.0
-    for record in result.records:
+    if not config.mode.centralized:
+        assert len(result.trace["unused_rbs"]) == config.slots
+    for t, record in enumerate(result.records):
         assert 0.0 <= record.service_rate <= 1.0
         assert record.n_transmitting <= record.n_active
         assert record.avg_inst_aoi_slot is None or record.avg_inst_aoi_slot >= 1
@@ -501,6 +508,13 @@ def test_every_valid_config_runs(draw):
             assert record.n_transmitting <= granted <= config.n_rbs
             assert granted <= record.n_transmitting * config.n_rbs_max
             assert record.rach_failures + record.n_transmitting <= record.n_active
+        else:
+            # an RB is unused, singly claimed or crowded, and every crowded
+            # RB fails its two or more claimants
+            unused = result.trace["unused_rbs"][t]
+            singles = round(record.service_rate * config.n_rbs)
+            assert unused >= 0 and unused + singles <= config.n_rbs
+            assert 2 * (config.n_rbs - unused - singles) <= record.duplicate_failures
 
 
 def _assert_lanes_equal_runs(configs):
@@ -538,8 +552,7 @@ def test_run_many_equals_one_run_per_config_on_every_golden_case(name):
 def test_run_many_mixes_full_and_partial_range_lanes(mode):
     # at r_c = 6 on a 10 x 10 cell, three devices sometimes all hear each
     # other and sometimes not: such lanes keep their own threshold rule
-    base = small(n_devices=3, n_rbs=2, r_c=6.0, v_a=0.6, slots=60, mode=mode,
-                 trace=True)
+    base = small(n_devices=3, n_rbs=2, r_c=6.0, v_a=0.6, slots=60, mode=mode)
     configs = [dataclasses.replace(base, seed=s) for s in range(8)]
     positions = np.concatenate([make_devices(
         3, c.type1_fraction, c.m1, c.m2, c.width, c.length,
@@ -555,8 +568,7 @@ def test_run_many_mixes_full_and_partial_range_lanes_past_float_range(mode):
     # slots; the lanes mix a span within r_c (saturated ages rank exactly),
     # every pair in range though the span is not (they tie as inf) and
     # pairs out of range (a dense block)
-    base = small(n_devices=3, n_rbs=1, r_c=6.0, v_a=1.0, slots=1500, mode=mode,
-                 trace=True)
+    base = small(n_devices=3, n_rbs=1, r_c=6.0, v_a=1.0, slots=1500, mode=mode)
     configs = [dataclasses.replace(base, seed=s) for s in range(8)]
     blocks = [engine._neighbor_matrix(make_devices(
         3, c.type1_fraction, c.m1, c.m2, c.width, c.length,
@@ -606,7 +618,6 @@ _PARTIAL = st.fixed_dictionaries({
     "beta": st.integers(1, 3),
     "epsilon": st.sampled_from([0.0, 1.0, 30.0]),
     "r_c": st.floats(1.0, 15.0),
-    "trace": st.booleans(),
 })
 
 
@@ -821,7 +832,7 @@ def test_run_many_rejects_empty_and_mixed_batches():
     central = small(mode=Mode.CENTRALIZED_LEARNING)
     run_many([central, dataclasses.replace(central, mode=Mode.CENTRALIZED_FULL_INFO)])
     for change in (dict(v_a=0.5), dict(mode=Mode.CENTRALIZED_LEARNING),
-                   dict(slots=81), dict(trace=True)):
+                   dict(slots=81)):
         with pytest.raises(ConfigError, match="differ only in seed and in mode"):
             run_many([base, dataclasses.replace(base, seed=8, **change)])
     with pytest.raises(ConfigError, match="within one stack"):
@@ -882,7 +893,7 @@ def test_priority_key_is_told_what_the_mode_knows(mode, monkeypatch):
     monkeypatch.setattr(engine, "_CentralizedStack", Recorded)
     monkeypatch.setattr(engine, "rach_phase", recorded_rach)
     monkeypatch.setattr(centralized, "priority_key", recorded_key)
-    result = run(small(mode=mode, n_devices=20, n_rbs=4, v_a=0.5, trace=True))
+    result = run(small(mode=mode, n_devices=20, n_rbs=4, v_a=0.5))
     latent = result.trace["latent_types"]
     assert len(calls) == 80
     reported, identified, typed = set(), set(), set()   # messages as (device,
@@ -1147,12 +1158,15 @@ def test_centralized_outcome_conservation_single_rb():
 
 
 def test_trace_payloads():
-    learn = run(small(mode=Mode.CENTRALIZED_LEARNING, trace=True, slots=60))
-    assert set(learn.trace) == {"learner_counts", "latent_types"}
-    assert len(learn.trace["latent_types"]) == 10
-    sca = run(small(trace=True, slots=60))
-    assert len(sca.trace["unused_rbs"]) == 60
-    assert set(sca.trace["final"]) == {"actions", "future_aoi", "active"}
+    # every run of every mode carries its stack's trace
+    for mode in Mode:
+        trace = run(small(mode=mode, slots=60)).trace
+        if mode.centralized:
+            assert set(trace) == {"learner_counts", "latent_types"}
+            assert len(trace["latent_types"]) == 10
+        else:
+            assert len(trace["unused_rbs"]) == 60
+            assert set(trace["final"]) == {"actions", "future_aoi", "active"}
 
 
 # --- sweeps ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Golden outputs: SHA-256 of the simulated values of short reference runs.
 
-Each case hashes ``repr(records) + repr(summary)``, plus the trace with every
-dict sorted by key when the run has one. A refactor must leave every digest
-unchanged; a change that alters the random stream or the semantics on
-purpose recomputes them (``digest(case_config(name))``) and says so.
+Each case hashes ``repr(records) + repr(summary)``; the cases in TRACED also
+hash the run's trace, with every dict sorted by key. A refactor must leave
+every digest unchanged; a change that alters the random stream or the
+semantics on purpose recomputes them (``digest(name)``) and says so.
 
 The starvation runs keep a single RB contended for 1,500 slots, so in-flight
 exponential ages pass 2**1024. At v_a=1 every message is generated in slot 0
@@ -44,7 +44,7 @@ CASES = {
     "central_full_info_window": dict(mode=Mode.CENTRALIZED_FULL_INFO,
                                      n_rbs_min=2, n_rbs_max=4, epsilon=2.0),
     "central_beta2": dict(mode=Mode.CENTRALIZED_LEARNING, beta=2, v_a=0.7),
-    "central_trace": dict(mode=Mode.CENTRALIZED_LEARNING, trace=True, v_a=0.7),
+    "central_trace": dict(mode=Mode.CENTRALIZED_LEARNING, v_a=0.7),
     "central_full_info_beyond_float": dict(mode=Mode.CENTRALIZED_FULL_INFO,
                                            n_devices=400, n_rbs=1, v_a=0.5,
                                            preambles=64, type1_fraction=0.0,
@@ -52,7 +52,7 @@ CASES = {
     "sca_full": dict(mode=Mode.DISTRIBUTED_SCA, r_c=15.0),
     "sca_partial": dict(mode=Mode.DISTRIBUTED_SCA, r_c=4.0, v_a=0.7),
     "sca_partial_beta2": dict(mode=Mode.DISTRIBUTED_SCA, r_c=4.0, beta=2),
-    "sca_trace": dict(mode=Mode.DISTRIBUTED_SCA, r_c=4.0, trace=True),
+    "sca_trace": dict(mode=Mode.DISTRIBUTED_SCA, r_c=4.0),
     "random_full": dict(mode=Mode.DISTRIBUTED_RANDOM, r_c=15.0, v_a=0.7),
     "random_partial": dict(mode=Mode.DISTRIBUTED_RANDOM, r_c=4.0, v_a=0.7,
                            heterogeneous_power=True),
@@ -73,6 +73,9 @@ CASES = {
                                                 n_rbs=1, v_a=0.5, slots=1500,
                                                 n_devices=4, r_c=7.0, seed=24),
 }
+
+# the cases whose digest also hashes the run's trace
+TRACED = {"central_trace", "sca_trace"}
 
 GOLDEN = {
     "central_beta2":
@@ -136,14 +139,14 @@ def _sorted(value):
     return value
 
 
-def digest(config: ScenarioConfig) -> str:
-    result = run(config)
+def digest(name: str) -> str:
+    result = run(case_config(name))
     text = repr(result.records) + repr(result.summary)
-    if result.trace is not None:
+    if name in TRACED:
         text += repr(_sorted(result.trace))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name):
-    assert digest(case_config(name)) == GOLDEN[name]
+    assert digest(name) == GOLDEN[name]

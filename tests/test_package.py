@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import aoisim
 
 
@@ -11,3 +15,15 @@ def test_star_import_gives_the_export_list():
     namespace = {}
     exec("from aoisim import *", namespace)
     assert set(aoisim.__all__) <= set(namespace)
+
+
+def test_readme_config_table_lists_every_config_field():
+    # the first column of README's "Key config fields" table names every
+    # ScenarioConfig field, and nothing else
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Key config fields", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    listed = [name for row in rows
+              for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == {f.name for f in dataclasses.fields(aoisim.ScenarioConfig)}
