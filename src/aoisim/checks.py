@@ -6,7 +6,7 @@ here prints or exits, so the CLI and pytest can both consume the results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +64,7 @@ def check_payoff_table(params: GameParams | None = None) -> CheckResult:
     return CheckResult("payoff-table", ok, lines)
 
 
+# the (T, R) points of check_random_service_rate, which the random_rate preset runs
 _RATE_POINTS = ((2, 2), (10, 50), (50, 50), (200, 50))
 
 
@@ -121,6 +122,11 @@ def check_random_service_rate(slots: int = 10_000, seed: int = 2026) -> CheckRes
     return CheckResult("random-service-rate", ok, lines)
 
 
+# the cell of check_sca_convergence, which the convergence preset runs
+_CONVERGENCE = ScenarioConfig(n_devices=50, n_rbs=50, slots=200, v_a=1.0, epsilon=0.0,
+                              r_c=15.0, mode=Mode.DISTRIBUTED_SCA)
+
+
 def check_sca_convergence(runs: int = 100, slots: int = 200,
                           seed: int = 2026) -> CheckResult:
     """Crowd avoidance at N=R with permanent reactivation and a clean channel.
@@ -134,14 +140,13 @@ def check_sca_convergence(runs: int = 100, slots: int = 200,
     is the right slack scale, a standard-error slack would shrink to zero
     with more runs while the model gap stays put.
     """
-    n = r = 50
+    n, r = _CONVERGENCE.n_devices, _CONVERGENCE.n_rbs
     params = GameParams()
     unused = np.zeros((runs, slots))
     converged_at = []
     ne_failures = []
     stayed = True
-    config = ScenarioConfig(n_devices=n, n_rbs=r, slots=slots, v_a=1.0,
-                            epsilon=0.0, r_c=15.0, mode=Mode.DISTRIBUTED_SCA)
+    config = replace(_CONVERGENCE, slots=slots)
     # replicate k runs seed replicate_seed(seed, k), batched as a sweep does
     for _, k, result in sweep_iter(config, "seed", [seed], runs):
         rates = [rec.service_rate for rec in result.records]

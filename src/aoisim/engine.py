@@ -162,7 +162,7 @@ class SlotDraws:
 
     __slots__ = ("_seed_words", "_n", "_block", "_first", "_end", "_states")
 
-    def __init__(self, seeds, n_devices: int, slots: int = _STATE_BLOCK - 1):
+    def __init__(self, seeds, n_devices: int, slots: int):
         self._seed_words = [_uint32_words(seed) for seed in seeds]
         self._n = n_devices
         self._block = min(_STATE_BLOCK, slots + 1)
@@ -607,19 +607,17 @@ class _CentralizedStack:
     with a few array operations. types (``TypeId`` values) and p_outage
     (the run's ``outage_table``) hold every device of every lane, in lane
     order; every lane has its own RACH and its own R RBs. modes holds each
-    lane's mode (config.mode for every lane when None): it selects what
-    the scheduler knows of the lane's requests.
+    lane's mode: it selects what the scheduler knows of the lane's requests.
     """
 
     def __init__(self, config: ScenarioConfig, types: np.ndarray,
                  p_outage: np.ndarray, messages: PendingMessages,
-                 modes: list[Mode] | None = None):
+                 modes: list[Mode]):
         self.config = config
         self.messages = messages
         self.lanes = len(types) // config.n_devices
         self.rb_width = config.n_rbs
         n = len(types)
-        modes = modes or [config.mode] * self.lanes
         self.full_info = _lane_mask(modes, {Mode.CENTRALIZED_FULL_INFO},
                                     config.n_devices)
         self.learning = _lane_mask(modes, {Mode.CENTRALIZED_LEARNING},
@@ -715,9 +713,10 @@ class _CentralizedStack:
 
 # the float64 entries of one row block of _neighbor_matrix's distances (1 MiB)
 _NEIGHBOR_BLOCK = 1 << 17
-# the largest share of a lane's device pairs out of range that _DistributedStack
-# handles as a list of those pairs; above it a lane keeps its dense block
-# (crossover measured on N = 200 and 1,000 cells, BENCH_14.json)
+# the largest share of a game lane's device pairs out of range that makes
+# _DistributedStack list the unheard pairs of its batch; a batch whose game
+# lanes all miss more keeps their dense blocks (crossover measured on
+# N = 200 and 1,000 cells, BENCH_14.json)
 _PAIR_SHARE = 0.15
 
 
@@ -748,17 +747,21 @@ def _neighbor_matrix(xy: np.ndarray, r_c: float) -> np.ndarray | None:
 _NO_PAIRS = np.zeros((2, 0), dtype=np.intp)
 
 
-def _unheard_pairs(block: np.ndarray) -> np.ndarray | None:
-    """The out-of-range pairs (i < j) of a lane's neighbor block, as a (2, P)
-    array, or None when they are more than _PAIR_SHARE of its pairs."""
-    n = len(block)
-    # the block is symmetric with a true diagonal
-    pairs = (block.size - np.count_nonzero(block)) // 2
-    if pairs > _PAIR_SHARE * (n * (n - 1) // 2):
-        return None
+def _unheard_pairs(block: np.ndarray) -> np.ndarray:
+    """The out-of-range pairs (i < j) of a lane's neighbor block, as a (2, P) array."""
     i, j = np.nonzero(~block)
     upper = i < j
     return np.stack((i[upper], j[upper]))
+
+
+def _misses_few(block: np.ndarray | None) -> bool:
+    """Whether a lane's neighbor block (None: the range covers its devices)
+    misses at most _PAIR_SHARE of its device pairs."""
+    if block is None:
+        return True
+    n = len(block)
+    # the block is symmetric with a true diagonal
+    return (block.size - np.count_nonzero(block)) // 2 <= _PAIR_SHARE * (n * (n - 1) // 2)
 
 
 class _DistributedStack:
@@ -773,54 +776,57 @@ class _DistributedStack:
     positions holds the devices of every lane in lane order. A device only
     ever hears devices of its own lane. A device's action is its RB label,
     1..R, in its own lane; on the channel, lane l's RB b is l * (R + 1) + b.
-    A lane hears in one of two forms. A lane whose range misses at most
-    _PAIR_SHARE of its device pairs, a full range and every predetermined
-    lane among them, is a pair lane (``pair_form``, a ``_lanes_mask``):
-    unheard lists the out-of-range pairs (i < j) of every pair lane, as
-    global ids, possibly none, and the pair lanes decide together in one
-    pass, taking the unheard pairs' share from what their whole lane gives.
-    Any other lane is dense: neighbors holds its adjacency matrix (None for
-    a pair lane), and it decides lane by lane on it. full_range says no
-    pair lane misses a pair. Where a lane's range covers the span of its
-    devices (exact, a ``_lanes_mask``) the threshold ranks saturated ages by
+    The batch hears in one form, set by its game lanes. It is listed once
+    one game lane's range covers its devices' span or misses at most
+    _PAIR_SHARE of its pairs: unheard then lists the out-of-range pairs
+    (i < j) of every game lane, as global ids, and the lanes decide in one
+    pass, taking the unheard pairs' share from what their whole lane gives;
+    full_range says no lane misses a pair. Otherwise the batch is dense:
+    dense holds (lane, adjacency matrix) for every game lane, and the lanes
+    decide one by one. Where a lane's range covers its devices' span
+    (exact, a ``_lanes_mask``) the threshold ranks saturated ages by
     exponent; every other lane ties them as inf.
 
-    modes holds each lane's mode (config.mode for every lane when None).
-    Predetermined lanes go through the rank map alone; the game lanes share
+    modes holds each lane's mode. Predetermined lanes go through the rank
+    map alone and never set the form; the game lanes share
     the transmit threshold, after which random lanes pick uniformly and SCA
     lanes delegate, keep and step. Each of predetermined, game, random and
     sca is a ``_lane_mask`` over the devices.
     """
 
     def __init__(self, config: ScenarioConfig, positions: np.ndarray,
-                 messages: PendingMessages, modes: list[Mode] | None = None):
+                 messages: PendingMessages, modes: list[Mode]):
         self.config = config
         self.messages = messages
         n, size = config.n_devices, len(positions)
         self.lanes = size // n
         self.rb_width = config.n_rbs + 1
-        modes = modes or [config.mode] * self.lanes
         self.predetermined = _lane_mask(modes, {Mode.DISTRIBUTED_PREDETERMINED}, n)
         self.game = _lane_mask(modes, {Mode.DISTRIBUTED_SCA, Mode.DISTRIBUTED_RANDOM}, n)
         self.random = _lane_mask(modes, {Mode.DISTRIBUTED_RANDOM}, n)
         self.sca = _lane_mask(modes, {Mode.DISTRIBUTED_SCA}, n)
-        # the rank-to-RB baseline is defined only under full information;
-        # a pair lane's block lives only until its pairs are listed
-        self.neighbors, exact, pairs = [], [], [_NO_PAIRS]
+        # the rank-to-RB baseline is defined only under full information.
+        # One block is built at a time; once the batch is listed, each block
+        # (the kept ones included) becomes its pair list and is dropped
+        blocks, exact, pairs, listed = [], [], [_NO_PAIRS], False
         for lane, mode in enumerate(modes):
-            block = (None if mode is Mode.DISTRIBUTED_PREDETERMINED
-                     else _neighbor_matrix(positions[lane * n:(lane + 1) * n], config.r_c))
-            lane_pairs = _NO_PAIRS if block is None else _unheard_pairs(block)
+            game = mode is not Mode.DISTRIBUTED_PREDETERMINED
+            block = (_neighbor_matrix(positions[lane * n:(lane + 1) * n], config.r_c)
+                     if game else None)
             exact.append(block is None)
-            self.neighbors.append(block if lane_pairs is None else None)
-            if lane_pairs is not None:
-                pairs.append(lane_pairs + lane * n)
-        self.dense = [(lane, block) for lane, block in enumerate(self.neighbors)
-                      if block is not None]
-        self.pair_form = _lanes_mask([block is None for block in self.neighbors], n)
+            listed = listed or game and _misses_few(block)
+            if block is not None:
+                blocks.append((lane, block))
+            if listed:
+                pairs += [_unheard_pairs(kept) + i * n for i, kept in blocks]
+                blocks = []
+        self.dense = blocks
         self.exact = _lanes_mask(exact, n)
         self.unheard = np.concatenate(pairs, axis=1)
-        self.full_range = not self.unheard.size
+        # the lanes' lists go before the partner arrays are built, so that
+        # the set-up peak holds one copy of the pairs fewer
+        del pairs
+        self.full_range = not (self.dense or self.unheard.size)
         # device d's unheard partners: partners[partner_start[d]:partner_end[d]]
         source = self.unheard.ravel()
         self.partners = self.unheard[::-1].ravel()[np.argsort(source, kind="stable")]
@@ -938,21 +944,57 @@ class _DistributedStack:
                           "future_aoi": future, "active": active.tolist()}}
 
 
-def _local(ids: np.ndarray, start: int) -> np.ndarray:
-    """Lane-local indices of ids whose lane starts at device start."""
-    return ids - start if start else ids
-
-
-def _transmitters(stack: _DistributedStack, game=_ALL) -> np.ndarray:
+def _reaching(stack: _DistributedStack, game) -> np.ndarray:
     """Which of the slot's active devices reach their transmit threshold.
 
     game (a ``_rows`` selector) picks the active devices of the game lanes;
     the threshold runs on those alone, and every other device reads False.
+    Each device ranks its own lane only. In a listed batch a device knows
+    its lane's active ages but those of its unheard partners, and every
+    lane ranks in one pass. Ages past float range rank by exponent where
+    the lane is exact and tie as inf elsewhere: no exponents are passed,
+    or, beside exact lanes, they all read 1024, the first exponent past
+    float range. A dense batch counts, per device, the in-range active
+    ages above its own, as floats, lane by lane.
     """
+    if stack.dense:
+        # the dense lanes are the game lanes: other rows stay False
+        passing = np.zeros(len(stack.ids), dtype=bool)
+        ages = stack._float_ages()[0]
+        bounds = stack._lane_bounds(stack.ids)
+        for lane, block in stack.dense:
+            lo, hi = bounds[lane], bounds[lane + 1]
+            if lo == hi:
+                continue
+            # row r marks the ages the lane's r-th active device knows
+            local = stack.ids[lo:hi] - lane * stack.config.n_devices
+            known = block[local][:, local]
+            ks = stack.kappa(known.sum(axis=1, dtype=np.int32), hi - lo)
+            passing[lo:hi] = reaches_threshold(ages[lo:hi], ks, known)
+        return passing
     ids = stack.ids[game]
     if not len(ids):
         return np.zeros(len(stack.ids), dtype=bool)
-    passing = _reaching(stack, ids, game)
+    lanes = stack._lane(ids)
+    n_active = len(ids) if lanes is None else np.bincount(lanes)[lanes]
+    if stack.full_range:
+        k, unheard = stack.shared_kappa[n_active - 1], None
+        # where k >= n_active the threshold is the smallest age; one lane
+        # compares scalars, which need no reduction
+        everyone = k >= n_active if lanes is None else (k >= n_active).all()
+    else:
+        unheard, everyone = stack._unheard_among(ids), False
+        k = stack.kappa(n_active - np.bincount(unheard.ravel(), minlength=len(ids)),
+                        n_active)
+    if everyone:
+        passing = np.ones(len(ids), dtype=bool)
+    else:
+        ages, exponents = (values[game] for values in stack._float_ages())
+        exact = _rows(stack.exact, ids)
+        exponents = (exponents if exact is _ALL else None if exact is None
+                     else np.where(exact, exponents, 1024))
+        passing = reaches_threshold(ages, k, exponents=exponents, lanes=lanes,
+                                    unheard=unheard)
     if game is _ALL:
         return passing
     out = np.zeros(len(stack.ids), dtype=bool)
@@ -960,101 +1002,33 @@ def _transmitters(stack: _DistributedStack, game=_ALL) -> np.ndarray:
     return out
 
 
-def _reaching(stack: _DistributedStack, ids: np.ndarray, game) -> np.ndarray:
-    """The transmit threshold of the active devices ids, the game rows of stack.ids.
-
-    A pair lane ranks its lane's active ages but its unheard partners';
-    a dense lane counts, per device, the in-range active ages above its
-    own, as floats. Each device ranks its own lane only.
-    """
-    pairs = _rows(stack.pair_form, ids)
-    if pairs is _ALL:
-        return _pair_reaching(stack, ids, game)
-    passing = np.empty(len(ids), dtype=bool)
-    if pairs is not None and pairs.any():
-        passing[pairs] = _pair_reaching(stack, ids[pairs], pairs if game is _ALL
-                                        else np.flatnonzero(game)[pairs])
-    ages = stack._float_ages()[0][game]
-    bounds = stack._lane_bounds(ids)
-    for lane, block in stack.dense:
-        lo, hi = bounds[lane], bounds[lane + 1]
-        if lo == hi:
-            continue
-        # row r marks the ages the lane's r-th active device knows
-        local = _local(ids[lo:hi], lane * stack.config.n_devices)
-        known = block[local][:, local]
-        ks = stack.kappa(known.sum(axis=1, dtype=np.int32), hi - lo)
-        passing[lo:hi] = reaches_threshold(ages[lo:hi], ks, known)
-    return passing
-
-
-def _pair_reaching(stack: _DistributedStack, ids: np.ndarray, rows) -> np.ndarray:
-    """The transmit threshold of the active devices ids of pair lanes, all at
-    once; rows selects them from stack.ids.
-
-    A device knows its lane's active ages but those of its unheard partners.
-    Ages past float range rank by exponent where the lane is exact and tie
-    as inf elsewhere: no exponents are passed, or, beside exact lanes, they
-    all read 1024, the first exponent past float range.
-    """
-    lanes = stack._lane(ids)
-    n_active = len(ids) if lanes is None else np.bincount(lanes)[lanes]
-    if stack.full_range:
-        k, unheard = stack.shared_kappa[n_active - 1], None
-        # where k >= n_active the threshold is the smallest age; one lane
-        # compares scalars, which need no reduction
-        if k >= n_active if lanes is None else (k >= n_active).all():
-            return np.ones(len(ids), dtype=bool)
-    else:
-        unheard = stack._unheard_among(ids)
-        k = stack.kappa(n_active - np.bincount(unheard.ravel(), minlength=len(ids)),
-                        n_active)
-    ages, exponents = (values[rows] for values in stack._float_ages())
-    exact = _rows(stack.exact, ids)
-    exponents = (exponents if exact is _ALL else None if exact is None
-                 else np.where(exact, exponents, 1024))
-    return reaches_threshold(ages, k, exponents=exponents, lanes=lanes, unheard=unheard)
-
-
 def _delegate_picks(stack: _DistributedStack, delegators: np.ndarray,
                     u: np.ndarray) -> np.ndarray:
     """The active device (column of stack.ids) inheriting each delegator's RB.
 
     -1 where a delegator has no active neighbor. Candidates are the active
-    devices of the delegator's lane within its range.
-    """
-    pairs = _rows(stack.pair_form, delegators)
-    if pairs is _ALL:
-        return _pair_picks(stack, delegators, u)
-    picks = np.empty(len(delegators), dtype=np.intp)
-    if pairs is not None and pairs.any():
-        picks[pairs] = _pair_picks(stack, delegators[pairs], u[pairs])
-    ids = stack.ids
-    ages, exponents = stack._float_ages()
-    bounds, delegator_bounds = stack._lane_bounds(ids), stack._lane_bounds(delegators)
-    for lane, block in stack.dense:
-        lo, hi = bounds[lane], bounds[lane + 1]
-        d_lo, d_hi = delegator_bounds[lane], delegator_bounds[lane + 1]
-        if d_lo == d_hi:
-            continue
-        # a delegator is idle, so it is never its own candidate
-        start = lane * stack.config.n_devices
-        candidates = block[_local(delegators[d_lo:d_hi], start)][:, _local(ids[lo:hi], start)]
-        lane_picks = delegate_target(candidates, ages[lo:hi], exponents[lo:hi],
-                                     u[d_lo:d_hi])
-        picks[d_lo:d_hi] = np.where(lane_picks >= 0, lane_picks + lo, -1)
-    return picks
-
-
-def _pair_picks(stack: _DistributedStack, delegators: np.ndarray,
-                u: np.ndarray) -> np.ndarray:
-    """``_delegate_picks`` of delegators of pair lanes, all at once.
-
-    Row r of the candidates spans the active devices of delegator r's lane,
-    the widest lane setting the width, less its unheard partners.
+    devices of the delegator's lane within its range. A listed batch picks
+    for every delegator at once: row r of the candidates spans the active
+    devices of delegator r's lane, the widest lane setting the width, less
+    its unheard partners. A dense batch picks lane by lane on its blocks.
     """
     ids = stack.ids
     ages, exponents = stack._float_ages()
+    if stack.dense:
+        picks = np.empty(len(delegators), dtype=np.intp)
+        bounds, delegator_bounds = stack._lane_bounds(ids), stack._lane_bounds(delegators)
+        for lane, block in stack.dense:
+            lo, hi = bounds[lane], bounds[lane + 1]
+            d_lo, d_hi = delegator_bounds[lane], delegator_bounds[lane + 1]
+            if d_lo == d_hi:
+                continue
+            # a delegator is idle, so it is never its own candidate
+            start = lane * stack.config.n_devices
+            candidates = block[delegators[d_lo:d_hi] - start][:, ids[lo:hi] - start]
+            lane_picks = delegate_target(candidates, ages[lo:hi], exponents[lo:hi],
+                                         u[d_lo:d_hi])
+            picks[d_lo:d_hi] = np.where(lane_picks >= 0, lane_picks + lo, -1)
+        return picks
     if stack.lanes == 1:
         width, offset = len(ids), 0
         candidates = np.ones((len(delegators), width + 1), dtype=bool)
@@ -1084,44 +1058,34 @@ def _sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
     """What the deciding devices sensed last slot, as ``sca_step`` reads it.
 
     Returns the crowd each saw on its own last RB and the unused-RB rows:
-    one per device, or one for all where every device sensed the same.
+    one per device, or one for all where every device sensed the same. A
+    device only knows an RB was taken if it sensed a transmission on it: in
+    a listed batch, its lane's transmissions of last slot but those of its
+    unheard partners; in a dense batch, those its block marks.
     """
-    config, last_action = stack.config, stack.last_action
-    R = config.n_rbs
-    pairs = _rows(stack.pair_form, deciding)
-    if pairs is _ALL:
-        return _pair_sensed(stack, deciding, prev)
-    # a device only knows an RB was taken if it sensed a transmission on it
-    crowds = np.empty(len(deciding), dtype=np.intp)
-    unused = np.empty((len(deciding), R), dtype=bool)
-    if pairs is not None and pairs.any():
-        crowds[pairs], unused[pairs] = _pair_sensed(stack, deciding[pairs], prev[pairs])
-    bounds = stack._lane_bounds(deciding)
-    for lane, block in stack.dense:
-        lo, hi = bounds[lane], bounds[lane + 1]
-        if lo == hi:
-            continue
-        start = lane * config.n_devices
-        lane_actions = last_action[start:start + config.n_devices]
-        # count every (deciding device, RB) pair of a transmission it heard
-        heard = np.flatnonzero(lane_actions)
-        cells = np.arange(hi - lo)[:, None] * (R + 1) + lane_actions[heard]
-        sensed = np.bincount(cells[block[_local(deciding[lo:hi], start)][:, heard]],
-                             minlength=(hi - lo) * (R + 1)).reshape(hi - lo, R + 1)
-        crowds[lo:hi] = sensed[np.arange(hi - lo), prev[lo:hi]]
-        unused[lo:hi] = sensed[:, 1:] == 0
-    return crowds, unused
-
-
-def _pair_sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
-    """``_sensed`` of deciding devices of pair lanes, all at once.
-
-    A device senses its lane's transmissions of last slot but those of its
-    unheard partners.
-    """
-    last_action, width, lanes = stack.last_action, stack.rb_width, stack._lane(deciding)
+    last_action, width = stack.last_action, stack.rb_width
+    if stack.dense:
+        R, n = stack.config.n_rbs, stack.config.n_devices
+        crowds = np.empty(len(deciding), dtype=np.intp)
+        unused = np.empty((len(deciding), R), dtype=bool)
+        bounds = stack._lane_bounds(deciding)
+        for lane, block in stack.dense:
+            lo, hi = bounds[lane], bounds[lane + 1]
+            if lo == hi:
+                continue
+            start = lane * n
+            lane_actions = last_action[start:start + n]
+            # count every (deciding device, RB) pair of a transmission it heard
+            heard = np.flatnonzero(lane_actions)
+            cells = np.arange(hi - lo)[:, None] * width + lane_actions[heard]
+            sensed = np.bincount(cells[block[deciding[lo:hi] - start][:, heard]],
+                                 minlength=(hi - lo) * width).reshape(hi - lo, width)
+            crowds[lo:hi] = sensed[np.arange(hi - lo), prev[lo:hi]]
+            unused[lo:hi] = sensed[:, 1:] == 0
+        return crowds, unused
     # last slot's transmitters per RB label (0: silent) of each device's lane;
     # at full range every device of a lane senses the same
+    lanes = stack._lane(deciding)
     if lanes is None:
         sensed = np.bincount(last_action, minlength=width)
         if stack.full_range:
@@ -1150,7 +1114,7 @@ def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
     R = stack.config.n_rbs
     active_ids = stack.ids
     last_action, last_failed = stack.last_action, stack.last_failed
-    passing = _transmitters(stack, _rows(stack.game, active_ids))
+    passing = _reaching(stack, _rows(stack.game, active_ids))
 
     random = _rows(stack.random, active_ids)
     if random is not None:
@@ -1212,10 +1176,11 @@ def sweep_lanes(config: ScenarioConfig) -> int:
     """How many lanes a batch holding config may have (``loop_batches``).
 
     SWEEP_LANES, except where a lane may build a neighbor matrix: a game
-    mode whose range does not cover the cell diagonal. There every lane
-    builds an N x N matrix while the stack is set up, and a dense lane
-    keeps it; SWEEP_NEIGHBOR_BYTES caps the matrices a batch may hold
-    (16 lanes up to N = 256, 1 from N = 1024).
+    mode whose range does not cover the cell diagonal. There the stack
+    builds one N x N matrix per lane while it is set up, and a dense batch
+    keeps them all; SWEEP_NEIGHBOR_BYTES caps the matrices a batch may hold
+    (16 lanes up to N = 256, 1 from N = 1024). A listed batch holds its
+    unheard pairs instead, 32 bytes each, which the cap does not count.
     """
     if (config.mode.centralized or config.mode is Mode.DISTRIBUTED_PREDETERMINED
             or config.r_c >= math.hypot(config.width, config.length)):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .channel import epsilon_for_outage
+from .checks import _CONVERGENCE, _RATE_POINTS
 from .engine import Mode, ScenarioConfig
 
 _CENTRALIZED_MODES = (
@@ -129,18 +130,13 @@ def _two_device_game():
 
 
 def _random_rate_points():
-    jobs = []
-    for n, r in ((2, 2), (10, 50), (50, 50), (200, 50)):
-        jobs.append((f"t{n}_r{r}", ScenarioConfig(
-            n_devices=n, n_rbs=r, slots=10_000, v_a=1.0, epsilon=0.0,
-            r_c=15.0, mode=Mode.DISTRIBUTED_RANDOM, seed=0)))
-    return jobs
+    return [(f"t{n}_r{r}", ScenarioConfig(
+        n_devices=n, n_rbs=r, slots=10_000, v_a=1.0, epsilon=0.0,
+        r_c=15.0, mode=Mode.DISTRIBUTED_RANDOM, seed=0)) for n, r in _RATE_POINTS]
 
 
 def _convergence_run():
-    return [("sca", ScenarioConfig(
-        n_devices=50, n_rbs=50, slots=200, v_a=1.0, epsilon=0.0, r_c=15.0,
-        mode=Mode.DISTRIBUTED_SCA, seed=0))]
+    return [("sca", _CONVERGENCE)]
 
 
 _PRESETS = {

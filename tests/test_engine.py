@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from aoisim.engine import (_PH_ACTIVATE, _PH_DECIDE, _PH_DELEGATE, _PH_FRESH,
                            _PH_KIND, _PH_OUTAGE, _PH_SIZE, ConfigError, Mode,
                            ScenarioConfig, SlotDraws, SlotRecord, _DistributedStack,
                            _N_TALLIES, _safe_mean, _slot_records, _summaries,
-                           _transmitters, loop_batches, replicate_seed, run,
+                           _reaching, loop_batches, replicate_seed, run,
                            run_many, sweep_iter, sweep_lanes)
 from test_distributed import delegate_target_ref, kappa_ref, sca_step_ref
 from test_goldens import CASES, case_config
@@ -103,7 +104,7 @@ def test_same_config_same_output():
 
 
 def test_slot_draws_are_pure():
-    d, ids = SlotDraws([3], 5), np.arange(5)
+    d, ids = SlotDraws([3], 5, slots=20), np.arange(5)
     assert (d.vec(10, 1, ids) == d.vec(10, 1, ids)).all()
     assert (d.vec(10, 1, ids) != d.vec(10, 2, ids)).any()
     assert (d.vec(10, 1, ids) != d.vec(11, 1, ids)).any()
@@ -193,7 +194,7 @@ class _DeviceReplay:
         _, self.types, self.p_linear = make_devices(
             config.n_devices, config.type1_fraction, config.m1, config.m2,
             config.width, config.length, np.random.default_rng(config.seed))
-        self.draws = SlotDraws([config.seed], config.n_devices)
+        self.draws = SlotDraws([config.seed], config.n_devices, config.slots)
         n = config.n_devices
         self.kind = [None] * n          # None: idle
         self.gen = [0] * n
@@ -548,33 +549,44 @@ def test_run_many_equals_one_run_per_config_on_every_golden_case(name):
                               for s in (4, base.seed, 5)])
 
 
+def _positions(config):
+    """The positions run_many draws for config's devices."""
+    return make_devices(config.n_devices, config.type1_fraction, config.m1, config.m2,
+                        config.width, config.length, np.random.default_rng(config.seed))[0]
+
+
+def _stack_of(configs):
+    """The distributed stack run_many sets up for a batch of configs."""
+    positions = np.concatenate([_positions(c) for c in configs])
+    return _DistributedStack(configs[0], positions, PendingMessages(len(positions)),
+                             [c.mode for c in configs])
+
+
 @pytest.mark.parametrize("mode", [Mode.DISTRIBUTED_SCA, Mode.DISTRIBUTED_RANDOM])
 def test_run_many_mixes_full_and_partial_range_lanes(mode):
     # at r_c = 6 on a 10 x 10 cell, three devices sometimes all hear each
-    # other and sometimes not: such lanes keep their own threshold rule
+    # other and sometimes not; a lane that hears its whole cell lists the
+    # batch, and only such a lane ranks saturated ages exactly
     base = small(n_devices=3, n_rbs=2, r_c=6.0, v_a=0.6, slots=60, mode=mode)
     configs = [dataclasses.replace(base, seed=s) for s in range(8)]
-    positions = np.concatenate([make_devices(
-        3, c.type1_fraction, c.m1, c.m2, c.width, c.length,
-        np.random.default_rng(c.seed))[0] for c in configs])
-    blocks = _DistributedStack(base, positions, PendingMessages(24)).neighbors
+    blocks = [engine._neighbor_matrix(_positions(c), c.r_c) for c in configs]
     assert any(b is None for b in blocks) and any(b is not None for b in blocks)
+    assert not _stack_of(configs).dense
     _assert_lanes_equal_runs(configs)
 
 
 @pytest.mark.parametrize("mode", [Mode.DISTRIBUTED_SCA, Mode.DISTRIBUTED_RANDOM])
 def test_run_many_mixes_full_and_partial_range_lanes_past_float_range(mode):
     # one RB at v_a = 1 keeps messages in flight past 2**1024 for 1,500
-    # slots; the lanes mix a span within r_c (saturated ages rank exactly),
-    # every pair in range though the span is not (they tie as inf) and
-    # pairs out of range (a dense block)
+    # slots; the listed lanes mix a span within r_c (saturated ages rank
+    # exactly), every pair in range though the span is not (they tie as
+    # inf) and pairs out of range
     base = small(n_devices=3, n_rbs=1, r_c=6.0, v_a=1.0, slots=1500, mode=mode)
     configs = [dataclasses.replace(base, seed=s) for s in range(8)]
-    blocks = [engine._neighbor_matrix(make_devices(
-        3, c.type1_fraction, c.m1, c.m2, c.width, c.length,
-        np.random.default_rng(c.seed))[0], c.r_c) for c in configs]
+    blocks = [engine._neighbor_matrix(_positions(c), c.r_c) for c in configs]
     assert {"exact" if b is None else "pairs" if b.all() else "dense"
             for b in blocks} == {"exact", "pairs", "dense"}
+    assert not _stack_of(configs).dense
     _assert_lanes_equal_runs(configs)
 
 
@@ -622,9 +634,10 @@ _PARTIAL = st.fixed_dictionaries({
 
 
 def _results_in_each_form(configs, shares=(1.0, -1.0)):
-    """run_many of configs for each crossover share: 1 puts every
-    partial-range lane in pair form, -1 every such lane on its dense block,
-    and a share between splits the lanes of a batch."""
+    """run_many of configs for each crossover share: 1 lists every batch,
+    -1 keeps a batch dense only where no game lane is exact (its range
+    covers its devices' span), and a share in between picks one form per
+    batch, by whether a game lane misses at most that share of its pairs."""
     results = []
     for share in shares:
         with pytest.MonkeyPatch.context() as patch:
@@ -658,34 +671,73 @@ def test_unheard_pairs_tie_saturated_ages_as_the_dense_blocks(name):
     assert pairs == dense
 
 
-def test_pair_lanes_are_those_whose_range_misses_few_pairs():
+def test_a_batch_is_listed_once_a_game_lane_misses_few_pairs():
     # at r_c = 10 on a 10 x 10 cell a few pairs are out of range, at r_c = 3
-    # most are, and at r_c = 15 none; the pair list holds exactly the
-    # out-of-range pairs (i < j) of the pair lanes, in global ids, and only
-    # dense lanes keep their block
+    # most are, and at r_c = 15 none; a listed batch holds exactly the
+    # out-of-range pairs (i < j) of its lanes, in global ids, and no block,
+    # and a dense batch keeps every game lane's block
     base = small(n_devices=40, r_c=10.0)
     configs = [dataclasses.replace(base, seed=s) for s in (1, 2)]
-    positions = np.concatenate([make_devices(
-        40, c.type1_fraction, c.m1, c.m2, c.width, c.length,
-        np.random.default_rng(c.seed))[0] for c in configs])
-    blocks = [engine._neighbor_matrix(positions[lane * 40:(lane + 1) * 40], base.r_c)
-              for lane in range(2)]
-    stack = _DistributedStack(base, positions, PendingMessages(80))
-    assert stack.neighbors == [None, None] and stack.pair_form is engine._ALL
+    positions = [_positions(c) for c in configs]
+    blocks = [engine._neighbor_matrix(xy, base.r_c) for xy in positions]
+    stack = _stack_of(configs)
+    assert stack.dense == []
     expected = [(i + 40 * lane, j + 40 * lane) for lane, block in enumerate(blocks)
                 for i in range(40) for j in range(i + 1, 40) if not block[i, j]]
     assert expected and sorted(map(tuple, stack.unheard.T.tolist())) == expected
     assert not stack.full_range and stack.exact is None
-    short = _DistributedStack(dataclasses.replace(base, r_c=3.0), positions,
-                              PendingMessages(80))
-    assert short.pair_form is None and not short.unheard.size
-    for lane, block in enumerate(short.neighbors):
-        near = engine._neighbor_matrix(positions[lane * 40:(lane + 1) * 40], 3.0)
-        assert (block == near).all()
-    full = _DistributedStack(dataclasses.replace(base, r_c=15.0), positions,
-                             PendingMessages(80))
-    assert full.neighbors == [None, None] and full.pair_form is engine._ALL
-    assert full.full_range and full.exact is engine._ALL
+    short = _stack_of([dataclasses.replace(c, r_c=3.0) for c in configs])
+    assert [lane for lane, _ in short.dense] == [0, 1]
+    assert not short.unheard.size and not short.full_range
+    for lane, block in short.dense:
+        assert (block == engine._neighbor_matrix(positions[lane], 3.0)).all()
+    full = _stack_of([dataclasses.replace(c, r_c=15.0) for c in configs])
+    assert full.dense == [] and full.full_range and full.exact is engine._ALL
+
+
+def test_a_batch_straddling_the_share_is_listed_whole():
+    # at N = 200 and r_c = 8, half of these lanes miss more than
+    # _PAIR_SHARE of their pairs; one lane that misses fewer lists them all
+    configs = [small(n_devices=200, r_c=8.0, seed=s) for s in range(16)]
+    blocks = [engine._neighbor_matrix(_positions(c), c.r_c) for c in configs]
+    assert sum(not engine._misses_few(block) for block in blocks) == 8
+    stack = _stack_of(configs)
+    assert stack.dense == [] and not stack.full_range
+    assert stack.unheard.shape[1] == sum(
+        (block.size - block.sum()) // 2 for block in blocks)
+
+
+def test_predetermined_lanes_leave_a_batch_dense():
+    # a predetermined lane builds no block, but ranks every age: it does
+    # not list a batch whose game lanes miss many pairs
+    base = small(n_devices=40, r_c=3.0)
+    stack = _stack_of([dataclasses.replace(base, mode=Mode.DISTRIBUTED_PREDETERMINED),
+                       dataclasses.replace(base, seed=1),
+                       dataclasses.replace(base, mode=Mode.DISTRIBUTED_RANDOM, seed=2)])
+    assert [lane for lane, _ in stack.dense] == [1, 2] and not stack.unheard.size
+
+
+@pytest.mark.parametrize("r_c, listed", [(10.0, True), (8.0, True), (3.0, False)])
+def test_set_up_holds_one_block_at_a_time_unless_the_batch_is_dense(
+        monkeypatch, r_c, listed):
+    # at each block build, count the earlier blocks still alive: a listed
+    # batch drops each block once its pairs are listed, a dense one keeps all
+    build, built, alive = engine._neighbor_matrix, [], []
+
+    def counted(xy, r):
+        alive.append(sum(ref() is not None for ref in built))
+        block = build(xy, r)
+        built.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(engine, "_neighbor_matrix", counted)
+    stack = _stack_of([small(n_devices=200, r_c=r_c, seed=s) for s in range(16)])
+    assert len(alive) == 16
+    if listed:
+        assert stack.dense == [] and max(alive) <= 1
+    else:
+        assert alive == list(range(16)) and len(stack.dense) == 16
+        assert all(ref() is not None for ref in built)
 
 
 def _record_generators(monkeypatch, seeds, slots):
@@ -990,9 +1042,9 @@ def _future(messages, i, t, beta):
 
 def _stack_at(config, positions, messages, t):
     """A distributed stack that has just allocated slot t for these devices."""
-    stack = _DistributedStack(config, positions, messages)
+    stack = _DistributedStack(config, positions, messages, [config.mode])
     stack.allocate(t, np.flatnonzero(messages.rbs_left),
-                   SlotDraws([config.seed], config.n_devices))
+                   SlotDraws([config.seed], config.n_devices, config.slots))
     return stack
 
 
@@ -1018,7 +1070,7 @@ def test_partial_range_thresholds_match_the_per_device_rule():
                   config.v_a, config.zeta)
         if _saturated(f_value[i]) >= kth_largest(known, k):
             expected.add(i)
-    got = set(stack.ids[_transmitters(stack)].tolist())
+    got = set(stack.ids[_reaching(stack, engine._ALL)].tolist())
     assert got == expected
     assert 0 < len(got) < len(active_ids)
 
@@ -1045,7 +1097,7 @@ def test_full_range_thresholds_compare_exact_ages_past_float_range(n_rbs, transm
     k = kappa(7, 7, n_rbs, 7, config.v_a, config.zeta)
     threshold = kth_largest(exact, k)
     assert {i for i in range(7) if exact[i] >= threshold} == transmitters
-    assert set(stack.ids[_transmitters(stack)].tolist()) == transmitters
+    assert set(stack.ids[_reaching(stack, engine._ALL)].tolist()) == transmitters
 
 
 @pytest.mark.parametrize("r_c", [15.0, 3.0])
@@ -1059,11 +1111,11 @@ def test_two_delegators_on_one_neighbor_the_lower_id_wins(r_c):
     positions = np.array([(0.0, 0.0), (5.0, 5.0), (5.5, 5.5), (6.0, 5.0)])
     messages = PendingMessages(4)
     _pend(messages, p_linear, 2, 10, 0.0)
-    stack = _DistributedStack(config, positions, messages)
+    stack = _DistributedStack(config, positions, messages, [config.mode])
     assert (engine._neighbor_matrix(positions, r_c) is None) == (r_c == 15.0)
     stack.last_action[[1, 3]] = [4, 2]
     stack.allocate(11, np.flatnonzero(messages.rbs_left),
-                   SlotDraws([config.seed], config.n_devices))
+                   SlotDraws([config.seed], config.n_devices, config.slots))
     assert stack.actions.tolist() == [0, 0, 4, 0]
 
 
@@ -1137,10 +1189,10 @@ def test_game_slot_equals_the_per_device_rules(mode, r_c):
             if rng.random() < 0.7:
                 gen = int(rng.choice([1, 2, 3, 200, 1290, rng.integers(1, t)]))
                 _pend(messages, p_linear, i, gen, rng.random())
-        stack = _DistributedStack(config, positions, messages)
+        stack = _DistributedStack(config, positions, messages, [mode])
         stack.last_action[:] = rng.integers(0, R + 1, n)
         stack.last_failed[:] = rng.random(n) < 0.4
-        draws = SlotDraws([seed], n)
+        draws = SlotDraws([seed], n, config.slots)
         expected = _reference_actions(stack, positions, t, draws)
         stack.allocate(t, np.flatnonzero(messages.rbs_left), draws)
         assert stack.actions.tolist() == expected, seed

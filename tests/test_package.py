@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -27,3 +28,18 @@ def test_readme_config_table_lists_every_config_field():
               for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
     assert len(listed) == len(set(listed))
     assert set(listed) == {f.name for f in dataclasses.fields(aoisim.ScenarioConfig)}
+
+
+def test_readme_module_references_resolve():
+    # every backticked `module.name` in README.md whose module is an aoisim
+    # submodule (a call such as `engine.run_many(configs)` included) names
+    # an attribute of that module
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = {path.stem for path in Path(aoisim.__file__).parent.glob("*.py")}
+    references = {(module, name) for module, name
+                  in re.findall(r"`(?:aoisim\.)?(\w+)\.(\w+)[^`]*`", readme)
+                  if module in modules}
+    assert references
+    missing = [f"{module}.{name}" for module, name in sorted(references)
+               if not hasattr(importlib.import_module(f"aoisim.{module}"), name)]
+    assert missing == []

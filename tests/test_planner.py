@@ -202,7 +202,7 @@ def test_first_split_table_equals_the_brute_force_first_part(epsilon, monkeypatc
     snr = np.array(SNRS)
     stack = engine._CentralizedStack(config, np.ones(len(SNRS), dtype=np.int8),
                                      outage_table(snr, epsilon, 12),
-                                     PendingMessages(len(SNRS)))
+                                     PendingMessages(len(SNRS)), [config.mode])
     assert _first_part_mismatches(stack.first_split, snr, epsilon, 12) == []
     assert _first_part_mismatches(table_of(snr, epsilon, 12, 3), snr,
                                   epsilon, 3) == []
