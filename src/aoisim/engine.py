@@ -15,7 +15,8 @@ rule aligned with the ids it decides for, so equal configs give
 byte-identical results and runs that share a seed but differ in mode see
 identical device-level randomness (common random numbers); mode comparisons
 on matched seeds then differ only where the allocation decisions actually
-differ.
+differ. Lanes of one slot loop that share a seed share its draws: a slot's
+phase builds one ``Generator`` per distinct seed holding ids.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ _MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
 _POOL_SIZE = 4
 _N_PHASES = 8
 _STATE_BLOCK = 256
-# lanes whose seed words one seed_states pass computes: the largest group
-# that keeps a 30-lane block fill under 2.5 MiB traced (BENCH_13.json)
+# distinct seeds whose words one seed_states pass computes: the largest
+# group that keeps a block fill of 30 seeds under 2.5 MiB traced (BENCH_13.json)
 _FILL_LANES = 3
 
 
@@ -153,18 +154,28 @@ class SlotDraws:
     of ``default_rng(SeedSequence([seeds[l], slot, phase])).random(n_devices)``,
     a pure function of (seed, slot, phase), so a device keeps its draw across
     modes run with the same seed even when the modes consume different
-    phases or diverge in state. The seed words of every lane for a block of
-    up to min(256, slots + 1) slots are computed when a slot outside the
-    current block is asked for, a few lanes per ``seed_states`` pass. A
-    call builds one generator per lane holding ids; one lane returns its
+    phases or diverge in state, and lanes that share a seed share its
+    vector. The seed words of every distinct seed for a block of up to
+    min(256, slots + 1) slots are computed when a slot outside the current
+    block is asked for, a few seeds per ``seed_states`` pass. A call builds
+    one generator per distinct seed holding ids; one lane returns its
     vector's ids with no lane bookkeeping.
     """
 
-    __slots__ = ("_seed_words", "_n", "_block", "_first", "_end", "_states")
+    __slots__ = ("_seed_words", "_n", "_source", "_block", "_first", "_end", "_states")
 
     def __init__(self, seeds, n_devices: int, slots: int):
-        self._seed_words = [_uint32_words(seed) for seed in seeds]
+        seeds, index = list(seeds), {}
+        for seed in seeds:
+            index.setdefault(seed, len(index))
+        self._seed_words = [_uint32_words(seed) for seed in index]
         self._n = n_devices
+        # device i of lane l reads entry _source[l * n + i] of the distinct
+        # seeds' vectors laid end to end; None where every seed is distinct
+        self._source = None
+        if len(index) < len(seeds):
+            distinct = np.array([index[seed] for seed in seeds])
+            self._source = (distinct[:, None] * n_devices + np.arange(n_devices)).ravel()
         self._block = min(_STATE_BLOCK, slots + 1)
         self._first = self._end = 0
         self._states = None
@@ -179,16 +190,16 @@ class SlotDraws:
         tail = [np.repeat((slots >> np.uint64(32 * j)) & np.uint64(_MASK32),
                           _N_PHASES).astype(np.uint32) for j in range(n_words)]
         tail.append(np.tile(np.arange(_N_PHASES, dtype=np.uint32), len(slots)))
-        # row (slot, phase) holds every lane's words; one pass per group of
-        # lanes of one seed width, so the temporaries do not grow with the lanes
+        # row (slot, phase) holds every distinct seed's words; one pass per
+        # group of seeds of one width, so the temporaries do not grow with them
         if self._states is None or len(self._states) != rows:
             self._states = np.empty((rows, len(self._seed_words), 4), dtype=np.uint64)
         for width in {len(words) for words in self._seed_words}:
-            lanes = [lane for lane, words in enumerate(self._seed_words)
-                     if len(words) == width]
-            for start in range(0, len(lanes), _FILL_LANES):
-                group = lanes[start:start + _FILL_LANES]
-                seeds = np.array([self._seed_words[lane] for lane in group],
+            members = [k for k, words in enumerate(self._seed_words)
+                       if len(words) == width]
+            for start in range(0, len(members), _FILL_LANES):
+                group = members[start:start + _FILL_LANES]
+                seeds = np.array([self._seed_words[k] for k in group],
                                  dtype=np.uint32)
                 columns = [np.tile(seeds[:, j], rows) for j in range(width)]
                 columns += [np.repeat(column, len(group)) for column in tail]
@@ -199,19 +210,21 @@ class SlotDraws:
     def vec(self, slot: int, phase: int, ids: np.ndarray) -> np.ndarray:
         """The uniforms of (slot, phase) of the devices ids, aligned with ids.
 
-        Only the lanes holding ids draw, so a lane never draws a phase its
-        mode does not consume.
+        Only the seeds of the lanes holding ids draw, each once, so a lane
+        never draws a phase its mode does not consume.
         """
         if not self._first <= slot < self._end:
             self._fill(slot)
         states, n = self._states[(slot - self._first) * _N_PHASES + phase], self._n
+        if self._source is not None:
+            ids = self._source[ids]
         if len(states) == 1 and len(ids):
             return _Generator(_PCG64(_SeedWords(states[0]))).random(n)[ids]
         out = np.empty(len(states) * n)
-        for lane, count in enumerate(np.bincount(ids // n, minlength=len(states)).tolist()):
+        for k, count in enumerate(np.bincount(ids // n, minlength=len(states)).tolist()):
             if count:
-                _Generator(_PCG64(_SeedWords(states[lane]))).random(
-                    n, out=out[lane * n:(lane + 1) * n])
+                _Generator(_PCG64(_SeedWords(states[k]))).random(
+                    n, out=out[k * n:(k + 1) * n])
         return out[ids]
 
 
@@ -505,7 +518,8 @@ def run_many(configs) -> list[RunResult]:
     slot is shared by every lane. A lane's mode is a mask over its devices
     within the stack's one slot path. One ``SlotDraws`` serves every lane:
     each rule is handed the uniforms of the ids it decides for, so a lane
-    draws a phase only when its mode consumes it. run_many takes any number
+    draws a phase only when its mode consumes it, and a phase builds one
+    ``Generator`` per distinct seed holding ids. run_many takes any number
     of lanes; sweeps and presets cap theirs with ``loop_batches``.
 
     One slot loop serves both stacks. The engine keeps every device's
@@ -743,17 +757,6 @@ def _neighbor_matrix(xy: np.ndarray, r_c: float) -> np.ndarray | None:
     return near
 
 
-# no device pairs, as the (2, P) arrays of _unheard_pairs
-_NO_PAIRS = np.zeros((2, 0), dtype=np.intp)
-
-
-def _unheard_pairs(block: np.ndarray) -> np.ndarray:
-    """The out-of-range pairs (i < j) of a lane's neighbor block, as a (2, P) array."""
-    i, j = np.nonzero(~block)
-    upper = i < j
-    return np.stack((i[upper], j[upper]))
-
-
 def _misses_few(block: np.ndarray | None) -> bool:
     """Whether a lane's neighbor block (None: the range covers its devices)
     misses at most _PAIR_SHARE of its device pairs."""
@@ -807,8 +810,10 @@ class _DistributedStack:
         self.sca = _lane_mask(modes, {Mode.DISTRIBUTED_SCA}, n)
         # the rank-to-RB baseline is defined only under full information.
         # One block is built at a time; once the batch is listed, each block
-        # (the kept ones included) becomes its pair list and is dropped
-        blocks, exact, pairs, listed = [], [], [_NO_PAIRS], False
+        # (the kept ones included) lists its devices' unheard partners, row
+        # d's misses being device d's, and is dropped
+        blocks, exact, missed, listed = [], [], [_NO_IDS], False
+        count = np.zeros(size, dtype=np.int64)
         for lane, mode in enumerate(modes):
             game = mode is not Mode.DISTRIBUTED_PREDETERMINED
             block = (_neighbor_matrix(positions[lane * n:(lane + 1) * n], config.r_c)
@@ -818,21 +823,32 @@ class _DistributedStack:
             if block is not None:
                 blocks.append((lane, block))
             if listed:
-                pairs += [_unheard_pairs(kept) + i * n for i, kept in blocks]
+                for i, kept in blocks:
+                    count[i * n:(i + 1) * n] = n - np.count_nonzero(kept, axis=1)
+                    missed.append(np.nonzero(~kept)[1] + i * n)
                 blocks = []
         self.dense = blocks
         self.exact = _lanes_mask(exact, n)
-        self.unheard = np.concatenate(pairs, axis=1)
-        # the lanes' lists go before the partner arrays are built, so that
-        # the set-up peak holds one copy of the pairs fewer
-        del pairs
-        self.full_range = not (self.dense or self.unheard.size)
-        # device d's unheard partners: partners[partner_start[d]:partner_end[d]]
-        source = self.unheard.ravel()
-        self.partners = self.unheard[::-1].ravel()[np.argsort(source, kind="stable")]
-        count = np.bincount(source, minlength=size)
+        # device d's unheard partners, ascending: partners[partner_start[d]:partner_end[d]]
+        self.partners = np.concatenate(missed)
+        del missed
         self.partner_end = np.cumsum(count)
         self.partner_start = self.partner_end - count
+        # each unheard pair (i < j) once, in (i, j) order: the partners above
+        # their device, taken a lane at a time so that the set-up peak holds
+        # little more than the two lists
+        self.unheard = np.empty((2, len(self.partners) // 2), dtype=np.int64)
+        filled = 0
+        for lo in range(0, size, n):
+            first, end = self.partner_start[lo], self.partner_end[lo + n - 1]
+            partners = self.partners[first:end]
+            devices = np.arange(lo, lo + n).repeat(count[lo:lo + n])
+            above = devices < partners
+            k = filled + np.count_nonzero(above)
+            self.unheard[0, filled:k] = devices[above]
+            self.unheard[1, filled:k] = partners[above]
+            filled = k
+        self.full_range = not (self.dense or self.unheard.size)
         # the threshold rank of a device that knows n_known ages, at index
         # n_known - 1: when it knows every active device, and when it does not
         counts = np.arange(1, n + 1)
@@ -1234,11 +1250,17 @@ def sweep_iter(base: ScenarioConfig, parameter: str, values, replicates: int = 1
     a value's replicates, and across values the runs that differ only in
     seed and in mode within one stack (a sweep over seed, or over modes of
     one stack), share a slot loop, at most ``sweep_lanes`` lanes at a time.
+    Equal values (0.5 and 0.50 once parsed) raise ``ConfigError``: their runs
+    would repeat one another's seeds and count as extra replicates.
     """
     if parameter not in _FIELD_NAMES:
         raise ConfigError(f"unknown sweep parameter: {parameter}")
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
+    values = list(values)
+    for k, value in enumerate(values):
+        if value in values[:k]:
+            raise ConfigError(f"sweep value {value} repeats")
 
     def jobs():
         for value in values:

@@ -1,11 +1,12 @@
 """End-to-end acceptance gate: one test per study claim, at full stated scale.
 
 Run with `pytest tests/test_acceptance.py -v` to get one pass/fail line per
-claim. The whole module takes about 2 minutes on a shared 2-core host; most
-of it is the 150-run centralized ordering ensemble, whose modes and
+claim. The whole module takes about 50 seconds on a shared 2-core host;
+most of it is the 150-run centralized ordering ensemble, whose modes and
 replicates at each activation level run as lanes of one slot loop
-(``run_many``). Measured values are printed so a failing bar shows the
-numbers, not just the assertion.
+(``run_many``), and the three modes of a replicate share its draws.
+Measured values are printed so a failing bar shows the numbers, not just
+the assertion.
 """
 
 from __future__ import annotations

@@ -344,6 +344,21 @@ def test_sweep_rejects_unknown_parameter():
                  "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("parameter, values", [("v_a", "0.5,0.5,0.50"),
+                                               ("v_a", "0.3,0.5,0.50"),
+                                               ("n_rbs", "4,04"),
+                                               ("mode", "distributed_sca,distributed_sca")])
+def test_sweep_rejects_a_value_that_repeats_once_parsed(parameter, values, tmp_path,
+                                                        capsys):
+    # a repeated value reran the same seeds, and its spread counted each copy
+    # as further replicates; nothing is run or written
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--parameter", parameter, "--values", values,
+                 "--replicates", "2", "--slots", "5", "--out", str(out)]) == 1
+    assert "repeats" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- preset subcommand ---------------------------------------------------------------
 
 def test_preset_unknown_name_fails(tmp_path):

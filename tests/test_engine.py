@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from aoisim import centralized, engine
 from aoisim.aging import AgingKind, aoi_value, is_power_of_two
@@ -707,6 +707,44 @@ def test_a_batch_straddling_the_share_is_listed_whole():
         (block.size - block.sum()) // 2 for block in blocks)
 
 
+@pytest.mark.parametrize("r_c, modes", [
+    (10.0, [Mode.DISTRIBUTED_SCA] * 3),
+    # lane 0 is kept as a block until lane 1 lists the batch; lane 2 builds none
+    (8.0, [Mode.DISTRIBUTED_RANDOM, Mode.DISTRIBUTED_SCA, Mode.DISTRIBUTED_PREDETERMINED])])
+def test_each_device_lists_exactly_its_out_of_range_partners(r_c, modes):
+    configs = [small(n_devices=60, r_c=r_c, seed=s, mode=mode)
+               for s, mode in zip((5, 1, 2), modes)]
+    stack = _stack_of(configs)
+    assert stack.dense == [] and stack.unheard.size
+    for lane, config in enumerate(configs):
+        block = (np.ones((60, 60), dtype=bool)
+                 if config.mode is Mode.DISTRIBUTED_PREDETERMINED
+                 else engine._neighbor_matrix(_positions(config), r_c))
+        for i in range(60):
+            d = lane * 60 + i
+            got = stack.partners[stack.partner_start[d]:stack.partner_end[d]]
+            assert sorted(got.tolist()) == (np.flatnonzero(~block[i]) + lane * 60).tolist()
+
+
+def test_listing_a_batch_holds_its_pairs_about_once_at_its_peak():
+    # a listed pair is held twice after set-up: in unheard and as two partner
+    # entries. The partner lists come from the blocks' rows and unheard from
+    # them, a lane at a time, with no sort of all endpoints and no reversed
+    # copy of the pairs, which once took the peak to 1.96x what is held
+    configs = [small(n_devices=500, r_c=8.0, seed=s) for s in range(16)]
+    positions = np.concatenate([_positions(c) for c in configs])
+    messages = PendingMessages(len(positions))
+    tracemalloc.start()
+    try:
+        stack = _DistributedStack(configs[0], positions, messages,
+                                  [c.mode for c in configs])
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stack.unheard.shape[1] > 250_000 and held > 8 * 2**20
+    assert peak <= 1.2 * held
+
+
 def test_predetermined_lanes_leave_a_batch_dense():
     # a predetermined lane builds no block, but ranks every age: it does
     # not list a batch whose game lanes miss many pairs
@@ -741,15 +779,14 @@ def test_set_up_holds_one_block_at_a_time_unless_the_batch_is_dense(
 
 
 def _record_generators(monkeypatch, seeds, slots):
-    """Record the (lane, slot, phase) of every generator SlotDraws builds.
+    """Record the (seed, slot, phase) of every generator SlotDraws builds.
 
     Returns the list the records go to; a generator is keyed by its seed
     words, which identify the (seed, slot, phase) they were made from.
     """
     key_of = {tuple(np.random.SeedSequence([seed, slot, phase])
-                    .generate_state(4, np.uint64).tolist()): (lane, slot, phase)
-              for lane, seed in enumerate(seeds) for slot in slots
-              for phase in range(8)}
+                    .generate_state(4, np.uint64).tolist()): (seed, slot, phase)
+              for seed in set(seeds) for slot in slots for phase in range(8)}
     built = []
 
     class Recorded(engine._SeedWords):
@@ -771,9 +808,73 @@ def test_lane_draws_fill_exactly_the_lanes_holding_the_ids(monkeypatch):
             ids = [i for i in ids if i < lanes * n]
             built.clear()
             u = draws.vec(12, _PH_KIND, np.array(ids, dtype=np.int64))
-            assert sorted(built) == sorted({(i // n, 12, _PH_KIND) for i in ids})
+            assert sorted(built) == sorted({(seeds[i // n], 12, _PH_KIND) for i in ids})
             assert u.tolist() == [_stream(seeds[i // n], 12, _PH_KIND, n)[i % n]
                                   for i in ids]
+
+
+# seeds of one, two and three uint32 words
+_WORD_SEEDS = [0, 5, 2**32 - 1, 2**32, 2**40 + 9, 2**64 + 5]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(_WORD_SEEDS), min_size=1, max_size=6),
+       st.integers(1, 6),
+       st.lists(st.sampled_from([0, 1, 9, 10, 11, 19, 20, 3, 2**32 - 1, 2**32]),
+                min_size=1, max_size=4),
+       st.lists(st.lists(st.integers(0, 10**6), max_size=12), min_size=1, max_size=3))
+@example(seeds=[7, 7, 7], n=3, slots=[5], picks=[[8, 0, 4, 8, 6]])
+@example(seeds=[2**64 + 5, 1, 2**32, 1, 2**64 + 5], n=4, slots=[9, 10],
+         picks=[[19, 3, 3, 0, 12], [], [7]])
+def test_lanes_that_share_a_seed_read_its_stream(seeds, n, slots, picks):
+    # blocks of 10 slots: 9 and 10, 19 and 20 straddle a boundary, 3 refills
+    # an earlier block, and 2**32 - 1 and 2**32 differ in word count. Each
+    # id, in any order and repeated, reads its own seed's stream, and a
+    # call builds one generator per distinct seed of its ids' lanes
+    draws = SlotDraws(seeds, n, slots=9)
+    with pytest.MonkeyPatch.context() as patch:
+        built = _record_generators(patch, seeds, slots)
+        for slot in slots:
+            for phase in (_PH_ACTIVATE, _PH_DELEGATE):
+                for pick in picks:
+                    ids = np.array(pick, dtype=np.int64) % (len(seeds) * n)
+                    built.clear()
+                    u = draws.vec(slot, phase, ids)
+                    assert u.tolist() == [_stream(seeds[i // n], slot, phase, n)[i % n]
+                                          for i in ids.tolist()]
+                    assert sorted(built) == sorted(
+                        {(seeds[i // n], slot, phase) for i in ids.tolist()})
+
+
+@pytest.mark.parametrize("base, seeds", [
+    (small(n_devices=12, n_rbs=4, v_a=0.5, r_c=6.0, slots=40), [3, 3, 3, 8, 8, 8]),
+    (small(n_devices=12, n_rbs=4, v_a=0.5, slots=40, mode=Mode.CENTRALIZED_LEARNING),
+     [3, 3, 3])])
+def test_a_batch_builds_one_generator_per_distinct_seed(monkeypatch, base, seeds):
+    # each mode of the stack runs every seed; every vec call builds exactly
+    # one generator per distinct seed among its ids' lanes, and every lane
+    # still equals its lone run
+    modes = _stack_modes(base.mode)
+    configs = [dataclasses.replace(base, mode=modes[lane % 3], seed=seed)
+               for lane, seed in enumerate(seeds)]
+    built = _record_generators(monkeypatch, seeds, range(41))
+    real_vec, one_per_seed = SlotDraws.vec, []
+
+    def counted(self, slot, phase, ids):
+        before = len(built)
+        u = real_vec(self, slot, phase, ids)
+        one_per_seed.append(sorted(built[before:]) == sorted(
+            {(seeds[lane], slot, phase) for lane in (ids // base.n_devices).tolist()}))
+        return u
+
+    monkeypatch.setattr(SlotDraws, "vec", counted)
+    lanes = run_many(configs)
+    assert len(one_per_seed) > 40 and all(one_per_seed)
+    monkeypatch.setattr(SlotDraws, "vec", real_vec)
+    for config, lane in zip(configs, lanes):
+        alone = run(config)
+        assert (lane.summary, lane.records, lane.trace) == \
+            (alone.summary, alone.records, alone.trace)
 
 
 def test_mixed_lanes_draw_only_the_phases_their_modes_use(monkeypatch):
