@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -778,21 +779,35 @@ def test_set_up_holds_one_block_at_a_time_unless_the_batch_is_dense(
         assert all(ref() is not None for ref in built)
 
 
-def _record_generators(monkeypatch, seeds, slots):
-    """Record the (seed, slot, phase) of every generator SlotDraws builds.
+def _generator_words(seed, slot, phase):
+    """The seed words of the generator of (seed, slot, phase)."""
+    return tuple(np.random.SeedSequence([seed, slot, phase])
+                 .generate_state(4, np.uint64).tolist())
 
-    Returns the list the records go to; a generator is keyed by its seed
-    words, which identify the (seed, slot, phase) they were made from.
+
+def _record_generators(monkeypatch, seeds=None, slots=()):
+    """Record every generator SlotDraws builds.
+
+    Returns the list the records go to. A record is the generator's seed
+    words when seeds is None, and otherwise the (seed, slot, phase) of the
+    given seeds and slots those words were made from. SeedSequence pads its
+    entropy with zero words, so [0, 1, 0] and [2**32, 0, 0] make one
+    generator: seeds and slots that hold such a pair are refused rather
+    than recorded under the wrong triple.
     """
-    key_of = {tuple(np.random.SeedSequence([seed, slot, phase])
-                    .generate_state(4, np.uint64).tolist()): (seed, slot, phase)
-              for seed in set(seeds) for slot in slots for phase in range(8)}
+    key_of = None
+    if seeds is not None:
+        key_of = {}
+        for triple in itertools.product(set(seeds), slots, range(8)):
+            other = key_of.setdefault(_generator_words(*triple), triple)
+            assert other == triple, f"{other} and {triple} make one generator"
     built = []
 
     class Recorded(engine._SeedWords):
         def __init__(self, words):
             super().__init__(words)
-            built.append(key_of[tuple(words.tolist())])
+            words = tuple(words.tolist())
+            built.append(words if key_of is None else key_of[words])
 
     monkeypatch.setattr(engine, "_SeedWords", Recorded)
     return built
@@ -826,6 +841,8 @@ _WORD_SEEDS = [0, 5, 2**32 - 1, 2**32, 2**40 + 9, 2**64 + 5]
 @example(seeds=[7, 7, 7], n=3, slots=[5], picks=[[8, 0, 4, 8, 6]])
 @example(seeds=[2**64 + 5, 1, 2**32, 1, 2**64 + 5], n=4, slots=[9, 10],
          picks=[[19, 3, 3, 0, 12], [], [7]])
+# (0, 1, 0) and (2**32, 0, 0) make one generator
+@example(seeds=[0, 2**32], n=1, slots=[0, 1], picks=[[0]])
 def test_lanes_that_share_a_seed_read_its_stream(seeds, n, slots, picks):
     # blocks of 10 slots: 9 and 10, 19 and 20 straddle a boundary, 3 refills
     # an earlier block, and 2**32 - 1 and 2**32 differ in word count. Each
@@ -833,7 +850,7 @@ def test_lanes_that_share_a_seed_read_its_stream(seeds, n, slots, picks):
     # call builds one generator per distinct seed of its ids' lanes
     draws = SlotDraws(seeds, n, slots=9)
     with pytest.MonkeyPatch.context() as patch:
-        built = _record_generators(patch, seeds, slots)
+        built = _record_generators(patch)
         for slot in slots:
             for phase in (_PH_ACTIVATE, _PH_DELEGATE):
                 for pick in picks:
@@ -843,7 +860,7 @@ def test_lanes_that_share_a_seed_read_its_stream(seeds, n, slots, picks):
                     assert u.tolist() == [_stream(seeds[i // n], slot, phase, n)[i % n]
                                           for i in ids.tolist()]
                     assert sorted(built) == sorted(
-                        {(seeds[i // n], slot, phase) for i in ids.tolist()})
+                        {_generator_words(seeds[i // n], slot, phase) for i in ids.tolist()})
 
 
 @pytest.mark.parametrize("base, seeds", [
