@@ -370,8 +370,7 @@ class RunResult:
 
     @cached_property
     def records(self) -> list[SlotRecord]:
-        records, self._tallies = _slot_records(*self._tallies), None
-        return records
+        return _slot_records(*self._tallies)
 
 
 def _safe_mean(total, count) -> float | None:
@@ -387,43 +386,77 @@ def _safe_mean(total, count) -> float | None:
 _NO_IDS = np.zeros(0, dtype=np.int64)
 
 
-def _lane_of(ids: np.ndarray, width: int, lanes: int) -> np.ndarray | None:
-    """The lane of each id, each id being lane * width + index; None for one lane."""
-    return None if lanes == 1 else ids // width
-
-
 # a row selector that takes every entry (a view, no copy)
 _ALL = slice(None)
 
 
-def _lane_mask(modes: list[Mode], wanted, n_devices: int):
-    """Which devices sit in a lane whose mode is one of wanted (``_lanes_mask``)."""
-    return _lanes_mask([mode in wanted for mode in modes], n_devices)
+class _Lanes:
+    """The device-id and RB layout of a slot loop's lanes, read only through here.
 
-
-def _lanes_mask(hit: list[bool], n_devices: int):
-    """Which devices sit in a lane l with hit[l].
-
-    None when no lane is hit, _ALL when every lane is, and otherwise a bool
-    mask over every device of every lane.
+    Lane l holds the device ids l * N to l * N + N - 1 and, for each lane-local
+    RB b in 0..R-1, the channel RB l * R + b. One lane takes a fast path in
+    every method, with no lane bookkeeping.
     """
-    if not any(hit):
-        return None
-    if all(hit):
-        return _ALL
-    return np.repeat(hit, n_devices)
+
+    __slots__ = ("count", "N", "R", "starts", "_keys")
+
+    def __init__(self, count: int, N: int, R: int):
+        self.count, self.N, self.R = count, N, R
+        self.starts = np.arange(count + 1) * N
+        self._keys = {}
+
+    def of(self, ids: np.ndarray) -> np.ndarray | None:
+        """The lane of each of ids; None for one lane."""
+        return None if self.count == 1 else ids // self.N
+
+    def counts(self, ids: np.ndarray, lane: np.ndarray | None = None) -> list[int]:
+        """How many of ids fall in each lane; lane, when given, is ``of(ids)``."""
+        if self.count == 1:
+            return [len(ids)]
+        return np.bincount(ids // self.N if lane is None else lane,
+                           minlength=self.count).tolist()
+
+    def bounds(self, sorted_ids: np.ndarray) -> list[int]:
+        """sorted_ids[bounds[l]:bounds[l + 1]] are lane l's entries."""
+        if self.count == 1:
+            return [0, len(sorted_ids)]
+        return np.searchsorted(sorted_ids, self.starts).tolist()
+
+    def mask(self, hit: list[bool]):
+        """Which devices sit in a lane l with hit[l]: None when no lane is hit,
+        _ALL when every lane is, and otherwise a bool mask over every device."""
+        if not any(hit):
+            return None
+        if all(hit):
+            return _ALL
+        return np.repeat(hit, self.N)
+
+    def histogram(self, values: np.ndarray, width: int, unit: int,
+                  index: np.ndarray | None = None) -> np.ndarray:
+        """Each lane's counts of values in 0..width - 1, a (count, width) array;
+        value i sits in lane index[i] // unit, index defaulting to i."""
+        if self.count == 1:
+            return np.bincount(values, minlength=width)[None]
+        if index is not None:
+            keys = index // unit * width
+        elif (keys := self._keys.get((unit, width))) is None:
+            # kept: a slot loop asks for the same few (unit, width) every slot
+            keys = self._keys[unit, width] = np.arange(self.count * unit) // unit * width
+        return np.bincount(keys[:len(values)] + values,
+                           minlength=self.count * width).reshape(self.count, width)
+
+    def devices(self, lane: int) -> slice:
+        """Lane lane's device ids, as a slice of every device."""
+        return slice(lane * self.N, (lane + 1) * self.N)
+
+    def on_channel(self, ids: np.ndarray, rbs: np.ndarray) -> np.ndarray:
+        """The channel RB of each device of ids on its lane-local RB rbs."""
+        return rbs if self.count == 1 else rbs + ids // self.N * self.R
 
 
 def _rows(mask, ids: np.ndarray):
-    """The selector of ids under a ``_lane_mask``: None, _ALL or a bool mask."""
+    """The selector of ids under a ``_Lanes.mask``: None, _ALL or a bool mask."""
     return mask if mask is None or mask is _ALL else mask[ids]
-
-
-def _lane_counts(ids: np.ndarray, width: int, lanes: int) -> list[int]:
-    """How many of ids fall in each lane, each id being lane * width + index."""
-    if lanes == 1:
-        return [len(ids)]
-    return np.bincount(ids // width, minlength=lanes).tolist()
 
 
 def _activation_sweep(messages: PendingMessages, p_linear: np.ndarray, t: int,
@@ -512,9 +545,10 @@ def run_many(configs) -> list[RunResult]:
     and an empty one, raises ``ConfigError``. Returns one result per config,
     in order, each equal to what a run of that config alone gives. Lane l
     holds config l: its devices have ids l * N to l * N + N - 1 and its RBs
-    the indices from l * w, w being the stack's ``rb_width``. Each lane
-    keeps its own positions, latent types, mean SNRs and draw seed, so its
-    draws and outcomes are those of the lone run; the array work of a
+    the channel RBs l * R + b for the lane-local RBs b the stacks pick, a
+    layout one ``_Lanes`` owns. Each lane keeps its own positions, latent
+    types, mean SNRs and draw seed, so its draws and outcomes are those of
+    the lone run; the array work of a
     slot is shared by every lane. A lane's mode is a mask over its devices
     within the stack's one slot path. One ``SlotDraws`` serves every lane:
     each rule is handed the uniforms of the ids it decides for, so a lane
@@ -524,9 +558,9 @@ def run_many(configs) -> list[RunResult]:
 
     One slot loop serves both stacks. The engine keeps every device's
     pending message in one ``PendingMessages`` set of arrays, which both
-    stacks read. The stack picks who transmits on which RB range (allocate),
-    the channel resolves the slot, the loop delivers and counts, and the
-    stack learns the outcome (feedback) before idle devices draw fresh
+    stacks read. The stack picks who transmits on which RB range of its lane
+    (allocate), the channel resolves the slot, the loop delivers and counts,
+    and the stack learns the outcome (feedback) before idle devices draw fresh
     activations. Each of these is a few array operations per slot. The
     counts of a slot are one row of every lane's tallies in an integer
     array, beside the lanes' exact age totals; each lane's summary and trace
@@ -541,7 +575,8 @@ def run_many(configs) -> list[RunResult]:
         if not _shares_loop(base, config):
             raise ConfigError("run_many runs configs that differ only in seed "
                               "and in mode within one stack")
-    lanes, N = len(configs), base.n_devices
+    lanes = _Lanes(len(configs), base.n_devices, base.n_rbs)
+    N = lanes.N
     modes = [config.mode for config in configs]
     columns = []
     for config in configs:
@@ -558,44 +593,38 @@ def run_many(configs) -> list[RunResult]:
         columns.append((*lane, snr))
     positions, types, p_linear, snr = map(np.concatenate, zip(*columns))
     draws = SlotDraws([config.seed for config in configs], N, base.slots)
-    messages = PendingMessages(lanes * N)
+    messages = PendingMessages(lanes.count * N)
     p_outage = outage_table(snr, base.epsilon, base.n_rbs_max)
     # where no transmission can fail on the channel (epsilon = 0) the outage
     # uniforms decide nothing, so they are not drawn: u < 0 never holds
     can_fail = bool((p_outage[:, 1:] > 0).any())
-    stack = (_CentralizedStack(base, types, p_outage, messages, modes)
+    stack = (_CentralizedStack(base, lanes, types, p_outage, messages, modes)
              if base.mode.centralized
-             else _DistributedStack(base, positions, messages, modes))
+             else _DistributedStack(base, lanes, positions, messages, modes))
     # each slot's row of tallies and exact age totals (``_summaries``)
-    tallies = np.zeros((base.slots, lanes, _N_TALLIES), dtype=np.int64)
+    tallies = np.zeros((base.slots, lanes.count, _N_TALLIES), dtype=np.int64)
     totals: list[int] = []
-    # 3 * the lane of every RB index, which keys an RB's claimant count by lane
-    rb_keys = 3 * (np.arange(lanes * stack.rb_width) // stack.rb_width)
 
     _activation_sweep(messages, p_linear, 0, base, draws)
     for t in range(1, base.slots + 1):
         active_ids = messages.rbs_left.nonzero()[0]
-        ids, first, n_rbs, rach_failures = stack.allocate(t, active_ids, draws)
+        n_active = lanes.counts(active_ids)
+        ids, first, n_rbs, rach_failures = stack.allocate(t, active_ids, n_active, draws)
         outcomes, claims = resolve_transmissions(
-            ids, first, n_rbs, p_outage,
+            ids, lanes.on_channel(ids, first), n_rbs, p_outage,
             draws.vec(t, _PH_OUTAGE, ids) if can_fail else 0.0)
         ok = outcomes == SUCCESS
-        delivered, slot_totals = deliver_success(messages, ids[ok], n_rbs[ok], t, lanes)
+        delivered, ages = deliver_success(messages, ids[ok], n_rbs[ok], t, lanes.count)
         stack.feedback(ids, outcomes, delivered)
 
         tally = tallies[t - 1]
-        tally[:, _ACTIVE] = _lane_counts(active_ids, N, lanes)
-        tally[:, _OUTCOMES:_RACH] = np.bincount(
-            outcomes if lanes == 1 else ids // N * 3 + outcomes,
-            minlength=3 * lanes).reshape(lanes, 3)
+        tally[:, _ACTIVE] = n_active
+        tally[:, _OUTCOMES:_RACH] = lanes.histogram(outcomes, 3, N, ids)
         tally[:, _RACH] = rach_failures
-        tally[:, _DELIVERED] = _lane_counts(delivered, N, lanes)
+        tally[:, _DELIVERED] = lanes.counts(delivered)
         # each lane's RBs by claimants: none, one (single), more (crowded)
-        claims = np.minimum(claims, 2)
-        tally[:, _SINGLE:] = np.bincount(
-            claims if lanes == 1 else claims + rb_keys[:len(claims)],
-            minlength=3 * lanes).reshape(lanes, 3)[:, 1:]
-        totals += slot_totals
+        tally[:, _SINGLE:] = lanes.histogram(np.minimum(claims, 2), 3, base.n_rbs)[:, 1:]
+        totals += ages
         _activation_sweep(messages, p_linear, t, base, draws)
 
     summaries = _summaries(tallies, totals, int(base.slots * base.warmup_fraction),
@@ -603,8 +632,7 @@ def run_many(configs) -> list[RunResult]:
     claimed = tallies[:, :, _SINGLE] + tallies[:, :, _CROWDED]
     return [RunResult(config=config, summary=summaries[lane],
                       trace=stack.trace(lane, claimed[:, lane]),
-                      _tallies=(tallies[:, lane], islice(totals, lane, None, lanes),
-                                base.n_rbs))
+                      _tallies=(tallies[:, lane], totals[lane::lanes.count], base.n_rbs))
             for lane, config in enumerate(configs)]
 
 
@@ -624,18 +652,15 @@ class _CentralizedStack:
     lane's mode: it selects what the scheduler knows of the lane's requests.
     """
 
-    def __init__(self, config: ScenarioConfig, types: np.ndarray,
+    def __init__(self, config: ScenarioConfig, lanes: _Lanes, types: np.ndarray,
                  p_outage: np.ndarray, messages: PendingMessages,
                  modes: list[Mode]):
         self.config = config
+        self.lanes = lanes
         self.messages = messages
-        self.lanes = len(types) // config.n_devices
-        self.rb_width = config.n_rbs
         n = len(types)
-        self.full_info = _lane_mask(modes, {Mode.CENTRALIZED_FULL_INFO},
-                                    config.n_devices)
-        self.learning = _lane_mask(modes, {Mode.CENTRALIZED_LEARNING},
-                                   config.n_devices)
+        self.full_info = lanes.mask([m is Mode.CENTRALIZED_FULL_INFO for m in modes])
+        self.learning = lanes.mask([m is Mode.CENTRALIZED_LEARNING for m in modes])
         self.learner = TypeLearner(m1=config.m1, m2=config.m2,
                                    p_type1=config.type1_fraction, n_devices=n)
         self.true_type = types
@@ -651,15 +676,13 @@ class _CentralizedStack:
         # first part of its best split under the device's outage probabilities
         self.first_split = first_parts(p_outage)
 
-    def _lane(self, ids: np.ndarray) -> np.ndarray | None:
-        return _lane_of(ids, self.config.n_devices, self.lanes)
-
-    def allocate(self, t: int, active_ids: np.ndarray, draws: SlotDraws):
-        """The slot's transmitters, their RB ranges and each lane's RACH losses."""
-        config, messages = self.config, self.messages
+    def allocate(self, t: int, active_ids: np.ndarray, n_active: list[int],
+                 draws: SlotDraws):
+        """Slot t's transmitters, their lane-local RB ranges, each lane's RACH losses."""
+        config, messages, lanes = self.config, self.messages, self.lanes
         survivors = rach_phase(active_ids, draws.vec(t, _PH_RACH, active_ids),
                                config.preambles, config.rach_exact,
-                               self._lane(active_ids))
+                               lanes.of(active_ids))
         gen = messages.gen_slot[survivors]
         exponential = messages.exponential[survivors]
         ages = aoi_array(exponential, t, gen)           # the reported ages
@@ -678,16 +701,12 @@ class _CentralizedStack:
         # called through the module, where perfbench/tracer.py times it
         keys = centralized.priority_key(ages, kinds, types, self.learner, config.beta)
         needed = self.first_split[survivors, messages.rbs_left[survivors]]
+        survivor_lanes = lanes.of(survivors)
         served, first, end = schedule(survivors, keys, t + config.beta - 1 - gen,
                                       tie_class(types, self.learner),
-                                      needed, config.n_rbs, self._lane(survivors))
-        N, lanes = config.n_devices, self.lanes
-        if lanes > 1:
-            offset = served // N * config.n_rbs
-            first, end = first + offset, end + offset
-        rach_failures = [a - s for a, s in zip(_lane_counts(active_ids, N, lanes),
-                                               _lane_counts(survivors, N, lanes))]
-        return served, first, end - first, rach_failures
+                                      needed, config.n_rbs, survivor_lanes)
+        return served, first, end - first, np.subtract(
+            n_active, lanes.counts(survivors, survivor_lanes))
 
     def _identify(self, t: int, survivors: np.ndarray, ages: np.ndarray) -> np.ndarray:
         """Identify unresolved messages from their reports; the survivors' kinds."""
@@ -713,10 +732,10 @@ class _CentralizedStack:
         self.last_slot[delivered] = -1
 
     def trace(self, lane: int, claimed: np.ndarray) -> dict:
-        n = self.config.n_devices
-        counts = self.learner.counts[lane * n:(lane + 1) * n]
+        devices = self.lanes.devices(lane)
+        counts = self.learner.counts[devices]
         observed = np.flatnonzero(counts.sum(axis=1)).tolist()
-        types = self.true_type[lane * n:(lane + 1) * n].tolist()
+        types = self.true_type[devices].tolist()
         return {"learner_counts": {i: tuple(counts[i].tolist()) for i in observed},
                 "latent_types": {i: TypeId(code) for i, code in enumerate(types)}}
 
@@ -778,7 +797,7 @@ class _DistributedStack:
 
     positions holds the devices of every lane in lane order. A device only
     ever hears devices of its own lane. A device's action is its RB label,
-    1..R, in its own lane; on the channel, lane l's RB b is l * (R + 1) + b.
+    1..R (0: silent), in its own lane; allocate returns its lane-local RB.
     The batch hears in one form, set by its game lanes. It is listed once
     one game lane's range covers its devices' span or misses at most
     _PAIR_SHARE of its pairs: unheard then lists the out-of-range pairs
@@ -787,27 +806,26 @@ class _DistributedStack:
     full_range says no lane misses a pair. Otherwise the batch is dense:
     dense holds (lane, adjacency matrix) for every game lane, and the lanes
     decide one by one. Where a lane's range covers its devices' span
-    (exact, a ``_lanes_mask``) the threshold ranks saturated ages by
+    (exact, a ``_Lanes.mask``) the threshold ranks saturated ages by
     exponent; every other lane ties them as inf.
 
     modes holds each lane's mode. Predetermined lanes go through the rank
     map alone and never set the form; the game lanes share
     the transmit threshold, after which random lanes pick uniformly and SCA
     lanes delegate, keep and step. Each of predetermined, game, random and
-    sca is a ``_lane_mask`` over the devices.
+    sca is a ``_Lanes.mask`` over the devices.
     """
 
-    def __init__(self, config: ScenarioConfig, positions: np.ndarray,
+    def __init__(self, config: ScenarioConfig, lanes: _Lanes, positions: np.ndarray,
                  messages: PendingMessages, modes: list[Mode]):
         self.config = config
+        self.lanes = lanes
         self.messages = messages
         n, size = config.n_devices, len(positions)
-        self.lanes = size // n
-        self.rb_width = config.n_rbs + 1
-        self.predetermined = _lane_mask(modes, {Mode.DISTRIBUTED_PREDETERMINED}, n)
-        self.game = _lane_mask(modes, {Mode.DISTRIBUTED_SCA, Mode.DISTRIBUTED_RANDOM}, n)
-        self.random = _lane_mask(modes, {Mode.DISTRIBUTED_RANDOM}, n)
-        self.sca = _lane_mask(modes, {Mode.DISTRIBUTED_SCA}, n)
+        ranked = [m is Mode.DISTRIBUTED_PREDETERMINED for m in modes]
+        self.predetermined, self.game = lanes.mask(ranked), lanes.mask([not r for r in ranked])
+        self.random = lanes.mask([m is Mode.DISTRIBUTED_RANDOM for m in modes])
+        self.sca = lanes.mask([m is Mode.DISTRIBUTED_SCA for m in modes])
         # the rank-to-RB baseline is defined only under full information.
         # One block is built at a time; once the batch is listed, each block
         # (the kept ones included) lists its devices' unheard partners, row
@@ -816,7 +834,7 @@ class _DistributedStack:
         count = np.zeros(size, dtype=np.int64)
         for lane, mode in enumerate(modes):
             game = mode is not Mode.DISTRIBUTED_PREDETERMINED
-            block = (_neighbor_matrix(positions[lane * n:(lane + 1) * n], config.r_c)
+            block = (_neighbor_matrix(positions[lanes.devices(lane)], config.r_c)
                      if game else None)
             exact.append(block is None)
             listed = listed or game and _misses_few(block)
@@ -824,11 +842,11 @@ class _DistributedStack:
                 blocks.append((lane, block))
             if listed:
                 for i, kept in blocks:
-                    count[i * n:(i + 1) * n] = n - np.count_nonzero(kept, axis=1)
+                    count[lanes.devices(i)] = n - np.count_nonzero(kept, axis=1)
                     missed.append(np.nonzero(~kept)[1] + i * n)
                 blocks = []
         self.dense = blocks
-        self.exact = _lanes_mask(exact, n)
+        self.exact = lanes.mask(exact)
         # device d's unheard partners, ascending: partners[partner_start[d]:partner_end[d]]
         self.partners = np.concatenate(missed)
         del missed
@@ -858,10 +876,7 @@ class _DistributedStack:
         self.last_action = np.zeros(size, dtype=np.int64)     # 0 = did not transmit
         self.last_failed = np.zeros(size, dtype=bool)
         self.actions = np.zeros(size, dtype=np.int64)
-        # where each device's sensed RB counts start in a bincount over lanes
-        self.rb_offset = np.arange(size) // n * self.rb_width
-        self.lane_starts = np.arange(self.lanes + 1) * n
-        self.no_rach_loss = [0] * self.lanes
+        self.no_rach_loss = [0] * lanes.count
         # this slot's active ids and the generation slots and aging kinds of
         # their messages; _float_ages keeps their future ages in ages_cache
         self.t = 0
@@ -870,13 +885,13 @@ class _DistributedStack:
         self.exponential = np.zeros(0, dtype=bool)
         self.ages_cache = None
 
-    def _lane(self, ids: np.ndarray) -> np.ndarray | None:
-        return _lane_of(ids, self.config.n_devices, self.lanes)
-
-    def _lane_bounds(self, ids: np.ndarray) -> list[int]:
-        """ids[bounds[l]:bounds[l + 1]] are lane l's entries of the sorted ids."""
-        return [0, len(ids)] if self.lanes == 1 else np.searchsorted(
-            ids, self.lane_starts).tolist()
+    def _dense_lanes(self, sorted_ids: np.ndarray):
+        """(lane, block, lo, hi) of each dense lane holding some of sorted_ids,
+        its entries being sorted_ids[lo:hi]."""
+        bounds = self.lanes.bounds(sorted_ids)
+        for lane, block in self.dense:
+            if bounds[lane] < bounds[lane + 1]:
+                yield lane, block, bounds[lane], bounds[lane + 1]
 
     def _unheard_among(self, ids: np.ndarray) -> np.ndarray:
         """The unheard pairs of two devices of the sorted ids, as the columns
@@ -895,8 +910,9 @@ class _DistributedStack:
         entry = np.arange(len(r)) + (start + count - count.cumsum()).repeat(count)
         return r, self.partners[entry]
 
-    def allocate(self, t: int, active_ids: np.ndarray, draws: SlotDraws):
-        """The slot's transmitters, their RBs (ranges of one) and no RACH loss."""
+    def allocate(self, t: int, active_ids: np.ndarray, n_active: list[int],
+                 draws: SlotDraws):
+        """Slot t's transmitters, their lane-local RBs (ranges of one), no RACH loss."""
         config, messages = self.config, self.messages
         self.t, self.ids = t, active_ids
         self.gen = messages.gen_slot[active_ids]
@@ -911,14 +927,13 @@ class _DistributedStack:
                 ages, exponents = self._float_ages()
                 ones = np.ones_like(ids)
                 served, first, _ = schedule(ids, ages[pred], exponents[pred], ones,
-                                            ones, config.n_rbs, self._lane(ids))
+                                            ones, config.n_rbs, self.lanes.of(ids))
                 actions[served] = first + 1
             if self.game is not None:
                 _game_actions(self, t, draws, actions)
         self.actions = actions
         tx = actions.nonzero()[0]
-        rbs = actions[tx] + self.rb_offset[tx]
-        return tx, rbs, np.ones_like(tx), self.no_rach_loss
+        return tx, actions[tx] - 1, np.ones_like(tx), self.no_rach_loss
 
     def kappa(self, n_known: np.ndarray, n_active: int) -> np.ndarray:
         """``kappa(n_known, n_active, ...)`` of this run, read from its tables."""
@@ -944,10 +959,9 @@ class _DistributedStack:
     def trace(self, lane: int, claimed: np.ndarray) -> dict:
         """The lane's unused RBs in every slot, and its devices' actions, exact
         future ages (0: idle) and activity at the last slot."""
-        n = self.config.n_devices
-        start = lane * n
-        lo, hi = np.searchsorted(self.ids, (start, start + n)).tolist()
-        local = self.ids[lo:hi] - start
+        n, devices = self.config.n_devices, self.lanes.devices(lane)
+        lo, hi = self.lanes.bounds(self.ids)[lane:lane + 2]
+        local = self.ids[lo:hi] - devices.start
         future = [0] * n
         horizon = self.t + self.config.beta
         for i, exponential, gen in zip(local.tolist(), self.exponential[lo:hi].tolist(),
@@ -956,7 +970,7 @@ class _DistributedStack:
         active = np.zeros(n, dtype=bool)
         active[local] = True
         return {"unused_rbs": (self.config.n_rbs - claimed).tolist(),
-                "final": {"actions": self.actions[start:start + n].tolist(),
+                "final": {"actions": self.actions[devices].tolist(),
                           "future_aoi": future, "active": active.tolist()}}
 
 
@@ -977,13 +991,9 @@ def _reaching(stack: _DistributedStack, game) -> np.ndarray:
         # the dense lanes are the game lanes: other rows stay False
         passing = np.zeros(len(stack.ids), dtype=bool)
         ages = stack._float_ages()[0]
-        bounds = stack._lane_bounds(stack.ids)
-        for lane, block in stack.dense:
-            lo, hi = bounds[lane], bounds[lane + 1]
-            if lo == hi:
-                continue
+        for lane, block, lo, hi in stack._dense_lanes(stack.ids):
             # row r marks the ages the lane's r-th active device knows
-            local = stack.ids[lo:hi] - lane * stack.config.n_devices
+            local = stack.ids[lo:hi] - stack.lanes.devices(lane).start
             known = block[local][:, local]
             ks = stack.kappa(known.sum(axis=1, dtype=np.int32), hi - lo)
             passing[lo:hi] = reaches_threshold(ages[lo:hi], ks, known)
@@ -991,7 +1001,7 @@ def _reaching(stack: _DistributedStack, game) -> np.ndarray:
     ids = stack.ids[game]
     if not len(ids):
         return np.zeros(len(stack.ids), dtype=bool)
-    lanes = stack._lane(ids)
+    lanes = stack.lanes.of(ids)
     n_active = len(ids) if lanes is None else np.bincount(lanes)[lanes]
     if stack.full_range:
         k, unheard = stack.shared_kappa[n_active - 1], None
@@ -1032,26 +1042,23 @@ def _delegate_picks(stack: _DistributedStack, delegators: np.ndarray,
     ages, exponents = stack._float_ages()
     if stack.dense:
         picks = np.empty(len(delegators), dtype=np.intp)
-        bounds, delegator_bounds = stack._lane_bounds(ids), stack._lane_bounds(delegators)
-        for lane, block in stack.dense:
+        bounds = stack.lanes.bounds(ids)
+        for lane, block, d_lo, d_hi in stack._dense_lanes(delegators):
             lo, hi = bounds[lane], bounds[lane + 1]
-            d_lo, d_hi = delegator_bounds[lane], delegator_bounds[lane + 1]
-            if d_lo == d_hi:
-                continue
             # a delegator is idle, so it is never its own candidate
-            start = lane * stack.config.n_devices
+            start = stack.lanes.devices(lane).start
             candidates = block[delegators[d_lo:d_hi] - start][:, ids[lo:hi] - start]
             lane_picks = delegate_target(candidates, ages[lo:hi], exponents[lo:hi],
                                          u[d_lo:d_hi])
             picks[d_lo:d_hi] = np.where(lane_picks >= 0, lane_picks + lo, -1)
         return picks
-    if stack.lanes == 1:
+    lanes = stack.lanes.of(delegators)
+    if lanes is None:
         width, offset = len(ids), 0
         candidates = np.ones((len(delegators), width + 1), dtype=bool)
     else:
-        bounds = np.searchsorted(ids, stack.lane_starts)
+        bounds = np.array(stack.lanes.bounds(ids))
         count = np.diff(bounds)
-        lanes = stack._lane(delegators)
         lo, width = bounds[lanes], int(count[lanes].max())
         offset = np.repeat(bounds[:-1], count)
         span = np.arange(width + 1)
@@ -1067,7 +1074,7 @@ def _delegate_picks(stack: _DistributedStack, delegators: np.ndarray,
         rows, partners = stack._partners_of(delegators)
         candidates[rows, column[partners]] = False
     picks = delegate_target(candidates[:, :width], ages, exponents, u)
-    return picks if stack.lanes == 1 else np.where(picks >= 0, picks + lo, -1)
+    return picks if lanes is None else np.where(picks >= 0, picks + lo, -1)
 
 
 def _sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
@@ -1079,45 +1086,37 @@ def _sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
     a listed batch, its lane's transmissions of last slot but those of its
     unheard partners; in a dense batch, those its block marks.
     """
-    last_action, width = stack.last_action, stack.rb_width
+    last_action, lanes = stack.last_action, stack.lanes
+    # an RB label's sensed counts: 0 (silent) and the RBs 1..R
+    width = lanes.R + 1
     if stack.dense:
-        R, n = stack.config.n_rbs, stack.config.n_devices
         crowds = np.empty(len(deciding), dtype=np.intp)
-        unused = np.empty((len(deciding), R), dtype=bool)
-        bounds = stack._lane_bounds(deciding)
-        for lane, block in stack.dense:
-            lo, hi = bounds[lane], bounds[lane + 1]
-            if lo == hi:
-                continue
-            start = lane * n
-            lane_actions = last_action[start:start + n]
+        unused = np.empty((len(deciding), lanes.R), dtype=bool)
+        for lane, block, lo, hi in stack._dense_lanes(deciding):
+            devices = lanes.devices(lane)
+            lane_actions = last_action[devices]
             # count every (deciding device, RB) pair of a transmission it heard
             heard = np.flatnonzero(lane_actions)
             cells = np.arange(hi - lo)[:, None] * width + lane_actions[heard]
-            sensed = np.bincount(cells[block[deciding[lo:hi] - start][:, heard]],
+            sensed = np.bincount(cells[block[deciding[lo:hi] - devices.start][:, heard]],
                                  minlength=(hi - lo) * width).reshape(hi - lo, width)
             crowds[lo:hi] = sensed[np.arange(hi - lo), prev[lo:hi]]
             unused[lo:hi] = sensed[:, 1:] == 0
         return crowds, unused
-    # last slot's transmitters per RB label (0: silent) of each device's lane;
-    # at full range every device of a lane senses the same
-    lanes = stack._lane(deciding)
-    if lanes is None:
-        sensed = np.bincount(last_action, minlength=width)
-        if stack.full_range:
-            return sensed[prev], sensed[None, 1:] == 0
-    else:
-        sensed = np.bincount(last_action + stack.rb_offset,
-                             minlength=stack.lanes * width).reshape(stack.lanes, width)
-        if stack.full_range:
-            return sensed[lanes, prev], (sensed[:, 1:] == 0)[lanes]
-        sensed = sensed[lanes]
-    # a silent partner lands in column 0, which nothing reads
-    rows, partners = stack._partners_of(deciding)
-    missed = np.bincount(rows * width + last_action[partners],
-                         minlength=len(deciding) * width)
-    sensed = sensed - missed.reshape(-1, width)
-    return sensed[np.arange(len(deciding)), prev], sensed[:, 1:] == 0
+    # last slot's transmitters per RB label of each device's lane; one lane
+    # keeps one row, which every device reads
+    sensed = lanes.histogram(last_action, width, lanes.N)
+    deciding_lanes = lanes.of(deciding)
+    if deciding_lanes is not None:
+        sensed = sensed[deciding_lanes]
+    if not stack.full_range:
+        # a silent partner lands in column 0, which nothing reads
+        rows, partners = stack._partners_of(deciding)
+        missed = np.bincount(rows * width + last_action[partners],
+                             minlength=len(deciding) * width)
+        sensed = sensed - missed.reshape(-1, width)
+    row = 0 if len(sensed) == 1 else np.arange(len(deciding))
+    return sensed[row, prev], sensed[:, 1:] == 0
 
 
 def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,

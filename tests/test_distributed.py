@@ -11,7 +11,7 @@ from aoisim.distributed import (FullInfoGame, GameParams, delegate_target,
                                 kappa, kth_largest, random_selection,
                                 reaches_threshold, sca_step,
                                 service_rate_closed_form)
-from aoisim.engine import Mode, ScenarioConfig, SlotDraws, _DistributedStack
+from aoisim.engine import Mode, ScenarioConfig, SlotDraws, _DistributedStack, _Lanes
 
 
 # --- scalar references ---------------------------------------------------------
@@ -260,7 +260,8 @@ def test_per_run_kappa_tables_equal_kappa(R, N, v_a):
     config = ScenarioConfig(n_devices=N, n_rbs=R, v_a=v_a, zeta=1.2, r_c=2.0)
     positions, _, _ = make_devices(N, 0.6, 0.75, 0.75, 10.0, 10.0,
                                    np.random.default_rng(1))
-    stack = _DistributedStack(config, positions, PendingMessages(N), [config.mode])
+    stack = _DistributedStack(config, _Lanes(1, N, R), positions, PendingMessages(N),
+                              [config.mode])
     for n_active in range(1, N + 1):
         n_known = np.arange(1, n_active + 1)
         expected = kappa(n_known, n_active, R, N, v_a, 1.2)
@@ -423,17 +424,19 @@ def predetermined(gen, exponential, active, R, t=1500):
     messages.rbs_left[:] = active
     positions, _, _ = make_devices(n, 0.6, 0.75, 0.75, 10.0, 10.0,
                                    np.random.default_rng(0))
-    stack = _DistributedStack(config, positions, messages, [config.mode])
+    stack = _DistributedStack(config, _Lanes(1, n, R), positions, messages, [config.mode])
     # the baseline needs every device to know the full ranking, whatever r_c:
     # a predetermined lane builds no block
     assert not stack.dense and stack.full_range
-    tx, rbs, _, _ = stack.allocate(t, np.flatnonzero(active),
+    active_ids = np.flatnonzero(active)
+    tx, rbs, _, _ = stack.allocate(t, active_ids, [len(active_ids)],
                                    SlotDraws([0], n, config.slots))
     f_values = [aoi_value(KINDS[e], t + config.beta, g) if a else 0
                 for g, e, a in zip(gen, exponential, active)]
     expected = predetermined_ref(f_values, active, R)
     assert stack.actions.tolist() == expected
-    assert rbs.tolist() == [expected[i] for i in tx.tolist()]
+    # the actions are RB labels 1..R; allocate hands on lane-local RBs 0..R-1
+    assert rbs.tolist() == [expected[i] - 1 for i in tx.tolist()]
     return expected
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import math
@@ -17,7 +18,7 @@ from aoisim.distributed import kappa, kth_largest
 from aoisim.engine import (_PH_ACTIVATE, _PH_DECIDE, _PH_DELEGATE, _PH_FRESH,
                            _PH_KIND, _PH_OUTAGE, _PH_SIZE, ConfigError, Mode,
                            ScenarioConfig, SlotDraws, SlotRecord, _DistributedStack,
-                           _N_TALLIES, _safe_mean, _slot_records, _summaries,
+                           _Lanes, _N_TALLIES, _safe_mean, _slot_records, _summaries,
                            _reaching, loop_batches, replicate_seed, run,
                            run_many, sweep_iter, sweep_lanes)
 from test_distributed import delegate_target_ref, kappa_ref, sca_step_ref
@@ -247,13 +248,14 @@ def test_centralized_arrays_match_the_devices_every_slot(name, monkeypatch):
     deliver = engine.deliver_success
     slots = []
 
-    def checked_allocate(self, t, active_ids, draws):
+    def checked_allocate(self, t, active_ids, n_active, draws):
         replay.activate(t - 1)               # the sweep at the end of slot t - 1
         replay.check(self.messages)
         assert active_ids.tolist() == replay.active_ids()
+        assert n_active == [len(active_ids)]
         assert self.true_type.tolist() == replay.types.tolist()
         slots.append(t)
-        return allocate(self, t, active_ids, draws)
+        return allocate(self, t, active_ids, n_active, draws)
 
     def checked_deliver(messages, ids, n_rbs, t, lanes):
         expected = replay.deliver(ids.tolist(), n_rbs.tolist(), t)
@@ -443,6 +445,19 @@ def test_summary_readers_build_no_records(monkeypatch, tmp_path):
     assert mixed[1].records == records
 
 
+@pytest.mark.parametrize("make_copy", [copy.copy,
+                                       lambda r: dataclasses.replace(r, trace={})])
+def test_a_copied_result_and_its_original_both_read_every_record(make_copy):
+    # a copy made before or after the first read builds the same records as
+    # the original, whichever of the two reads first
+    results = run_many([small(slots=20, seed=s) for s in (1, 2)])
+    for result in results:
+        copied = make_copy(result)
+        assert len(copied.records) == 20
+        assert result.records == copied.records
+        assert make_copy(result).records == copied.records
+
+
 def _plain(value) -> bool:
     return value is None or type(value) in (int, float)
 
@@ -559,8 +574,72 @@ def _positions(config):
 def _stack_of(configs):
     """The distributed stack run_many sets up for a batch of configs."""
     positions = np.concatenate([_positions(c) for c in configs])
-    return _DistributedStack(configs[0], positions, PendingMessages(len(positions)),
-                             [c.mode for c in configs])
+    return _DistributedStack(configs[0], _lanes_of(configs), positions,
+                             PendingMessages(len(positions)), [c.mode for c in configs])
+
+
+def _lanes_of(configs):
+    """The lane layout run_many sets up for a batch of configs."""
+    return _Lanes(len(configs), configs[0].n_devices, configs[0].n_rbs)
+
+
+@st.composite
+def _lane_case(draw):
+    """A layout's N and R, a lane count and lane, sorted ids of one lane with
+    a value in 0..width - 1 each, and a hit flag per lane."""
+    N, R = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    count = draw(st.integers(2, 4))
+    ids = np.array(sorted(draw(st.sets(st.integers(0, N - 1)))), dtype=np.int64)
+    width = draw(st.integers(1, 5))
+    values = np.array(draw(st.lists(st.integers(0, width - 1), min_size=len(ids),
+                                    max_size=len(ids))), dtype=np.int64)
+    hits = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    return N, R, count, draw(st.integers(0, count - 1)), ids, width, values, hits
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lane_case())
+def test_one_lane_fast_paths_equal_the_general_form(case):
+    # each method of a one-lane layout answers for its ids what the general
+    # multi-lane form answers for the same ids moved into lane l
+    N, R, count, lane, ids, width, values, hits = case
+    one, many = _Lanes(1, N, R), _Lanes(count, N, R)
+    moved = ids + lane * N
+    assert one.of(ids) is None and (many.of(moved) == lane).all()
+    counts = [0] * count
+    counts[lane] = len(ids)
+    assert one.counts(ids) == [len(ids)]
+    assert many.counts(moved) == many.counts(moved, many.of(moved)) == counts
+    assert many.bounds(moved)[lane:lane + 2] == one.bounds(ids) == [0, len(ids)]
+    assert (np.arange(count * N)[many.devices(lane)] - lane * N
+            == np.arange(N)[one.devices(0)]).all()
+
+    def chosen(mask, ids):
+        rows = engine._rows(mask, ids)
+        return [] if rows is None else ids[rows].tolist()
+
+    assert [i - lane * N for i in chosen(many.mask(hits), moved)] == \
+        chosen(one.mask([hits[lane]]), ids)
+    histogram = np.zeros((count, width), dtype=np.int64)
+    histogram[lane] = np.bincount(values, minlength=width)
+    assert (one.histogram(values, width, N, ids) == histogram[lane]).all()
+    assert (many.histogram(values, width, N, moved) == histogram).all()
+    # values laid out lane by lane, keyed by channel RB (shorter than every
+    # lane's RBs) and by device; a layout keeps the keys of such a histogram
+    by_rb = values[:R]
+    placed = np.concatenate([np.zeros(lane * R, dtype=np.int64), by_rb])
+    assert (many.histogram(placed, width, R)[lane]
+            == one.histogram(by_rb, width, R)[0]).all()
+    by_device = np.zeros(N, dtype=np.int64)
+    by_device[ids] = values
+    every = np.zeros(count * N, dtype=np.int64)
+    every[moved] = values
+    for _ in range(2):
+        got = many.histogram(every, width, N)
+        assert (got[lane] == one.histogram(by_device, width, N)[0]).all()
+        assert (np.delete(got, lane, axis=0)[:, 0] == N).all()
+    rbs = values % R
+    assert (many.on_channel(moved, rbs) == one.on_channel(ids, rbs) + lane * R).all()
 
 
 @pytest.mark.parametrize("mode", [Mode.DISTRIBUTED_SCA, Mode.DISTRIBUTED_RANDOM])
@@ -737,7 +816,7 @@ def test_listing_a_batch_holds_its_pairs_about_once_at_its_peak():
     messages = PendingMessages(len(positions))
     tracemalloc.start()
     try:
-        stack = _DistributedStack(configs[0], positions, messages,
+        stack = _DistributedStack(configs[0], _lanes_of(configs), positions, messages,
                                   [c.mode for c in configs])
         held, peak = tracemalloc.get_traced_memory()
     finally:
@@ -1160,10 +1239,16 @@ def _future(messages, i, t, beta):
 
 def _stack_at(config, positions, messages, t):
     """A distributed stack that has just allocated slot t for these devices."""
-    stack = _DistributedStack(config, positions, messages, [config.mode])
-    stack.allocate(t, np.flatnonzero(messages.rbs_left),
-                   SlotDraws([config.seed], config.n_devices, config.slots))
+    stack = _DistributedStack(config, _lanes_of([config]), positions, messages,
+                              [config.mode])
+    _allocate(stack, t, SlotDraws([config.seed], config.n_devices, config.slots))
     return stack
+
+
+def _allocate(stack, t, draws):
+    """Allocate slot t to the stack's active devices, as the slot loop does."""
+    active_ids = np.flatnonzero(stack.messages.rbs_left)
+    return stack.allocate(t, active_ids, stack.lanes.counts(active_ids), draws)
 
 
 def test_partial_range_thresholds_match_the_per_device_rule():
@@ -1229,11 +1314,11 @@ def test_two_delegators_on_one_neighbor_the_lower_id_wins(r_c):
     positions = np.array([(0.0, 0.0), (5.0, 5.0), (5.5, 5.5), (6.0, 5.0)])
     messages = PendingMessages(4)
     _pend(messages, p_linear, 2, 10, 0.0)
-    stack = _DistributedStack(config, positions, messages, [config.mode])
+    stack = _DistributedStack(config, _lanes_of([config]), positions, messages,
+                              [config.mode])
     assert (engine._neighbor_matrix(positions, r_c) is None) == (r_c == 15.0)
     stack.last_action[[1, 3]] = [4, 2]
-    stack.allocate(11, np.flatnonzero(messages.rbs_left),
-                   SlotDraws([config.seed], config.n_devices, config.slots))
+    _allocate(stack, 11, SlotDraws([config.seed], config.n_devices, config.slots))
     assert stack.actions.tolist() == [0, 0, 4, 0]
 
 
@@ -1307,12 +1392,13 @@ def test_game_slot_equals_the_per_device_rules(mode, r_c):
             if rng.random() < 0.7:
                 gen = int(rng.choice([1, 2, 3, 200, 1290, rng.integers(1, t)]))
                 _pend(messages, p_linear, i, gen, rng.random())
-        stack = _DistributedStack(config, positions, messages, [mode])
+        stack = _DistributedStack(config, _lanes_of([config]), positions, messages,
+                                  [mode])
         stack.last_action[:] = rng.integers(0, R + 1, n)
         stack.last_failed[:] = rng.random(n) < 0.4
         draws = SlotDraws([seed], n, config.slots)
         expected = _reference_actions(stack, positions, t, draws)
-        stack.allocate(t, np.flatnonzero(messages.rbs_left), draws)
+        _allocate(stack, t, draws)
         assert stack.actions.tolist() == expected, seed
 
 

@@ -200,7 +200,8 @@ def test_first_split_table_equals_the_brute_force_first_part(epsilon, monkeypatc
     config = ScenarioConfig(mode=Mode.CENTRALIZED_FULL_INFO, n_devices=len(SNRS),
                             n_rbs=12, n_rbs_max=12, epsilon=epsilon)
     snr = np.array(SNRS)
-    stack = engine._CentralizedStack(config, np.ones(len(SNRS), dtype=np.int8),
+    stack = engine._CentralizedStack(config, engine._Lanes(1, len(SNRS), config.n_rbs),
+                                     np.ones(len(SNRS), dtype=np.int8),
                                      outage_table(snr, epsilon, 12),
                                      PendingMessages(len(SNRS)), [config.mode])
     assert _first_part_mismatches(stack.first_split, snr, epsilon, 12) == []
@@ -215,8 +216,8 @@ def test_first_split_table_equals_the_brute_force_first_part(epsilon, monkeypatc
         return tables[-1][1]
 
     class Recorded(engine._CentralizedStack):
-        def __init__(self, config, types, p_outage, messages, modes):
-            super().__init__(config, types, p_outage, messages, modes)
+        def __init__(self, config, lanes, types, p_outage, messages, modes):
+            super().__init__(config, lanes, types, p_outage, messages, modes)
             built.append((self, p_outage))
 
     monkeypatch.setattr(engine, "outage_table", recorded_table)
