@@ -1,4 +1,4 @@
-"""Devices, their pending messages, and delivery bookkeeping.
+"""Devices, their pending messages, and the crediting of received RBs.
 
 A device is idle or carries exactly one pending message. Failed transmissions
 retry every slot until the message is fully delivered, so the pending
@@ -14,7 +14,6 @@ one ``PendingMessages`` set of arrays, and ``activate`` and
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 
 import numpy as np
@@ -59,18 +58,12 @@ def activate(messages: PendingMessages, ids, t: int, kind_u, p_linear,
                               else n_rbs_min + np.floor(size_u * span))
 
 
-def deliver_success(messages: PendingMessages, ids, n_rbs, t: int, lanes: int = 1):
-    """Credit the successful transmissions of slot t.
+def deliver_success(messages: PendingMessages, ids, n_rbs) -> np.ndarray:
+    """Credit the successful transmissions of a slot; returns the delivered ids.
 
     Device ids[j] got n_rbs[j] of its pending RBs through. Messages with no
-    RB left are delivered: their devices go idle. Returns the delivered ids
-    and, per lane, the exact sum (a Python int) of their recorded delivery
-    ages C_i, each the message's age at slot t through its aging kind. The
-    devices split into lanes of equal size, in id order.
-
-    Linear ages add up per lane in int64. Exponential ages 2**(k-1) add up
-    as Python ints, one shift per (lane, exponent) group, so the sums stay
-    exact past 2**1024.
+    RB left are delivered: their devices go idle and keep the message's
+    generation slot and aging kind, from which its delivery age is read.
     """
     ids = np.asarray(ids)
     left = messages.rbs_left[ids]
@@ -79,39 +72,18 @@ def deliver_success(messages: PendingMessages, ids, n_rbs, t: int, lanes: int = 
     left -= n_rbs
     np.maximum(left, 0, out=left)
     messages.rbs_left[ids] = left
-    delivered = ids[left == 0]
-    k = t - messages.gen_slot[delivered]
-    exponential = messages.exponential[delivered]
-    lane = delivered // (len(messages.rbs_left) // lanes)
-    linear = np.zeros(lanes, dtype=np.int64)
-    np.add.at(linear, lane, np.where(exponential, 0, k))
-    totals = linear.tolist()
-    # k <= t, so lane * (t + 1) + k keys a (lane, age) group; a Counter
-    # groups the few keys of a slot faster than np.unique
-    groups = Counter((lane * (t + 1) + k)[exponential].tolist())
-    for key, count in groups.items():
-        lane_index, age_slots = divmod(key, t + 1)
-        totals[lane_index] += count << (age_slots - 1)
-    return delivered, totals
-
-
-def sample_positions(n: int, w: float, l: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform positions in the w x l rectangle (fixed-N point process)."""
-    xy = rng.random((n, 2))
-    xy[:, 0] *= w
-    xy[:, 1] *= l
-    return xy
+    return ids[left == 0]
 
 
 def make_devices(n: int, type1_fraction: float, m1: float, m2: float,
                  w: float, l: float, rng: np.random.Generator):
-    """n devices: uniform positions, then latent types drawn i.i.d.
+    """n devices: uniform positions in the w x l rectangle, then i.i.d. latent types.
 
     Returns the (n, 2) positions, each device's type as its ``TypeId``
     value (int8) and the probability that its messages age linearly: m1
     for type 1, 1 - m2 for type 2.
     """
-    positions = sample_positions(n, w, l, rng)
+    positions = rng.random((n, 2)) * (w, l)
     type1 = rng.random(n) < type1_fraction
     types = np.where(type1, TypeId.TYPE1.value, TypeId.TYPE2.value).astype(np.int8)
     return positions, types, np.where(type1, m1, 1.0 - m2)

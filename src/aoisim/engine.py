@@ -22,10 +22,10 @@ phase builds one ``Generator`` per distinct seed holding ids.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -158,24 +158,23 @@ class SlotDraws:
     vector. The seed words of every distinct seed for a block of up to
     min(256, slots + 1) slots are computed when a slot outside the current
     block is asked for, a few seeds per ``seed_states`` pass. A call builds
-    one generator per distinct seed holding ids; one lane returns its
-    vector's ids with no lane bookkeeping.
+    one generator per distinct seed holding ids (one seed: no lane bookkeeping).
     """
 
-    __slots__ = ("_seed_words", "_n", "_source", "_block", "_first", "_end", "_states")
+    __slots__ = ("_seed_words", "_seeds", "_source", "_block", "_first", "_end", "_states")
 
     def __init__(self, seeds, n_devices: int, slots: int):
         seeds, index = list(seeds), {}
         for seed in seeds:
             index.setdefault(seed, len(index))
         self._seed_words = [_uint32_words(seed) for seed in index]
-        self._n = n_devices
-        # device i of lane l reads entry _source[l * n + i] of the distinct
-        # seeds' vectors laid end to end; None where every seed is distinct
+        # the distinct seeds' vectors end to end, as lanes with no RBs; device i
+        # of lane l reads their entry _source[l * N + i] (None: seeds distinct)
+        self._seeds = _Lanes(len(index), n_devices, 0)
         self._source = None
         if len(index) < len(seeds):
-            distinct = np.array([index[seed] for seed in seeds])
-            self._source = (distinct[:, None] * n_devices + np.arange(n_devices)).ravel()
+            distinct = [index[seed] for seed in seeds]
+            self._source = (self._seeds.starts[distinct, None] + np.arange(n_devices)).ravel()
         self._block = min(_STATE_BLOCK, slots + 1)
         self._first = self._end = 0
         self._states = None
@@ -215,16 +214,16 @@ class SlotDraws:
         """
         if not self._first <= slot < self._end:
             self._fill(slot)
-        states, n = self._states[(slot - self._first) * _N_PHASES + phase], self._n
+        states, seeds = self._states[(slot - self._first) * _N_PHASES + phase], self._seeds
         if self._source is not None:
             ids = self._source[ids]
-        if len(states) == 1 and len(ids):
-            return _Generator(_PCG64(_SeedWords(states[0]))).random(n)[ids]
-        out = np.empty(len(states) * n)
-        for k, count in enumerate(np.bincount(ids // n, minlength=len(states)).tolist()):
+        if seeds.count == 1 and len(ids):
+            return _Generator(_PCG64(_SeedWords(states[0]))).random(seeds.N)[ids]
+        out = np.empty(seeds.count * seeds.N)
+        for k, count in enumerate(seeds.counts(ids)):
             if count:
                 _Generator(_PCG64(_SeedWords(states[k]))).random(
-                    n, out=out[k * n:(k + 1) * n])
+                    seeds.N, out=out[seeds.devices(k)])
         return out[ids]
 
 
@@ -328,6 +327,8 @@ class ScenarioConfig:
             if not _usable_snr_db(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite dB value whose "
                                   "linear SNR is positive and finite")
+        if self.heterogeneous_power and self.hetero_snr_low_db > self.hetero_snr_high_db:
+            raise ConfigError("hetero_snr_low_db cannot exceed hetero_snr_high_db")
 
 
 @dataclass(frozen=True)
@@ -445,6 +446,26 @@ class _Lanes:
         return np.bincount(keys[:len(values)] + values,
                            minlength=self.count * width).reshape(self.count, width)
 
+    def age_sums(self, ids: np.ndarray, ages: np.ndarray,
+                 exponential: np.ndarray) -> list[int]:
+        """Each lane's exact sum (a Python int) of the delivery ages of ids,
+        ids[j]'s message being ages[j] slots old: linear ages add up in int64,
+        and exponential ones, 2**(k - 1) at k slots, as Python ints, one shift
+        per (lane, k) group, so the sums stay exact past 2**1024."""
+        linear = np.where(exponential, 0, ages)
+        if self.count == 1:
+            sums, keys = [int(linear.sum())], ages[exponential]
+        else:
+            lane = ids // self.N
+            sums = np.zeros(self.count, dtype=np.int64)
+            np.add.at(sums, lane, linear)
+            sums, keys = sums.tolist(), (ages * self.count + lane)[exponential]
+        # a Counter groups the few (k, lane) keys of a slot faster than np.unique
+        for key, n in Counter(keys.tolist()).items():
+            k, lane = divmod(key, self.count)
+            sums[lane] += n << (k - 1)
+        return sums
+
     def devices(self, lane: int) -> slice:
         """Lane lane's device ids, as a slice of every device."""
         return slice(lane * self.N, (lane + 1) * self.N)
@@ -487,30 +508,26 @@ def _activation_sweep(messages: PendingMessages, p_linear: np.ndarray, t: int,
 _ACTIVE, _OUTCOMES, _RACH, _DELIVERED, _SINGLE, _CROWDED, _N_TALLIES = 0, 1, 4, 5, 6, 7, 8
 
 
-def _summaries(tallies: np.ndarray, totals: list, warmup_slots: int,
-               R: int) -> list[RunSummary]:
-    """Each lane's summary, from the (slots, lanes, _N_TALLIES) tallies and
-    the exact age totals (Python ints) of each slot's lanes, slot by slot."""
-    slots, lanes = tallies.shape[:2]
-    rates = tallies[:, :, _SINGLE] / R
+def _summary(tallies: np.ndarray, totals: list, R: int, warmup_slots: int) -> RunSummary:
+    """A lane's summary from its (slots, _N_TALLIES) tallies and the exact
+    age totals (Python ints) of its slots."""
+    slots = len(tallies)
+    count = tallies.sum(axis=0).tolist()
+    post = int(tallies[warmup_slots:, _DELIVERED].sum())
+    rates = tallies[:, _SINGLE] / R
     # added slot by slot from 0.0, as a running total adds them (np.sum adds
     # pairwise, and sum() compensates from Python 3.12); none after a full warm-up
-    rate_sums = ((part.cumsum(axis=0)[-1] if len(part) else np.zeros(lanes)).tolist()
-                 for part in (rates, rates[warmup_slots:]))
-    columns = zip(tallies.sum(axis=0).tolist(),
-                  tallies[warmup_slots:, :, _DELIVERED].sum(axis=0).tolist(), *rate_sums)
-    return [RunSummary(
+    rate, post_rate = (float(part.cumsum()[-1]) if len(part) else 0.0
+                       for part in (rates, rates[warmup_slots:]))
+    return RunSummary(
         slots=slots, warmup_slots=warmup_slots, deliveries=count[_DELIVERED],
         deliveries_postwarmup=post,
-        mean_delivery_aoi=_safe_mean(sum(islice(totals, lane, None, lanes)),
-                                     count[_DELIVERED]),
-        mean_delivery_aoi_postwarmup=_safe_mean(
-            sum(islice(totals, warmup_slots * lanes + lane, None, lanes)), post),
+        mean_delivery_aoi=_safe_mean(sum(totals), count[_DELIVERED]),
+        mean_delivery_aoi_postwarmup=_safe_mean(sum(totals[warmup_slots:]), post),
         mean_service_rate=rate / max(1, slots),
         mean_service_rate_postwarmup=post_rate / max(1, slots - warmup_slots),
         rach_failures=count[_RACH], duplicate_failures=count[_OUTCOMES + 1],
         outage_failures=count[_OUTCOMES + 2])
-        for lane, (count, post, rate, post_rate) in enumerate(columns)]
 
 
 def _slot_records(tallies: np.ndarray, totals, R: int) -> list[SlotRecord]:
@@ -544,27 +561,24 @@ def run_many(configs) -> list[RunResult]:
     The modes must belong to one stack (``_shares_loop``); any other batch,
     and an empty one, raises ``ConfigError``. Returns one result per config,
     in order, each equal to what a run of that config alone gives. Lane l
-    holds config l: its devices have ids l * N to l * N + N - 1 and its RBs
-    the channel RBs l * R + b for the lane-local RBs b the stacks pick, a
-    layout one ``_Lanes`` owns. Each lane keeps its own positions, latent
-    types, mean SNRs and draw seed, so its draws and outcomes are those of
-    the lone run; the array work of a
-    slot is shared by every lane. A lane's mode is a mask over its devices
-    within the stack's one slot path. One ``SlotDraws`` serves every lane:
-    each rule is handed the uniforms of the ids it decides for, so a lane
-    draws a phase only when its mode consumes it, and a phase builds one
-    ``Generator`` per distinct seed holding ids. run_many takes any number
-    of lanes; sweeps and presets cap theirs with ``loop_batches``.
+    holds config l in the layout of one ``_Lanes``: devices l * N to
+    l * N + N - 1, and the channel RBs l * R + b for the lane-local RBs b
+    the stacks pick. Each lane keeps its own positions, latent types, mean
+    SNRs and draw seed, so its draws and outcomes are those of the lone
+    run, and its mode is a mask over its devices within the stack's one
+    slot path. One ``SlotDraws`` serves every lane: each rule is handed the
+    uniforms of the ids it decides for, so a lane draws a phase only when
+    its mode consumes it. run_many takes any number of lanes; sweeps and
+    presets cap theirs with ``loop_batches``.
 
-    One slot loop serves both stacks. The engine keeps every device's
-    pending message in one ``PendingMessages`` set of arrays, which both
-    stacks read. The stack picks who transmits on which RB range of its lane
-    (allocate), the channel resolves the slot, the loop delivers and counts,
-    and the stack learns the outcome (feedback) before idle devices draw fresh
-    activations. Each of these is a few array operations per slot. The
-    counts of a slot are one row of every lane's tallies in an integer
-    array, beside the lanes' exact age totals; each lane's summary and trace
-    are built after the loop, and its records from them when first read.
+    One slot loop serves both stacks, its array work shared by the lanes. In
+    a slot the stack picks who transmits on which RBs of its lane
+    (allocate), the channel resolves, ``deliver_success`` credits the
+    received RBs and the stack learns the outcome (feedback), all on one
+    ``PendingMessages`` set of arrays, before idle devices draw fresh
+    activations. A slot's counts are a row of every lane's integer tallies,
+    beside each lane's exact age sum (``_Lanes.age_sums``); a lane's
+    summary, trace and (when first read) records come from its own slice.
     """
     configs = list(configs)
     if not configs:
@@ -601,7 +615,7 @@ def run_many(configs) -> list[RunResult]:
     stack = (_CentralizedStack(base, lanes, types, p_outage, messages, modes)
              if base.mode.centralized
              else _DistributedStack(base, lanes, positions, messages, modes))
-    # each slot's row of tallies and exact age totals (``_summaries``)
+    # each slot's row of tallies and exact age totals (``_summary``)
     tallies = np.zeros((base.slots, lanes.count, _N_TALLIES), dtype=np.int64)
     totals: list[int] = []
 
@@ -614,7 +628,7 @@ def run_many(configs) -> list[RunResult]:
             ids, lanes.on_channel(ids, first), n_rbs, p_outage,
             draws.vec(t, _PH_OUTAGE, ids) if can_fail else 0.0)
         ok = outcomes == SUCCESS
-        delivered, ages = deliver_success(messages, ids[ok], n_rbs[ok], t, lanes.count)
+        delivered = deliver_success(messages, ids[ok], n_rbs[ok])
         stack.feedback(ids, outcomes, delivered)
 
         tally = tallies[t - 1]
@@ -624,16 +638,17 @@ def run_many(configs) -> list[RunResult]:
         tally[:, _DELIVERED] = lanes.counts(delivered)
         # each lane's RBs by claimants: none, one (single), more (crowded)
         tally[:, _SINGLE:] = lanes.histogram(np.minimum(claims, 2), 3, base.n_rbs)[:, 1:]
-        totals += ages
+        totals += lanes.age_sums(delivered, t - messages.gen_slot[delivered],
+                                 messages.exponential[delivered])
         _activation_sweep(messages, p_linear, t, base, draws)
 
-    summaries = _summaries(tallies, totals, int(base.slots * base.warmup_fraction),
-                           base.n_rbs)
-    claimed = tallies[:, :, _SINGLE] + tallies[:, :, _CROWDED]
-    return [RunResult(config=config, summary=summaries[lane],
-                      trace=stack.trace(lane, claimed[:, lane]),
-                      _tallies=(tallies[:, lane], totals[lane::lanes.count], base.n_rbs))
-            for lane, config in enumerate(configs)]
+    warmup_slots = int(base.slots * base.warmup_fraction)
+    results = []
+    for lane, config in enumerate(configs):
+        own = (tallies[:, lane], totals[lane::lanes.count], base.n_rbs)
+        results.append(RunResult(config=config, summary=_summary(*own, warmup_slots),
+                                 trace=stack.trace(lane, own[0]), _tallies=own))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +746,7 @@ class _CentralizedStack:
         self.known_kind[delivered] = KIND_UNKNOWN
         self.last_slot[delivered] = -1
 
-    def trace(self, lane: int, claimed: np.ndarray) -> dict:
+    def trace(self, lane: int, tallies: np.ndarray) -> dict:
         devices = self.lanes.devices(lane)
         counts = self.learner.counts[devices]
         observed = np.flatnonzero(counts.sum(axis=1)).tolist()
@@ -843,7 +858,7 @@ class _DistributedStack:
             if listed:
                 for i, kept in blocks:
                     count[lanes.devices(i)] = n - np.count_nonzero(kept, axis=1)
-                    missed.append(np.nonzero(~kept)[1] + i * n)
+                    missed.append(np.nonzero(~kept)[1] + lanes.starts[i])
                 blocks = []
         self.dense = blocks
         self.exact = lanes.mask(exact)
@@ -857,13 +872,14 @@ class _DistributedStack:
         # little more than the two lists
         self.unheard = np.empty((2, len(self.partners) // 2), dtype=np.int64)
         filled = 0
-        for lo in range(0, size, n):
-            first, end = self.partner_start[lo], self.partner_end[lo + n - 1]
+        for lane in range(lanes.count):
+            devices = lanes.devices(lane)
+            first, end = self.partner_start[devices.start], self.partner_end[devices.stop - 1]
             partners = self.partners[first:end]
-            devices = np.arange(lo, lo + n).repeat(count[lo:lo + n])
-            above = devices < partners
+            owners = np.arange(devices.start, devices.stop).repeat(count[devices])
+            above = owners < partners
             k = filled + np.count_nonzero(above)
-            self.unheard[0, filled:k] = devices[above]
+            self.unheard[0, filled:k] = owners[above]
             self.unheard[1, filled:k] = partners[above]
             filled = k
         self.full_range = not (self.dense or self.unheard.size)
@@ -956,9 +972,9 @@ class _DistributedStack:
         self.last_failed = np.zeros(len(self.actions), dtype=bool)
         self.last_failed[ids[outcomes != SUCCESS]] = True
 
-    def trace(self, lane: int, claimed: np.ndarray) -> dict:
-        """The lane's unused RBs in every slot, and its devices' actions, exact
-        future ages (0: idle) and activity at the last slot."""
+    def trace(self, lane: int, tallies: np.ndarray) -> dict:
+        """The lane's unused RBs in every slot, read from its tallies, and its
+        devices' actions, exact future ages (0: idle) and activity at the last slot."""
         n, devices = self.config.n_devices, self.lanes.devices(lane)
         lo, hi = self.lanes.bounds(self.ids)[lane:lane + 2]
         local = self.ids[lo:hi] - devices.start
@@ -969,7 +985,8 @@ class _DistributedStack:
             future[i] = aoi_value(KINDS[exponential], horizon, gen)
         active = np.zeros(n, dtype=bool)
         active[local] = True
-        return {"unused_rbs": (self.config.n_rbs - claimed).tolist(),
+        unused = self.config.n_rbs - tallies[:, _SINGLE] - tallies[:, _CROWDED]
+        return {"unused_rbs": unused.tolist(),
                 "final": {"actions": self.actions[devices].tolist(),
                           "future_aoi": future, "active": active.tolist()}}
 

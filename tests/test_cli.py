@@ -181,6 +181,19 @@ def test_run_rejects_unusable_snr(settings, capsys):
         "positive and finite\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--set", "hetero_snr_low_db=22", "--set", "hetero_snr_high_db=17"],
+    ["sweep", "--parameter", "hetero_snr_low_db", "--values", "17,25"]])
+def test_an_inverted_hetero_snr_range_is_a_config_error(argv, capsys, tmp_path):
+    # numpy's uniform draw of the devices' SNRs once raised on it in every
+    # mode, and the command died with a traceback
+    argv = argv + ["--set", "heterogeneous_power=1", "--slots", "5", "--quiet",
+                   "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        "aoisim: hetero_snr_low_db cannot exceed hetero_snr_high_db\n"
+
+
 def test_hetero_snr_range_is_checked_only_when_used():
     build_config({"hetero_snr_low_db": "nan"})
     with pytest.raises(ConfigError):

@@ -7,20 +7,21 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, reject, settings, strategies as st
 
 from aoisim import centralized, engine
 from aoisim.aging import AgingKind, aoi_value, is_power_of_two
 from aoisim.centralized import KIND_UNKNOWN, KINDS, NO_TYPE
 from aoisim.cli import main
-from aoisim.devices import PendingMessages, activate, deliver_success, make_devices
+from aoisim.devices import PendingMessages, activate, make_devices
 from aoisim.distributed import kappa, kth_largest
 from aoisim.engine import (_PH_ACTIVATE, _PH_DECIDE, _PH_DELEGATE, _PH_FRESH,
                            _PH_KIND, _PH_OUTAGE, _PH_SIZE, ConfigError, Mode,
                            ScenarioConfig, SlotDraws, SlotRecord, _DistributedStack,
-                           _Lanes, _N_TALLIES, _safe_mean, _slot_records, _summaries,
+                           _Lanes, _N_TALLIES, _safe_mean, _slot_records, _summary,
                            _reaching, loop_batches, replicate_seed, run,
                            run_many, sweep_iter, sweep_lanes)
+from test_devices import deliver_at
 from test_distributed import delegate_target_ref, kappa_ref, sca_step_ref
 from test_goldens import CASES, case_config
 
@@ -75,6 +76,21 @@ def test_validate_rejects_a_cell_whose_squared_diagonal_overflows():
                  for a in xy]
     assert near.tolist() == reference
     assert 0 < near.sum() < near.size    # partial range: some pairs out of it
+
+
+def test_validate_rejects_an_inverted_heterogeneous_snr_range():
+    # numpy's uniform draw of the devices' SNRs raises on low > high, so
+    # every mode once crashed on such a config; equal bounds run
+    inverted = small(heterogeneous_power=True, hetero_snr_low_db=22.0,
+                     hetero_snr_high_db=17.0)
+    with pytest.raises(ConfigError, match="hetero_snr_low_db cannot exceed"):
+        inverted.validate()
+    # the bounds are not read without heterogeneous power
+    dataclasses.replace(inverted, heterogeneous_power=False).validate()
+    for mode in Mode:
+        result = run(small(mode=mode, heterogeneous_power=True, hetero_snr_low_db=19.0,
+                           hetero_snr_high_db=19.0, slots=10))
+        assert len(result.records) == 10
 
 
 def test_multi_rb_is_centralized_only():
@@ -246,7 +262,7 @@ def test_centralized_arrays_match_the_devices_every_slot(name, monkeypatch):
     stack_cls = engine._CentralizedStack
     allocate, feedback = stack_cls.allocate, stack_cls.feedback
     deliver = engine.deliver_success
-    slots = []
+    slots, expected_totals = [], []
 
     def checked_allocate(self, t, active_ids, n_active, draws):
         replay.activate(t - 1)               # the sweep at the end of slot t - 1
@@ -257,13 +273,13 @@ def test_centralized_arrays_match_the_devices_every_slot(name, monkeypatch):
         slots.append(t)
         return allocate(self, t, active_ids, n_active, draws)
 
-    def checked_deliver(messages, ids, n_rbs, t, lanes):
-        expected = replay.deliver(ids.tolist(), n_rbs.tolist(), t)
-        delivered, totals = deliver(messages, ids, n_rbs, t, lanes)
-        assert (delivered.tolist(), totals) == (expected[0], [expected[1]])
-        assert type(totals[0]) is int
+    def checked_deliver(messages, ids, n_rbs):
+        expected, total = replay.deliver(ids.tolist(), n_rbs.tolist(), slots[-1])
+        delivered = deliver(messages, ids, n_rbs)
+        assert delivered.tolist() == expected
+        expected_totals.append(total)
         replay.check(messages)
-        return delivered, totals
+        return delivered
 
     def checked_feedback(self, ids, outcomes, delivered):
         feedback(self, ids, outcomes, delivered)
@@ -275,8 +291,12 @@ def test_centralized_arrays_match_the_devices_every_slot(name, monkeypatch):
     monkeypatch.setattr(stack_cls, "allocate", checked_allocate)
     monkeypatch.setattr(stack_cls, "feedback", checked_feedback)
     monkeypatch.setattr(engine, "deliver_success", checked_deliver)
-    run(config)
+    result = run(config)
     assert slots == list(range(1, config.slots + 1))
+    # every slot's exact age total is the replay's
+    _, totals, _ = result._tallies
+    assert totals == expected_totals
+    assert all(type(total) is int for total in totals)
 
 
 def test_delivery_accounting_is_exact_past_float_range():
@@ -290,37 +310,37 @@ def test_delivery_accounting_is_exact_past_float_range():
     ids = np.arange(6)
     expected = sum(aoi_value(KINDS[int(m.exponential[i])], t, int(m.gen_slot[i]))
                    for i in ids)
-    delivered, (total,) = deliver_success(m, ids, np.ones(6, dtype=np.int64), t)
+    delivered, total = deliver_at(m, ids, np.ones(6, dtype=np.int64), t)
     assert delivered.tolist() == ids.tolist()
     assert total == expected and type(total) is int
     assert total > 2**1496
-    tallies = _one_lane_tallies([len(delivered)])
-    (record,) = _slot_records(tallies[:, 0], [total], 2)
+    tallies = _lane_tallies([len(delivered)])
+    (record,) = _slot_records(tallies, [total], 2)
     assert record.avg_inst_aoi_slot == record.avg_inst_aoi_cum == math.inf
-    assert _summaries(tallies, [total], 0, 2)[0].mean_delivery_aoi == math.inf
+    assert _summary(tallies, [total], 2, 0).mean_delivery_aoi == math.inf
     # the summary keeps the exact total: past float range a mean within it
     # reads the exact quotient, a slot's and the run's alike
     huge = [2**1030, 2**1029]
-    tallies = _one_lane_tallies([2**7, 2**7])
-    summary = _summaries(tallies, huge, 1, 2)[0]
+    tallies = _lane_tallies([2**7, 2**7])
+    summary = _summary(tallies, huge, 2, 1)
     assert summary.mean_delivery_aoi == 1.5 * 2**1022
     assert summary.mean_delivery_aoi_postwarmup == 2**1022
-    assert [r.avg_inst_aoi_cum for r in _slot_records(tallies[:, 0], huge, 2)] == \
+    assert [r.avg_inst_aoi_cum for r in _slot_records(tallies, huge, 2)] == \
         [2.0**1023, 1.5 * 2**1022]
     # below float range the mean is the exact total over the count
     m = PendingMessages(3)
     for i, (gen, exponential) in enumerate([(10, False), (8, True), (2, True)]):
         activate(m, [i], gen, kind_u=float(exponential), p_linear=0.5)
-    _, (total,) = deliver_success(m, np.arange(3), np.ones(3, dtype=np.int64), 70)
+    _, total = deliver_at(m, np.arange(3), np.ones(3, dtype=np.int64), 70)
     assert total == 60 + 2**61 + 2**67
-    (record,) = _slot_records(_one_lane_tallies([3])[:, 0], [total], 2)
+    (record,) = _slot_records(_lane_tallies([3]), [total], 2)
     assert record.avg_inst_aoi_slot == total / 3
 
 
-def _one_lane_tallies(deliveries: list[int]) -> np.ndarray:
-    """The tallies of a one-lane run whose slots delivered these counts."""
-    tallies = np.zeros((len(deliveries), 1, _N_TALLIES), dtype=np.int64)
-    tallies[:, 0, engine._DELIVERED] = deliveries
+def _lane_tallies(deliveries: list[int]) -> np.ndarray:
+    """The (slots, _N_TALLIES) tallies of a lane whose slots delivered these counts."""
+    tallies = np.zeros((len(deliveries), _N_TALLIES), dtype=np.int64)
+    tallies[:, engine._DELIVERED] = deliveries
     return tallies
 
 
@@ -395,24 +415,24 @@ def _run_tallies(draw):
 def test_summaries_and_records_equal_a_slot_by_slot_reference(case):
     tallies, totals, warmup, R = case
     slots, lanes = tallies.shape[:2]
-    summaries = _summaries(tallies, totals, warmup, R)
     for lane in range(lanes):
         reference = _ReferenceAccumulator(warmup)
         for t in range(1, slots + 1):
             reference.slot(t, tallies[t - 1, lane].tolist(),
                            totals[(t - 1) * lanes + lane], R)
-        records = _slot_records(tallies[:, lane], totals[lane::lanes], R)
+        # a lane's slice of the slot-major tallies, as run_many hands it on
+        own = (tallies[:, lane], totals[lane::lanes], R)
         # repr tells an int from an equal float, as the golden digests do
-        assert repr(summaries[lane]) == repr(reference.summary())
-        assert repr(records) == repr(reference.records)
+        assert repr(_summary(*own, warmup)) == repr(reference.summary())
+        assert repr(_slot_records(*own)) == repr(reference.records)
 
 
 def test_service_rates_add_up_in_slot_order():
     # ten slots of one singly claimed RB of ten: a running total from 0.0
     # reads 0.9999999999999999, where pairwise or compensated sums read 1.0
-    tallies = np.zeros((10, 1, _N_TALLIES), dtype=np.int64)
-    tallies[:, 0, engine._SINGLE] = 1
-    summary = _summaries(tallies, [0] * 10, 0, 10)[0]
+    tallies = np.zeros((10, _N_TALLIES), dtype=np.int64)
+    tallies[:, engine._SINGLE] = 1
+    summary = _summary(tallies, [0] * 10, 10, 0)
     assert summary.mean_service_rate == 0.09999999999999999
     assert summary.mean_service_rate_postwarmup == 0.09999999999999999
 
@@ -474,32 +494,66 @@ def test_records_hold_plain_python_numbers(name):
                for f in dataclasses.fields(result.summary))
 
 
-_CONFIGS = st.fixed_dictionaries({
+def _probabilities(*extremes):
+    """Floats in [0, 1], often one of extremes."""
+    return st.sampled_from(extremes) | st.floats(0.0, 1.0)
+
+
+# every config field, each often at an extreme; a few draws fall out of
+# range (m1 = 0.5, an inverted SNR range), and the configs validate()
+# refuses are rejected
+_SNR_DB = st.sampled_from([-3000.0, -30.0, 17.0, 21.8, 3000.0]) | st.floats(-50.0, 60.0)
+_LENGTH = st.sampled_from([1e-300, 1.0, 10.0, 1e150]) | st.floats(0.1, 100.0)
+_M = (st.sampled_from([0.5, math.nextafter(0.5, 1.0), 0.75, math.nextafter(1.0, 0.0)])
+      | st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
+_FIELDS = {
     "mode": st.sampled_from(list(Mode)),
     "n_devices": st.integers(1, 30),
     "n_rbs": st.integers(1, 12),
     "slots": st.integers(1, 40),
-    "seed": st.integers(0, 2**40),
-    "v_a": st.sampled_from([0.0, 0.05, 0.5, 1.0]) | st.floats(0.0, 1.0),
-    "beta": st.integers(1, 3),
-    "epsilon": st.sampled_from([0.0, 1.0, 30.0]),
+    "seed": st.integers(0, 2**40) | st.sampled_from([2**32 - 1, 2**32, 2**70]),
+    "v_a": _probabilities(0.0, 0.05, 0.5, 1.0),
+    "m1": _M,
+    "m2": _M,
+    "type1_fraction": _probabilities(0.0, 1.0),
+    "mean_snr_db": _SNR_DB,
+    "heterogeneous_power": st.booleans(),
+    "hetero_snr_low_db": _SNR_DB,
+    "hetero_snr_high_db": _SNR_DB,
+    "epsilon": st.sampled_from([0.0, 1.0, 30.0, 1e300]),
+    "beta": st.integers(1, 3) | st.just(engine.MAX_BETA),
     "preambles": st.integers(1, 64),
     "rach_exact": st.booleans(),
-    "heterogeneous_power": st.booleans(),
-    "r_c": st.sampled_from([0.0, 2.0, 5.0, 15.0]),
-    "type1_fraction": st.floats(0.0, 1.0),
+    # (n_rbs_min, RBs above it): n_rbs_min and n_rbs_max of a centralized mode
     "demand": st.tuples(st.integers(1, 4), st.integers(0, 3)),
-})
+    "zeta": st.sampled_from([1e-300, 0.5, 1.2, 1e300]) | st.floats(0.01, 10.0),
+    "r_c": st.sampled_from([0.0, 2.0, 5.0, 15.0, math.inf]),
+    "width": _LENGTH,
+    "length": _LENGTH,
+    "warmup_fraction": _probabilities(0.0, 0.5, math.nextafter(1.0, 0.0)),
+}
+_CONFIGS = st.fixed_dictionaries(_FIELDS)
+
+
+def test_the_config_strategy_draws_every_field():
+    drawn = set(_FIELDS) - {"demand"} | {"n_rbs_min", "n_rbs_max"}
+    assert drawn == {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
 def _valid_config(draw) -> ScenarioConfig:
-    """A ScenarioConfig from a _CONFIGS draw; demand windows for centralized modes."""
+    """A ScenarioConfig from a _CONFIGS draw, demand windows for centralized
+    modes; a draw that validate() refuses is rejected."""
     draw = dict(draw)
     n_min, extra = draw.pop("demand")
     if draw["mode"].centralized:
         n_min = min(n_min, draw["n_rbs"])
         draw.update(n_rbs_min=n_min, n_rbs_max=min(n_min + extra, draw["n_rbs"]))
-    return ScenarioConfig(**draw)
+    config = ScenarioConfig(**draw)
+    try:
+        config.validate()
+    except ConfigError:
+        reject()
+    return config
 
 
 @settings(max_examples=60, deadline=None,
@@ -640,6 +694,14 @@ def test_one_lane_fast_paths_equal_the_general_form(case):
         assert (np.delete(got, lane, axis=0)[:, 0] == N).all()
     rbs = values % R
     assert (many.on_channel(moved, rbs) == one.on_channel(ids, rbs) + lane * R).all()
+    # exact age sums, exponential ones past 2**1024: lane l's, and 0 elsewhere
+    ages, exponential = values * 700 + 1, values % 2 == 1
+    sums = [0] * count
+    sums[lane] = sum(2 ** (k - 1) if e else k
+                     for k, e in zip(ages.tolist(), exponential.tolist()))
+    assert one.age_sums(ids, ages, exponential) == [sums[lane]]
+    assert many.age_sums(moved, ages, exponential) == sums
+    assert all(type(total) is int for total in many.age_sums(moved, ages, exponential))
 
 
 @pytest.mark.parametrize("mode", [Mode.DISTRIBUTED_SCA, Mode.DISTRIBUTED_RANDOM])
