@@ -53,7 +53,8 @@ def aoi_array(exponential, t: int, delta) -> np.ndarray:
     or past 2**1024 are inf.
     """
     k = t - np.asarray(delta)
-    return np.where(exponential, _EXP_AGES[np.minimum(k, len(_EXP_AGES) - 1)], k)
+    # a clipped take reads inf, the last entry, from 1,025 slots on
+    return np.where(exponential, _EXP_AGES.take(k, mode="clip"), k)
 
 
 def age_forward(kind: AgingKind, value, steps: int):
@@ -95,4 +96,7 @@ def linear_only(value):
     single observation. Elementwise on float64 ages, like is_power_of_two.
     """
     value = np.asarray(value, dtype=np.float64)
-    return (value >= 1) & (value == np.floor(value)) & ~is_power_of_two(value)
+    # whole numbers from 1 up whose mantissa has a bit set: not a power of
+    # two, and finite (inf has an all-zero mantissa)
+    return ((value >= 1) & (value == np.floor(value))
+            & ((value.view(np.uint64) & _MANTISSA_BITS) != 0))

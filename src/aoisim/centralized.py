@@ -40,6 +40,9 @@ from .devices import TypeId
 KIND_UNKNOWN, KIND_LINEAR, KIND_EXPONENTIAL = -1, 0, 1
 KINDS = (AgingKind.LINEAR, AgingKind.EXPONENTIAL)
 NO_TYPE = 0
+# the TypeId values as plain ints: an enum member's .value is a descriptor
+# call, which the per-slot rules below would make every slot
+_TYPE1, _TYPE2 = TypeId.TYPE1.value, TypeId.TYPE2.value
 
 
 def rach_collision_probability(n_active: int, preambles: int) -> float:
@@ -61,7 +64,8 @@ def rach_phase(active_ids, u, preambles: int, exact: bool = False,
     requests and not the preamble pool. Survivors keep the order of
     active_ids. lanes, one index per active id, splits the requests into
     cells that each have their own preambles and collide only among
-    themselves; None puts every request in one cell.
+    themselves; None puts every request in one cell, which thinning
+    compares with one survival probability instead of gathering a cell's.
     """
     if preambles < 1:
         raise ValueError("preambles must be >= 1")
@@ -70,6 +74,9 @@ def rach_phase(active_ids, u, preambles: int, exact: bool = False,
     if n == 0:
         return active_ids
     u = np.asarray(u)
+    if not exact and lanes is None:
+        # the float the lane form below would gather for every request
+        return active_ids[u < 1.0 - rach_collision_probability(n, preambles)]
     lanes = np.zeros(n, dtype=np.intp) if lanes is None else np.asarray(lanes)
     if exact:
         # floor(u * preambles) as floats: equal exactly when the integer
@@ -106,9 +113,10 @@ def identify_aging(ages, prev_slots, prev_ages, slot: int) -> np.ndarray:
     """
     ages = np.asarray(ages, dtype=np.float64)
     prev_ages = np.asarray(prev_ages, dtype=np.float64)
-    prev_slots = np.asarray(prev_slots)
-    gap = slot - prev_slots
-    seen = (prev_slots >= 0) & (gap > 0)
+    gap = np.subtract(slot, prev_slots)
+    # a report of an earlier slot (0 up) lies 1 to slot slots back; no
+    # report (slot -1) lies slot + 1 back
+    seen = (gap > 0) & (gap <= slot)
     with np.errstate(over="ignore"):
         exponential_fits = ages == np.ldexp(prev_ages, gap)
     linear_fits = (ages == prev_ages + gap) & (ages < np.inf)
@@ -157,7 +165,7 @@ def learn_type(learner: TypeLearner, device_ids) -> np.ndarray:
     (lin1, exp1), (lin2, exp2) = learner.log_lik
     ll1 = k_lin * lin1 + k_exp * exp1
     ll2 = k_lin * lin2 + k_exp * exp2
-    learned = np.where(ll1 > ll2, TypeId.TYPE1.value, TypeId.TYPE2.value)
+    learned = np.where(ll1 > ll2, _TYPE1, _TYPE2)
     return np.where(k_lin + k_exp == 0, NO_TYPE, learned).astype(np.int8)
 
 
@@ -191,16 +199,17 @@ def priority_key(ages, kinds, types, learner: TypeLearner, beta: int = 1) -> np.
         unknown = kinds == KIND_UNKNOWN
         if not unknown.any():       # every kind known: skip the expected ages
             return exact
-        type1 = _expected(linear, exponential, m1)
-        type2 = _expected(linear, exponential, 1.0 - m2)
-        if p_type1 == 0.0:
-            mix = type2
-        elif p_type1 == 1.0:
-            mix = type1
-        else:
+        if 0.0 < p_type1 < 1.0 and (untyped := types == NO_TYPE).any():
+            # an untyped request is priced at the mix of both types' prices
+            type1 = _expected(linear, exponential, m1)
+            type2 = _expected(linear, exponential, 1.0 - m2)
             mix = p_type1 * type1 + (1.0 - p_type1) * type2
-    expected = np.where(types == TypeId.TYPE1.value, type1,
-                        np.where(types == NO_TYPE, mix, type2))
+            expected = np.where(types == _TYPE1, type1, np.where(untyped, mix, type2))
+        else:
+            # one pass at each request's linear share, by type code (NO_TYPE,
+            # TYPE1, TYPE2); a pure population mix prices as its one type
+            share = np.array((m1 if p_type1 == 1.0 else 1.0 - m2, m1, 1.0 - m2))
+            expected = _expected(linear, exponential, share[types])
     return np.where(unknown, expected, exact)
 
 
@@ -211,7 +220,7 @@ def tie_class(types, learner: TypeLearner) -> np.ndarray:
     is presumed of the more common type (TYPE1 on an even mix).
     """
     types = np.asarray(types)
-    classes = types != TypeId.TYPE2.value
+    classes = types != _TYPE2
     if learner.p_type1 < 0.5:
         classes &= types != NO_TYPE           # no type yet: presumed TYPE2
     return classes
@@ -243,7 +252,7 @@ def schedule(ids, keys, exponents, tie_classes, rbs_needed, R: int, lanes=None):
         sort_keys += (lanes,)
     order = np.lexsort(sort_keys)
     needed = np.asarray(rbs_needed)[order]
-    end = np.cumsum(needed)
+    end = needed.cumsum()
     if lanes is not None:
         lane = np.asarray(lanes)[order]
         end -= (end - needed)[np.searchsorted(lane, lane)]

@@ -450,16 +450,19 @@ class _Lanes:
                  exponential: np.ndarray) -> list[int]:
         """Each lane's exact sum (a Python int) of the delivery ages of ids,
         ids[j]'s message being ages[j] slots old: linear ages add up in int64,
-        and exponential ones, 2**(k - 1) at k slots, as Python ints, one shift
-        per (lane, k) group, so the sums stay exact past 2**1024."""
+        and exponential ones, 2**(k - 1) at k slots, as Python ints, so the
+        sums stay exact past 2**1024. One lane adds one shift per delivery;
+        more lanes add one per (lane, k) group."""
         linear = np.where(exponential, 0, ages)
         if self.count == 1:
-            sums, keys = [int(linear.sum())], ages[exponential]
-        else:
-            lane = ids // self.N
-            sums = np.zeros(self.count, dtype=np.int64)
-            np.add.at(sums, lane, linear)
-            sums, keys = sums.tolist(), (ages * self.count + lane)[exponential]
+            total = int(linear.sum())
+            for k in ages[exponential].tolist():
+                total += 1 << (k - 1)
+            return [total]
+        lane = ids // self.N
+        sums = np.zeros(self.count, dtype=np.int64)
+        np.add.at(sums, lane, linear)
+        sums, keys = sums.tolist(), (ages * self.count + lane)[exponential]
         # a Counter groups the few (k, lane) keys of a slot faster than np.unique
         for key, n in Counter(keys.tolist()).items():
             k, lane = divmod(key, self.count)
@@ -702,17 +705,25 @@ class _CentralizedStack:
         exponential = messages.exponential[survivors]
         ages = aoi_array(exponential, t, gen)           # the reported ages
         # what the base station knows of each request, by its lane's mode:
-        # the mode's only effect. No learning knows nothing.
-        kinds = np.full(len(survivors), KIND_UNKNOWN, dtype=np.int8)
-        types = np.full(len(survivors), NO_TYPE, dtype=np.int8)
+        # the mode's only effect. No learning knows nothing. Where every
+        # lane has one mode, its arrays are taken whole, with no masked write.
         full = _rows(self.full_info, survivors)
-        if full is not None:
-            kinds[full] = exponential[full]         # true kinds (KINDS codes)
-            types[full] = self.true_type[survivors[full]]
         learn = _rows(self.learning, survivors)
-        if learn is not None:
-            kinds[learn] = self._identify(t, survivors[learn], ages[learn])
-            types[learn] = self.est_type[survivors[learn]]
+        if full is _ALL:
+            kinds = exponential.astype(np.int8)     # true kinds (KINDS codes)
+            types = self.true_type[survivors]
+        elif learn is _ALL:
+            kinds = self._identify(t, survivors, ages)
+            types = self.est_type[survivors]
+        else:
+            kinds = np.full(len(survivors), KIND_UNKNOWN, dtype=np.int8)
+            types = np.full(len(survivors), NO_TYPE, dtype=np.int8)
+            if full is not None:
+                kinds[full] = exponential[full]
+                types[full] = self.true_type[survivors[full]]
+            if learn is not None:
+                kinds[learn] = self._identify(t, survivors[learn], ages[learn])
+                types[learn] = self.est_type[survivors[learn]]
         # called through the module, where perfbench/tracer.py times it
         keys = centralized.priority_key(ages, kinds, types, self.learner, config.beta)
         needed = self.first_split[survivors, messages.rbs_left[survivors]]
@@ -1277,11 +1288,13 @@ def sweep_iter(base: ScenarioConfig, parameter: str, values, replicates: int = 1
     for k, value in enumerate(values):
         if value in values[:k]:
             raise ConfigError(f"sweep value {value} repeats")
+    # every value's config is checked before the first batch runs
+    configs = [replace(base, **{parameter: value}) for value in values]
+    for config in configs:
+        config.validate()
 
     def jobs():
-        for value in values:
-            config = replace(base, **{parameter: value})
-            config.validate()
+        for value, config in zip(values, configs):
             for rep in range(replicates):
                 yield value, rep, replace(config, seed=replicate_seed(config.seed, rep))
 

@@ -59,6 +59,30 @@ def test_rach_exact_memory_follows_the_requests(preambles):
     assert len(result.records) == 5 and result.summary.rach_failures == 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30),
+       st.lists(st.tuples(st.integers(0, 3), st.floats(0.0, 1.0, exclude_max=True)),
+                max_size=30),
+       st.integers(1, 40), st.booleans(), st.integers(0, 3), st.data())
+def test_one_cell_rach_equals_its_lane_form(u, others, preambles, exact, lane, data):
+    # a lone cell (lanes=None) keeps the survivors of its lane form: as lane 0
+    # alone, and as lane `lane` of a batch whose other cells hold other
+    # requests, in any interleaving
+    ids = np.arange(len(u)) * 3 + 1
+    alone = rach_phase(ids, u, preambles, exact).tolist()
+    zeros = np.zeros(len(ids), dtype=np.intp)
+    assert rach_phase(ids, u, preambles, exact, lanes=zeros).tolist() == alone
+    # the other requests sit in the other cells, on ids ours never take
+    others = [(cell + (cell >= lane), draw) for cell, draw in others]
+    mine = data.draw(st.permutations([True] * len(ids) + [False] * len(others)))
+    ours = iter(zip(ids.tolist(), u, [lane] * len(ids)))
+    theirs = iter([(3 * j, draw, cell) for j, (cell, draw) in enumerate(others)])
+    batch = [next(ours) if own else next(theirs) for own in mine]
+    survivors = rach_phase([i for i, _, _ in batch], [d for _, d, _ in batch],
+                           preambles, exact, lanes=[c for _, _, c in batch])
+    assert [i for i in survivors.tolist() if i % 3 == 1] == alone
+
+
 def test_rach_config_validation():
     for ids in ([0], []):
         for exact in (False, True):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -12,6 +13,7 @@ from aoisim.cli import (RECORD_COLUMNS, SUMMARY_COLUMNS, SWEEP_COLUMNS,
                         write_run_csv)
 from aoisim.engine import ConfigError, Mode, ScenarioConfig, replicate_seed, run
 from aoisim.presets import expand_preset, preset_names
+from test_goldens import case_config
 
 
 def _recorded_loops(monkeypatch) -> list[list[ScenarioConfig]]:
@@ -88,6 +90,36 @@ def test_run_writes_jsonl(tmp_path):
     row = json.loads(lines[1])
     assert set(row) == set(RECORD_COLUMNS)
     assert row["slot"] == 1
+
+
+# SHA-256 of the file `aoisim run` writes for three golden configs, pinned
+# before the writer took each record's cells as one tuple: a dead cell (empty
+# CSV cells, JSON nulls), keys past float range ("inf" cells) and multi-RB
+# messages under heterogeneous power
+WRITTEN = {
+    ("central_full_info_beyond_float", "csv"):
+        "d49966658e7c6550c5bb43ef1d842e6cd2d694e829a2a5a989ea8da23d833bbf",
+    ("central_full_info_beyond_float", "jsonl"):
+        "4b96cd8a3d44ff534f05d6df5ce91de340983131f33537f9e069aae5c5e1776a",
+    ("central_hetero_window", "csv"):
+        "75f7bb8eda0ac0d826ef2963ecbe0958756218e676ee79557c9b22a6907a5c3d",
+    ("central_hetero_window", "jsonl"):
+        "8980295350dcc4d53562841e2c5f86226badb92ea9de08a5e5849936c8f0bdee",
+    ("dead_cell", "csv"):
+        "982f54befd8f5e7f988273ee2f21d7dda04bd941287248415250469a1f64dc41",
+    ("dead_cell", "jsonl"):
+        "5fd7a74c377b7abc912440aa99e531407e87b09e5d321831a7ba92bdc2db7b78",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(WRITTEN))
+def test_run_writes_pinned_bytes(tmp_path, name, fmt):
+    out = tmp_path / f"run.{fmt}"
+    settings = dataclasses.asdict(case_config(name)).items()
+    argv = [arg for key, value in settings
+            for arg in ("--set", f"{key}={getattr(value, 'value', value)}")]
+    assert main(["run", *argv, "--format", fmt, "--out", str(out), "--quiet"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITTEN[name, fmt]
 
 
 # the central_full_info_beyond_float golden config: in-flight ages pass
@@ -313,6 +345,20 @@ def test_sweep_over_modes_of_both_stacks_equals_one_run_per_config(tmp_path,
     expected = tmp_path / "expected.csv"
     write_output(str(expected), "csv", base, SWEEP_COLUMNS, rows)
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_sweep_rejects_a_bad_value_before_any_batch_runs(tmp_path, monkeypatch,
+                                                        capsys):
+    # 25 dB exceeds hetero_snr_high_db (21.8): the sweep exits 1 before the
+    # batches of 17 and 18 run, and writes nothing
+    loops = _recorded_loops(monkeypatch)
+    out = tmp_path / "sw.csv"
+    assert main(["sweep", "--parameter", "hetero_snr_low_db", "--values", "17,18,25",
+                 "--set", "heterogeneous_power=1", "--slots", "5",
+                 "--out", str(out)]) == 1
+    assert loops == []
+    assert not out.exists()
+    assert "hetero_snr_low_db cannot exceed" in capsys.readouterr().err
 
 
 def test_sweep_spread_of_huge_and_infinite_means(monkeypatch, capsys, tmp_path):

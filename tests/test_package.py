@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -43,3 +44,23 @@ def test_readme_module_references_resolve():
     missing = [f"{module}.{name}" for module, name in sorted(references)
                if not hasattr(importlib.import_module(f"aoisim.{module}"), name)]
     assert missing == []
+
+
+def _calls_per_slot_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "calls_per_slot.py"
+    spec = importlib.util.spec_from_file_location("calls_per_slot", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_calls_per_slot_repeat_exactly():
+    # the count is the noise-free companion of slots/s: two runs of one
+    # config make the same calls
+    script = _calls_per_slot_script()
+    argv = ["run", "--set", "mode=centralized_learning", "--set", "n_devices=30",
+            "--set", "n_rbs=8", "--set", "v_a=0.4", "--seed", "{seed}",
+            "--slots", "{slots}", "--out", "{out}", "--quiet"]
+    first, second = (script.measure(argv, 20, seed=3) for _ in range(2))
+    assert first == second
+    assert first["slots"] == 20 and first["per_slot"] > 0
