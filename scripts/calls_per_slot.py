@@ -6,19 +6,15 @@ argv of each workload in ``perfbench/workloads.json`` (its ``{seed}``,
 ``{slots}`` and ``{out}`` filled in) and on the ``ScenarioConfig``
 defaults, and counts the ``call`` events (Python functions) and ``c_call``
 events (builtins and C methods) raised inside ``run_many``, divided by the
-slots its loops ran, after one uncounted run of the same argv. Set-up
-inside ``run_many`` is counted too; output writing and argument parsing are
-not. A count repeats exactly for one argv and seed.
+slots its loops ran, after one uncounted run of the same argv, at seed 0.
+Set-up inside ``run_many`` is counted too; output writing and argument
+parsing are not. A count repeats exactly for one argv and seed.
 
-    PYTHONPATH=src python3 scripts/calls_per_slot.py [--seed N] [--top K] [--json]
-
---top K also lists each workload's K most called functions, with their
-calls per slot.
+    PYTHONPATH=src python3 scripts/calls_per_slot.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import tempfile
@@ -42,26 +38,15 @@ def workload_argvs() -> dict[str, tuple[list[str], int]]:
     return argvs
 
 
-def count_calls(argv: list[str], by_function: bool = False) -> dict:
-    """Profile events of the ``run_many`` calls that ``cli.main(argv)`` makes.
-
-    Returns the loop slots run, the ``call`` and ``c_call`` event counts and,
-    with by_function, a Counter of events by function name.
-    """
+def count_calls(argv: list[str]) -> dict:
+    """Loop slots and ``call``/``c_call`` event counts of the ``run_many``
+    calls that ``cli.main(argv)`` makes."""
     counts = Counter()
-    functions = Counter()
     slots = 0
 
     def profile(frame, event, arg):
-        if event == "call":
+        if event == "call" or event == "c_call":
             counts[event] += 1
-            if by_function:
-                functions[f"{frame.f_code.co_name} "
-                          f"({Path(frame.f_code.co_filename).name})"] += 1
-        elif event == "c_call":
-            counts[event] += 1
-            if by_function:
-                functions[getattr(arg, "__qualname__", repr(arg))] += 1
 
     original = engine.run_many
 
@@ -82,11 +67,10 @@ def count_calls(argv: list[str], by_function: bool = False) -> dict:
         engine.run_many = original
     if code != 0:
         raise RuntimeError(f"aoisim exited {code} on {argv}")
-    return {"slots": slots, "call": counts["call"], "c_call": counts["c_call"],
-            "functions": functions}
+    return {"slots": slots, "call": counts["call"], "c_call": counts["c_call"]}
 
 
-def measure(template: list[str], slots: int, seed: int, top: int = 0) -> dict:
+def measure(template: list[str], slots: int, seed: int) -> dict:
     """Calls per slot of one workload's argv template at seed."""
     with tempfile.TemporaryDirectory() as tmp:
         fill = {"{seed}": str(seed), "{slots}": str(slots),
@@ -95,35 +79,19 @@ def measure(template: list[str], slots: int, seed: int, top: int = 0) -> dict:
         # an uncounted run first, so the one-time work of a process (lazy
         # imports, ABC caches) is not counted
         count_calls(argv)
-        counted = count_calls(argv, by_function=top > 0)
+        counted = count_calls(argv)
     per_slot = {event: counted[event] / counted["slots"] for event in ("call", "c_call")}
-    report = {"slots": counted["slots"], "call_per_slot": per_slot["call"],
-              "c_call_per_slot": per_slot["c_call"],
-              "per_slot": per_slot["call"] + per_slot["c_call"]}
-    if top:
-        report["top"] = [(name, n / counted["slots"])
-                         for name, n in counted["functions"].most_common(top)]
-    return report
+    return {"slots": counted["slots"], "call_per_slot": per_slot["call"],
+            "c_call_per_slot": per_slot["c_call"],
+            "per_slot": per_slot["call"] + per_slot["c_call"]}
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--top", type=int, default=0,
-                        help="list each workload's most called functions")
-    parser.add_argument("--json", action="store_true", help="print one JSON object")
-    args = parser.parse_args()
-    reports = {name: measure(template, slots, args.seed, args.top)
-               for name, (template, slots) in workload_argvs().items()}
-    if args.json:
-        print(json.dumps(reports, indent=2))
-        return 0
     print(f"{'workload':<18} {'slots':>6} {'call':>8} {'c_call':>8} {'per slot':>9}")
-    for name, r in reports.items():
+    for name, (template, slots) in workload_argvs().items():
+        r = measure(template, slots, seed=0)
         print(f"{name:<18} {r['slots']:>6} {r['call_per_slot']:>8.1f} "
               f"{r['c_call_per_slot']:>8.1f} {r['per_slot']:>9.1f}")
-        for function, n in r.get("top", []):
-            print(f"    {n:>8.2f}  {function}")
     return 0
 
 

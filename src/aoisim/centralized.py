@@ -199,17 +199,16 @@ def priority_key(ages, kinds, types, learner: TypeLearner, beta: int = 1) -> np.
         unknown = kinds == KIND_UNKNOWN
         if not unknown.any():       # every kind known: skip the expected ages
             return exact
-        if 0.0 < p_type1 < 1.0 and (untyped := types == NO_TYPE).any():
-            # an untyped request is priced at the mix of both types' prices
-            type1 = _expected(linear, exponential, m1)
-            type2 = _expected(linear, exponential, 1.0 - m2)
-            mix = p_type1 * type1 + (1.0 - p_type1) * type2
-            expected = np.where(types == _TYPE1, type1, np.where(untyped, mix, type2))
+        type1 = _expected(linear, exponential, m1)
+        type2 = _expected(linear, exponential, 1.0 - m2)
+        if p_type1 == 0.0:
+            mix = type2
+        elif p_type1 == 1.0:
+            mix = type1
         else:
-            # one pass at each request's linear share, by type code (NO_TYPE,
-            # TYPE1, TYPE2); a pure population mix prices as its one type
-            share = np.array((m1 if p_type1 == 1.0 else 1.0 - m2, m1, 1.0 - m2))
-            expected = _expected(linear, exponential, share[types])
+            mix = p_type1 * type1 + (1.0 - p_type1) * type2
+    expected = np.where(types == _TYPE1, type1,
+                        np.where(types == NO_TYPE, mix, type2))
     return np.where(unknown, expected, exact)
 
 

@@ -85,13 +85,10 @@ def resolve_transmissions(ids, first, n_rbs, p_outage: np.ndarray, u):
         # claimants per RB from the range starts and ends
         claims = (np.bincount(first, minlength=size)
                   - np.bincount(end, minlength=size)).cumsum()[:-1]
-        if claims.max() > 1:
-            # crowded[b]: RBs below b with two or more claimants
-            crowded = np.zeros(size, dtype=np.int64)
-            (claims > 1).cumsum(out=crowded[1:])
-            duplicate = crowded[end] > crowded[first]
-        else:                       # disjoint ranges, as a schedule hands out
-            duplicate = np.zeros(len(ids), dtype=bool)
+        # crowded[b]: RBs below b with two or more claimants
+        crowded = np.zeros(size, dtype=np.int64)
+        (claims > 1).cumsum(out=crowded[1:])
+        duplicate = crowded[end] > crowded[first]
     outcomes = duplicate.astype(np.int8)        # SUCCESS is 0, DUPLICATE 1
     outcomes[~duplicate & (u < p_outage[ids, n_rbs])] = OUTAGE
     return outcomes, claims

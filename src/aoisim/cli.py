@@ -138,7 +138,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_table(out: str | None, fmt: str, config: ScenarioConfig,
+def write_output(out: str | None, fmt: str, config: ScenarioConfig,
                  columns, rows) -> None:
     """Config echo, then one line per row, each row a tuple of its cells in
     column order, as CSV or JSON lines.
@@ -152,7 +152,7 @@ def _write_table(out: str | None, fmt: str, config: ScenarioConfig,
             for key, value in echo.items():
                 fh.write(f"# {key}={_cell(value)}\n")
             fh.write(",".join(columns) + "\n")
-            fh.writelines([",".join(map(_cell, cells)) + "\n" for cells in rows])
+            fh.writelines(",".join(map(_cell, cells)) + "\n" for cells in rows)
         else:
             fh.write(json.dumps({"config": _json_safe(echo)}, sort_keys=True,
                                 allow_nan=False) + "\n")
@@ -164,18 +164,12 @@ def _write_table(out: str | None, fmt: str, config: ScenarioConfig,
             fh.close()
 
 
-def write_output(out: str | None, fmt: str, config: ScenarioConfig,
-                 columns, rows) -> None:
-    """Config echo, then one line per row dict, as CSV or JSON lines.
-
-    Writes to the path out, or to stdout when out is None.
-    """
-    _write_table(out, fmt, config, columns,
-                 ([row[col] for col in columns] for row in rows))
-
-
-# a record's cells, in RECORD_COLUMNS order, as one tuple
+# a record's cells, in RECORD_COLUMNS order, and a summary's, in
+# SUMMARY_COLUMNS order, as one tuple
 _record_cells = attrgetter(*RECORD_COLUMNS)
+_summary_cells = attrgetter(*SUMMARY_COLUMNS)
+# the mean delivery age's place in a sweep row
+_SWEEP_AOI = SWEEP_COLUMNS.index("mean_delivery_aoi")
 
 
 # run/preset output and sweep output are written through these two names,
@@ -183,11 +177,12 @@ _record_cells = attrgetter(*RECORD_COLUMNS)
 def write_run_csv(result: RunResult, out: str | None, fmt: str = "csv") -> None:
     """Per-slot records of one run, CSV unless fmt is "jsonl"; each record's
     cells come from one ``attrgetter`` tuple, and a CSV row is joined once."""
-    _write_table(out, fmt, result.config, RECORD_COLUMNS,
+    write_output(out, fmt, result.config, RECORD_COLUMNS,
                  map(_record_cells, result.records))
 
 
 def _write_sweep(rows, base: ScenarioConfig, out: str | None, fmt: str) -> None:
+    """Sweep rows, each a tuple of its cells in SWEEP_COLUMNS order."""
     write_output(out, fmt, base, SWEEP_COLUMNS, rows)
 
 
@@ -254,20 +249,19 @@ def _cmd_sweep(args) -> int:
     rows = []
     for value, rep, result in sweep_iter(base, args.parameter, values,
                                          args.replicates):
-        row = {"parameter": args.parameter, "value": _plain(value),
-               "replicate": rep, "seed": result.config.seed}
-        rows.append(row | {col: getattr(result.summary, col)
-                           for col in SUMMARY_COLUMNS})
+        value = _plain(value)
+        rows.append((args.parameter, value, rep, result.config.seed)
+                    + _summary_cells(result.summary))
         _warn_if_nothing_delivered(
-            result, f"{args.parameter}={row['value']} replicate {rep}")
-        _say(args, f"{args.parameter}={row['value']} replicate {rep}: "
+            result, f"{args.parameter}={value} replicate {rep}")
+        _say(args, f"{args.parameter}={value} replicate {rep}: "
                    f"mean service rate "
                    f"{result.summary.mean_service_rate:.4f}")
     _write_sweep(rows, base, args.out, args.format)
     if not args.quiet and args.replicates > 1:
         for value in map(_plain, values):
-            group = [r["mean_delivery_aoi"] for r in rows
-                     if r["value"] == value and r["mean_delivery_aoi"] is not None]
+            group = [r[_SWEEP_AOI] for r in rows
+                     if r[1] == value and r[_SWEEP_AOI] is not None]
             if group:
                 mean, se = _mean_and_se(group)
                 note = (f"{mean:.4g} (n={len(group)})" if se is None

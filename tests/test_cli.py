@@ -340,8 +340,9 @@ def test_sweep_over_modes_of_both_stacks_equals_one_run_per_config(tmp_path,
         for rep in range(2):
             seed = replicate_seed(5, rep)
             result = run(dataclasses.replace(base, mode=mode, seed=seed))
-            rows.append({"parameter": "mode", "value": mode.value, "replicate": rep,
-                         "seed": seed} | dataclasses.asdict(result.summary))
+            row = {"parameter": "mode", "value": mode.value, "replicate": rep,
+                   "seed": seed} | dataclasses.asdict(result.summary)
+            rows.append(tuple(row[col] for col in SWEEP_COLUMNS))
     expected = tmp_path / "expected.csv"
     write_output(str(expected), "csv", base, SWEEP_COLUMNS, rows)
     assert out.read_bytes() == expected.read_bytes()
