@@ -47,12 +47,13 @@ _EXP_AGES = np.append(np.ldexp(1.0, np.arange(-1, 1024)), np.inf)
 def aoi_array(exponential, t: int, delta) -> np.ndarray:
     """``aoi_value`` for many messages at slot ``t``, as float64.
 
-    exponential flags each message's kind and delta holds the generation
-    slots. Linear ages and powers of two below 2**1024 convert exactly, so
-    every finite entry equals ``float(aoi_value(...))``; exponential ages at
-    or past 2**1024 are inf.
+    exponential, a bool array, flags each message's kind and delta, an
+    int64 array aligned with it, holds the generation slots. Linear ages
+    and powers of two below 2**1024 convert exactly, so every finite entry
+    equals ``float(aoi_value(...))``; exponential ages at or past 2**1024
+    are inf.
     """
-    k = t - np.asarray(delta)
+    k = t - delta
     # a clipped take reads inf, the last entry, from 1,025 slots on
     return np.where(exponential, _EXP_AGES.take(k, mode="clip"), k)
 
@@ -77,25 +78,15 @@ def age_forward(kind: AgingKind, value, steps: int):
     return np.ldexp(value, steps)
 
 
-def is_power_of_two(value):
-    """True for 1, 2, 4, 8, ... (the attainable exponential ages).
-
-    Elementwise on float64 ages as ``aoi_array`` gives them; inf, the form
-    an exponential age past 2**1024 takes there, counts as one.
-    """
-    value = np.asarray(value, dtype=np.float64)
-    # powers of two (and inf) are the doubles with all mantissa bits zero
-    return (value >= 1) & ((value.view(np.uint64) & _MANTISSA_BITS) == 0)
-
-
 def linear_only(value):
     """True where an observed age is attainable only by the linear kind.
 
     Linear ages are {1, 2, 3, ...}; exponential ages are {1, 2, 4, 8, ...};
     the difference {3, 5, 6, 7, 9, ...} identifies the linear kind from a
-    single observation. Elementwise on float64 ages, like is_power_of_two.
+    single observation. value is a float64 array of ages as ``aoi_array``
+    gives them (inf past 2**1024); the test reads its bits, so any other
+    dtype would be misread.
     """
-    value = np.asarray(value, dtype=np.float64)
     # whole numbers from 1 up whose mantissa has a bit set: not a power of
     # two, and finite (inf has an all-zero mantissa)
     return ((value >= 1) & (value == np.floor(value))

@@ -56,28 +56,26 @@ def rach_phase(active_ids, u, preambles: int, exact: bool = False,
                lanes=None) -> np.ndarray:
     """Ids whose scheduling request reaches the base station this slot.
 
-    active_ids is an id array (a list works), and u holds one uniform in
+    active_ids is an intp id array, and u a float64 array of one uniform in
     [0,1) per active id, aligned with it. Default is independent Bernoulli
     thinning at the per-device collision probability; exact derives a
     preamble pick from each uniform and keeps the devices whose preamble is
     unique, counting the picks by sorting them, so its cost follows the
     requests and not the preamble pool. Survivors keep the order of
-    active_ids. lanes, one index per active id, splits the requests into
-    cells that each have their own preambles and collide only among
-    themselves; None puts every request in one cell, which thinning
+    active_ids. lanes, an intp array of one index per active id, splits the
+    requests into cells that each have their own preambles and collide only
+    among themselves; None puts every request in one cell, which thinning
     compares with one survival probability instead of gathering a cell's.
     """
     if preambles < 1:
         raise ValueError("preambles must be >= 1")
-    active_ids = np.asarray(active_ids, dtype=np.intp)
     n = len(active_ids)
     if n == 0:
         return active_ids
-    u = np.asarray(u)
     if not exact and lanes is None:
         # the float the lane form below would gather for every request
         return active_ids[u < 1.0 - rach_collision_probability(n, preambles)]
-    lanes = np.zeros(n, dtype=np.intp) if lanes is None else np.asarray(lanes)
+    lanes = np.zeros(n, dtype=np.intp) if lanes is None else lanes
     if exact:
         # floor(u * preambles) as floats: equal exactly when the integer
         # picks are, and no pool is too large to hold
@@ -101,8 +99,9 @@ def identify_aging(ages, prev_slots, prev_ages, slot: int) -> np.ndarray:
 
     One entry per message: its reported age at ``slot`` and the slot and age
     of its previous surviving request, or slot -1 with no earlier report.
-    Ages are float64 as ``aging.aoi_array`` gives them. Returns KIND_* codes,
-    KIND_UNKNOWN where the evidence is consistent with both kinds.
+    The ages are float64 arrays as ``aging.aoi_array`` gives them, the slots
+    an int64 array. Returns KIND_* codes, KIND_UNKNOWN where the evidence is
+    consistent with both kinds.
 
     A non-power-of-two age is attainable only by linear aging; otherwise two
     reports tell additive from doubling growth. Finite ages are exact
@@ -111,9 +110,7 @@ def identify_aging(ages, prev_slots, prev_ages, slot: int) -> np.ndarray:
     fits doubling from any earlier age of the same message, as the exact
     values do.
     """
-    ages = np.asarray(ages, dtype=np.float64)
-    prev_ages = np.asarray(prev_ages, dtype=np.float64)
-    gap = np.subtract(slot, prev_slots)
+    gap = slot - prev_slots
     # a report of an earlier slot (0 up) lies 1 to slot slots back; no
     # report (slot -1) lies slot + 1 back
     seen = (gap > 0) & (gap <= slot)
@@ -154,7 +151,7 @@ class TypeLearner:
 
 
 def learn_type(learner: TypeLearner, device_ids) -> np.ndarray:
-    """Maximum-likelihood types of an id array from the identified-kind counts.
+    """Maximum-likelihood types of int64 ids from the identified-kind counts.
 
     TypeId values, NO_TYPE where a device has no observation (priority_key
     then prices it under the population type mix). Ties break to TYPE2, the
@@ -177,20 +174,19 @@ def _expected(linear, exponential, p_linear: float):
 def priority_key(ages, kinds, types, learner: TypeLearner, beta: int = 1) -> np.ndarray:
     """Future-age priority keys of many requests, from what the scheduler knows.
 
-    ages are the reported current ages as float64 (``aging.aoi_array``),
-    kinds each message's aging kind as a KIND_* code and types each device's
-    type as a TypeId value or NO_TYPE. A request of known kind is priced at
-    its exact future age; one of unknown kind at its expected future age
-    under its device's type, or under the population type mix when no type
-    is known. A type with zero share is left out of the mix instead of
-    weighted by 0.0, which would turn an age saturated to inf into NaN.
+    One array entry per request: ages holds the reported current ages as
+    float64 (``aging.aoi_array``), kinds each message's aging kind as an
+    int8 KIND_* code and types each device's type as an int8 TypeId value or
+    NO_TYPE. A request of known kind is priced at its exact future age; one
+    of unknown kind at its expected future age under its device's type, or
+    under the population type mix when no type is known. A type with zero
+    share is left out of the mix instead of weighted by 0.0, which would
+    turn an age saturated to inf into NaN.
 
     Finite keys equal the exact scalar values: integer future ages below
     2**1024 convert exactly, and the expected ages keep the scalar operation
     order. Keys past float range saturate to inf, never NaN.
     """
-    ages = np.asarray(ages, dtype=np.float64)
-    kinds, types = np.asarray(kinds), np.asarray(types)
     m1, m2, p_type1 = learner.m1, learner.m2, learner.p_type1
     with np.errstate(over="ignore"):
         linear = age_forward(AgingKind.LINEAR, ages, beta)
@@ -215,10 +211,10 @@ def priority_key(ages, kinds, types, learner: TypeLearner, beta: int = 1) -> np.
 def tie_class(types, learner: TypeLearner) -> np.ndarray:
     """Tie class per request: on equal keys class 0 is served before class 1.
 
+    types is an int8 array of TypeId values or NO_TYPE, one per request.
     The faster-aging type (TYPE2) goes first. A request with no known type
     is presumed of the more common type (TYPE1 on an even mix).
     """
-    types = np.asarray(types)
     classes = types != _TYPE2
     if learner.p_type1 < 0.5:
         classes &= types != NO_TYPE           # no type yet: presumed TYPE2
@@ -228,32 +224,31 @@ def tie_class(types, learner: TypeLearner) -> np.ndarray:
 def schedule(ids, keys, exponents, tie_classes, rbs_needed, R: int, lanes=None):
     """Allocate RB indices to requests in descending future-age order.
 
-    One array entry per request: device id, priority key, log2 of its future
-    age, tie class and RB demand. The exponent is consulted only between
-    keys that saturated to inf, where it keeps the exact order of ages past
-    2**1024. Equal keys are served by tie class, then by device id for
-    determinism. Each request gets min(remaining, rbs_needed) RBs, handed
-    out consecutively so no RB is ever assigned twice.
+    One array entry per request: device id (int64), priority key (float64),
+    log2 of its future age (int64), tie class (0 or 1, bool or int64) and RB
+    demand (int64). The exponent is consulted only between keys that
+    saturated to inf, where it keeps the exact order of ages past 2**1024.
+    Equal keys are served by tie class, then by device id for determinism.
+    Each request gets min(remaining, rbs_needed) RBs, handed out
+    consecutively so no RB is ever assigned twice.
 
-    lanes, one index per request, splits the requests into cells scheduled
-    each on its own R RBs: the order puts the lane first, and the RB count
-    restarts in every lane. None (one cell) skips the lane key and the
-    restart, which would cost a centralized slot about 8 us.
+    lanes, an int64 array of one index per request, splits the requests into
+    cells scheduled each on its own R RBs: the order puts the lane first,
+    and the RB count restarts in every lane. None (one cell) skips the lane
+    key and the restart, which would cost a centralized slot about 8 us.
 
     Returns the served ids in service order and, per served id, its RB
     range [first, end) in its lane.
     """
-    ids = np.asarray(ids)
-    keys = np.asarray(keys, dtype=np.float64)
     saturated = np.where(np.isinf(keys), exponents, 0)
     sort_keys = (ids, tie_classes, -saturated, -keys)
     if lanes is not None:
         sort_keys += (lanes,)
     order = np.lexsort(sort_keys)
-    needed = np.asarray(rbs_needed)[order]
+    needed = rbs_needed[order]
     end = needed.cumsum()
     if lanes is not None:
-        lane = np.asarray(lanes)[order]
+        lane = lanes[order]
         end -= (end - needed)[np.searchsorted(lane, lane)]
     first = end - needed
     # requests up to the first whose demand reaches R get RBs

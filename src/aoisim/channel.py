@@ -39,11 +39,10 @@ def epsilon_for_outage(p: float, mean_snr_db: float, r_simultaneous: int = 1) ->
 def outage_table(snr: np.ndarray, epsilon: float, max_rbs: int) -> np.ndarray:
     """p[i, r] = outage_probability(snr[i], epsilon, r) for r in 1..max_rbs.
 
-    The probability of a transmission depends on its device's mean SNR and
-    its RB count alone, so a run computes it once per distinct pair. Column
-    0 is nan.
+    snr is a float64 array of mean SNRs. The probability of a transmission
+    depends on its device's mean SNR and its RB count alone, so a run
+    computes it once per distinct pair. Column 0 is nan.
     """
-    snr = np.asarray(snr, dtype=np.float64)
     if (snr <= 0).any() or epsilon < 0:
         raise ValueError("need positive SNRs and a nonnegative epsilon")
     values, rows = np.unique(snr, return_inverse=True)
@@ -58,18 +57,16 @@ def resolve_transmissions(ids, first, n_rbs, p_outage: np.ndarray, u):
     """Resolve one slot of transmissions into per-transmitter outcome codes.
 
     Transmitter j is device ids[j] on the RB range [first[j], first[j] +
-    n_rbs[j]). Any RB claimed by two or more transmitters fails all its
-    claimants. Each surviving transmitter compares its own uniform u[j],
-    u being aligned with ids, against its outage probability p_outage[id,
+    n_rbs[j]), the three being int64 arrays. Any RB claimed by two or more
+    transmitters fails all its claimants. Each surviving transmitter
+    compares its own uniform u[j], u being a float64 array aligned with ids
+    (or one float for all), against its outage probability p_outage[id,
     n_rbs] (``outage_table``); a multi-RB transmission succeeds or fails
     whole. A device's channel luck is thus a function of (slot, id) alone.
 
     Returns the SUCCESS/DUPLICATE/OUTAGE code of every transmitter and the
     number of claimants of every RB index up to the highest one claimed.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    first = np.asarray(first, dtype=np.int64)
-    n_rbs = np.asarray(n_rbs, dtype=np.int64)
     if len(ids) == 0:
         return np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64)
     if n_rbs.min() < 1:

@@ -207,9 +207,9 @@ def _winner_by_lookahead(exp_age: int, lin_age: int, beta: int) -> str:
     saturates and the exponents are never consulted.
     """
     learner = TypeLearner()
-    types = np.array([TypeId.TYPE2.value, TypeId.TYPE1.value])
+    types = np.array([TypeId.TYPE2.value, TypeId.TYPE1.value], dtype=np.int8)
     keys = priority_key(np.array([exp_age, lin_age], dtype=np.float64),
-                        np.array([KIND_EXPONENTIAL, KIND_LINEAR]), types,
+                        np.array([KIND_EXPONENTIAL, KIND_LINEAR], dtype=np.int8), types,
                         learner, beta)
     served, _, _ = schedule(np.array([0, 1]), keys, np.zeros(2, dtype=np.int64),
                             tie_class(types, learner),

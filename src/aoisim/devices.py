@@ -44,10 +44,11 @@ def activate(messages: PendingMessages, ids, t: int, kind_u, p_linear,
              n_rbs_max: int = 1, size_u=0.0, n_rbs_min: int = 1) -> None:
     """Give the idle devices ids fresh messages generated at slot t.
 
-    kind_u and size_u are uniforms in [0,1) supplied by the caller, one per
-    id (or one for all): a message ages exponentially when kind_u reaches
-    its device's linear probability p_linear, and its RB demand is the
-    size_u quantile of the integer window {n_rbs_min..n_rbs_max}.
+    ids is an int64 array. kind_u and size_u are float64 uniforms in [0,1)
+    supplied by the caller, one per id (or one for all): a message ages
+    exponentially when kind_u reaches its device's linear probability
+    p_linear, and its RB demand is the size_u quantile of the integer window
+    {n_rbs_min..n_rbs_max}.
     """
     if not 1 <= n_rbs_min <= n_rbs_max:
         raise ValueError("demand window needs 1 <= n_rbs_min <= n_rbs_max")
@@ -61,11 +62,11 @@ def activate(messages: PendingMessages, ids, t: int, kind_u, p_linear,
 def deliver_success(messages: PendingMessages, ids, n_rbs) -> np.ndarray:
     """Credit the successful transmissions of a slot; returns the delivered ids.
 
-    Device ids[j] got n_rbs[j] of its pending RBs through. Messages with no
-    RB left are delivered: their devices go idle and keep the message's
-    generation slot and aging kind, from which its delivery age is read.
+    Device ids[j] got n_rbs[j] of its pending RBs through, both int64
+    arrays. Messages with no RB left are delivered: their devices go idle
+    and keep the message's generation slot and aging kind, from which its
+    delivery age is read.
     """
-    ids = np.asarray(ids)
     left = messages.rbs_left[ids]
     if len(left) and left.min() < 1:
         raise ValueError(f"devices {ids[left < 1].tolist()} have no pending message")

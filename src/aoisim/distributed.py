@@ -48,21 +48,20 @@ def reaches_threshold(ages, k, known=None, exponents=None, lanes=None,
     """Which devices transmit: fewer than k of the ages each knows exceed its own.
 
     That is its age reaching the k-th largest known age, ties transmitting.
-    One entry per active device: its future age as float64 (inf past
-    2**1024) and its k. A device knows the ages of its lane, itself
-    included, in one of two forms:
+    One entry per active device: its future age in a float64 array (inf
+    past 2**1024) and its k, in an int64 array or one for all. A device
+    knows the ages of its lane, itself included, in one of two forms:
 
     - known, a bool matrix whose row r marks the ages device r knows;
-    - lanes, one lane index per device (one lane when None), and unheard,
-      index arrays (a, b) as the rows of a (2, P) array (none when None):
-      every age of its lane but that of a[p] for device b[p], and that of
-      b[p] for device a[p].
+    - lanes, an int64 array of one lane index per device (one lane when
+      None), and unheard, index arrays (a, b) as the rows of a (2, P) int64
+      array (none when None): every age of its lane but that of a[p] for
+      device b[p], and that of b[p] for device a[p].
 
-    In the lanes form, exponents (the log2 of each age) order the saturated
-    ages exactly; without them, and always under known, saturated ages tie
-    as inf.
+    In the lanes form, exponents (int64, the log2 of each age) order the
+    saturated ages exactly; without them, and always under known, saturated
+    ages tie as inf.
     """
-    ages = np.asarray(ages, dtype=np.float64)
     if known is not None:
         # int32 row sums of bools run about twice as fast as count_nonzero's
         above = ages[None, :] > ages[:, None]
@@ -74,7 +73,7 @@ def reaches_threshold(ages, k, known=None, exponents=None, lanes=None,
         # one lane's ages sort as floats, about 3x faster than complex keys
         above = len(ages) - np.searchsorted(np.sort(ages), ages, "right")
     else:
-        lanes = np.zeros(len(ages), dtype=np.intp) if lanes is None else np.asarray(lanes)
+        lanes = np.zeros(len(ages), dtype=np.intp) if lanes is None else lanes
         # complex keys sort lexicographically: the lane and, ranking exactly,
         # the exponent where the age saturated, which stays below the next
         # lane's start; then the age (0 where its exponent ranks it)
@@ -90,7 +89,7 @@ def reaches_threshold(ages, k, known=None, exponents=None, lanes=None,
     if unheard is not None:
         # the lower of an unheard pair does not count the higher one; within
         # a lane the higher age has fewer ages above it
-        a, b = unheard = np.asarray(unheard)
+        a, b = unheard
         above_a, above_b = above[unheard]
         lower = np.where(above_b < above_a, a, b)
         above -= np.bincount(lower[above_a != above_b], minlength=len(ages))
@@ -104,10 +103,9 @@ def kappa(n_known, n_active: int, R: int, N: int, v_a: float, zeta: float):
     information) admits R transmitters. Otherwise it scales R by its share of
     the estimated active population N*v_a*zeta, rounding up. The result is
     clamped to [1, n_known]; ``reaches_threshold`` applies it. Elementwise
-    over arrays of counts, one per deciding device; n_active = 0 gives the
-    scaled rank of every count.
+    over an int64 array of counts, one per deciding device; n_active = 0
+    gives the scaled rank of every count.
     """
-    n_known = np.asarray(n_known)
     if (n_known < 1).any():
         raise ValueError("the known ages must include the deciding device itself")
     # v_a = 0 (or small enough to overflow the quotient) expects nobody
@@ -121,22 +119,21 @@ def sca_step(prev_action, prev_failed, crowd_seen, unused, keep_u, pick_u,
              R: int) -> np.ndarray:
     """Crowd-avoidance RB choices of the devices that transmit this slot.
 
-    One array entry per device: its last RB (0 when silent), whether that
-    transmission failed and the crowd it saw on that RB last slot. Row r of
-    the bool matrix unused marks the RBs device r sensed unused last slot
-    (column c is RB c+1); a single row serves every device. A device
-    repeats an RB that just worked. After a failure it stays with
-    probability one over the crowd it saw (crowd_seen, itself included); a
-    failure implies at least one other claimant (or an outage it cannot
-    distinguish), so the crowd is taken as at least 2 even when nobody else
-    was visible. Otherwise, and for devices that did not transmit last slot,
-    the choice is uniform over the RBs it sensed unused, falling back to
-    uniform over all R when every RB was busy. keep_u decides the stay coin
-    and pick_u the fresh pick; both are uniforms in [0,1) supplied by the
-    caller.
+    One array entry per device: its last RB (int64, 0 when silent), whether
+    that transmission failed (bool) and the crowd it saw on that RB last
+    slot (int64). Row r of the bool matrix unused marks the RBs device r
+    sensed unused last slot (column c is RB c+1); a single row serves every
+    device. A device repeats an RB that just worked. After a failure it
+    stays with probability one over the crowd it saw (crowd_seen, itself
+    included); a failure implies at least one other claimant (or an outage
+    it cannot distinguish), so the crowd is taken as at least 2 even when
+    nobody else was visible. Otherwise, and for devices that did not
+    transmit last slot, the choice is uniform over the RBs it sensed unused,
+    falling back to uniform over all R when every RB was busy. keep_u
+    decides the stay coin and pick_u the fresh pick; both are float64
+    arrays of uniforms in [0,1) supplied by the caller.
     """
-    prev_action = np.asarray(prev_action)
-    stay = (prev_action >= 1) & ~(np.asarray(prev_failed, dtype=bool)
+    stay = (prev_action >= 1) & ~(prev_failed
                                   & (keep_u >= 1.0 / np.maximum(2, crowd_seen)))
     # the fresh pick is the floor(pick_u * n_unused)-th unused RB
     ranks = np.cumsum(unused, axis=1)
@@ -155,7 +152,7 @@ def delegate_target(candidates, ages, exponents, u) -> np.ndarray:
     Row r of the bool matrix candidates marks the active neighbors of the
     r-th delegator; the columns are devices in ascending id order, with
     their future ages as float64 (``aging.aoi_array``: inf past 2**1024) and
-    the log2 of each age, which is consulted only where the age saturated:
+    the log2 of each age (int64), consulted only where the age saturated:
     one per column, or, as matrices, one per entry of candidates.
     u holds one uniform in [0,1) per delegator (inverse-CDF sampling).
     Returns the chosen column of every row, -1 for a row without candidates.
@@ -166,10 +163,8 @@ def delegate_target(candidates, ages, exponents, u) -> np.ndarray:
     exact quotients. Candidates whose ages are all zero weigh the same. The
     weights accumulate in column order.
     """
-    candidates = np.asarray(candidates, dtype=bool)
     if not candidates.shape[1]:
         return np.full(len(candidates), -1)
-    ages = np.asarray(ages, dtype=np.float64)
     known = np.where(candidates, ages, 0.0)
     top = known.max(axis=1)
     regular = (top > 0) & (top < np.inf)

@@ -18,16 +18,20 @@ import numpy as np
 def first_parts(p_outage: np.ndarray) -> np.ndarray:
     """table[i, m]: the first part of the best split of m RBs for device i.
 
-    p_outage is the run's ``channel.outage_table``: p_outage[i, r] is device
-    i's outage probability on r simultaneous RBs. A part of r RBs costs
-    1/(1 - p) expected slots, inf where p = 1, and a split costs its
-    parts summed from the first. Ties go to fewer slots, then to the larger
-    first part. Expected slots add up over parts, so this is rod cutting:
-    the best split of m ends in some part r after the best split of m - r,
-    and one pass over m settles every device row at once. Column 0 is 0; a
-    message with m RBs left sends table[i, m] of them this slot.
+    p_outage is the run's ``channel.outage_table``, float64: p_outage[i, r]
+    is device i's outage probability on r simultaneous RBs. A part of r RBs
+    costs 1/(1 - p) expected slots, inf where p = 1, and a split costs its
+    parts summed from the first. Expected slots add up over parts, so this
+    is rod cutting: the best split of m ends in some part r after the best
+    split of m - r, and one pass over m settles every device row at once.
+    Ties go to fewer slots, then to the larger first part, among these
+    extensions only: a split of m that ties in cost but does not extend
+    the best split of its m - r is never compared, so the table may start
+    with another part than a search over every split would, at the same
+    cost. Column 0 is 0; a message with m RBs left sends table[i, m] of
+    them this slot.
     """
-    p = np.asarray(p_outage, dtype=np.float64)[:, 1:]
+    p = p_outage[:, 1:]
     n_rows, n_max = p.shape
     with np.errstate(divide="ignore"):
         part_cost = 1.0 / (1.0 - p)

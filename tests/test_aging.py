@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aoisim.aging import (AgingKind, age_forward, aoi_value, is_power_of_two,
-                          linear_only)
+from aoisim.aging import AgingKind, age_forward, aoi_value, linear_only
 
 
 def test_linear_values_are_plain_ages():
@@ -68,23 +67,20 @@ def test_age_forward_rejects_negative_steps():
 
 
 def test_linear_only_set_prefix():
-    flagged = [v for v in range(1, 17) if linear_only(v)]
+    ages = np.arange(1, 17, dtype=np.float64)
+    flagged = ages[linear_only(ages)].tolist()
     assert flagged == [3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15]
-
-
-def test_power_of_two_handles_floats():
-    assert is_power_of_two(4.0)
-    assert not is_power_of_two(4.5)
-    assert not is_power_of_two(0.5)
 
 
 @given(st.integers(min_value=1, max_value=10**9))
 def test_attainability_split(v):
     # every v >= 1 is a linear age; exponential ages are the powers of two
-    assert is_power_of_two(v) == (v & (v - 1) == 0)
-    assert linear_only(v) == (not is_power_of_two(v))
+    power_of_two = v & (v - 1) == 0
+    assert linear_only(np.array([v], dtype=np.float64))[0] == (not power_of_two)
 
 
 @given(st.integers(min_value=1, max_value=60))
 def test_every_exponential_age_is_power_of_two(k):
-    assert is_power_of_two(aoi_value(AgingKind.EXPONENTIAL, k, 0))
+    v = aoi_value(AgingKind.EXPONENTIAL, k, 0)
+    assert v & (v - 1) == 0
+    assert not linear_only(np.array([v], dtype=np.float64))[0]

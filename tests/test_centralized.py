@@ -24,25 +24,26 @@ def test_collision_probability_closed_form():
 
 
 def test_rach_thinning_is_per_device():
-    ids = [0, 2, 5]
+    ids = np.array([0, 2, 5])
     survive_p = 1.0 - rach_collision_probability(3, 64)
     u = np.zeros(3)
     u[1] = survive_p + 1e-9   # u[1] is device 2's: only it is unlucky
     assert rach_phase(ids, u, 64).tolist() == [0, 5]
-    assert rach_phase(np.array(ids), u, 64).tolist() == [0, 5]
-    assert rach_phase([], np.zeros(0), 64).tolist() == []
+    assert rach_phase(ids, u, 64, lanes=np.zeros(3, dtype=np.intp)).tolist() == [0, 5]
+    assert rach_phase(np.zeros(0, dtype=np.intp), np.zeros(0), 64).tolist() == []
 
 
 def test_rach_exact_mode_keeps_unique_preambles():
     # picks are floor(u * 4): devices 0 and 1 collide on preamble 2
     u = np.array([0.55, 0.6, 0.1])
-    assert rach_phase([0, 1, 2], u, 4, exact=True).tolist() == [2]
+    assert rach_phase(np.arange(3), u, 4, exact=True).tolist() == [2]
     # u is aligned with the ids, in whatever order they come; each lane has
     # its own preambles, so equal picks in two lanes do not collide
-    assert rach_phase([9, 4, 1, 7], [0.1, 0.55, 0.1, 0.6], 4, exact=True,
-                      lanes=[1, 0, 0, 0]).tolist() == [9, 1]
-    assert rach_phase([9, 4, 1, 7], [0.1, 0.55, 0.1, 0.6], 4, exact=True,
-                      lanes=[1, 0, 1, 0]).tolist() == []
+    ids, u = np.array([9, 4, 1, 7]), np.array([0.1, 0.55, 0.1, 0.6])
+    assert rach_phase(ids, u, 4, exact=True,
+                      lanes=np.array([1, 0, 0, 0])).tolist() == [9, 1]
+    assert rach_phase(ids, u, 4, exact=True,
+                      lanes=np.array([1, 0, 1, 0])).tolist() == []
 
 
 @pytest.mark.parametrize("preambles", [2**62, 2**70])
@@ -50,9 +51,10 @@ def test_rach_exact_memory_follows_the_requests(preambles):
     # memory follows the requests: a counter per preamble would not fit,
     # and 2**70 picks do not fit an int64
     u = np.array([0.25, 0.5, 0.25 + 2.0**-50, 0.5, 0.75])
-    assert rach_phase([0, 1, 2, 3, 4], u, preambles, exact=True).tolist() == [0, 2, 4]
-    assert rach_phase([0, 1, 2, 3, 4], u, preambles, exact=True,
-                      lanes=[0, 0, 1, 1, 1]).tolist() == [0, 1, 2, 3, 4]
+    ids = np.arange(5)
+    assert rach_phase(ids, u, preambles, exact=True).tolist() == [0, 2, 4]
+    assert rach_phase(ids, u, preambles, exact=True,
+                      lanes=np.array([0, 0, 1, 1, 1])).tolist() == [0, 1, 2, 3, 4]
     config = ScenarioConfig(mode=Mode.CENTRALIZED_LEARNING, rach_exact=True,
                             preambles=preambles, n_devices=10, n_rbs=5, slots=5)
     result = run(config)
@@ -68,23 +70,25 @@ def test_one_cell_rach_equals_its_lane_form(u, others, preambles, exact, lane, d
     # a lone cell (lanes=None) keeps the survivors of its lane form: as lane 0
     # alone, and as lane `lane` of a batch whose other cells hold other
     # requests, in any interleaving
-    ids = np.arange(len(u)) * 3 + 1
+    ids, u = np.arange(len(u)) * 3 + 1, np.array(u)
     alone = rach_phase(ids, u, preambles, exact).tolist()
     zeros = np.zeros(len(ids), dtype=np.intp)
     assert rach_phase(ids, u, preambles, exact, lanes=zeros).tolist() == alone
     # the other requests sit in the other cells, on ids ours never take
     others = [(cell + (cell >= lane), draw) for cell, draw in others]
     mine = data.draw(st.permutations([True] * len(ids) + [False] * len(others)))
-    ours = iter(zip(ids.tolist(), u, [lane] * len(ids)))
+    ours = iter(zip(ids.tolist(), u.tolist(), [lane] * len(ids)))
     theirs = iter([(3 * j, draw, cell) for j, (cell, draw) in enumerate(others)])
     batch = [next(ours) if own else next(theirs) for own in mine]
-    survivors = rach_phase([i for i, _, _ in batch], [d for _, d, _ in batch],
-                           preambles, exact, lanes=[c for _, _, c in batch])
+    survivors = rach_phase(np.array([i for i, _, _ in batch], dtype=np.intp),
+                           np.array([d for _, d, _ in batch], dtype=np.float64),
+                           preambles, exact,
+                           lanes=np.array([c for _, _, c in batch], dtype=np.intp))
     assert [i for i in survivors.tolist() if i % 3 == 1] == alone
 
 
 def test_rach_config_validation():
-    for ids in ([0], []):
+    for ids in (np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp)):
         for exact in (False, True):
             with pytest.raises(ValueError):
                 rach_phase(ids, np.zeros(len(ids)), 0, exact)

@@ -83,7 +83,8 @@ def test_outage_uses_own_uniform():
     assert outcomes[0] == OUTAGE
     assert outcomes[1] == SUCCESS
     # u follows the transmitters' order, not their ids
-    outcomes, _ = resolve_transmissions([1, 0], [1, 2], [1, 1],
+    outcomes, _ = resolve_transmissions(np.array([1, 0]), np.array([1, 2]),
+                                        np.array([1, 1]),
                                         outage_table(snrs_of(2), 1.0, 1), u)
     assert outcomes.tolist() == [OUTAGE, SUCCESS]
 
@@ -92,9 +93,11 @@ def test_assignment_validation():
     table = outage_table(snrs_of(3), 1.0, 2)
     u = np.zeros(2)
     with pytest.raises(ValueError, match="more than once"):
-        resolve_transmissions([0, 0], [1, 2], [1, 1], table, u)
+        resolve_transmissions(np.array([0, 0]), np.array([1, 2]), np.array([1, 1]),
+                              table, u)
     with pytest.raises(ValueError, match="device 2 listed with an empty RB set"):
-        resolve_transmissions([1, 2], [1, 3], [1, 0], table, u)
+        resolve_transmissions(np.array([1, 2]), np.array([1, 3]), np.array([1, 0]),
+                              table, u)
 
 
 def test_outage_table_holds_the_outage_probabilities():

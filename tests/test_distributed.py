@@ -111,8 +111,9 @@ def test_threshold_count_basics():
     # k beyond the known count admits everyone
     assert reaches_threshold(ages, np.full(6, 99), known).all()
     # full range: one k for all, ties at the threshold transmit
-    assert reaches_threshold([4.0, 4.0, 2.0], 1).tolist() == [True, True, False]
-    assert reaches_threshold([4.0, 4.0, 2.0], 3).tolist() == [True, True, True]
+    ages = np.array([4.0, 4.0, 2.0])
+    assert reaches_threshold(ages, 1).tolist() == [True, True, False]
+    assert reaches_threshold(ages, 3).tolist() == [True, True, True]
 
 
 @settings(max_examples=80, deadline=None)
@@ -148,12 +149,12 @@ def test_unheard_pairs_count_as_the_known_matrix(devices, data):
     for i, j in unheard:
         known[i, j] = known[j, i] = False
     ks = np.array(data.draw(st.lists(st.integers(1, n + 2), min_size=n, max_size=n)))
-    a, b = np.array(unheard, dtype=np.intp).reshape(-1, 2).T
+    pairs = np.array(unheard, dtype=np.intp).reshape(-1, 2).T
     expected = reaches_threshold(ages, ks, known)
-    got = reaches_threshold(ages, ks, lanes=lanes, unheard=(a, b))
+    got = reaches_threshold(ages, ks, lanes=lanes, unheard=pairs)
     assert got.tolist() == expected.tolist()
     if (lanes == lanes[0]).all():
-        assert reaches_threshold(ages, ks, unheard=(a, b)).tolist() == expected.tolist()
+        assert reaches_threshold(ages, ks, unheard=pairs).tolist() == expected.tolist()
 
 
 def test_unheard_pairs_tie_saturated_ages():
@@ -185,9 +186,8 @@ def test_unheard_pairs_rank_saturated_ages_by_exponent_when_given(devices, data)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if lanes[i] == lanes[j]]
     unheard = [pair for pair in pairs if data.draw(st.booleans())]
     ks = data.draw(st.lists(st.integers(1, n + 2), min_size=n, max_size=n))
-    a, b = np.array(unheard, dtype=np.intp).reshape(-1, 2).T
     got = reaches_threshold(ages, np.array(ks), exponents=exponents, lanes=lanes,
-                            unheard=(a, b))
+                            unheard=np.array(unheard, dtype=np.intp).reshape(-1, 2).T)
     expected = [exact[r] >= kth_largest(
         [exact[c] for c in range(n) if lanes[c] == lanes[r]
          and (min(r, c), max(r, c)) not in unheard], k) for r, k in enumerate(ks)]
@@ -212,14 +212,15 @@ def test_full_range_count_orders_exact_ages_past_float_range():
 
 def test_kappa_full_information_admits_R():
     # a device that knows every active device admits R, clamped to what it knows
-    assert kappa([10, 3], [10, 3], 5, 50, 1.0, 1.2).tolist() == [5, 3]
+    n_known = np.array([10, 3])
+    assert kappa(n_known, n_known, 5, 50, 1.0, 1.2).tolist() == [5, 3]
     assert kappa_ref(10, 10, 5, 50, 1.0, 1.2) == 5
     assert kappa_ref(3, 3, 5, 50, 1.0, 1.2) == 3
 
 
 def test_kappa_scales_with_known_share():
     # R=50, N=200, v_a=0.35, zeta=1.2: estimated active count is 84
-    ks = kappa([10, 1, 2000], 2001, 50, 200, 0.35, 1.2).tolist()
+    ks = kappa(np.array([10, 1, 2000]), 2001, 50, 200, 0.35, 1.2).tolist()
     assert ks == [math.ceil(50 * 10 / (200 * 0.35 * 1.2)), 1,
                   math.ceil(50 * 2000 / (200 * 0.35 * 1.2))]
     assert ks == [kappa_ref(n, 2001, 50, 200, 0.35, 1.2) for n in (10, 1, 2000)]
@@ -227,9 +228,9 @@ def test_kappa_scales_with_known_share():
 
 def test_kappa_requires_own_entry():
     with pytest.raises(ValueError):
-        kappa([0], 5, 5, 50, 1.0, 1.2)
+        kappa(np.array([0]), 5, 5, 50, 1.0, 1.2)
     with pytest.raises(ValueError):
-        kappa([3, 0, 4], 5, 5, 50, 1.0, 1.2)
+        kappa(np.array([3, 0, 4]), 5, 5, 50, 1.0, 1.2)
     with pytest.raises(ValueError):
         kappa_ref(0, 5, 5, 50, 1.0, 1.2)
 
@@ -240,17 +241,18 @@ def test_kappa_requires_own_entry():
        st.sampled_from([0.05, 0.35, 1.0]), st.sampled_from([0.5, 1.2, 3.0]))
 def test_kappa_array_equals_the_scalar_rule(n_known, n_active, R, N, v_a, zeta):
     n_known = n_known + [n_active]          # one device that knows everyone
-    assert kappa(n_known, n_active, R, N, v_a, zeta).tolist() == [
+    assert kappa(np.array(n_known), n_active, R, N, v_a, zeta).tolist() == [
         kappa_ref(n, n_active, R, N, v_a, zeta) for n in n_known]
 
 
 def test_transmit_on_threshold_ties():
     ages = [4, 4, 2]
-    k, = kappa([len(ages)], 3, 2, 50, 1.0, 1.2)
+    k, = kappa(np.array([len(ages)]), 3, 2, 50, 1.0, 1.2)
     threshold = kth_largest(ages, k)
     assert 4 >= threshold
     assert not 2 >= threshold
-    assert reaches_threshold(np.array(ages), k).tolist() == [True, True, False]
+    assert reaches_threshold(np.array(ages, dtype=np.float64), k).tolist() == [
+        True, True, False]
 
 
 @pytest.mark.parametrize("R, N, v_a", [(3, 6, 0.4), (1, 5, 1.0), (9, 4, 0.7),

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, reject, settings, strategies as st
 
 from aoisim import centralized, engine
-from aoisim.aging import AgingKind, aoi_value, is_power_of_two
+from aoisim.aging import AgingKind, aoi_value
 from aoisim.centralized import KIND_UNKNOWN, KINDS, NO_TYPE
 from aoisim.cli import main
 from aoisim.devices import PendingMessages, activate, make_devices
@@ -1221,9 +1222,10 @@ def test_priority_key_is_told_what_the_mode_knows(mode, monkeypatch):
             assert (kinds[known] == exponential[known]).all()
             pending = list(zip(ids.tolist(), gen.tolist()))
             first = np.array([m not in reported for m in pending], dtype=bool)
-            # a message's first report identifies it only by a linear-only age,
-            # and an identified message stays identified until delivered
-            assert (known[first] == ~is_power_of_two(ages[first])).all()
+            # a message's first report identifies it only by a linear-only age
+            # (no power of two: frexp's mantissa is 0.5 only for those), and an
+            # identified message stays identified until delivered
+            assert (known[first] == (np.frexp(ages[first])[0] != 0.5)).all()
             assert all(known[j] for j, m in enumerate(pending) if m in identified)
             identified |= {m for m, k in zip(pending, known.tolist()) if k}
             typed |= set(ids[known].tolist())
@@ -1233,6 +1235,78 @@ def test_priority_key_is_told_what_the_mode_knows(mode, monkeypatch):
             n_known, n_unknown = n_known + known.sum(), n_unknown + (~known).sum()
     if mode is Mode.CENTRALIZED_LEARNING:
         assert n_known > 0 and n_unknown > 0
+
+
+# the array contract of every rule the engine calls, wrapped under the module
+# name it is called by: each argument's dtype (or dtypes), as its docstring
+# states it
+_CONTRACTS = {
+    (engine, "seed_states"): dict(entropy="uint32"),
+    (engine, "outage_table"): dict(snr="float64"),
+    (engine, "first_parts"): dict(p_outage="float64"),
+    (engine, "kappa"): dict(n_known="int64"),
+    (engine, "activate"): dict(ids="int64", kind_u="float64", p_linear="float64",
+                               size_u="float64"),
+    (engine, "aoi_array"): dict(exponential="bool", delta="int64"),
+    (engine, "rach_phase"): dict(active_ids="int64", u="float64", lanes="int64"),
+    (engine, "identify_aging"): dict(ages="float64", prev_slots="int64",
+                                     prev_ages="float64"),
+    (centralized, "linear_only"): dict(value="float64"),
+    (engine, "learn_type"): dict(device_ids="int64"),
+    (centralized, "priority_key"): dict(ages="float64", kinds="int8", types="int8"),
+    (engine, "tie_class"): dict(types="int8"),
+    (engine, "schedule"): dict(ids="int64", keys="float64", exponents="int64",
+                               tie_classes="bool int64", rbs_needed="int64",
+                               lanes="int64"),
+    (engine, "reaches_threshold"): dict(ages="float64", k="int64", known="bool",
+                                        exponents="int64", lanes="int64",
+                                        unheard="int64"),
+    (engine, "delegate_target"): dict(candidates="bool", ages="float64",
+                                      exponents="int64", u="float64"),
+    (engine, "sca_step"): dict(prev_action="int64", prev_failed="bool",
+                               crowd_seen="int64", unused="bool", keep_u="float64",
+                               pick_u="float64"),
+    (engine, "resolve_transmissions"): dict(ids="int64", first="int64", n_rbs="int64",
+                                            p_outage="float64", u="float64"),
+    (engine, "deliver_success"): dict(ids="int64", n_rbs="int64"),
+}
+# the scalars the engine hands over for all: one k at full range in one lane,
+# no outage uniforms where nothing can fail, one size where the demand is fixed
+_SCALARS = {("reaches_threshold", "k"): np.int64, ("resolve_transmissions", "u"): float,
+            ("activate", "size_u"): float}
+
+
+def test_rules_get_arrays_of_their_documented_dtypes(monkeypatch):
+    # a list or an int64 age would not fail loudly: linear_only, for one,
+    # reads the bits of its float64 ages
+    called, wrong = set(), set()
+
+    def checked(name, real, contract):
+        signature = inspect.signature(real)
+
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            for arg, value in signature.bind(*args, **kwargs).arguments.items():
+                dtypes = contract.get(arg, "").split()
+                if not dtypes or value is None and signature.parameters[arg].default is None:
+                    continue
+                scalar = _SCALARS.get((name, arg))
+                if scalar is not None and type(value) is scalar:
+                    continue
+                if not (isinstance(value, np.ndarray) and value.dtype.name in dtypes):
+                    wrong.add((name, arg, str(getattr(value, "dtype", type(value)))))
+            return real(*args, **kwargs)
+        return wrapper
+
+    for (module, name), contract in _CONTRACTS.items():
+        monkeypatch.setattr(module, name, checked(name, getattr(module, name), contract))
+    for case in CASES:
+        # alone, and as the first of two lanes, which hands over the lane forms
+        config = case_config(case)
+        run(config)
+        run_many([config, dataclasses.replace(config, seed=config.seed + 1)])
+    assert wrong == set()
+    assert called == {name for _, name in _CONTRACTS}
 
 
 def test_heterogeneous_snr_path_is_deterministic():
@@ -1331,8 +1405,8 @@ def test_partial_range_thresholds_match_the_per_device_rule():
     expected = set()
     for i in active_ids:
         known = [_saturated(f_value[j]) for j in active_ids if near[i, j]]
-        k = kappa(len(known), len(active_ids), config.n_rbs, config.n_devices,
-                  config.v_a, config.zeta)
+        k, = kappa(np.array([len(known)]), len(active_ids), config.n_rbs,
+                   config.n_devices, config.v_a, config.zeta)
         if _saturated(f_value[i]) >= kth_largest(known, k):
             expected.add(i)
     got = set(stack.ids[_reaching(stack, engine._ALL)].tolist())
@@ -1359,7 +1433,7 @@ def test_full_range_thresholds_compare_exact_ages_past_float_range(n_rbs, transm
     assert engine._neighbor_matrix(positions, config.r_c) is None
     assert np.isinf(stack._float_ages()[0][:6]).all()
     exact = [_future(messages, i, t, config.beta) for i in range(7)]
-    k = kappa(7, 7, n_rbs, 7, config.v_a, config.zeta)
+    k, = kappa(np.array([7]), 7, n_rbs, 7, config.v_a, config.zeta)
     threshold = kth_largest(exact, k)
     assert {i for i in range(7) if exact[i] >= threshold} == transmitters
     assert set(stack.ids[_reaching(stack, engine._ALL)].tolist()) == transmitters
