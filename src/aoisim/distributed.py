@@ -54,9 +54,10 @@ def reaches_threshold(ages, k, known=None, exponents=None, lanes=None,
 
     - known, a bool matrix whose row r marks the ages device r knows;
     - lanes, an int64 array of one lane index per device (one lane when
-      None), and unheard, index arrays (a, b) as the rows of a (2, P) int64
-      array (none when None): every age of its lane but that of a[p] for
-      device b[p], and that of b[p] for device a[p].
+      None), and unheard, the (device, partner) columns of a (2, M) int64
+      array of indices (none when None): every age of its lane but those of
+      its partners. A device does not hear a partner that does not hear it,
+      so each pair is listed in both directions.
 
     In the lanes form, exponents (int64, the log2 of each age) order the
     saturated ages exactly; without them, and always under known, saturated
@@ -71,7 +72,7 @@ def reaches_threshold(ages, k, known=None, exponents=None, lanes=None,
     exact = saturated is not None and saturated.any()
     if lanes is None and not exact:
         # one lane's ages sort as floats, about 3x faster than complex keys
-        above = len(ages) - np.searchsorted(np.sort(ages), ages, "right")
+        above = len(ages) - np.sort(ages).searchsorted(ages, "right")
     else:
         lanes = np.zeros(len(ages), dtype=np.intp) if lanes is None else lanes
         # complex keys sort lexicographically: the lane and, ranking exactly,
@@ -85,14 +86,13 @@ def reaches_threshold(ages, k, known=None, exponents=None, lanes=None,
         else:
             keys.real, keys.imag = lanes, ages
         lane_end = np.cumsum(np.bincount(lanes))[lanes]
-        above = lane_end - np.searchsorted(np.sort(keys), keys, "right")
+        above = lane_end - np.sort(keys).searchsorted(keys, "right")
     if unheard is not None:
-        # the lower of an unheard pair does not count the higher one; within
+        # a device does not count an unheard partner ranked above it; within
         # a lane the higher age has fewer ages above it
-        a, b = unheard
-        above_a, above_b = above[unheard]
-        lower = np.where(above_b < above_a, a, b)
-        above -= np.bincount(lower[above_a != above_b], minlength=len(ages))
+        above_device, above_partner = above[unheard]
+        above -= np.bincount(unheard[0][above_partner < above_device],
+                             minlength=len(ages))
     return above < k
 
 
@@ -136,10 +136,10 @@ def sca_step(prev_action, prev_failed, crowd_seen, unused, keep_u, pick_u,
     stay = (prev_action >= 1) & ~(prev_failed
                                   & (keep_u >= 1.0 / np.maximum(2, crowd_seen)))
     # the fresh pick is the floor(pick_u * n_unused)-th unused RB
-    ranks = np.cumsum(unused, axis=1)
+    ranks = unused.cumsum(axis=1)
     n_unused = ranks[:, -1]
     nth = (pick_u * n_unused).astype(np.int64)
-    fresh = np.argmax(ranks > nth[:, None], axis=1) + 1
+    fresh = (ranks > nth[:, None]).argmax(axis=1) + 1
     busy = n_unused == 0
     if busy.any():
         fresh = np.where(busy, random_selection(R, pick_u), fresh)
@@ -187,12 +187,12 @@ def delegate_target(candidates, ages, exponents, u) -> np.ndarray:
                                           0.0)
         flat = top <= 0
         weights[flat] = candidates[flat]
-    cumulative = np.cumsum(weights, axis=1)
+    cumulative = weights.cumsum(axis=1)
     # u < 1 keeps u * total below the total (a float product rounds no
     # higher), so some candidate's running sum passes the threshold; a row
     # without candidates has a total of 0
     total = cumulative[:, -1]
-    picks = np.argmax(cumulative > (u * total)[:, None], axis=1)
+    picks = (cumulative > (u * total)[:, None]).argmax(axis=1)
     return np.where(total > 0, picks, -1)
 
 

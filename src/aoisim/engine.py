@@ -825,10 +825,12 @@ class _DistributedStack:
     1..R (0: silent), in its own lane; allocate returns its lane-local RB.
     The batch hears in one form, set by its game lanes. It is listed once
     one game lane's range covers its devices' span or misses at most
-    _PAIR_SHARE of its pairs: unheard then lists the out-of-range pairs
-    (i < j) of every game lane, as global ids, and the lanes decide in one
-    pass, taking the unheard pairs' share from what their whole lane gives;
-    full_range says no lane misses a pair. Otherwise the batch is dense:
+    _PAIR_SHARE of its pairs: unheard then lists the out-of-range pairs of
+    every game lane in both directions, as the (device, partner) columns of
+    a (2, P) int64 array of global ids, which each slot maps to positions
+    in ids (len(ids) for an idle device) as pairs. The lanes decide in one
+    pass, taking the unheard partners' share from what their whole lane
+    gives; full_range says no lane misses a pair. Otherwise the batch is dense:
     dense holds (lane, adjacency matrix) for every game lane, and the lanes
     decide one by one. Where a lane's range covers its devices' span
     (exact, a ``_Lanes.mask``) the threshold ranks saturated ages by
@@ -853,10 +855,9 @@ class _DistributedStack:
         self.sca = lanes.mask([m is Mode.DISTRIBUTED_SCA for m in modes])
         # the rank-to-RB baseline is defined only under full information.
         # One block is built at a time; once the batch is listed, each block
-        # (the kept ones included) lists its devices' unheard partners, row
-        # d's misses being device d's, and is dropped
-        blocks, exact, missed, listed = [], [], [_NO_IDS], False
-        count = np.zeros(size, dtype=np.int64)
+        # (the kept ones included) is packed to a bit per device pair and
+        # dropped, and the pairs are listed once the total is known
+        blocks, exact, packed, listed, total = [], [], [], False, 0
         for lane, mode in enumerate(modes):
             game = mode is not Mode.DISTRIBUTED_PREDETERMINED
             block = (_neighbor_matrix(positions[lanes.devices(lane)], config.r_c)
@@ -866,32 +867,22 @@ class _DistributedStack:
             if block is not None:
                 blocks.append((lane, block))
             if listed:
-                for i, kept in blocks:
-                    count[lanes.devices(i)] = n - np.count_nonzero(kept, axis=1)
-                    missed.append(np.nonzero(~kept)[1] + lanes.starts[i])
+                total += sum(kept.size - np.count_nonzero(kept) for _, kept in blocks)
+                packed += [(i, np.packbits(~kept)) for i, kept in blocks]
                 blocks = []
+        del block
         self.dense = blocks
         self.exact = lanes.mask(exact)
-        # device d's unheard partners, ascending: partners[partner_start[d]:partner_end[d]]
-        self.partners = np.concatenate(missed)
-        del missed
-        self.partner_end = np.cumsum(count)
-        self.partner_start = self.partner_end - count
-        # each unheard pair (i < j) once, in (i, j) order: the partners above
-        # their device, taken a lane at a time so that the set-up peak holds
-        # little more than the two lists
-        self.unheard = np.empty((2, len(self.partners) // 2), dtype=np.int64)
-        filled = 0
-        for lane in range(lanes.count):
-            devices = lanes.devices(lane)
-            first, end = self.partner_start[devices.start], self.partner_end[devices.stop - 1]
-            partners = self.partners[first:end]
-            owners = np.arange(devices.start, devices.stop).repeat(count[devices])
-            above = owners < partners
-            k = filled + np.count_nonzero(above)
-            self.unheard[0, filled:k] = owners[above]
-            self.unheard[1, filled:k] = partners[above]
-            filled = k
+        # the list, allocated at its length and filled from the bits a chunk
+        # at a time (the zero bits packbits pads with list nothing)
+        self.unheard = unheard = np.empty((2, total), dtype=np.int64)
+        end, step = 0, _NEIGHBOR_BLOCK // 8
+        for lane, bits in packed:
+            for lo in range(0, len(bits), step):
+                flat = np.unpackbits(bits[lo:lo + step]).nonzero()[0] + 8 * lo
+                start, end = end, end + len(flat)
+                np.divmod(flat, n, out=(unheard[0, start:end], unheard[1, start:end]))
+                unheard[:, start:end] += lanes.starts[lane]
         self.full_range = not (self.dense or self.unheard.size)
         # the threshold rank of a device that knows n_known ages, at index
         # n_known - 1: when it knows every active device, and when it does not
@@ -910,6 +901,8 @@ class _DistributedStack:
         self.gen = _NO_IDS
         self.exponential = np.zeros(0, dtype=bool)
         self.ages_cache = None
+        # unheard as positions in ids, len(ids) for an idle device (allocate)
+        self.pairs = self.unheard
 
     def _dense_lanes(self, sorted_ids: np.ndarray):
         """(lane, block, lo, hi) of each dense lane holding some of sorted_ids,
@@ -919,23 +912,6 @@ class _DistributedStack:
             if bounds[lane] < bounds[lane + 1]:
                 yield lane, block, bounds[lane], bounds[lane + 1]
 
-    def _unheard_among(self, ids: np.ndarray) -> np.ndarray:
-        """The unheard pairs of two devices of the sorted ids, as the columns
-        (i, j) of a (2, P) array of indices into ids, ids[i] < ids[j]."""
-        where = np.full(len(self.actions), -1)
-        where[ids] = np.arange(len(ids))
-        pairs = where[self.unheard]
-        return pairs.compress(np.minimum(*pairs) >= 0, axis=1)
-
-    def _partners_of(self, rows: np.ndarray):
-        """(r, d) for every unheard partner d of every device rows[r]."""
-        start = self.partner_start[rows]
-        count = self.partner_end[rows] - start
-        r = np.arange(len(rows)).repeat(count)
-        # partner k of row r: entry start[r] + k, output position cumsum[r] - count[r] + k
-        entry = np.arange(len(r)) + (start + count - count.cumsum()).repeat(count)
-        return r, self.partners[entry]
-
     def allocate(self, t: int, active_ids: np.ndarray, n_active: list[int],
                  draws: SlotDraws):
         """Slot t's transmitters, their lane-local RBs (ranges of one), no RACH loss."""
@@ -944,6 +920,11 @@ class _DistributedStack:
         self.gen = messages.gen_slot[active_ids]
         self.exponential = messages.exponential[active_ids]
         self.ages_cache = None
+        if self.unheard.size:
+            # the slot's one position map, through which every rule reads the list
+            where = np.full(len(self.actions), len(active_ids))
+            where[active_ids] = np.arange(len(active_ids))
+            self.pairs = where[self.unheard]
         actions = np.zeros(len(self.actions), dtype=np.int64)
         if len(active_ids):
             pred = _rows(self.predetermined, active_ids)
@@ -1036,13 +1017,18 @@ def _reaching(stack: _DistributedStack, game) -> np.ndarray:
         # compares scalars, which need no reduction
         everyone = k >= n_active if lanes is None else (k >= n_active).all()
     else:
-        unheard, everyone = stack._unheard_among(ids), False
-        k = stack.kappa(n_active - np.bincount(unheard.ravel(), minlength=len(ids)),
-                        n_active)
+        # the listed pairs of two active devices
+        pairs, everyone = stack.pairs, False
+        unheard = pairs.compress(np.maximum(*pairs) < len(stack.ids), axis=1)
+        if game is not _ALL:
+            # positions among the game lanes' devices, which alone list pairs
+            unheard = (game.cumsum() - 1)[unheard]
+        k = stack.kappa(n_active - np.bincount(unheard[0], minlength=len(ids)), n_active)
     if everyone:
         passing = np.ones(len(ids), dtype=bool)
     else:
-        ages, exponents = (values[game] for values in stack._float_ages())
+        ages, exponents = stack._float_ages()
+        ages, exponents = ages[game], exponents[game]
         exact = _rows(stack.exact, ids)
         exponents = (exponents if exact is _ALL else None if exact is None
                      else np.where(exact, exponents, 1024))
@@ -1055,15 +1041,16 @@ def _reaching(stack: _DistributedStack, game) -> np.ndarray:
     return out
 
 
-def _delegate_picks(stack: _DistributedStack, delegators: np.ndarray,
+def _delegate_picks(stack: _DistributedStack, delegators: np.ndarray, idle: np.ndarray,
                     u: np.ndarray) -> np.ndarray:
     """The active device (column of stack.ids) inheriting each delegator's RB.
 
-    -1 where a delegator has no active neighbor. Candidates are the active
-    devices of the delegator's lane within its range. A listed batch picks
-    for every delegator at once: row r of the candidates spans the active
-    devices of delegator r's lane, the widest lane setting the width, less
-    its unheard partners. A dense batch picks lane by lane on its blocks.
+    -1 where a delegator (the ids idle marks) has no active neighbor.
+    Candidates are the active devices of the delegator's lane within its
+    range. A listed batch picks for every delegator at once: row r of the
+    candidates spans the active devices of delegator r's lane, the widest
+    lane setting the width, less its unheard partners. A dense batch picks
+    lane by lane on its blocks.
     """
     ids = stack.ids
     ages, exponents = stack._float_ages()
@@ -1081,31 +1068,33 @@ def _delegate_picks(stack: _DistributedStack, delegators: np.ndarray,
         return picks
     lanes = stack.lanes.of(delegators)
     if lanes is None:
-        width, offset = len(ids), 0
+        width = len(ids)
         candidates = np.ones((len(delegators), width + 1), dtype=bool)
     else:
         bounds = np.array(stack.lanes.bounds(ids))
         count = np.diff(bounds)
         lo, width = bounds[lanes], int(count[lanes].max())
-        offset = np.repeat(bounds[:-1], count)
         span = np.arange(width + 1)
         candidates = span < count[lanes, None]
         # row r, column c: the active device lo[r] + c, if its lane has one
         columns = np.minimum(lo[:, None] + span[:-1], len(ids) - 1)
         ages, exponents = ages[columns], exponents[columns]
     if not stack.full_range:
-        # column[d]: active device d's place among its lane's active devices;
-        # column width, past the candidates, takes every other device
-        column = np.full(len(stack.actions), width)
-        column[ids] = np.arange(len(ids)) - offset
-        rows, partners = stack._partners_of(delegators)
-        candidates[rows, column[partners]] = False
+        # the delegators' listed partners, each at its place among its lane's
+        # active devices; an idle partner (position len(ids)) lands at or
+        # past column width, beyond every row's candidates
+        mine = idle[stack.unheard[0]]
+        rows = delegators.searchsorted(stack.unheard[0].compress(mine))
+        columns = stack.pairs[1].compress(mine)
+        if lanes is not None:
+            columns = np.minimum(columns - lo[rows], width)
+        candidates[rows, columns] = False
     picks = delegate_target(candidates[:, :width], ages, exponents, u)
     return picks if lanes is None else np.where(picks >= 0, picks + lo, -1)
 
 
-def _sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
-    """What the deciding devices sensed last slot, as ``sca_step`` reads it.
+def _sensed(stack: _DistributedStack, rows: np.ndarray, prev: np.ndarray):
+    """What the devices stack.ids[rows] sensed last slot, as ``sca_step`` reads it.
 
     Returns the crowd each saw on its own last RB and the unused-RB rows:
     one per device, or one for all where every device sensed the same. A
@@ -1113,7 +1102,7 @@ def _sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
     a listed batch, its lane's transmissions of last slot but those of its
     unheard partners; in a dense batch, those its block marks.
     """
-    last_action, lanes = stack.last_action, stack.lanes
+    last_action, lanes, deciding = stack.last_action, stack.lanes, stack.ids[rows]
     # an RB label's sensed counts: 0 (silent) and the RBs 1..R
     width = lanes.R + 1
     if stack.dense:
@@ -1123,7 +1112,7 @@ def _sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
             devices = lanes.devices(lane)
             lane_actions = last_action[devices]
             # count every (deciding device, RB) pair of a transmission it heard
-            heard = np.flatnonzero(lane_actions)
+            heard = lane_actions.nonzero()[0]
             cells = np.arange(hi - lo)[:, None] * width + lane_actions[heard]
             sensed = np.bincount(cells[block[deciding[lo:hi] - devices.start][:, heard]],
                                  minlength=(hi - lo) * width).reshape(hi - lo, width)
@@ -1137,11 +1126,11 @@ def _sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
     if deciding_lanes is not None:
         sensed = sensed[deciding_lanes]
     if not stack.full_range:
-        # a silent partner lands in column 0, which nothing reads
-        rows, partners = stack._partners_of(deciding)
-        missed = np.bincount(rows * width + last_action[partners],
-                             minlength=len(deciding) * width)
-        sensed = sensed - missed.reshape(-1, width)
+        # each active device's unheard transmissions by RB label; row
+        # len(ids) (idle devices) and column 0 (silence) are never read
+        missed = np.bincount(stack.pairs[0] * width + last_action[stack.unheard[1]],
+                             minlength=(len(stack.ids) + 1) * width)
+        sensed = sensed - missed.reshape(-1, width)[rows]
     row = 0 if len(sensed) == 1 else np.arange(len(deciding))
     return sensed[row, prev], sensed[:, 1:] == 0
 
@@ -1177,13 +1166,17 @@ def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
         idle[active_ids] = False
         if stack.sca is not _ALL:
             idle &= stack.sca
-        delegators = np.flatnonzero(idle)
+        delegators = idle.nonzero()[0]
         if len(delegators):
-            picks = _delegate_picks(stack, delegators,
+            picks = _delegate_picks(stack, delegators, idle,
                                     draws.vec(t, _PH_DELEGATE, delegators))
-            hit = picks >= 0
-            targets, first = np.unique(picks[hit], return_index=True)
-            actions[active_ids[targets]] = last_action[delegators[hit][first]]
+            # a stable sort keeps each pick's delegators in id order
+            order = picks.argsort(kind="stable")
+            ranked = picks[order]
+            first = ranked >= 0
+            first[1:] &= ranked[1:] != ranked[:-1]
+            targets = ranked[first]
+            actions[active_ids[targets]] = last_action[delegators[order[first]]]
             sending = sending.copy()
             sending[targets] = False
 
@@ -1191,10 +1184,11 @@ def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
     keep = sending & won[active_ids]
     kept = active_ids[keep]
     actions[kept] = last_action[kept]
-    deciding = active_ids[sending & ~keep]
-    if len(deciding):
+    rows = (sending & ~keep).nonzero()[0]
+    if len(rows):
+        deciding = active_ids[rows]
         prev = last_action[deciding]
-        crowd, unused = _sensed(stack, deciding, prev)
+        crowd, unused = _sensed(stack, rows, prev)
         # the crowd seen on RB 0 (silence) is never consulted
         actions[deciding] = sca_step(prev, last_failed[deciding], crowd, unused,
                                      draws.vec(t, _PH_DECIDE, deciding),
@@ -1223,7 +1217,7 @@ def sweep_lanes(config: ScenarioConfig) -> int:
     builds one N x N matrix per lane while it is set up, and a dense batch
     keeps them all; SWEEP_NEIGHBOR_BYTES caps the matrices a batch may hold
     (16 lanes up to N = 256, 1 from N = 1024). A listed batch holds its
-    unheard pairs instead, 32 bytes each, which the cap does not count.
+    unheard pairs instead, both ways round: 32 bytes a pair, uncapped.
     """
     if (config.mode.centralized or config.mode is Mode.DISTRIBUTED_PREDETERMINED
             or config.r_c >= math.hypot(config.width, config.length)):

@@ -817,8 +817,8 @@ def test_unheard_pairs_tie_saturated_ages_as_the_dense_blocks(name):
 def test_a_batch_is_listed_once_a_game_lane_misses_few_pairs():
     # at r_c = 10 on a 10 x 10 cell a few pairs are out of range, at r_c = 3
     # most are, and at r_c = 15 none; a listed batch holds exactly the
-    # out-of-range pairs (i < j) of its lanes, in global ids, and no block,
-    # and a dense batch keeps every game lane's block
+    # out-of-range pairs (i < j) of its lanes, in global ids and in both
+    # directions, and no block, and a dense batch keeps every game lane's block
     base = small(n_devices=40, r_c=10.0)
     configs = [dataclasses.replace(base, seed=s) for s in (1, 2)]
     positions = [_positions(c) for c in configs]
@@ -827,7 +827,8 @@ def test_a_batch_is_listed_once_a_game_lane_misses_few_pairs():
     assert stack.dense == []
     expected = [(i + 40 * lane, j + 40 * lane) for lane, block in enumerate(blocks)
                 for i in range(40) for j in range(i + 1, 40) if not block[i, j]]
-    assert expected and sorted(map(tuple, stack.unheard.T.tolist())) == expected
+    assert expected and sorted(map(tuple, stack.unheard.T.tolist())) == sorted(
+        expected + [(j, i) for i, j in expected])
     assert not stack.full_range and stack.exact is None
     short = _stack_of([dataclasses.replace(c, r_c=3.0) for c in configs])
     assert [lane for lane, _ in short.dense] == [0, 1]
@@ -846,7 +847,7 @@ def test_a_batch_straddling_the_share_is_listed_whole():
     assert sum(not engine._misses_few(block) for block in blocks) == 8
     stack = _stack_of(configs)
     assert stack.dense == [] and not stack.full_range
-    assert stack.unheard.shape[1] == sum(
+    assert stack.unheard.shape[1] == 2 * sum(
         (block.size - block.sum()) // 2 for block in blocks)
 
 
@@ -865,15 +866,15 @@ def test_each_device_lists_exactly_its_out_of_range_partners(r_c, modes):
                  else engine._neighbor_matrix(_positions(config), r_c))
         for i in range(60):
             d = lane * 60 + i
-            got = stack.partners[stack.partner_start[d]:stack.partner_end[d]]
+            got = stack.unheard[1, stack.unheard[0] == d]
             assert sorted(got.tolist()) == (np.flatnonzero(~block[i]) + lane * 60).tolist()
 
 
 def test_listing_a_batch_holds_its_pairs_about_once_at_its_peak():
-    # a listed pair is held twice after set-up: in unheard and as two partner
-    # entries. The partner lists come from the blocks' rows and unheard from
-    # them, a lane at a time, with no sort of all endpoints and no reversed
-    # copy of the pairs, which once took the peak to 1.96x what is held
+    # a listed pair is held twice after set-up, once in each direction. The
+    # blocks are packed to bits until the list's length is known and then
+    # unpacked into it a chunk at a time, with no sort of all endpoints and
+    # no copy of the pairs, which once took the peak to 1.96x what is held
     configs = [small(n_devices=500, r_c=8.0, seed=s) for s in range(16)]
     positions = np.concatenate([_positions(c) for c in configs])
     messages = PendingMessages(len(positions))
@@ -884,7 +885,7 @@ def test_listing_a_batch_holds_its_pairs_about_once_at_its_peak():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert stack.unheard.shape[1] > 250_000 and held > 8 * 2**20
+    assert stack.unheard.shape[1] // 2 > 250_000 and held > 8 * 2**20
     assert peak <= 1.2 * held
 
 
@@ -1274,6 +1275,9 @@ _CONTRACTS = {
 # no outage uniforms where nothing can fail, one size where the demand is fixed
 _SCALARS = {("reaches_threshold", "k"): np.int64, ("resolve_transmissions", "u"): float,
             ("activate", "size_u"): float}
+# the arguments whose docstring states a shape as well: the listed pairs
+# are the (device, partner) columns of a (2, M) array
+_SHAPES = {("reaches_threshold", "unheard"): lambda value: value.ndim == 2 and len(value) == 2}
 
 
 def test_rules_get_arrays_of_their_documented_dtypes(monkeypatch):
@@ -1295,6 +1299,8 @@ def test_rules_get_arrays_of_their_documented_dtypes(monkeypatch):
                     continue
                 if not (isinstance(value, np.ndarray) and value.dtype.name in dtypes):
                     wrong.add((name, arg, str(getattr(value, "dtype", type(value)))))
+                elif not _SHAPES.get((name, arg), lambda value: True)(value):
+                    wrong.add((name, arg, str(value.shape)))
             return real(*args, **kwargs)
         return wrapper
 

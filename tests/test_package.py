@@ -4,6 +4,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 import aoisim
 
 
@@ -64,3 +66,8 @@ def test_calls_per_slot_repeat_exactly():
     first, second = (script.measure(argv, 20, seed=3) for _ in range(2))
     assert first == second
     assert first["slots"] == 20 and first["per_slot"] > 0
+    # the breakdown by the aoisim function that made the calls repeats too,
+    # in its order, and accounts for every call
+    assert list(first["by_function"].items()) == list(second["by_function"].items())
+    assert "engine.run_many" in first["by_function"]
+    assert sum(first["by_function"].values()) == pytest.approx(first["per_slot"])
