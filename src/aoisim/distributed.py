@@ -54,10 +54,9 @@ def reaches_threshold(ages, k, known=None, exponents=None, lanes=None,
 
     - known, a bool matrix whose row r marks the ages device r knows;
     - lanes, an int64 array of one lane index per device (one lane when
-      None), and unheard, the (device, partner) columns of a (2, M) int64
-      array of indices (none when None): every age of its lane but those of
-      its partners. A device does not hear a partner that does not hear it,
-      so each pair is listed in both directions.
+      None), and unheard, index arrays (a, b) as the rows of a (2, P) int64
+      array (none when None): every age of its lane but that of a[p] for
+      device b[p], and that of b[p] for device a[p].
 
     In the lanes form, exponents (int64, the log2 of each age) order the
     saturated ages exactly; without them, and always under known, saturated
@@ -88,11 +87,12 @@ def reaches_threshold(ages, k, known=None, exponents=None, lanes=None,
         lane_end = np.cumsum(np.bincount(lanes))[lanes]
         above = lane_end - np.sort(keys).searchsorted(keys, "right")
     if unheard is not None:
-        # a device does not count an unheard partner ranked above it; within
+        # the lower of an unheard pair does not count the higher one; within
         # a lane the higher age has fewer ages above it
-        above_device, above_partner = above[unheard]
-        above -= np.bincount(unheard[0][above_partner < above_device],
-                             minlength=len(ages))
+        a, b = unheard
+        above_a, above_b = above[unheard]
+        lower = np.where(above_b < above_a, a, b)
+        above -= np.bincount(lower[above_a != above_b], minlength=len(ages))
     return above < k
 
 

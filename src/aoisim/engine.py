@@ -776,6 +776,9 @@ _NEIGHBOR_BLOCK = 1 << 17
 # lanes all miss more keeps their dense blocks (crossover measured on
 # N = 200 and 1,000 cells, BENCH_14.json)
 _PAIR_SHARE = 0.15
+# the longest unheard list whose columns _DistributedStack scans whole for a
+# few devices' partners rather than read their runs (crossover, BENCH_25.json)
+_SCAN_COLUMNS = 2048
 
 
 def _neighbor_matrix(xy: np.ndarray, r_c: float) -> np.ndarray | None:
@@ -825,16 +828,16 @@ class _DistributedStack:
     1..R (0: silent), in its own lane; allocate returns its lane-local RB.
     The batch hears in one form, set by its game lanes. It is listed once
     one game lane's range covers its devices' span or misses at most
-    _PAIR_SHARE of its pairs: unheard then lists the out-of-range pairs of
-    every game lane in both directions, as the (device, partner) columns of
-    a (2, P) int64 array of global ids, which each slot maps to positions
-    in ids (len(ids) for an idle device) as pairs. The lanes decide in one
-    pass, taking the unheard partners' share from what their whole lane
-    gives; full_range says no lane misses a pair. Otherwise the batch is dense:
-    dense holds (lane, adjacency matrix) for every game lane, and the lanes
-    decide one by one. Where a lane's range covers its devices' span
-    (exact, a ``_Lanes.mask``) the threshold ranks saturated ages by
-    exponent; every other lane ties them as inf.
+    _PAIR_SHARE of its pairs: unheard then holds the out-of-range pairs of
+    every game lane both ways round, as (device, partner) columns of global
+    ids: first, as upper, those with device < partner, then the rest, each
+    half sorted, so that a device's partners are one run of each (runs).
+    The lanes decide in one pass, taking the unheard pairs' share from what
+    their whole lane gives; full_range says no lane misses a pair.
+    Otherwise the batch is dense: dense holds (lane, adjacency matrix) for
+    every game lane, and the lanes decide one by one. Where a lane's range
+    covers its devices' span (exact, a ``_Lanes.mask``) the threshold ranks
+    saturated ages by exponent; every other lane ties them as inf.
 
     modes holds each lane's mode. Predetermined lanes go through the rank
     map alone and never set the form; the game lanes share
@@ -873,16 +876,23 @@ class _DistributedStack:
         del block
         self.dense = blocks
         self.exact = lanes.mask(exact)
-        # the list, allocated at its length and filled from the bits a chunk
-        # at a time (the zero bits packbits pads with list nothing)
+        # the list, filled from the bits a chunk at a time (packbits pads with
+        # zero bits, which list nothing); a row-major scan meets each half's
+        # columns in order, and a block is symmetric, so the halves are as long
         self.unheard = unheard = np.empty((2, total), dtype=np.int64)
-        end, step = 0, _NEIGHBOR_BLOCK // 8
+        ends, step = [0, total // 2], _NEIGHBOR_BLOCK // 32
         for lane, bits in packed:
             for lo in range(0, len(bits), step):
                 flat = np.unpackbits(bits[lo:lo + step]).nonzero()[0] + 8 * lo
-                start, end = end, end + len(flat)
-                np.divmod(flat, n, out=(unheard[0, start:end], unheard[1, start:end]))
-                unheard[:, start:end] += lanes.starts[lane]
+                pairs = np.array(np.divmod(flat, n)) + lanes.starts[lane]
+                for half, side in enumerate((pairs[0] < pairs[1], pairs[0] > pairs[1])):
+                    start, ends[half] = ends[half], ends[half] + np.count_nonzero(side)
+                    unheard[:, start:ends[half]] = pairs[:, side]
+        self.upper = unheard[:, :total // 2]
+        # runs[d]: the columns where device d's run of each half starts
+        every = np.arange(size + 1)
+        self.runs = np.column_stack((self.upper[0].searchsorted(every), total // 2
+                                     + unheard[0, total // 2:].searchsorted(every)))
         self.full_range = not (self.dense or self.unheard.size)
         # the threshold rank of a device that knows n_known ages, at index
         # n_known - 1: when it knows every active device, and when it does not
@@ -895,14 +905,12 @@ class _DistributedStack:
         self.actions = np.zeros(size, dtype=np.int64)
         self.no_rach_loss = [0] * lanes.count
         # this slot's active ids and the generation slots and aging kinds of
-        # their messages; _float_ages keeps their future ages in ages_cache
+        # their messages; _float_ages keeps their future ages in ages_cache. A
+        # listed batch's where holds each device's position in ids (len(ids): idle)
         self.t = 0
-        self.ids = _NO_IDS
-        self.gen = _NO_IDS
+        self.ids = self.gen = self.where = _NO_IDS
         self.exponential = np.zeros(0, dtype=bool)
         self.ages_cache = None
-        # unheard as positions in ids, len(ids) for an idle device (allocate)
-        self.pairs = self.unheard
 
     def _dense_lanes(self, sorted_ids: np.ndarray):
         """(lane, block, lo, hi) of each dense lane holding some of sorted_ids,
@@ -911,6 +919,22 @@ class _DistributedStack:
         for lane, block in self.dense:
             if bounds[lane] < bounds[lane + 1]:
                 yield lane, block, bounds[lane], bounds[lane + 1]
+
+    def _listed(self, devices: np.ndarray):
+        """(r, p) for every unheard partner p of every device devices[r]
+        (sorted ids), read from their runs, or by a scan of a short list."""
+        if self.unheard.shape[1] <= _SCAN_COLUMNS:
+            mine = np.zeros(len(self.actions), dtype=bool)
+            mine[devices] = True
+            owners, partners = self.unheard.compress(mine[self.unheard[0]], axis=1)
+            return devices.searchsorted(owners), partners
+        # runs 2r and 2r + 1 are devices[r]'s; entry k of run r sits at
+        # start[r] + k, output cumsum[r] - count[r] + k
+        start, end = self.runs[[devices, devices + 1]].reshape(2, -1)
+        count = end - start
+        entry = (end - count.cumsum()).repeat(count)
+        entry += np.arange(len(entry))
+        return (np.arange(len(count)) >> 1).repeat(count), self.unheard[1, entry]
 
     def allocate(self, t: int, active_ids: np.ndarray, n_active: list[int],
                  draws: SlotDraws):
@@ -921,10 +945,8 @@ class _DistributedStack:
         self.exponential = messages.exponential[active_ids]
         self.ages_cache = None
         if self.unheard.size:
-            # the slot's one position map, through which every rule reads the list
-            where = np.full(len(self.actions), len(active_ids))
-            where[active_ids] = np.arange(len(active_ids))
-            self.pairs = where[self.unheard]
+            self.where = np.full(len(self.actions), len(active_ids))
+            self.where[active_ids] = np.arange(len(active_ids))
         actions = np.zeros(len(self.actions), dtype=np.int64)
         if len(active_ids):
             pred = _rows(self.predetermined, active_ids)
@@ -1017,18 +1039,18 @@ def _reaching(stack: _DistributedStack, game) -> np.ndarray:
         # compares scalars, which need no reduction
         everyone = k >= n_active if lanes is None else (k >= n_active).all()
     else:
-        # the listed pairs of two active devices
-        pairs, everyone = stack.pairs, False
-        unheard = pairs.compress(np.maximum(*pairs) < len(stack.ids), axis=1)
+        # the listed pairs (i < j) of two active devices
+        unheard, everyone = stack.where[stack.upper], False
+        unheard = unheard.compress(np.maximum(*unheard) < len(stack.ids), axis=1)
         if game is not _ALL:
             # positions among the game lanes' devices, which alone list pairs
             unheard = (game.cumsum() - 1)[unheard]
-        k = stack.kappa(n_active - np.bincount(unheard[0], minlength=len(ids)), n_active)
+        k = stack.kappa(n_active - np.bincount(unheard.ravel(), minlength=len(ids)),
+                        n_active)
     if everyone:
         passing = np.ones(len(ids), dtype=bool)
     else:
-        ages, exponents = stack._float_ages()
-        ages, exponents = ages[game], exponents[game]
+        ages, exponents = [values[game] for values in stack._float_ages()]
         exact = _rows(stack.exact, ids)
         exponents = (exponents if exact is _ALL else None if exact is None
                      else np.where(exact, exponents, 1024))
@@ -1041,16 +1063,15 @@ def _reaching(stack: _DistributedStack, game) -> np.ndarray:
     return out
 
 
-def _delegate_picks(stack: _DistributedStack, delegators: np.ndarray, idle: np.ndarray,
+def _delegate_picks(stack: _DistributedStack, delegators: np.ndarray,
                     u: np.ndarray) -> np.ndarray:
     """The active device (column of stack.ids) inheriting each delegator's RB.
 
-    -1 where a delegator (the ids idle marks) has no active neighbor.
-    Candidates are the active devices of the delegator's lane within its
-    range. A listed batch picks for every delegator at once: row r of the
-    candidates spans the active devices of delegator r's lane, the widest
-    lane setting the width, less its unheard partners. A dense batch picks
-    lane by lane on its blocks.
+    -1 where a delegator has no active neighbor. Candidates are the active
+    devices of the delegator's lane within its range. A listed batch picks
+    for every delegator at once: row r of the candidates spans the active
+    devices of delegator r's lane, the widest lane setting the width, less
+    its unheard partners. A dense batch picks lane by lane on its blocks.
     """
     ids = stack.ids
     ages, exponents = stack._float_ages()
@@ -1080,12 +1101,10 @@ def _delegate_picks(stack: _DistributedStack, delegators: np.ndarray, idle: np.n
         columns = np.minimum(lo[:, None] + span[:-1], len(ids) - 1)
         ages, exponents = ages[columns], exponents[columns]
     if not stack.full_range:
-        # the delegators' listed partners, each at its place among its lane's
-        # active devices; an idle partner (position len(ids)) lands at or
-        # past column width, beyond every row's candidates
-        mine = idle[stack.unheard[0]]
-        rows = delegators.searchsorted(stack.unheard[0].compress(mine))
-        columns = stack.pairs[1].compress(mine)
+        # each delegator's partners at their places among its lane's active
+        # devices; an idle one (at len(ids)) lands past every row's candidates
+        rows, partners = stack._listed(delegators)
+        columns = stack.where[partners]
         if lanes is not None:
             columns = np.minimum(columns - lo[rows], width)
         candidates[rows, columns] = False
@@ -1093,8 +1112,8 @@ def _delegate_picks(stack: _DistributedStack, delegators: np.ndarray, idle: np.n
     return picks if lanes is None else np.where(picks >= 0, picks + lo, -1)
 
 
-def _sensed(stack: _DistributedStack, rows: np.ndarray, prev: np.ndarray):
-    """What the devices stack.ids[rows] sensed last slot, as ``sca_step`` reads it.
+def _sensed(stack: _DistributedStack, deciding: np.ndarray, prev: np.ndarray):
+    """What the deciding devices sensed last slot, as ``sca_step`` reads it.
 
     Returns the crowd each saw on its own last RB and the unused-RB rows:
     one per device, or one for all where every device sensed the same. A
@@ -1102,7 +1121,7 @@ def _sensed(stack: _DistributedStack, rows: np.ndarray, prev: np.ndarray):
     a listed batch, its lane's transmissions of last slot but those of its
     unheard partners; in a dense batch, those its block marks.
     """
-    last_action, lanes, deciding = stack.last_action, stack.lanes, stack.ids[rows]
+    last_action, lanes = stack.last_action, stack.lanes
     # an RB label's sensed counts: 0 (silent) and the RBs 1..R
     width = lanes.R + 1
     if stack.dense:
@@ -1126,11 +1145,11 @@ def _sensed(stack: _DistributedStack, rows: np.ndarray, prev: np.ndarray):
     if deciding_lanes is not None:
         sensed = sensed[deciding_lanes]
     if not stack.full_range:
-        # each active device's unheard transmissions by RB label; row
-        # len(ids) (idle devices) and column 0 (silence) are never read
-        missed = np.bincount(stack.pairs[0] * width + last_action[stack.unheard[1]],
-                             minlength=(len(stack.ids) + 1) * width)
-        sensed = sensed - missed.reshape(-1, width)[rows]
+        # a silent partner lands in column 0, which nothing reads
+        rows, partners = stack._listed(deciding)
+        missed = np.bincount(rows * width + last_action[partners],
+                             minlength=len(deciding) * width)
+        sensed = sensed - missed.reshape(-1, width)
     row = 0 if len(sensed) == 1 else np.arange(len(deciding))
     return sensed[row, prev], sensed[:, 1:] == 0
 
@@ -1158,7 +1177,7 @@ def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
 
     # freed-RB delegation: a device that delivered last slot and went idle hands
     # its RB to an active neighbor, weighted by future age; lowest delegator id
-    # wins when two target the same neighbor
+    # wins when two target the same neighbor (a stable sort keeps id order)
     won = (last_action >= 1) & ~last_failed
     sending = passing if sca is _ALL else passing & sca
     if len(active_ids) < len(last_action):
@@ -1168,9 +1187,8 @@ def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
             idle &= stack.sca
         delegators = idle.nonzero()[0]
         if len(delegators):
-            picks = _delegate_picks(stack, delegators, idle,
+            picks = _delegate_picks(stack, delegators,
                                     draws.vec(t, _PH_DELEGATE, delegators))
-            # a stable sort keeps each pick's delegators in id order
             order = picks.argsort(kind="stable")
             ranked = picks[order]
             first = ranked >= 0
@@ -1184,11 +1202,10 @@ def _game_actions(stack: _DistributedStack, t: int, draws: SlotDraws,
     keep = sending & won[active_ids]
     kept = active_ids[keep]
     actions[kept] = last_action[kept]
-    rows = (sending & ~keep).nonzero()[0]
-    if len(rows):
-        deciding = active_ids[rows]
+    deciding = active_ids[sending & ~keep]
+    if len(deciding):
         prev = last_action[deciding]
-        crowd, unused = _sensed(stack, rows, prev)
+        crowd, unused = _sensed(stack, deciding, prev)
         # the crowd seen on RB 0 (silence) is never consulted
         actions[deciding] = sca_step(prev, last_failed[deciding], crowd, unused,
                                      draws.vec(t, _PH_DECIDE, deciding),
@@ -1217,7 +1234,8 @@ def sweep_lanes(config: ScenarioConfig) -> int:
     builds one N x N matrix per lane while it is set up, and a dense batch
     keeps them all; SWEEP_NEIGHBOR_BYTES caps the matrices a batch may hold
     (16 lanes up to N = 256, 1 from N = 1024). A listed batch holds its
-    unheard pairs instead, both ways round: 32 bytes a pair, uncapped.
+    unheard pairs instead, uncapped: 32 bytes a pair, and a slot's threshold
+    briefly about 1.4x that again where every device is active (BENCH_25.json).
     """
     if (config.mode.centralized or config.mode is Mode.DISTRIBUTED_PREDETERMINED
             or config.r_c >= math.hypot(config.width, config.length)):

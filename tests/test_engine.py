@@ -817,8 +817,9 @@ def test_unheard_pairs_tie_saturated_ages_as_the_dense_blocks(name):
 def test_a_batch_is_listed_once_a_game_lane_misses_few_pairs():
     # at r_c = 10 on a 10 x 10 cell a few pairs are out of range, at r_c = 3
     # most are, and at r_c = 15 none; a listed batch holds exactly the
-    # out-of-range pairs (i < j) of its lanes, in global ids and in both
-    # directions, and no block, and a dense batch keeps every game lane's block
+    # out-of-range pairs (i < j) of its lanes, in global ids, then each one
+    # reversed, each half sorted, and no block; a dense batch keeps every game
+    # lane's block
     base = small(n_devices=40, r_c=10.0)
     configs = [dataclasses.replace(base, seed=s) for s in (1, 2)]
     positions = [_positions(c) for c in configs]
@@ -827,8 +828,9 @@ def test_a_batch_is_listed_once_a_game_lane_misses_few_pairs():
     assert stack.dense == []
     expected = [(i + 40 * lane, j + 40 * lane) for lane, block in enumerate(blocks)
                 for i in range(40) for j in range(i + 1, 40) if not block[i, j]]
-    assert expected and sorted(map(tuple, stack.unheard.T.tolist())) == sorted(
-        expected + [(j, i) for i, j in expected])
+    assert expected and list(map(tuple, stack.unheard.T.tolist())) == (
+        expected + sorted((j, i) for i, j in expected))
+    assert stack.upper.T.tolist() == [list(pair) for pair in expected]
     assert not stack.full_range and stack.exact is None
     short = _stack_of([dataclasses.replace(c, r_c=3.0) for c in configs])
     assert [lane for lane, _ in short.dense] == [0, 1]
@@ -868,6 +870,20 @@ def test_each_device_lists_exactly_its_out_of_range_partners(r_c, modes):
             d = lane * 60 + i
             got = stack.unheard[1, stack.unheard[0] == d]
             assert sorted(got.tolist()) == (np.flatnonzero(~block[i]) + lane * 60).tolist()
+
+
+@pytest.mark.parametrize("scan_columns", [0, 1 << 40], ids=["runs", "scan"])
+def test_listed_reads_each_queried_devices_partners(scan_columns, monkeypatch):
+    # from each device's runs of the two halves, or by scanning the list whole
+    monkeypatch.setattr(engine, "_SCAN_COLUMNS", scan_columns)
+    configs = [small(n_devices=60, r_c=8.0, seed=s) for s in (5, 1, 2)]
+    stack = _stack_of(configs)
+    for queried in (np.arange(180), np.arange(1, 180, 7), np.array([59, 60])):
+        rows, partners = stack._listed(queried)
+        for r, d in enumerate(queried.tolist()):
+            expected = stack.unheard[1, stack.unheard[0] == d]
+            assert sorted(partners[rows == r].tolist()) == sorted(expected.tolist())
+        assert len(partners) == np.isin(stack.unheard[0], queried).sum()
 
 
 def test_listing_a_batch_holds_its_pairs_about_once_at_its_peak():
@@ -1275,8 +1291,8 @@ _CONTRACTS = {
 # no outage uniforms where nothing can fail, one size where the demand is fixed
 _SCALARS = {("reaches_threshold", "k"): np.int64, ("resolve_transmissions", "u"): float,
             ("activate", "size_u"): float}
-# the arguments whose docstring states a shape as well: the listed pairs
-# are the (device, partner) columns of a (2, M) array
+# the arguments whose docstring states a shape as well: the unheard pairs
+# are the columns of a (2, P) array
 _SHAPES = {("reaches_threshold", "unheard"): lambda value: value.ndim == 2 and len(value) == 2}
 
 
