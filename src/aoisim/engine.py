@@ -924,10 +924,11 @@ class _DistributedStack:
         """(r, p) for every unheard partner p of every device devices[r]
         (sorted ids), read from their runs, or by a scan of a short list."""
         if self.unheard.shape[1] <= _SCAN_COLUMNS:
+            owners, partners = self.unheard
             mine = np.zeros(len(self.actions), dtype=bool)
             mine[devices] = True
-            owners, partners = self.unheard.compress(mine[self.unheard[0]], axis=1)
-            return devices.searchsorted(owners), partners
+            mine = mine[owners]
+            return devices.searchsorted(owners.compress(mine)), partners.compress(mine)
         # runs 2r and 2r + 1 are devices[r]'s; entry k of run r sits at
         # start[r] + k, output cumsum[r] - count[r] + k
         start, end = self.runs[[devices, devices + 1]].reshape(2, -1)
