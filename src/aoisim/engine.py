@@ -876,18 +876,21 @@ class _DistributedStack:
         del block
         self.dense = blocks
         self.exact = lanes.mask(exact)
-        # the list, filled from the bits a chunk at a time (packbits pads with
-        # zero bits, which list nothing); a row-major scan meets each half's
-        # columns in order, and a block is symmetric, so the halves are as long
+        # the list, filled from the bits 32,768 pairs at a time, copying each
+        # chunk's pairs once (packbits' zero padding lists nothing); a
+        # row-major scan meets each half's columns in order, and a block is
+        # symmetric, so the halves are as long
         self.unheard = unheard = np.empty((2, total), dtype=np.int64)
-        ends, step = [0, total // 2], _NEIGHBOR_BLOCK // 32
+        ends, step = [0, total // 2], 4096
         for lane, bits in packed:
             for lo in range(0, len(bits), step):
-                flat = np.unpackbits(bits[lo:lo + step]).nonzero()[0] + 8 * lo
-                pairs = np.array(np.divmod(flat, n)) + lanes.starts[lane]
+                pairs = np.divmod(np.unpackbits(bits[lo:lo + step]).nonzero()[0] + 8 * lo, n)
+                for ids in pairs:
+                    ids += lanes.starts[lane]
                 for half, side in enumerate((pairs[0] < pairs[1], pairs[0] > pairs[1])):
                     start, ends[half] = ends[half], ends[half] + np.count_nonzero(side)
-                    unheard[:, start:ends[half]] = pairs[:, side]
+                    for row, ids in zip(unheard, pairs):
+                        row[start:ends[half]] = ids[side]
         self.upper = unheard[:, :total // 2]
         # runs[d]: the columns where device d's run of each half starts
         every = np.arange(size + 1)
