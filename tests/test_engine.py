@@ -890,7 +890,7 @@ def test_listing_a_batch_holds_its_pairs_about_once_at_its_peak():
     # a listed pair is held twice after set-up, once in each direction. The
     # blocks are packed to bits until the list's length is known and then
     # unpacked into it a chunk at a time, with no sort of all endpoints and
-    # no copy of the pairs, which once took the peak to 1.96x what is held
+    # no copy of all the pairs, which once took the peak to 1.96x what is held
     configs = [small(n_devices=500, r_c=8.0, seed=s) for s in range(16)]
     positions = np.concatenate([_positions(c) for c in configs])
     messages = PendingMessages(len(positions))
